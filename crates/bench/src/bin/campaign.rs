@@ -1,63 +1,27 @@
 //! The batched campaign driver: runs a roec-style uncore strike grid
 //! and a scheme-comparator grid through the streaming
-//! [`unsync_bench::campaign`] engine, benchmarks the engine against
-//! the sequential `run_collected` reference at 1/2/8 workers, asserts
-//! the normalized JSONL is byte-identical across all of them, and
-//! writes `BENCH_campaign.json`.
+//! [`unsync_bench::campaign`] engine, once each, and exits non-zero if
+//! either normalized JSONL log differs from the sequential
+//! `run_collected` reference.
 //!
-//! Canonical JSONL logs land in the results directory as
-//! `campaign_uncore.jsonl` / `campaign_compare.jsonl` (the dashboard
-//! renders their meta lines as the campaign table); intermediate
-//! 1/2-worker runs use a `.partial` suffix the dashboard ignores and
-//! are deleted before exit.
+//! Logs land in the results directory as `campaign_uncore.jsonl` /
+//! `campaign_compare.jsonl` (the dashboard renders their meta lines as
+//! the campaign table). Throughput is measured by the repository
+//! benchmark (`examples/benchmark`), not here.
 //!
 //! Environment knobs: `UNSYNC_SEED` (base seed, default 11),
 //! `UNSYNC_CAMPAIGN_SMOKE=1` (tiny CI grids),
-//! `UNSYNC_CAMPAIGN_RESUME_ONLY=1` (skip the benchmark sweep; resume
-//! the canonical logs in place — the CI kill-then-resume check),
-//! `UNSYNC_CAMPAIGN_OUT` (summary path, default
-//! `BENCH_campaign.json`), `UNSYNC_WORKERS` (resume-only worker
-//! count), and `UNSYNC_RESULTS_DIR`.
+//! `UNSYNC_CAMPAIGN_RESUME_ONLY=1` (resume the logs in place instead
+//! of starting fresh — the CI kill-then-resume check),
+//! `UNSYNC_WORKERS` (engine worker count), and `UNSYNC_RESULTS_DIR`.
 
-use std::path::PathBuf;
-
-use unsync_bench::campaign::{
-    normalized_lines, run_collected, run_mapped, CampaignEngine, CampaignGrid,
-};
-use unsync_bench::dashboard::histogram_percentile;
+use unsync_bench::campaign::{normalized_lines, run_collected, CampaignEngine, CampaignGrid};
 use unsync_bench::roec_uncore::SCHEMES;
-use unsync_bench::runlog::{self, metrics_snapshot_json, Json};
+use unsync_bench::runlog;
 use unsync_bench::Runner;
 use unsync_fault::uncore::StrikePlan;
 use unsync_mem::L2ContentionConfig;
 use unsync_workloads::WorkloadSpec;
-
-/// Where the machine-readable summary lands (workspace root under CI).
-const DEFAULT_OUT_PATH: &str = "BENCH_campaign.json";
-
-/// Engine worker counts benchmarked, last one canonical
-/// (`UNSYNC_CAMPAIGN_SWEEP`, comma-separated, overrides).
-const WORKER_SWEEP: [usize; 3] = [1, 2, 8];
-
-fn worker_sweep() -> Vec<usize> {
-    let Ok(raw) = std::env::var("UNSYNC_CAMPAIGN_SWEEP") else {
-        return WORKER_SWEEP.to_vec();
-    };
-    let parsed: Vec<usize> = raw
-        .split(',')
-        .filter_map(|p| p.trim().parse().ok())
-        .filter(|&w| w > 0)
-        .collect();
-    if parsed.is_empty() {
-        WORKER_SWEEP.to_vec()
-    } else {
-        parsed
-    }
-}
-
-fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok()?.trim().parse().ok()
-}
 
 fn env_flag(name: &str) -> bool {
     std::env::var(name).is_ok_and(|v| v.trim() == "1")
@@ -116,203 +80,46 @@ fn compare_grid(seed: u64, smoke: bool) -> CampaignGrid {
     }
 }
 
-/// Reads one counter out of a rendered metrics snapshot.
-fn counter(metrics: &Json, name: &str) -> u64 {
-    metrics.get(name).and_then(Json::as_u64).unwrap_or(0)
-}
-
-fn median_ms(samples: &mut [u64]) -> u64 {
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
-
-fn repeats(smoke: bool) -> usize {
-    env_u64("UNSYNC_CAMPAIGN_REPEATS")
-        .map(|n| n.max(1) as usize)
-        .unwrap_or(if smoke { 1 } else { 3 })
-}
-
-/// Benchmarks one grid: sequential reference, then the engine at each
-/// sweep worker count (canonical run last, into `<name>.jsonl`),
-/// asserting every normalized output equals the reference. Returns the
-/// grid's summary row.
-fn bench_grid(grid: &CampaignGrid, smoke: bool) -> Json {
-    let dir = runlog::results_dir();
-    let reps = repeats(smoke);
+/// Runs `grid` through the engine into `<name>.jsonl` — from scratch,
+/// or resuming the existing log — and checks the normalized log
+/// against the sequential reference.
+fn run_grid(grid: &CampaignGrid, workers: usize, resume: bool) -> Result<(), String> {
+    let path = runlog::results_dir().join(format!("{}.jsonl", grid.name));
+    if !resume {
+        let _ = std::fs::remove_file(&path);
+    }
+    let report = CampaignEngine::new(workers).run_streaming(grid, &path)?;
     println!(
-        "grid {}: {} jobs ({} insts, median of {reps})",
-        grid.name,
-        grid.len(),
-        grid.inst_count
+        "{}: {} jobs, {} run, {} skipped, {} ms at {workers} workers ({:.1} jobs/sec)",
+        path.display(),
+        report.jobs_total,
+        report.jobs_run,
+        report.jobs_skipped,
+        report.wall_ms,
+        report.jobs_per_sec()
     );
-
-    // Single-thread sequential reference (pre-engine cost model): the
-    // normalized-output oracle every other path must match.
-    let mut seq_samples = Vec::new();
-    let mut reference = Vec::new();
-    for _ in 0..reps {
-        let started = std::time::Instant::now();
-        reference = normalized_lines(&run_collected(grid).join("\n"));
-        seq_samples.push(started.elapsed().as_millis() as u64);
+    let text =
+        std::fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
+    if normalized_lines(&text) != run_collected(grid) {
+        return Err(format!(
+            "{} diverged from the sequential reference",
+            path.display()
+        ));
     }
-    let seq_ms = median_ms(&mut seq_samples);
-    println!("  sequential loop: {seq_ms} ms");
-
-    let sweep = worker_sweep();
-    let canonical_workers = *sweep.last().expect("sweep is non-empty");
-
-    // The pre-engine parallel path: `Runner::map` barrier collection at
-    // the canonical worker count, trace + golden recomputed per job.
-    let mapped_runner = Runner::new(canonical_workers);
-    let mut map_samples = Vec::new();
-    for _ in 0..reps {
-        let started = std::time::Instant::now();
-        let lines = run_mapped(grid, &mapped_runner);
-        map_samples.push(started.elapsed().as_millis() as u64);
-        if normalized_lines(&lines.join("\n")) != reference {
-            eprintln!("error: {} Runner::map path diverged", grid.name);
-            std::process::exit(1);
-        }
-    }
-    let map_ms = median_ms(&mut map_samples);
-    println!("  runner_map x{canonical_workers}: {map_ms} ms");
-
-    let mut engine_rows = Vec::new();
-    for (i, &workers) in sweep.iter().enumerate() {
-        let canonical = i == sweep.len() - 1;
-        let path = if canonical {
-            dir.join(format!("{}.jsonl", grid.name))
-        } else {
-            dir.join(format!("{}.w{workers}.partial", grid.name))
-        };
-        let mut samples = Vec::new();
-        let mut jobs_per_sec = 0.0f64;
-        for _ in 0..reps {
-            let _ = std::fs::remove_file(&path);
-            let report = match CampaignEngine::new(workers).run_streaming(grid, &path) {
-                Ok(report) => report,
-                Err(e) => {
-                    eprintln!("error: campaign {} failed: {e}", grid.name);
-                    std::process::exit(1);
-                }
-            };
-            let text = std::fs::read_to_string(&path).unwrap_or_default();
-            if normalized_lines(&text) != reference {
-                eprintln!(
-                    "error: {} at {workers} workers diverged from the sequential reference",
-                    grid.name
-                );
-                std::process::exit(1);
-            }
-            samples.push(report.wall_ms);
-            jobs_per_sec = jobs_per_sec.max(report.jobs_per_sec());
-        }
-        let ms = median_ms(&mut samples);
-        println!(
-            "  engine x{workers}: {ms} ms (best {jobs_per_sec:.1} jobs/sec){}",
-            if canonical { "  [canonical]" } else { "" }
-        );
-        engine_rows.push(
-            Json::obj()
-                .field("workers", workers as u64)
-                .field("ms", ms)
-                .field("jobs_per_sec", jobs_per_sec),
-        );
-        if !canonical {
-            let _ = std::fs::remove_file(&path);
-        }
-    }
-
-    let metrics = metrics_snapshot_json();
-    let depth_p95 = metrics
-        .get("campaign.queue_depth_samples")
-        .and_then(|h| histogram_percentile(h, 0.95))
-        .unwrap_or(0.0);
-    Json::obj()
-        .field("name", grid.name.as_str())
-        .field("jobs", grid.len() as u64)
-        .field("seq_ms", seq_ms)
-        .field("runner_map_workers", canonical_workers as u64)
-        .field("runner_map_ms", map_ms)
-        .field("engine", Json::Arr(engine_rows))
-        .field(
-            "baseline_sim_runs",
-            counter(&metrics, "runner.baseline_sim_runs"),
-        )
-        .field(
-            "baseline_cache_hits",
-            counter(&metrics, "runner.baseline_cache_hits"),
-        )
-        .field(
-            "golden_sim_runs",
-            counter(&metrics, "runner.golden_sim_runs"),
-        )
-        .field(
-            "golden_cache_hits",
-            counter(&metrics, "runner.golden_cache_hits"),
-        )
-        .field(
-            "cache_lock_waits",
-            counter(&metrics, "runner.cache_lock_waits"),
-        )
-        .field(
-            "backpressure_stalls",
-            counter(&metrics, "campaign.backpressure_stalls"),
-        )
-        .field("steals", counter(&metrics, "campaign.steals"))
-        .field("queue_depth_p95", depth_p95)
-}
-
-/// Resume-only mode: continue the canonical logs in place (used by the
-/// CI kill-then-resume check). No benchmarking, no summary JSON.
-fn resume_only(grids: &[CampaignGrid]) {
-    let dir = runlog::results_dir();
-    let workers = Runner::from_env().workers();
-    for grid in grids {
-        let path = dir.join(format!("{}.jsonl", grid.name));
-        match CampaignEngine::new(workers).run_streaming(grid, &path) {
-            Ok(report) => println!(
-                "resumed {}: {} done, {} run, {} skipped",
-                path.display(),
-                report.jobs_total,
-                report.jobs_run,
-                report.jobs_skipped
-            ),
-            Err(e) => {
-                eprintln!("error: resume {} failed: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
-    }
+    Ok(())
 }
 
 fn main() {
-    let seed = env_u64("UNSYNC_SEED").unwrap_or(11);
+    let seed = std::env::var("UNSYNC_SEED")
+        .ok()
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or(11);
     let smoke = env_flag("UNSYNC_CAMPAIGN_SMOKE");
-    let grids = [uncore_grid(seed, smoke), compare_grid(seed, smoke)];
-
-    if env_flag("UNSYNC_CAMPAIGN_RESUME_ONLY") {
-        resume_only(&grids);
-        runlog::export_metrics();
-        return;
-    }
-
-    let rows: Vec<Json> = grids.iter().map(|g| bench_grid(g, smoke)).collect();
-
-    let out_path = std::env::var("UNSYNC_CAMPAIGN_OUT")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| PathBuf::from(DEFAULT_OUT_PATH));
-    let doc = Json::obj()
-        .field("schema", 1u64)
-        .field("seed", seed)
-        .field("smoke", u64::from(smoke))
-        .field("grids", Json::Arr(rows));
-    let mut text = doc.render();
-    text.push('\n');
-    match std::fs::write(&out_path, &text) {
-        Ok(()) => println!("wrote {}", out_path.display()),
-        Err(e) => {
-            eprintln!("error: could not write {}: {e}", out_path.display());
+    let resume = env_flag("UNSYNC_CAMPAIGN_RESUME_ONLY");
+    let workers = Runner::from_env().workers();
+    for grid in [uncore_grid(seed, smoke), compare_grid(seed, smoke)] {
+        if let Err(e) = run_grid(&grid, workers, resume) {
+            eprintln!("error: campaign {}: {e}", grid.name);
             std::process::exit(1);
         }
     }

@@ -188,7 +188,7 @@ fn event_benches(results: &mut Vec<BenchResult>) {
 }
 
 fn campaign_benches(results: &mut Vec<BenchResult>) {
-    use unsync_bench::campaign::{run_job, BoundedQueue};
+    use unsync_bench::campaign::run_job;
     use unsync_bench::CampaignGrid;
     use unsync_fault::uncore::StrikePlan;
     use unsync_mem::L2ContentionConfig;
@@ -220,23 +220,6 @@ fn campaign_benches(results: &mut Vec<BenchResult>) {
     let cjobs = compare.expand();
     g.bench("dispatch/compare_job", || {
         bb(run_job(&compare, cjobs[0], true)).len()
-    });
-    // JSONL stream throughput: a full push/drain cycle of 64 record
-    // chunks through the bounded writer queue (single-threaded, so the
-    // cycle never blocks — this is the lock/notify overhead alone).
-    g.bench("stream/queue_cycle_64_chunks", || {
-        let q: BoundedQueue<String> = BoundedQueue::new(64);
-        for i in 0..64u64 {
-            q.push(format!("{{\"kind\":\"record\",\"row\":{i}}}"));
-        }
-        q.close();
-        let mut out = Vec::new();
-        let mut n = 0usize;
-        while q.drain_into(&mut out, 32) {
-            n += out.len();
-            out.clear();
-        }
-        bb(n)
     });
     results.extend(g.into_results());
 }

@@ -5,9 +5,8 @@
 //! meaningful at thousands of strikes per structure, and replay-style
 //! detection studies run the same workload grid hundreds of times
 //! over — so the grid loop, not the simulator, is what has to scale.
-//! This module promotes the deterministic parallel [`crate::Runner`]
-//! pattern
-//! into a streaming pipeline:
+//! The engine runs on the same [`Runner`] pool as every other
+//! experiment and adds only what a long grid needs on top of it:
 //!
 //! * A [`CampaignGrid`] names a full experiment request — scheme ×
 //!   workload source × seed × optional [`StrikePlan`] — and
@@ -16,35 +15,28 @@
 //!   from [`job_seed_named`], so results are a pure function of the
 //!   job alone: bit-identical across worker counts, reruns, and
 //!   resumes.
-//! * [`CampaignEngine::run_streaming`] shards pending jobs round-robin
-//!   across per-worker deques (idle workers steal from the back of a
-//!   victim's deque — `campaign.steals`), and finished records flow in
-//!   small newline-joined chunks through a [`BoundedQueue`] to a
-//!   dedicated writer thread that appends JSONL incrementally. The
-//!   queue exerts backpressure: a full queue blocks the producing
-//!   worker
-//!   (`campaign.backpressure_stalls`) instead of buffering unboundedly
-//!   behind a barrier, and its occupancy is observable as the
-//!   `campaign.queue_depth` gauge / `campaign.queue_depth_samples`
-//!   histogram.
-//! * Because records hit disk as they complete, a killed run leaves a
-//!   valid prefix. On restart the engine replays the partial log,
-//!   validates the header against the grid, drops torn or meta lines,
-//!   and skips completed job ids — a resumed run's normalized output
-//!   is byte-identical to an uninterrupted one.
+//! * [`CampaignEngine::run_streaming`] cuts the pending jobs into
+//!   fixed-size chunks, runs each chunk through [`Runner::map`], and
+//!   appends the chunk's records to the JSONL log in row order before
+//!   starting the next. Memory stays bounded by one chunk no matter how
+//!   large the grid.
+//! * Because every finished chunk is on disk, a killed run leaves a
+//!   valid prefix and loses at most one chunk of work. On restart the
+//!   engine replays the partial log, validates the header against the
+//!   grid, drops torn or meta lines, and skips completed job ids — a
+//!   resumed run's normalized output is byte-identical to an
+//!   uninterrupted one.
 //!
 //! Strike jobs reuse the memoized golden image
 //! ([`golden_memory_source`]) both for SDC classification *and* —
 //! unlike the sequential reference path — inside the driver via
-//! `run_campaign_lane`, eliminating the per-job golden re-execution
-//! that dominates `Runner::map`-style grids. Records are unaffected: a
-//! trace's golden image is unique.
+//! `run_campaign_lane`, eliminating the per-job golden re-execution.
+//! Records are unaffected: a trace's golden image is unique.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
 use unsync_core::{UnsyncConfig, UnsyncPair};
@@ -61,7 +53,7 @@ use unsync_workloads::{WorkloadSource, WorkloadSpec};
 use crate::experiments::ExperimentConfig;
 use crate::roec_uncore::{classify_strike_result, run_scheme_with_strikes, strike_salt};
 use crate::runlog::{metrics_snapshot_json, prof_block_json, Json};
-use crate::runner::{baseline_cycles_source, golden_memory_source, job_seed_named};
+use crate::runner::{baseline_cycles_source, golden_memory_source, job_seed_named, Runner};
 
 /// A grid of experiment requests: the cartesian product of workloads ×
 /// seeds × schemes, each cell either one comparator run (`strikes:
@@ -259,8 +251,8 @@ impl CampaignJob {
 /// seed)` — every job of a campaign cell shares one trace, and
 /// generating it is a measurable fraction of a short job, so the
 /// engine builds the memo up front and workers borrow from it. The
-/// reference paths ([`run_collected`], [`run_mapped`]) pass `None` and
-/// regenerate per job, as the pre-engine campaigns did.
+/// sequential reference ([`run_collected`]) passes `None` and
+/// regenerates per job.
 type TraceMemo = HashMap<(&'static str, u64), TraceProgram>;
 
 fn trace_memo(grid: &CampaignGrid, jobs: &[CampaignJob]) -> TraceMemo {
@@ -414,157 +406,11 @@ fn run_strike_job(
         .field("memory_matches", u64::from(memory_matches))
 }
 
-/// A bounded MPSC channel built on `Mutex` + `Condvar` (no external
-/// crates): producers block while the queue is full — that stall is
-/// the backpressure, counted as `campaign.backpressure_stalls` — and
-/// the consumer blocks while it is empty. [`BoundedQueue::pop`]
-/// returns `None` once the queue is closed *and* drained.
-pub struct BoundedQueue<T> {
-    state: Mutex<QueueState<T>>,
-    not_full: Condvar,
-    not_empty: Condvar,
-    capacity: usize,
-    // Handles resolved once at construction: updates are lock-free
-    // atomics, never registry lookups on the hot path.
-    stalls: metrics::Counter,
-    depth: metrics::Gauge,
-    depth_samples: metrics::Histogram,
-    // `prof.campaign.queue_wait` — wall-clock µs producers spent
-    // blocked on a full queue (host domain, one observation per stall
-    // episode).
-    queue_wait: metrics::Histogram,
-}
-
-struct QueueState<T> {
-    items: VecDeque<T>,
-    closed: bool,
-}
-
-impl<T> BoundedQueue<T> {
-    /// An open queue holding at most `capacity` items.
-    pub fn new(capacity: usize) -> BoundedQueue<T> {
-        assert!(capacity > 0, "queue capacity must be positive");
-        let m = metrics::global();
-        BoundedQueue {
-            state: Mutex::new(QueueState {
-                items: VecDeque::with_capacity(capacity),
-                closed: false,
-            }),
-            not_full: Condvar::new(),
-            not_empty: Condvar::new(),
-            capacity,
-            stalls: m.counter("campaign.backpressure_stalls"),
-            depth: m.gauge("campaign.queue_depth"),
-            depth_samples: m.histogram("campaign.queue_depth_samples", QUEUE_DEPTH_BOUNDS),
-            queue_wait: metrics::prof_histogram("campaign.queue_wait"),
-        }
-    }
-
-    /// Enqueues `item`, blocking while the queue is full. Each stall
-    /// episode increments `campaign.backpressure_stalls`; every push
-    /// samples the post-push depth into the `campaign.queue_depth`
-    /// gauge and `campaign.queue_depth_samples` histogram.
-    pub fn push(&self, item: T) {
-        let mut state = self.state.lock().expect("campaign queue poisoned");
-        if state.items.len() >= self.capacity {
-            self.stalls.inc();
-            let stalled = Instant::now();
-            while state.items.len() >= self.capacity {
-                state = self.not_full.wait(state).expect("campaign queue poisoned");
-            }
-            self.queue_wait
-                .observe(stalled.elapsed().as_secs_f64() * 1e6);
-        }
-        let was_empty = state.items.is_empty();
-        state.items.push_back(item);
-        let depth = state.items.len() as f64;
-        self.depth.set(depth);
-        self.depth_samples.observe(depth);
-        drop(state);
-        // The consumer only ever waits on an empty queue, so a push
-        // onto a non-empty one has nobody to wake — skipping the
-        // notify keeps producers from pointlessly preempting the
-        // writer on small machines.
-        if was_empty {
-            self.not_empty.notify_one();
-        }
-    }
-
-    /// Dequeues the oldest item, blocking while the queue is open but
-    /// empty; `None` once closed and drained.
-    pub fn pop(&self) -> Option<T> {
-        let mut state = self.state.lock().expect("campaign queue poisoned");
-        loop {
-            if let Some(item) = state.items.pop_front() {
-                let was_full = state.items.len() + 1 >= self.capacity;
-                self.depth.set(state.items.len() as f64);
-                drop(state);
-                // Producers only wait while the queue is full.
-                if was_full {
-                    self.not_full.notify_one();
-                }
-                return Some(item);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self.not_empty.wait(state).expect("campaign queue poisoned");
-        }
-    }
-
-    /// Moves up to `max` items into `out` in one lock acquisition,
-    /// blocking while the queue is open but empty. Returns `false`
-    /// once closed and drained. The writer thread consumes through
-    /// this so one wakeup amortizes one file flush over a whole batch.
-    pub fn drain_into(&self, out: &mut Vec<T>, max: usize) -> bool {
-        let mut state = self.state.lock().expect("campaign queue poisoned");
-        loop {
-            if !state.items.is_empty() {
-                let was_full = state.items.len() >= self.capacity;
-                while out.len() < max {
-                    let Some(item) = state.items.pop_front() else {
-                        break;
-                    };
-                    out.push(item);
-                }
-                self.depth.set(state.items.len() as f64);
-                drop(state);
-                if was_full {
-                    self.not_full.notify_all();
-                }
-                return true;
-            }
-            if state.closed {
-                return false;
-            }
-            state = self.not_empty.wait(state).expect("campaign queue poisoned");
-        }
-    }
-
-    /// Closes the queue: producers must be done; the consumer drains
-    /// what remains and then sees `None`.
-    pub fn close(&self) {
-        self.state.lock().expect("campaign queue poisoned").closed = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-}
-
-/// Histogram bounds for queue-depth samples (powers of two up to the
-/// default capacity).
-const QUEUE_DEPTH_BOUNDS: &[f64] = &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0];
-
-/// Records the writer consumes — and amortizes one flush over — per
-/// queue wakeup.
-const WRITER_BATCH: usize = 32;
-
-/// Records a worker accumulates into one newline-joined chunk before
-/// pushing it through the queue. Chunking amortizes the queue lock and
-/// the consumer wakeup — on a single-CPU host each wakeup is a forced
-/// context switch out of the producing worker — without giving up
-/// bounded streaming: at most `queue_capacity × PRODUCER_BATCH`
-/// records are ever in flight.
-const PRODUCER_BATCH: usize = 8;
+/// Jobs per [`Runner::map`] call. A chunk's records reach the log only
+/// once the whole chunk has finished, so a killed run loses at most
+/// one chunk of work; larger chunks only amortize the pool start and
+/// the append.
+const CHUNK: usize = 256;
 
 /// What one [`CampaignEngine::run_streaming`] call did.
 #[derive(Debug, Clone, PartialEq)]
@@ -580,7 +426,7 @@ pub struct CampaignReport {
     /// Jobs skipped because a resumed log already held their records.
     pub jobs_skipped: usize,
     /// Wall-clock milliseconds of the streaming run (expansion through
-    /// writer join, excluding the meta stamp).
+    /// the last chunk's append, excluding the meta stamp).
     pub wall_ms: u64,
 }
 
@@ -594,23 +440,19 @@ impl CampaignReport {
     }
 }
 
-/// The streaming campaign engine: worker count and writer-queue bound.
+/// The streaming campaign engine: a worker count for the [`Runner`]
+/// pool it runs each chunk on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CampaignEngine {
     /// Worker threads executing jobs.
     pub workers: usize,
-    /// Bounded writer-queue capacity, in chunks of up to
-    /// `PRODUCER_BATCH` records each.
-    pub queue_capacity: usize,
 }
 
 impl CampaignEngine {
-    /// An engine with `workers` threads and the default 64-record
-    /// writer queue.
+    /// An engine with `workers` threads.
     pub fn new(workers: usize) -> CampaignEngine {
         CampaignEngine {
             workers: workers.max(1),
-            queue_capacity: 64,
         }
     }
 
@@ -634,111 +476,22 @@ impl CampaignEngine {
         let jobs_skipped = jobs.len() - pending.len();
         let memo = trace_memo(grid, &pending);
 
-        // Round-robin shard pending jobs across per-worker deques.
-        let deques: Vec<Mutex<VecDeque<CampaignJob>>> = (0..self.workers)
-            .map(|w| {
-                Mutex::new(
-                    pending
-                        .iter()
-                        .skip(w)
-                        .step_by(self.workers)
-                        .copied()
-                        .collect(),
-                )
-            })
-            .collect();
-
-        let queue: BoundedQueue<String> = BoundedQueue::new(self.queue_capacity);
         let mut file = fs::OpenOptions::new()
             .append(true)
             .open(path)
             .map_err(|e| format!("open {}: {e}", path.display()))?;
-        let write_error: Mutex<Option<String>> = Mutex::new(None);
-
         metrics::global()
             .gauge("campaign.workers")
             .set(self.workers as f64);
-        std::thread::scope(|outer| {
-            let writer = outer.spawn(|| {
-                // Handle resolved once per run, observed per flushed
-                // batch (the cached-handle rule for hot phases).
-                let flush_prof = prof::handle("campaign.writer_flush");
-                let mut batch: Vec<String> = Vec::with_capacity(WRITER_BATCH);
-                while queue.drain_into(&mut batch, WRITER_BATCH) {
-                    let mut text = String::with_capacity(batch.iter().map(|l| l.len() + 1).sum());
-                    for line in batch.drain(..) {
-                        text.push_str(&line);
-                        text.push('\n');
-                    }
-                    let flush_started = Instant::now();
-                    let io = file.write_all(text.as_bytes()).and_then(|()| file.flush());
-                    flush_prof.observe(flush_started.elapsed().as_secs_f64() * 1e6);
-                    if let Err(e) = io {
-                        *write_error.lock().expect("write error slot poisoned") =
-                            Some(format!("append {}: {e}", path.display()));
-                        break;
-                    }
-                }
-            });
-            std::thread::scope(|inner| {
-                for w in 0..self.workers {
-                    let deques = &deques;
-                    let queue = &queue;
-                    let memo = &memo;
-                    inner.spawn(move || {
-                        let m = metrics::global();
-                        let mut chunk = String::new();
-                        let mut chunk_len = 0usize;
-                        loop {
-                            // Own deque first (front), then steal from
-                            // the back of the first non-empty victim.
-                            let mut job = deques[w]
-                                .lock()
-                                .expect("campaign deque poisoned")
-                                .pop_front();
-                            if job.is_none() {
-                                let _t = prof::scope("campaign.steal");
-                                for (v, victim) in deques.iter().enumerate() {
-                                    if v == w {
-                                        continue;
-                                    }
-                                    let stolen =
-                                        victim.lock().expect("campaign deque poisoned").pop_back();
-                                    if stolen.is_some() {
-                                        m.counter("campaign.steals").inc();
-                                        job = stolen;
-                                        break;
-                                    }
-                                }
-                            }
-                            let Some(job) = job else {
-                                if !chunk.is_empty() {
-                                    queue.push(std::mem::take(&mut chunk));
-                                }
-                                break;
-                            };
-                            if !chunk.is_empty() {
-                                chunk.push('\n');
-                            }
-                            chunk.push_str(&run_job_inner(grid, job, true, Some(memo)));
-                            chunk_len += 1;
-                            if chunk_len >= PRODUCER_BATCH {
-                                queue.push(std::mem::take(&mut chunk));
-                                chunk_len = 0;
-                            }
-                        }
-                    });
-                }
-            });
-            queue.close();
-            writer.join().expect("campaign writer panicked");
-        });
-        if let Some(e) = write_error
-            .lock()
-            .expect("write error slot poisoned")
-            .take()
-        {
-            return Err(e);
+        let runner = Runner::new(self.workers);
+        for chunk in pending.chunks(CHUNK) {
+            let lines = runner.map(chunk, |job| run_job_inner(grid, *job, true, Some(&memo)));
+            let mut text = lines.join("\n");
+            text.push('\n');
+            let _t = prof::scope("campaign.writer_flush");
+            file.write_all(text.as_bytes())
+                .and_then(|()| file.flush())
+                .map_err(|e| format!("append {}: {e}", path.display()))?;
         }
 
         let wall_ms = started.elapsed().as_millis() as u64;
@@ -824,11 +577,10 @@ fn replay_partial_log(path: &Path, header: &str) -> Result<HashSet<u64>, String>
 }
 
 /// The sequential reference path: runs the whole grid in grid order on
-/// the caller's thread — no sharded deques, no streaming, and no
+/// the caller's thread — no pool, no log file, no trace memo, and no
 /// cached-golden reuse inside the driver (each strike job re-executes
-/// the golden run, as the pre-engine `Runner::map` campaigns did) —
-/// and returns the rendered record lines. `BENCH_campaign.json`
-/// baselines the engine against this.
+/// the golden run) — and returns the header plus the rendered record
+/// lines. Every engine run must reproduce these lines exactly.
 pub fn run_collected(grid: &CampaignGrid) -> Vec<String> {
     let mut lines = vec![grid.header_line()];
     for job in grid.expand() {
@@ -837,26 +589,11 @@ pub fn run_collected(grid: &CampaignGrid) -> Vec<String> {
     lines
 }
 
-/// The pre-engine parallel path: the same grid through
-/// [`crate::Runner::map`]'s barrier-collected worker pool at the
-/// engine's
-/// worker count, with the pre-engine per-job cost model (trace
-/// regenerated and golden re-executed inside the driver for every
-/// job). This is what the roec-style campaigns paid before the
-/// streaming engine; `BENCH_campaign.json` reports it beside the
-/// engine at the same worker count.
-pub fn run_mapped(grid: &CampaignGrid, runner: &crate::runner::Runner) -> Vec<String> {
-    let jobs = grid.expand();
-    let mut lines = vec![grid.header_line()];
-    lines.extend(runner.map(&jobs, |job| run_job(grid, *job, false)));
-    lines
-}
-
 /// Normalizes JSONL text for byte comparison: the header line followed
 /// by record lines sorted by `row`, with meta and unparseable lines
-/// dropped. Streaming runs complete out of order and resumed runs
-/// interleave old and new records; normalized, both must equal the
-/// sequential reference exactly.
+/// dropped. A resumed run appends the missing rows after whatever the
+/// partial log kept, so its records need not be in row order;
+/// normalized, it must equal the sequential reference exactly.
 pub fn normalized_lines(text: &str) -> Vec<String> {
     let mut header = None;
     let mut records: Vec<(u64, &str)> = Vec::new();
@@ -942,32 +679,6 @@ mod tests {
                 "duplicate stream seed for {job:?}"
             );
         }
-    }
-
-    #[test]
-    fn bounded_queue_delivers_in_order_and_closes() {
-        let q: BoundedQueue<u64> = BoundedQueue::new(2);
-        q.push(1);
-        q.push(2);
-        assert_eq!(q.pop(), Some(1));
-        q.push(3);
-        q.close();
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), Some(3));
-        assert_eq!(q.pop(), None);
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn bounded_queue_backpressure_blocks_until_pop() {
-        let q: BoundedQueue<u64> = BoundedQueue::new(1);
-        q.push(1);
-        std::thread::scope(|s| {
-            s.spawn(|| q.push(2)); // must block until the pop below
-            std::thread::sleep(std::time::Duration::from_millis(10));
-            assert_eq!(q.pop(), Some(1));
-            assert_eq!(q.pop(), Some(2));
-        });
     }
 
     #[test]

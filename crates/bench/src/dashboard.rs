@@ -339,9 +339,6 @@ pub struct HealthCounters {
     /// (`exec.journal_dropped`) — non-zero means exported timelines
     /// are incomplete.
     pub journal_dropped: u64,
-    /// Producer stall episodes on the campaign writer queue
-    /// (`campaign.backpressure_stalls`).
-    pub backpressure_stalls: u64,
     /// Contended acquisitions of the runner's sharded cache locks
     /// (`runner.cache_lock_waits`).
     pub cache_lock_waits: u64,
@@ -363,9 +360,6 @@ pub fn health_counters(logs: &[LoadedLog]) -> HealthCounters {
         };
         let get = |k: &str| m.get(k).and_then(Json::as_u64).unwrap_or(0);
         h.journal_dropped = h.journal_dropped.max(get("exec.journal_dropped"));
-        h.backpressure_stalls = h
-            .backpressure_stalls
-            .max(get("campaign.backpressure_stalls"));
         h.cache_lock_waits = h.cache_lock_waits.max(get("runner.cache_lock_waits"));
     }
     h
@@ -376,8 +370,8 @@ pub fn health_counters(logs: &[LoadedLog]) -> HealthCounters {
 /// it gets an explicit warning suffix.
 pub fn render_health_line(h: &HealthCounters) -> String {
     let mut line = format!(
-        "health: journal_dropped={} backpressure_stalls={} cache_lock_waits={}",
-        h.journal_dropped, h.backpressure_stalls, h.cache_lock_waits
+        "health: journal_dropped={} cache_lock_waits={}",
+        h.journal_dropped, h.cache_lock_waits
     );
     if h.journal_dropped > 0 {
         line.push_str("  !! journal truncated: timeline exports are incomplete");
@@ -519,13 +513,6 @@ pub struct CampaignRow {
     pub golden_hit_pct: Option<f64>,
     /// Baseline-cycles memo hit rate, when recorded.
     pub baseline_hit_pct: Option<f64>,
-    /// Producer stall episodes on the bounded writer queue.
-    pub backpressure_stalls: u64,
-    /// Jobs taken from another worker's deque.
-    pub steals: u64,
-    /// 95th-percentile writer-queue depth, when the histogram is
-    /// present.
-    pub queue_depth_p95: Option<f64>,
 }
 
 /// Extracts one [`CampaignRow`] per campaign meta line found in `logs`
@@ -574,17 +561,6 @@ pub fn campaign_rows(logs: &[LoadedLog]) -> Vec<CampaignRow> {
                     "runner.baseline_cache_hits",
                     "runner.baseline_sim_runs",
                 ),
-                backpressure_stalls: metrics
-                    .and_then(|m| m.get("campaign.backpressure_stalls"))
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0),
-                steals: metrics
-                    .and_then(|m| m.get("campaign.steals"))
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0),
-                queue_depth_p95: metrics
-                    .and_then(|m| m.get("campaign.queue_depth_samples"))
-                    .and_then(|h| histogram_percentile(h, 0.95)),
             });
         }
     }
@@ -600,7 +576,7 @@ pub fn render_campaign_table(rows: &[CampaignRow]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<18} {:>7} {:>6} {:>6} {:>7} {:>8} {:>9} {:>8} {:>8} {:>7} {:>7} {:>8}",
+        "{:<18} {:>7} {:>6} {:>6} {:>7} {:>8} {:>9} {:>8} {:>8}",
         "campaign",
         "workers",
         "jobs",
@@ -609,15 +585,12 @@ pub fn render_campaign_table(rows: &[CampaignRow]) -> String {
         "wall ms",
         "jobs/sec",
         "gold hit",
-        "base hit",
-        "stalls",
-        "steals",
-        "qd p95"
+        "base hit"
     );
     for r in rows {
         let _ = writeln!(
             out,
-            "{:<18} {:>7} {:>6} {:>6} {:>7} {:>8} {:>9.1} {:>8} {:>8} {:>7} {:>7} {:>8}",
+            "{:<18} {:>7} {:>6} {:>6} {:>7} {:>8} {:>9.1} {:>8} {:>8}",
             r.experiment,
             r.workers,
             r.jobs,
@@ -626,10 +599,7 @@ pub fn render_campaign_table(rows: &[CampaignRow]) -> String {
             r.wall_ms,
             r.jobs_per_sec,
             fmt_opt(r.golden_hit_pct, 1),
-            fmt_opt(r.baseline_hit_pct, 1),
-            r.backpressure_stalls,
-            r.steals,
-            fmt_opt(r.queue_depth_p95, 1)
+            fmt_opt(r.baseline_hit_pct, 1)
         );
     }
     out
@@ -1058,11 +1028,10 @@ mod tests {
         assert!(clean.clean());
         let meta = META_A.replace(
             "\"runner.baseline_sim_runs\":7",
-            "\"exec.journal_dropped\":3,\"campaign.backpressure_stalls\":2,\"runner.cache_lock_waits\":5",
+            "\"exec.journal_dropped\":3,\"runner.cache_lock_waits\":5",
         );
         let h = health_counters(&[log("a.jsonl", &[META_A]), log("b.jsonl", &[&meta])]);
         assert_eq!(h.journal_dropped, 3);
-        assert_eq!(h.backpressure_stalls, 2);
         assert_eq!(h.cache_lock_waits, 5);
         assert!(!h.clean());
         let line = render_health_line(&h);

@@ -6,13 +6,14 @@
 //! corresponding artifact; [`experiments`] holds the reusable experiment
 //! drivers and [`render`] the text output.
 //!
-//! Experiments that sweep independent simulations parallelize across
-//! configurations through the [`runner`] module's fixed worker pool
-//! (`std::thread::scope`, no external crates); each simulation is
-//! itself single-threaded and deterministic and every job draws
-//! randomness only from its own seed-derived stream, so results are
-//! bit-identical at any worker count. Binaries additionally emit
-//! machine-readable JSONL run logs via [`runlog`].
+//! Every parallel path — the figure and ROEC sweeps as well as the
+//! [`campaign`] engine, which runs each chunk of a grid through it —
+//! fans independent simulations out through the one [`runner`] pool
+//! (scoped standard-library threads, no external crates). Each
+//! simulation is itself single-threaded and deterministic, and every
+//! job draws randomness only from its own seed-derived stream, so
+//! results are bit-identical at any worker count. Binaries
+//! additionally emit machine-readable JSONL run logs via [`runlog`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,8 +32,8 @@ pub mod stats;
 pub mod timeline;
 
 pub use campaign::{
-    normalized_lines, run_collected, run_mapped, BoundedQueue, CampaignEngine, CampaignGrid,
-    CampaignJob, CampaignReport, JobKind,
+    normalized_lines, run_collected, CampaignEngine, CampaignGrid, CampaignJob, CampaignReport,
+    JobKind,
 };
 pub use experiments::{
     fig4, fig5, fig6, roec, scheme_values, ser_sweep, ExperimentConfig, Fig4Row, Fig5Cell, Fig6Row,

@@ -5,10 +5,11 @@
 //! sketches. The grid is structure × scheme × strike: every cell runs
 //! the same workload once per strike, with exactly **one**
 //! deterministic [`UncoreStrike`] injected through
-//! `run_system_with_uncore_faults`, the cycle-stamped journal forced
-//! on, and the final committed memory diffed against the memoized
-//! golden image. [`unsync_fault::roec::classify`] labels each run
-//! masked / detected-recovered / detected-unrecoverable / SDC, and the
+//! `run_system_with_uncore_faults`, and the final committed memory
+//! diffed against the memoized golden image.
+//! [`unsync_fault::roec::classify`] labels each run from its event
+//! counts and that diff —
+//! masked / detected-recovered / detected-unrecoverable / SDC — and the
 //! per-cell tallies aggregate into an AVF-style
 //! [`VulnerabilityTable`].
 //!
@@ -39,8 +40,8 @@
 use std::sync::Arc;
 
 use unsync_core::{UnsyncConfig, UnsyncPolicy};
-use unsync_exec::{roec_events, RedundantDriver, RunResult, SecdedOnlyPolicy, TmrVotePolicy};
-use unsync_fault::roec::{classify, StrikeOutcome, VulnerabilityTable};
+use unsync_exec::{RedundantDriver, RunResult, SecdedOnlyPolicy, TmrVotePolicy, TraceEventKind};
+use unsync_fault::roec::{classify, RoecEvent, RoecEventKind, StrikeOutcome, VulnerabilityTable};
 use unsync_fault::uncore::{StrikePlan, UncoreStrike, UncoreTarget};
 use unsync_isa::{ArchMemory, TraceProgram};
 use unsync_mem::{L2ContentionConfig, WritePolicy};
@@ -135,7 +136,7 @@ pub struct StrikeRecord {
     pub directed: bool,
     /// The classified outcome.
     pub outcome: StrikeOutcome,
-    /// Detections the run journalled.
+    /// Detections the run emitted.
     pub detections: u64,
     /// Recovery episodes the run completed.
     pub recoveries: u64,
@@ -200,14 +201,29 @@ pub fn run_scheme_with_strikes(
 
 /// Classifies one finished strike run: diffs committed memory against
 /// the golden image (no policy-specific gating — SDC is SDC under
-/// every scheme) and labels the journalled events. Returns
+/// every scheme) and labels the run from its event counts. Returns
 /// `(outcome, memory_matches)`.
+///
+/// The counts never truncate, unlike the bounded journal, which can
+/// drop a late detection; the classifier reads them as a summary of at
+/// most one detection and one unrecoverable event.
 pub fn classify_strike_result(result: &RunResult, golden: &ArchMemory) -> (StrikeOutcome, bool) {
     let memory_matches = golden
         .iter()
         .all(|(addr, val)| result.memory.read(addr) == val);
-    let events = roec_events(result.events.journal().unwrap_or(&[]));
-    (classify(&events, memory_matches), memory_matches)
+    let fired = |kinds: &[TraceEventKind]| kinds.iter().any(|&k| result.events.count(k) > 0);
+    let mut summary = Vec::new();
+    if fired(&[
+        TraceEventKind::Detection,
+        TraceEventKind::CorrectedInPlace,
+        TraceEventKind::Corrected,
+    ]) {
+        summary.push(RoecEvent::at(RoecEventKind::Detection, 0));
+    }
+    if fired(&[TraceEventKind::Unrecoverable]) {
+        summary.push(RoecEvent::at(RoecEventKind::Unrecoverable, 0));
+    }
+    (classify(&summary, memory_matches), memory_matches)
 }
 
 /// Runs one strike job: one simulation, one strike, one label.

@@ -23,13 +23,15 @@
 //! requesting lane and surface as cycle-stamped
 //! [`TraceEventKind::L2Contention`] events in that lane's stream.
 
+use std::sync::Arc;
+
 use unsync_fault::uncore::UncoreStrike;
 use unsync_fault::PairFault;
 use unsync_isa::{golden_run, ArchMemory, ArchState, Inst, TraceProgram};
 use unsync_mem::{HierarchyConfig, L2ContentionConfig, L2ContentionEvent, MemSystem};
 use unsync_sim::{CoreConfig, OooEngine};
 
-use crate::event::{EventStream, TraceEventKind};
+use crate::event::{scheme_counters, EventStream, SchemeCounters, TraceEventKind};
 use crate::outcome::OutcomeCore;
 use crate::pending::PendingStores;
 use crate::policy::{RedundancyPolicy, SegmentVerdict};
@@ -273,8 +275,9 @@ impl RedundantDriver {
             "prepare_faults must keep the schedule sorted"
         );
         self.drive_lane(policy, &mut mem, &mut lane, insts, &fault_list);
-        crate::event::scheme_counters(policy.name()).runs.inc();
-        self.finalize(policy, &mut mem, &mut lane, golden);
+        let counters = scheme_counters(policy.name());
+        counters.runs.inc();
+        self.finalize(policy, &mut mem, &mut lane, golden, &counters);
         RunResult {
             out: lane.out,
             events: lane.events,
@@ -433,7 +436,7 @@ impl RedundantDriver {
                     .or_else(|| computed_goldens[p].as_ref())
             })
             .collect();
-        let scheme = policies.first().map(|p| p.name());
+        let scheme = policies[0].name();
 
         // One scheduler component per lane. The event queue always
         // advances the lane whose cores are furthest behind, so
@@ -506,9 +509,9 @@ impl RedundantDriver {
         sched::run(&mut runners, &mut mem);
         sched_prof().observe(sched_started.elapsed().as_secs_f64() * 1e6);
 
-        if let Some(name) = scheme {
-            crate::event::scheme_counters(name).runs.inc();
-        }
+        // The scheme's metric handles, resolved once per run.
+        let counters = scheme_counters(scheme);
+        counters.runs.inc();
         let mut results = Vec::with_capacity(lanes);
         for (runner, golden) in runners.into_iter().zip(goldens.iter()) {
             let LaneRunner {
@@ -525,7 +528,8 @@ impl RedundantDriver {
                 policy.uncore_strike(&mut mem, &mut lane, strike);
                 lane.sync_clock();
             }
-            self.finalize(policy, &mut mem, &mut lane, *golden);
+            let lane_counters = Self::lane_counters(&counters, scheme, policy.name());
+            self.finalize(policy, &mut mem, &mut lane, *golden, &lane_counters);
             results.push(RunResult {
                 out: lane.out,
                 events: lane.events,
@@ -540,11 +544,7 @@ impl RedundantDriver {
             .iter()
             .flat_map(|r| r.events.episodes().iter().copied())
             .collect();
-        if let Some(name) = scheme {
-            unsync_sim::metrics::global()
-                .gauge(&format!("{name}.recovery_overlap_fraction"))
-                .set(crate::spans::overlap_fraction(&all_episodes));
-        }
+        counters.set_recovery_overlap(scheme, crate::spans::overlap_fraction(&all_episodes));
         (results, mem)
     }
 
@@ -611,12 +611,19 @@ impl RedundantDriver {
             lane_states[p].out.committed += 1;
             idx[p] += 1;
         }
-        if let Some(first) = policies.first() {
-            crate::event::scheme_counters(first.name()).runs.inc();
-        }
+        let scheme = policies[0].name();
+        let counters = scheme_counters(scheme);
+        counters.runs.inc();
         let mut results = Vec::with_capacity(lanes);
         for (p, mut lane) in lane_states.into_iter().enumerate() {
-            self.finalize(&mut policies[p], &mut mem, &mut lane, goldens[p].as_ref());
+            let lane_counters = Self::lane_counters(&counters, scheme, policies[p].name());
+            self.finalize(
+                &mut policies[p],
+                &mut mem,
+                &mut lane,
+                goldens[p].as_ref(),
+                &lane_counters,
+            );
             results.push(RunResult {
                 out: lane.out,
                 events: lane.events,
@@ -628,9 +635,7 @@ impl RedundantDriver {
             .iter()
             .flat_map(|r| r.events.episodes().iter().copied())
             .collect();
-        unsync_sim::metrics::global()
-            .gauge(&format!("{}.recovery_overlap_fraction", policies[0].name()))
-            .set(crate::spans::overlap_fraction(&all_episodes));
+        counters.set_recovery_overlap(scheme, crate::spans::overlap_fraction(&all_episodes));
         (results, mem)
     }
 
@@ -750,14 +755,31 @@ impl RedundantDriver {
         }
     }
 
+    /// The handles lane finalization publishes into: the run's
+    /// `counters` for the run's `scheme`, or a fresh lookup for a lane
+    /// whose policy goes by another name.
+    fn lane_counters(
+        counters: &Arc<SchemeCounters>,
+        scheme: &str,
+        lane_scheme: &str,
+    ) -> Arc<SchemeCounters> {
+        if lane_scheme == scheme {
+            Arc::clone(counters)
+        } else {
+            scheme_counters(lane_scheme)
+        }
+    }
+
     /// Finalization for one lane: clock, policy epilogue, counter
-    /// derivation from the event stream, golden verification, metrics.
+    /// derivation from the event stream, golden verification, metrics
+    /// (published into `counters`, the lane scheme's handles).
     fn finalize<P: RedundancyPolicy>(
         &self,
         policy: &mut P,
         mem: &mut MemSystem,
         lane: &mut LaneState,
         golden: Option<&ArchMemory>,
+        counters: &SchemeCounters,
     ) {
         lane.sync_clock();
         lane.out.cycles = lane.now();
@@ -778,8 +800,6 @@ impl RedundantDriver {
 
         // Publish run aggregates once per run (never per instruction —
         // the lane loop is the hot path).
-        let name = policy.name();
-        let counters = crate::event::scheme_counters(name);
         counters.instructions.add(lane.out.committed);
         counters.cycles.add(lane.out.cycles);
         // Recovery-episode distributions (see `crate::spans`): one MTTR
@@ -800,7 +820,7 @@ impl RedundantDriver {
         for (bank, &stall) in lane.bank_stalls.iter().enumerate() {
             counters.l2_bank_stalls.observe_n(bank as f64, stall);
         }
-        lane.events.publish(name);
+        lane.events.publish_to(counters);
         // Journal overflow is a health signal: a truncated journal
         // silently under-reports the cycle timeline, so the drop count
         // is surfaced process-wide for the dashboard's health line.

@@ -31,7 +31,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use unsync_sim::metrics::{Counter, Histogram};
+use unsync_sim::metrics::{Counter, Gauge, Histogram};
 
 use crate::spans::{Episode, SpanStats, SpanTracker};
 
@@ -204,6 +204,22 @@ pub(crate) struct SchemeCounters {
     /// spent waiting on that bank, so each bucket's count is the bank's
     /// total stall cycles (the dashboard's per-bank occupancy column).
     pub l2_bank_stalls: Histogram,
+    /// `<scheme>.recovery_overlap_fraction`, registered by the first
+    /// system run that sets it (single-lane runs never publish it).
+    recovery_overlap: OnceLock<Gauge>,
+}
+
+impl SchemeCounters {
+    /// Sets `<scheme>.recovery_overlap_fraction` (see
+    /// `crate::spans::overlap_fraction`); `scheme` names the metric on
+    /// first use only.
+    pub fn set_recovery_overlap(&self, scheme: &str, fraction: f64) {
+        self.recovery_overlap
+            .get_or_init(|| {
+                unsync_sim::metrics::global().gauge(&format!("{scheme}.recovery_overlap_fraction"))
+            })
+            .set(fraction);
+    }
 }
 
 /// The (cached) counter handles for `scheme`.
@@ -234,6 +250,7 @@ pub(crate) fn scheme_counters(scheme: &str) -> Arc<SchemeCounters> {
         ),
         l2_banks: m.histogram(&format!("{scheme}.l2_bank_conflicts"), &L2_BANK_HIST_BOUNDS),
         l2_bank_stalls: m.histogram(&format!("{scheme}.l2_bank_stalls"), &L2_BANK_HIST_BOUNDS),
+        recovery_overlap: OnceLock::new(),
     });
     cache.insert(scheme.to_string(), Arc::clone(&c));
     c
@@ -448,7 +465,12 @@ impl EventStream {
     /// Publishes every non-zero kind to the metrics registry under
     /// `<scheme>.<suffix>`, through the per-scheme handle cache.
     pub fn publish(&self, scheme: &str) {
-        let c = scheme_counters(scheme);
+        self.publish_to(&scheme_counters(scheme));
+    }
+
+    /// [`EventStream::publish`] into already-resolved handles (the
+    /// driver resolves a scheme's handles once per run).
+    pub(crate) fn publish_to(&self, c: &SchemeCounters) {
         for kind in KINDS {
             let k = kind as usize;
             if self.counts[k] == 0 {

@@ -58,4 +58,4 @@ pub use schemes::{
     SecdedOnlyPolicy, TmrOutcome, TmrTriple, TmrVotePolicy,
 };
 pub use spans::{episodes_from, overlap_fraction, Episode, SpanStats, SpanTracker};
-pub use uncore::{corrupt_memory, deliver as deliver_uncore_strike, roec_events, strike_is_live};
+pub use uncore::{corrupt_memory, deliver as deliver_uncore_strike, strike_is_live};

@@ -31,12 +31,12 @@
 //! [`RedundancyPolicy::uncore_strike`]: crate::policy::RedundancyPolicy::uncore_strike
 
 use unsync_fault::uncore::{UncoreProtection, UncoreStrike, UncoreTarget};
-use unsync_fault::{DetectionMechanism, FaultKind, RoecEvent, RoecEventKind};
+use unsync_fault::{DetectionMechanism, FaultKind};
 use unsync_isa::exec::splitmix64;
 use unsync_mem::MemSystem;
 
 use crate::driver::LaneState;
-use crate::event::{TraceEvent, TraceEventKind};
+use crate::event::TraceEventKind;
 
 /// Detected-unrecoverable strikes stall the lane while the machine
 /// raises the error (same cost the SECDED-only scheme charges).
@@ -160,28 +160,4 @@ pub fn deliver(
             );
         }
     }
-}
-
-/// Converts a lane's cycle-stamped journal into the classifier's event
-/// vocabulary ([`RoecEvent`]): the detection-relevant kinds map
-/// one-to-one, everything else becomes [`RoecEventKind::Other`].
-pub fn roec_events(journal: &[TraceEvent]) -> Vec<RoecEvent> {
-    journal
-        .iter()
-        .map(|e| RoecEvent {
-            kind: match e.kind {
-                TraceEventKind::Detection => RoecEventKind::Detection,
-                TraceEventKind::RecoveryStart => RoecEventKind::RecoveryStart,
-                TraceEventKind::RecoveryEnd => RoecEventKind::RecoveryEnd,
-                TraceEventKind::CorrectedInPlace => RoecEventKind::CorrectedInPlace,
-                TraceEventKind::Corrected => RoecEventKind::Corrected,
-                TraceEventKind::Unrecoverable => RoecEventKind::Unrecoverable,
-                TraceEventKind::SilentFault => RoecEventKind::SilentFault,
-                TraceEventKind::BenignFault => RoecEventKind::BenignFault,
-                _ => RoecEventKind::Other,
-            },
-            value: e.value,
-            cycle: e.cycle,
-        })
-        .collect()
 }

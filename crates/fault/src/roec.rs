@@ -27,9 +27,10 @@
 //! detection coverage of live strikes, and the SDC rate — the number
 //! the whole architecture exists to drive to zero.
 //!
-//! This crate sits *below* the execution layer, so the journal arrives
+//! This crate sits *below* the execution layer, so the events arrive
 //! as [`RoecEvent`]s — a minimal mirror of the executor's trace events
-//! (`unsync_exec` converts; see its `uncore` module).
+//! (`unsync_bench::roec_uncore` summarizes a run's event counts into
+//! them).
 
 use std::collections::BTreeMap;
 

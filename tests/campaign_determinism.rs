@@ -1,7 +1,10 @@
 //! Determinism regression for the streaming campaign engine: the same
 //! [`CampaignGrid`] must produce byte-identical normalized JSONL at
 //! any worker count, and a run killed mid-grid must resume to the same
-//! bytes an uninterrupted run produces. Alongside, a property test
+//! bytes an uninterrupted run produces. The engine appends records in
+//! row order, so a fresh log is the sequential reference line for
+//! line, and a resume that crosses a chunk boundary stays byte-identical
+//! without normalizing. Alongside, a property test
 //! that the job → SplitMix64 stream mapping never hands two jobs of a
 //! grid the same stream.
 
@@ -28,6 +31,14 @@ fn strike_grid() -> CampaignGrid {
         strikes: Some(StrikePlan::all_uncore(1, 240)),
         contention: Some(L2ContentionConfig::many_core()),
     }
+}
+
+/// A log's lines without its trailing meta line (wall-clock and
+/// metrics, the one part of a log that differs between runs).
+fn without_meta(text: &str) -> Vec<&str> {
+    text.lines()
+        .filter(|l| !l.starts_with("{\"kind\":\"meta\""))
+        .collect()
 }
 
 /// A scratch path unique to this test process and `label`.
@@ -105,6 +116,58 @@ fn campaign_resumes_killed_run_to_identical_bytes() {
     assert_eq!(
         normalized_lines(&resumed),
         reference,
+        "resumed log diverged from the uninterrupted run"
+    );
+}
+
+#[test]
+fn fresh_log_is_the_sequential_reference_in_row_order() {
+    let grid = strike_grid();
+    let path = scratch("row_order");
+    let _ = std::fs::remove_file(&path);
+    CampaignEngine::new(2)
+        .run_streaming(&grid, &path)
+        .expect("campaign run");
+    let text = std::fs::read_to_string(&path).expect("read campaign log");
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(
+        without_meta(&text),
+        run_collected(&grid),
+        "raw log must list the reference records in row order"
+    );
+}
+
+#[test]
+fn resume_across_a_chunk_boundary_is_byte_identical() {
+    // 6 structures × 8 strikes × 3 schemes × 2 seeds = 288 jobs: more
+    // than one 256-job chunk, so the kill lands inside the second.
+    let grid = CampaignGrid {
+        strikes: Some(StrikePlan::all_uncore(8, 240)),
+        ..strike_grid()
+    };
+    assert_eq!(grid.len(), 288);
+    let path = scratch("chunk_resume");
+    let _ = std::fs::remove_file(&path);
+    CampaignEngine::new(2)
+        .run_streaming(&grid, &path)
+        .expect("uninterrupted campaign run");
+    let full = std::fs::read_to_string(&path).expect("read campaign log");
+
+    let keep = 270;
+    let mut torn = full.lines().take(1 + keep).collect::<Vec<_>>().join("\n");
+    torn.push_str("\n{\"kind\":\"record\",\"row\":270,\"trunc");
+    std::fs::write(&path, &torn).expect("write truncated log");
+
+    let report = CampaignEngine::new(2)
+        .run_streaming(&grid, &path)
+        .expect("resumed campaign run");
+    assert_eq!(report.jobs_skipped, keep);
+    assert_eq!(report.jobs_run, grid.len() - keep);
+    let resumed = std::fs::read_to_string(&path).expect("read resumed log");
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(
+        without_meta(&resumed),
+        without_meta(&full),
         "resumed log diverged from the uninterrupted run"
     );
 }

@@ -5,9 +5,11 @@
 //! strike planning, liveness probes, delivery order, or classification
 //! rules shows up as a reviewable diff here.
 
-use unsync_bench::roec_uncore::{run_campaign, RoecUncoreConfig, SCHEMES};
+use unsync_bench::roec_uncore::{classify_strike_result, run_campaign, RoecUncoreConfig, SCHEMES};
 use unsync_bench::Runner;
+use unsync_exec::{EventStream, OutcomeCore, RunResult, TraceEventKind};
 use unsync_fault::roec::{classify, RoecEvent, RoecEventKind, StrikeOutcome};
+use unsync_isa::ArchMemory;
 
 fn ev(kind: RoecEventKind, cycle: u64) -> RoecEvent {
     RoecEvent::at(kind, cycle)
@@ -93,6 +95,29 @@ fn detection_beats_silent_fault_in_mixed_journals() {
         ev(RoecEventKind::RecoveryEnd, 800),
     ];
     assert_eq!(classify(&mixed, true), StrikeOutcome::DetectedRecovered);
+}
+
+#[test]
+fn strike_label_survives_a_truncated_journal() {
+    // A one-event journal fills with the contention stall and drops the
+    // detection behind it; the label must come from the event counts,
+    // which never truncate.
+    let mut events = EventStream::with_journal(1);
+    events.emit_value(TraceEventKind::L2Contention, 3);
+    events.emit(TraceEventKind::Detection);
+    events.emit(TraceEventKind::RecoveryStart);
+    events.emit_value(TraceEventKind::RecoveryEnd, 40);
+    assert!(events.journal_dropped() > 0, "the detection was dropped");
+    let result = RunResult {
+        out: OutcomeCore::default(),
+        events,
+        memory: ArchMemory::new(),
+        l2_events: Vec::new(),
+    };
+    assert_eq!(
+        classify_strike_result(&result, &ArchMemory::new()),
+        (StrikeOutcome::DetectedRecovered, true)
+    );
 }
 
 /// Golden lock: the complete per-cell outcome sequence of the
