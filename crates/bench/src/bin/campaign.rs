@@ -15,7 +15,9 @@
 //! of starting fresh — the CI kill-then-resume check),
 //! `UNSYNC_WORKERS` (engine worker count), and `UNSYNC_RESULTS_DIR`.
 
-use unsync_bench::campaign::{normalized_lines, run_collected, CampaignEngine, CampaignGrid};
+use unsync_bench::campaign::{
+    normalized_lines, run_collected, CampaignEngine, CampaignGrid, COMPARATORS,
+};
 use unsync_bench::roec_uncore::SCHEMES;
 use unsync_bench::runlog;
 use unsync_bench::Runner;
@@ -65,15 +67,7 @@ fn compare_grid(seed: u64, smoke: bool) -> CampaignGrid {
             inst_count: 400,
             seeds: vec![seed, seed + 1],
             workloads: vec![workload("gzip"), workload("kernel:qsort")],
-            schemes: vec![
-                "lockstep",
-                "reunion",
-                "checkpoint",
-                "unsync_pair",
-                "tmr_vote",
-                "flex",
-                "secded_only",
-            ],
+            schemes: COMPARATORS.iter().map(|&(name, _)| name).collect(),
             strikes: None,
             contention: None,
         }

@@ -27,11 +27,17 @@
 //!   resumed run's normalized output is byte-identical to an
 //!   uninterrupted one.
 //!
+//! * A grid naming a scheme outside its vocabulary
+//!   ([`crate::roec_uncore::SCHEMES`] for strike grids, [`COMPARATORS`]
+//!   for compare grids) is refused with an error before the log is
+//!   touched, never by a panic mid-campaign.
+//!
 //! Strike jobs reuse the memoized golden image
 //! ([`golden_memory_source`]) both for SDC classification *and* —
-//! unlike the sequential reference path — inside the driver via
-//! `run_campaign_lane`, eliminating the per-job golden re-execution.
-//! Records are unaffected: a trace's golden image is unique.
+//! unlike the sequential reference path — inside the driver (the run's
+//! [`unsync_exec::Lane::golden`]), eliminating the per-job golden
+//! re-execution. Records are unaffected: a trace's golden image is
+//! unique.
 
 use std::collections::{HashMap, HashSet};
 use std::fs;
@@ -51,7 +57,7 @@ use unsync_sim::{metrics, CoreConfig};
 use unsync_workloads::{WorkloadSource, WorkloadSpec};
 
 use crate::experiments::ExperimentConfig;
-use crate::roec_uncore::{classify_strike_result, run_scheme_with_strikes, strike_salt};
+use crate::roec_uncore::{classify_strike_result, run_scheme_with_strikes, strike_salt, SCHEMES};
 use crate::runlog::{metrics_snapshot_json, prof_block_json, Json};
 use crate::runner::{baseline_cycles_source, golden_memory_source, job_seed_named, Runner};
 
@@ -68,8 +74,8 @@ pub struct CampaignGrid {
     pub seeds: Vec<u64>,
     /// Workload sources swept (synthetic or `kernel:` backends).
     pub workloads: Vec<WorkloadSpec>,
-    /// Scheme names swept (see `run_compare_job` /
-    /// [`crate::roec_uncore::SCHEMES`] for the two vocabularies).
+    /// Scheme names swept: [`COMPARATORS`] names for compare grids,
+    /// [`crate::roec_uncore::SCHEMES`] for strike grids.
     pub schemes: Vec<&'static str>,
     /// When set, every (workload, seed, scheme) cell expands into one
     /// job per strike of the plan instead of one comparator job.
@@ -308,45 +314,60 @@ fn run_job_inner(
     framed.render()
 }
 
+/// A comparator's fault-free run: trace → cycles.
+type ComparatorRun = fn(&TraceProgram) -> u64;
+
+/// The comparator schemes a compare grid may name, in table order,
+/// each with its fault-free run. The `comparators` experiment runs the
+/// same table.
+pub const COMPARATORS: [(&str, ComparatorRun); 7] = [
+    ("lockstep", |t| {
+        LockstepPair::new(CoreConfig::table1()).run(t).cycles
+    }),
+    ("reunion", |t| {
+        let pair = ReunionPair::new(CoreConfig::table1(), ReunionConfig::paper_baseline());
+        pair.run(t, &[]).cycles
+    }),
+    ("checkpoint", |t| {
+        let mut s = t.clone();
+        let mut hooks = CheckpointHooks::new(CheckpointConfig::default());
+        unsync_sim::run_stream(
+            CoreConfig::table1(),
+            &mut s,
+            &mut hooks,
+            WritePolicy::WriteThrough,
+        )
+        .core
+        .last_commit_cycle
+    }),
+    ("unsync_pair", |t| {
+        UnsyncPair::new(CoreConfig::table1(), UnsyncConfig::paper_baseline())
+            .run(t, &[])
+            .cycles
+    }),
+    ("tmr_vote", |t| {
+        TmrTriple::new(CoreConfig::table1()).run(t, &[]).cycles
+    }),
+    ("flex", |t| {
+        FlexPair::new(CoreConfig::table1(), FlexConfig::paper_baseline())
+            .run(t, &[])
+            .cycles
+    }),
+    ("secded_only", |t| {
+        SecdedOnlyCore::new(CoreConfig::table1()).run(t, &[]).cycles
+    }),
+];
+
 /// One fault-free comparator run: `scheme` cycles against the memoized
-/// unprotected baseline. The scheme vocabulary matches the
-/// `comparators` experiment.
+/// unprotected baseline.
 fn run_compare_job(job: CampaignJob, t: &TraceProgram) -> Json {
     let source = job.workload.source(job.inst_count, job.seed);
     let base = baseline_cycles_source(&source);
-    let cycles = match job.scheme {
-        "lockstep" => LockstepPair::new(CoreConfig::table1()).run(t).cycles,
-        "reunion" => {
-            ReunionPair::new(CoreConfig::table1(), ReunionConfig::paper_baseline())
-                .run(t, &[])
-                .cycles
-        }
-        "checkpoint" => {
-            let mut s = t.clone();
-            let mut hooks = CheckpointHooks::new(CheckpointConfig::default());
-            unsync_sim::run_stream(
-                CoreConfig::table1(),
-                &mut s,
-                &mut hooks,
-                WritePolicy::WriteThrough,
-            )
-            .core
-            .last_commit_cycle
-        }
-        "unsync_pair" => {
-            UnsyncPair::new(CoreConfig::table1(), UnsyncConfig::paper_baseline())
-                .run(t, &[])
-                .cycles
-        }
-        "tmr_vote" => TmrTriple::new(CoreConfig::table1()).run(t, &[]).cycles,
-        "flex" => {
-            FlexPair::new(CoreConfig::table1(), FlexConfig::paper_baseline())
-                .run(t, &[])
-                .cycles
-        }
-        "secded_only" => SecdedOnlyCore::new(CoreConfig::table1()).run(t, &[]).cycles,
-        other => panic!("unknown comparator scheme {other}"),
-    };
+    let (_, run) = COMPARATORS
+        .iter()
+        .find(|&&(name, _)| name == job.scheme)
+        .unwrap_or_else(|| panic!("unknown comparator scheme {}", job.scheme));
+    let cycles = run(t);
     Json::obj()
         .field("workload", job.workload.name())
         .field("inst_count", job.inst_count)
@@ -465,6 +486,15 @@ impl CampaignEngine {
         path: &Path,
     ) -> Result<CampaignReport, String> {
         let started = Instant::now();
+        // Refuse schemes outside the grid's vocabulary before touching
+        // the log: `SCHEMES` for strike grids, `COMPARATORS` otherwise.
+        let known = |s: &str| match grid.strikes {
+            Some(_) => SCHEMES.contains(&s),
+            None => COMPARATORS.iter().any(|&(name, _)| name == s),
+        };
+        if let Some(s) = grid.schemes.iter().find(|s| !known(s)) {
+            return Err(format!("grid {}: unknown scheme {s}", grid.name));
+        }
         let jobs = grid.expand();
         let header = grid.header_line();
         let completed = replay_partial_log(path, &header)?;
@@ -694,6 +724,22 @@ mod tests {
         let streamed = normalized_lines(&fs::read_to_string(&path).unwrap());
         assert_eq!(streamed, run_collected(&grid));
         let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn unknown_schemes_are_refused_before_the_log_is_touched() {
+        let dir = std::env::temp_dir().join("unsync_campaign_mod_test");
+        let path = dir.join("unknown.jsonl.partial");
+        fs::create_dir_all(&dir).unwrap();
+        let _ = fs::remove_file(&path);
+        let (mut strike, mut compare) = (strike_grid(), compare_grid());
+        strike.schemes.push("reunion");
+        compare.schemes.push("no_such_scheme");
+        for (grid, bad) in [(strike, "reunion"), (compare, "no_such_scheme")] {
+            let err = CampaignEngine::new(2).run_streaming(&grid, &path);
+            assert!(err.unwrap_err().contains(bad));
+            assert!(!path.exists(), "the log must stay untouched");
+        }
     }
 
     #[test]

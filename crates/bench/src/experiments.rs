@@ -5,10 +5,11 @@ use unsync_core::{UnsyncConfig, UnsyncPair};
 use unsync_exec::{FlexConfig, FlexPair, SecdedOnlyCore, TmrTriple};
 use unsync_fault::{Coverage, FaultTarget, PairFault, SerRate};
 use unsync_isa::TraceProgram;
-use unsync_reunion::{CheckpointConfig, CheckpointHooks, LockstepPair, ReunionConfig, ReunionPair};
+use unsync_reunion::{ReunionConfig, ReunionPair};
 use unsync_sim::CoreConfig;
 use unsync_workloads::{Benchmark, Kernel, SyntheticSource, WorkloadSource};
 
+use crate::campaign::COMPARATORS;
 use crate::runner::Runner;
 
 /// Common knobs for the simulation experiments.
@@ -523,41 +524,18 @@ pub fn comparators_on(runner: Runner, cfg: ExperimentConfig) -> Vec<ComparatorRo
         let base = baseline_cycles(bench, cfg) as f64;
         let over = |cycles: u64| cycles as f64 / base - 1.0;
 
-        let lockstep = LockstepPair::new(CoreConfig::table1()).run(&t).cycles;
-        let reunion = ReunionPair::new(CoreConfig::table1(), ReunionConfig::paper_baseline())
-            .run(&t, &[])
-            .cycles;
-        let ckpt = {
-            let mut s = trace(bench, cfg);
-            let mut hooks = CheckpointHooks::new(CheckpointConfig::default());
-            unsync_sim::run_stream(
-                CoreConfig::table1(),
-                &mut s,
-                &mut hooks,
-                unsync_mem::WritePolicy::WriteThrough,
-            )
-            .core
-            .last_commit_cycle
-        };
-        let unsync = UnsyncPair::new(CoreConfig::table1(), UnsyncConfig::paper_baseline())
-            .run(&t, &[])
-            .cycles;
-        let tmr = TmrTriple::new(CoreConfig::table1()).run(&t, &[]).cycles;
-        let flex = FlexPair::new(CoreConfig::table1(), FlexConfig::paper_baseline())
-            .run(&t, &[])
-            .cycles;
-        let secded = SecdedOnlyCore::new(CoreConfig::table1())
-            .run(&t, &[])
-            .cycles;
+        // One overhead per comparator, in `COMPARATORS` table order.
+        let [lockstep, reunion, ckpt, unsync, tmr, flex, secded] =
+            COMPARATORS.map(|(_, run)| over(run(&t)));
         ComparatorRow {
             bench: bench.name(),
-            lockstep_overhead: over(lockstep),
-            reunion_overhead: over(reunion),
-            checkpoint_overhead: over(ckpt),
-            unsync_overhead: over(unsync),
-            tmr_overhead: over(tmr),
-            flex_overhead: over(flex),
-            secded_overhead: over(secded),
+            lockstep_overhead: lockstep,
+            reunion_overhead: reunion,
+            checkpoint_overhead: ckpt,
+            unsync_overhead: unsync,
+            tmr_overhead: tmr,
+            flex_overhead: flex,
+            secded_overhead: secded,
         }
     })
 }

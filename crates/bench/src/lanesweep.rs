@@ -19,7 +19,7 @@
 //! `BENCH_lanesweep.json` summary the CI smoke validates.
 
 use unsync_core::{UnsyncConfig, UnsyncPolicy};
-use unsync_exec::RedundantDriver;
+use unsync_exec::{Lane, RedundantDriver};
 use unsync_fault::PairFault;
 use unsync_mem::{L2ContentionConfig, WritePolicy};
 use unsync_sim::CoreConfig;
@@ -130,15 +130,18 @@ pub fn sweep_point(cfg: &LaneSweepConfig, lanes: usize) -> LaneSweepRow {
     // One mid-trace transient per lane, planned deterministically from
     // (seed, lane count, lane): MTTR is measured under contention.
     let mid = (cfg.insts_per_lane / 2) as u64;
-    let faults: Vec<Vec<PairFault>> = (0..lanes)
-        .map(|p| {
-            vec![PairFault::plan(
+    let specs: Vec<Lane> = traces
+        .iter()
+        .enumerate()
+        .map(|(p, trace)| Lane {
+            faults: vec![PairFault::plan(
                 cfg.seed ^ ((lanes as u64) << 32) ^ p as u64,
                 mid,
-            )]
+            )],
+            ..Lane::new(trace)
         })
         .collect();
-    let (results, mem) = driver.run_system_with_faults(&mut policies, &traces, &faults);
+    let (results, mem) = driver.run(&mut policies, specs);
 
     let committed: u64 = results.iter().map(|r| r.out.committed).sum();
     let makespan = results.iter().map(|r| r.out.cycles).max().unwrap_or(0);

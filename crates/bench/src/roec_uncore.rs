@@ -5,7 +5,7 @@
 //! sketches. The grid is structure × scheme × strike: every cell runs
 //! the same workload once per strike, with exactly **one**
 //! deterministic [`UncoreStrike`] injected through
-//! `run_system_with_uncore_faults`, and the final committed memory
+//! [`RedundantDriver::run`], and the final committed memory
 //! diffed against the memoized golden image.
 //! [`unsync_fault::roec::classify`] labels each run from its event
 //! counts and that diff —
@@ -40,7 +40,9 @@
 use std::sync::Arc;
 
 use unsync_core::{UnsyncConfig, UnsyncPolicy};
-use unsync_exec::{RedundantDriver, RunResult, SecdedOnlyPolicy, TmrVotePolicy, TraceEventKind};
+use unsync_exec::{
+    Lane, RedundantDriver, RunResult, SecdedOnlyPolicy, TmrVotePolicy, TraceEventKind,
+};
 use unsync_fault::roec::{classify, RoecEvent, RoecEventKind, StrikeOutcome, VulnerabilityTable};
 use unsync_fault::uncore::{StrikePlan, UncoreStrike, UncoreTarget};
 use unsync_isa::{ArchMemory, TraceProgram};
@@ -164,11 +166,10 @@ pub fn strike_salt(target: UncoreTarget, scheme: &str, strike: u64) -> u64 {
     unsync_isa::exec::splitmix64(h ^ strike)
 }
 
-/// Runs `trace` under one named scheme with `strikes` injected,
-/// journalling forced on. `golden` optionally supplies the memoized
-/// fault-free memory image so the driver skips its per-run golden
-/// re-execution (results are bit-identical either way — a trace's
-/// golden is unique).
+/// Runs `trace` under one named scheme with `strikes` injected.
+/// `golden` optionally supplies the memoized fault-free memory image so
+/// the driver skips its per-run golden re-execution (results are
+/// bit-identical either way — a trace's golden is unique).
 pub fn run_scheme_with_strikes(
     driver: &RedundantDriver,
     scheme: &str,
@@ -176,27 +177,26 @@ pub fn run_scheme_with_strikes(
     strikes: Vec<UncoreStrike>,
     golden: Option<&ArchMemory>,
 ) -> RunResult {
-    match scheme {
-        "unsync_pair" => driver.run_campaign_lane(
-            UnsyncPolicy::new(
+    let lane = vec![Lane {
+        uncore: strikes,
+        golden,
+        ..Lane::new(trace)
+    }];
+    let (mut results, _mem) = match scheme {
+        "unsync_pair" => driver.run(
+            &mut [UnsyncPolicy::new(
                 "roec_uncore",
                 UnsyncConfig::paper_baseline(),
                 WritePolicy::WriteThrough,
                 0,
-            ),
-            trace,
-            Vec::new(),
-            strikes,
-            golden,
+            )],
+            lane,
         ),
-        "tmr_vote" => {
-            driver.run_campaign_lane(TmrVotePolicy::new(), trace, Vec::new(), strikes, golden)
-        }
-        "secded_only" => {
-            driver.run_campaign_lane(SecdedOnlyPolicy::new(), trace, Vec::new(), strikes, golden)
-        }
+        "tmr_vote" => driver.run(&mut [TmrVotePolicy::new()], lane),
+        "secded_only" => driver.run(&mut [SecdedOnlyPolicy::new()], lane),
         other => panic!("unknown scheme {other}"),
-    }
+    };
+    results.remove(0)
 }
 
 /// Classifies one finished strike run: diffs committed memory against

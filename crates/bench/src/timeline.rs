@@ -15,7 +15,8 @@
 //! planned uncore strikes (so the uncore track is populated).
 
 use unsync_core::{UnsyncConfig, UnsyncPolicy};
-use unsync_exec::RedundantDriver;
+use unsync_exec::event::DEFAULT_JOURNAL_CAP;
+use unsync_exec::{Lane, RedundantDriver, RunResult};
 use unsync_fault::uncore::{StrikePlan, UncoreStrike};
 use unsync_fault::PairFault;
 use unsync_mem::{L2ContentionConfig, WritePolicy};
@@ -78,7 +79,7 @@ fn env_u64(key: &str) -> Option<u64> {
 }
 
 /// Plans the per-lane uncore strike schedules, sorted by cycle as
-/// [`RedundantDriver::run_system_with_uncore_faults`] requires. Lane
+/// [`RedundantDriver::run`] requires. Lane
 /// `p` takes strikes on rotating targets drawn from the all-uncore
 /// plan so the uncore track samples several structures.
 pub fn plan_strikes(cfg: &TimelineScenarioConfig) -> Vec<Vec<UncoreStrike>> {
@@ -103,8 +104,16 @@ pub fn plan_strikes(cfg: &TimelineScenarioConfig) -> Vec<Vec<UncoreStrike>> {
 /// Runs the scenario and builds the [`Timeline`] model both export
 /// surfaces render.
 pub fn build_timeline(cfg: &TimelineScenarioConfig) -> Timeline {
+    let uncore = plan_strikes(cfg);
+    Timeline::from_results(&cfg.name(), &run_scenario(cfg, &uncore), &uncore)
+}
+
+/// Runs the scenario's lanes, each struck by its `uncore` schedule.
+fn run_scenario(cfg: &TimelineScenarioConfig, uncore: &[Vec<UncoreStrike>]) -> Vec<RunResult> {
+    // The journal is what the timeline renders.
     let driver = RedundantDriver::new(CoreConfig::table1())
-        .with_l2_contention(L2ContentionConfig::many_core());
+        .with_l2_contention(L2ContentionConfig::many_core())
+        .with_journal(DEFAULT_JOURNAL_CAP);
     // Disjoint per-lane address spaces, as in the lane sweep: the trace
     // should show uncore contention, not false sharing.
     let traces: Vec<_> = (0..cfg.lanes)
@@ -128,18 +137,20 @@ pub fn build_timeline(cfg: &TimelineScenarioConfig) -> Timeline {
     // One mid-trace transient per lane so every swimlane row shows a
     // detection and a recovery episode.
     let mid = (cfg.insts_per_lane / 2) as u64;
-    let faults: Vec<Vec<PairFault>> = (0..cfg.lanes)
-        .map(|p| {
-            vec![PairFault::plan(
+    let lanes: Vec<Lane> = traces
+        .iter()
+        .zip(uncore)
+        .enumerate()
+        .map(|(p, (trace, strikes))| Lane {
+            faults: vec![PairFault::plan(
                 cfg.seed ^ ((cfg.lanes as u64) << 32) ^ p as u64,
                 mid,
-            )]
+            )],
+            uncore: strikes.clone(),
+            ..Lane::new(trace)
         })
         .collect();
-    let uncore = plan_strikes(cfg);
-    let (results, _mem) =
-        driver.run_system_with_uncore_faults(&mut policies, &traces, &faults, &uncore);
-    Timeline::from_results(&cfg.name(), &results, &uncore)
+    driver.run(&mut policies, lanes).0
 }
 
 #[cfg(test)]
@@ -181,6 +192,20 @@ mod tests {
         assert_eq!(t.strikes.len(), 2);
         // One planned core transient per lane surfaces as episodes.
         assert!(t.episode_count() >= 1, "expected recovery episodes");
+    }
+
+    #[test]
+    fn scenario_runs_keep_complete_journals() {
+        let cfg = TimelineScenarioConfig {
+            lanes: 2,
+            insts_per_lane: 400,
+            seed: 11,
+            strikes_per_lane: 2,
+        };
+        for r in run_scenario(&cfg, &plan_strikes(&cfg)) {
+            assert!(r.events.journal().is_some_and(|j| !j.is_empty()));
+            assert_eq!(r.events.journal_dropped(), 0);
+        }
     }
 
     #[test]

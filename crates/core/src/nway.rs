@@ -18,7 +18,9 @@
 //! manages group store agreement itself).
 
 use serde::{Deserialize, Serialize};
-use unsync_exec::{LaneState, OutcomeCore, RedundancyPolicy, RedundantDriver, TraceEventKind};
+use unsync_exec::{
+    Lane, LaneState, OutcomeCore, RedundancyPolicy, RedundantDriver, TraceEventKind,
+};
 use unsync_fault::PairFault;
 use unsync_isa::{Inst, TraceProgram};
 use unsync_mem::MemSystem;
@@ -79,8 +81,10 @@ impl UnsyncGroup {
     /// the replica, `< ways`).
     pub fn run(&self, trace: &TraceProgram, faults: &[PairFault]) -> GroupOutcome {
         let driver = RedundantDriver::new(self.ccfg);
-        let mut policy = GroupPolicy::new(self.ucfg, self.ways);
-        let res = driver.run(&mut policy, trace, faults);
+        let policy = GroupPolicy::new(self.ucfg, self.ways);
+        let mut lane = Lane::new(trace);
+        lane.faults = faults.to_vec();
+        let res = driver.run(&mut [policy], vec![lane]).0.remove(0);
         GroupOutcome {
             core: res.out,
             ways: self.ways,

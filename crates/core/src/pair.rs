@@ -22,7 +22,7 @@
 
 use serde::{Deserialize, Serialize};
 use unsync_exec::{
-    LaneState, OutcomeCore, RedundancyPolicy, RedundantDriver, SegmentVerdict, TraceEventKind,
+    Lane, LaneState, OutcomeCore, RedundancyPolicy, RedundantDriver, SegmentVerdict, TraceEventKind,
 };
 use unsync_fault::uncore::{UncoreProtection, UncoreStrike, UncoreTarget};
 use unsync_fault::{DetectionMechanism, FaultKind, FaultTarget, PairFault};
@@ -131,8 +131,10 @@ impl UnsyncPair {
         golden: Option<&unsync_isa::ArchMemory>,
     ) -> UnsyncOutcome {
         let driver = RedundantDriver::new(self.ccfg);
-        let mut policy = UnsyncPolicy::new("unsync_pair", self.ucfg, self.l1_policy, 0);
-        let res = driver.run_with_golden(&mut policy, trace, faults, golden);
+        let policy = UnsyncPolicy::new("unsync_pair", self.ucfg, self.l1_policy, 0);
+        let mut lane = Lane::new(trace);
+        (lane.faults, lane.golden) = (faults.to_vec(), golden);
+        let res = driver.run(&mut [policy], vec![lane]).0.remove(0);
         UnsyncOutcome {
             core: res.out,
             benign_faults: res.events.count(TraceEventKind::BenignFault),

@@ -21,10 +21,9 @@
 //!   start/end (and rollback) events into recovery *episodes*, giving
 //!   MTTR and detection→recovery latency distributions without keeping
 //!   the full event sequence;
-//! * an opt-in bounded *journal* (`UNSYNC_TRACE_JOURNAL=<cap>`, or any
-//!   non-numeric value for the default cap) retains the full stamped
-//!   sequence for offline reliability studies — the ring alone keeps
-//!   only the last `RECENT_CAP` (64) events.
+//! * an opt-in bounded *journal* ([`EventStream::with_journal`])
+//!   retains the full stamped sequence for timeline exports — the ring
+//!   alone keeps only the last `RECENT_CAP` (64) events.
 //!
 //! [`OutcomeCore`]: crate::OutcomeCore
 
@@ -38,9 +37,6 @@ use crate::spans::{Episode, SpanStats, SpanTracker};
 /// How many recent events the stream retains for inspection.
 const RECENT_CAP: usize = 64;
 
-/// Journal capacity used when `UNSYNC_TRACE_JOURNAL` is set but not a
-/// number (e.g. `UNSYNC_TRACE_JOURNAL=1` keeps one event; `=on` keeps
-/// this many).
 /// Default cap of the opt-in cycle-stamped journal (events per lane).
 pub const DEFAULT_JOURNAL_CAP: usize = 65_536;
 
@@ -205,7 +201,7 @@ pub(crate) struct SchemeCounters {
     /// total stall cycles (the dashboard's per-bank occupancy column).
     pub l2_bank_stalls: Histogram,
     /// `<scheme>.recovery_overlap_fraction`, registered by the first
-    /// system run that sets it (single-lane runs never publish it).
+    /// run of the scheme.
     recovery_overlap: OnceLock<Gauge>,
 }
 
@@ -298,26 +294,6 @@ impl Journal {
     }
 }
 
-/// The journal capacity configured through `UNSYNC_TRACE_JOURNAL`
-/// (cached once per process): unset, empty, `0`, `off`, or `false`
-/// disable it; a number is the cap; anything else enables the default
-/// cap.
-fn env_journal_cap() -> Option<usize> {
-    static CAP: OnceLock<Option<usize>> = OnceLock::new();
-    *CAP.get_or_init(|| {
-        let v = std::env::var("UNSYNC_TRACE_JOURNAL").ok()?;
-        let t = v.trim();
-        if t.is_empty()
-            || t == "0"
-            || t.eq_ignore_ascii_case("off")
-            || t.eq_ignore_ascii_case("false")
-        {
-            return None;
-        }
-        Some(t.parse::<usize>().unwrap_or(DEFAULT_JOURNAL_CAP))
-    })
-}
-
 /// Per-kind accumulators plus a bounded ring of the most recent events,
 /// a recovery-span tracker, and (opt-in) the full stamped journal.
 #[derive(Debug, Clone)]
@@ -342,9 +318,8 @@ impl Default for EventStream {
 /// Two streams are equal when their *observable emission history*
 /// agrees: per-kind counts and sums, the recent-event ring in emission
 /// order, the stream clock, and the paired recovery episodes. The
-/// opt-in journal is environment-shaped (`UNSYNC_TRACE_JOURNAL`) and
-/// deliberately excluded — two identical executions must compare equal
-/// whether or not journaling was on.
+/// opt-in journal is deliberately excluded — two identical executions
+/// must compare equal whether or not journaling was on.
 impl PartialEq for EventStream {
     fn eq(&self, other: &Self) -> bool {
         self.counts == other.counts
@@ -356,7 +331,7 @@ impl PartialEq for EventStream {
 }
 
 impl EventStream {
-    /// An empty stream (journal mode per `UNSYNC_TRACE_JOURNAL`).
+    /// An empty stream, without a journal.
     pub fn new() -> Self {
         EventStream {
             counts: [0; KINDS.len()],
@@ -364,13 +339,12 @@ impl EventStream {
             recent: Vec::new(),
             next: 0,
             clock: 0,
-            journal: env_journal_cap().map(Journal::new),
+            journal: None,
             spans: SpanTracker::default(),
         }
     }
 
-    /// An empty stream with a journal of at most `cap` events,
-    /// regardless of the environment (tests, programmatic captures).
+    /// An empty stream with a journal of at most `cap` events.
     pub fn with_journal(cap: usize) -> Self {
         EventStream {
             journal: Some(Journal::new(cap)),
@@ -441,8 +415,7 @@ impl EventStream {
     }
 
     /// The full stamped event journal, oldest first — `None` unless
-    /// journal mode is on (`UNSYNC_TRACE_JOURNAL` or
-    /// [`EventStream::with_journal`]).
+    /// the stream was built by [`EventStream::with_journal`].
     pub fn journal(&self) -> Option<&[TraceEvent]> {
         self.journal.as_ref().map(|j| j.events.as_slice())
     }
@@ -555,10 +528,11 @@ mod tests {
 
     #[test]
     fn journal_disabled_by_default_in_tests() {
-        // The test process does not set UNSYNC_TRACE_JOURNAL; the ring
-        // and accumulators must be unaffected by journal mode being off.
+        // A plain stream keeps no journal; the ring and accumulators
+        // must be unaffected by journal mode being off.
         let mut ev = EventStream::new();
         ev.emit(TraceEventKind::Detection);
+        assert!(ev.journal().is_none());
         assert_eq!(ev.journal_dropped(), 0);
         assert_eq!(ev.count(TraceEventKind::Detection), 1);
     }

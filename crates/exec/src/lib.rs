@@ -12,7 +12,7 @@
 //!
 //! This crate owns the identical 90 %:
 //!
-//! * [`RedundantDriver`] — the execution loop (segment collection,
+//! * [`RedundantDriver`] — the one execution loop (segment collection,
 //!   per-instruction per-replica feed + functional execution, retry on
 //!   rollback, finalization, golden comparison, metrics publication);
 //! * [`RedundancyPolicy`] — the plug-in point for the differing 10 %:
@@ -47,7 +47,7 @@ pub mod schemes;
 pub mod spans;
 pub mod uncore;
 
-pub use driver::{LaneState, RedundantDriver, RunResult};
+pub use driver::{Lane, LaneState, RedundantDriver, RunResult};
 pub use event::{EventStream, TraceEvent, TraceEventKind};
 pub use outcome::OutcomeCore;
 pub use pending::{PendingStore, PendingStores};

@@ -53,6 +53,12 @@ pub enum SegmentVerdict {
 /// 4. [`end_segment`] returns a [`SegmentVerdict`]; on `Retry` the
 ///    driver restores the snapshot and repeats from 2.
 ///
+/// The driver executes one instruction per scheduler tick, so a
+/// segment and each retry of it span several ticks, with other lanes
+/// running in between. `Retry` is valid on every run (any lane count,
+/// contention, core faults, uncore strikes). Uncore strikes
+/// ([`uncore_strike`]) arrive at the start of a tick, before its step.
+///
 /// After the trace: the driver sets `cycles`, calls [`finish`] (which
 /// may emit final events or substitute the scheme's own clock), folds
 /// the event stream into [`crate::OutcomeCore`], verifies the golden
@@ -70,6 +76,7 @@ pub enum SegmentVerdict {
 /// [`after_instruction`]: RedundancyPolicy::after_instruction
 /// [`end_segment`]: RedundancyPolicy::end_segment
 /// [`finish`]: RedundancyPolicy::finish
+/// [`uncore_strike`]: RedundancyPolicy::uncore_strike
 /// [`name`]: RedundancyPolicy::name
 #[allow(clippy::too_many_arguments)]
 pub trait RedundancyPolicy {
@@ -279,8 +286,8 @@ pub trait RedundancyPolicy {
     }
 
     /// Delivers one uncore strike to the lane at its current clock
-    /// (called by [`crate::RedundantDriver::run_system_with_uncore_faults`]
-    /// *before* the instruction of the tick the strike lands in).
+    /// (called by [`crate::RedundantDriver::run`] *before* the
+    /// instruction of the tick the strike lands in).
     /// The default plays the generic mechanism table of
     /// [`crate::uncore::deliver`] against [`uncore_protection`];
     /// schemes with real recovery machinery (UnSync's CB overwrite)

@@ -19,7 +19,9 @@
 //!   byte-identical across all three generations of the loop.
 //! * [`run`] — the event loop: seed the queue, repeatedly pop the
 //!   earliest wake-up, tick that component, and re-schedule it at its
-//!   new `next_tick`.
+//!   new `next_tick` — or tick it again straight away while that
+//!   wake-up still sorts before the queue's head (the order a push and
+//!   pop would give), so a lone component never touches the heap.
 //!
 //! The contract that makes the loop correct with **one** queue entry
 //! per component (no stale-entry filtering): a component's `tick` may
@@ -124,21 +126,30 @@ pub fn run<C: Component>(components: &mut [C], ctx: &mut C::Ctx) -> u64 {
         }
     }
     let mut ticks = 0u64;
-    while let Some((now, i)) = queue.pop() {
+    while let Some((mut now, i)) = queue.pop() {
         debug_assert_eq!(
             components[i].next_tick(),
             Some(now),
             "component {i} wake-up went stale: a tick changed another \
              component's next_tick"
         );
-        components[i].tick(now, ctx);
-        ticks += 1;
-        if let Some(next) = components[i].next_tick() {
+        // Pushing a wake-up that sorts before the head would only pop it
+        // straight back: keep ticking `i` instead.
+        loop {
+            components[i].tick(now, ctx);
+            ticks += 1;
+            let Some(next) = components[i].next_tick() else {
+                break;
+            };
             debug_assert!(
                 next >= now,
                 "component {i} rescheduled into the past ({next} < {now})"
             );
-            queue.schedule(next, i);
+            if queue.peek().is_some_and(|head| head < (next, i)) {
+                queue.schedule(next, i);
+                break;
+            }
+            now = next;
         }
     }
     ticks

@@ -34,7 +34,7 @@ use unsync_isa::{Inst, TraceProgram};
 use unsync_mem::MemSystem;
 use unsync_sim::{CoreConfig, NullHooks};
 
-use crate::driver::{LaneState, RedundantDriver};
+use crate::driver::{Lane, LaneState, RedundantDriver};
 use crate::event::TraceEventKind;
 use crate::outcome::OutcomeCore;
 use crate::policy::{RedundancyPolicy, SegmentVerdict};
@@ -130,8 +130,10 @@ impl FlexPair {
     /// Runs `trace` with the given faults (sorted by `at`).
     pub fn run(&self, trace: &TraceProgram, faults: &[PairFault]) -> FlexOutcome {
         let driver = RedundantDriver::new(self.ccfg);
-        let mut policy = FlexGranularityPolicy::new(self.fcfg);
-        let res = driver.run(&mut policy, trace, faults);
+        let policy = FlexGranularityPolicy::new(self.fcfg);
+        let mut lane = Lane::new(trace);
+        lane.faults = faults.to_vec();
+        let res = driver.run(&mut [policy], vec![lane]).0.remove(0);
         let compares = res.events.count(TraceEventKind::WindowCompared);
         FlexOutcome {
             core: res.out,

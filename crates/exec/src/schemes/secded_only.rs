@@ -30,7 +30,7 @@ use unsync_isa::{Inst, TraceProgram};
 use unsync_mem::MemSystem;
 use unsync_sim::{CoreConfig, InstTiming, NullHooks};
 
-use crate::driver::{LaneState, RedundantDriver};
+use crate::driver::{Lane, LaneState, RedundantDriver};
 use crate::event::TraceEventKind;
 use crate::outcome::OutcomeCore;
 use crate::policy::RedundancyPolicy;
@@ -85,8 +85,10 @@ impl SecdedOnlyCore {
     /// fault's `core` must be `0` — there is only one replica).
     pub fn run(&self, trace: &TraceProgram, faults: &[PairFault]) -> SecdedOnlyOutcome {
         let driver = RedundantDriver::new(self.ccfg);
-        let mut policy = SecdedOnlyPolicy::new();
-        let res = driver.run(&mut policy, trace, faults);
+        let mut lane = Lane::new(trace);
+        lane.faults = faults.to_vec();
+        let policy = SecdedOnlyPolicy::new();
+        let res = driver.run(&mut [policy], vec![lane]).0.remove(0);
         SecdedOnlyOutcome {
             core: res.out,
             corrected_in_place: res.events.count(TraceEventKind::CorrectedInPlace),

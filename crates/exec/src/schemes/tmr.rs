@@ -29,7 +29,7 @@ use unsync_isa::{Inst, TraceProgram};
 use unsync_mem::MemSystem;
 use unsync_sim::{CoreConfig, NullHooks};
 
-use crate::driver::{LaneState, RedundantDriver};
+use crate::driver::{Lane, LaneState, RedundantDriver};
 use crate::event::TraceEventKind;
 use crate::outcome::OutcomeCore;
 use crate::policy::{RedundancyPolicy, SegmentVerdict};
@@ -93,8 +93,10 @@ impl TmrTriple {
     /// indexes the replica, `< 3`).
     pub fn run(&self, trace: &TraceProgram, faults: &[PairFault]) -> TmrOutcome {
         let driver = RedundantDriver::new(self.ccfg);
-        let mut policy = TmrVotePolicy::new();
-        let res = driver.run(&mut policy, trace, faults);
+        let mut lane = Lane::new(trace);
+        lane.faults = faults.to_vec();
+        let policy = TmrVotePolicy::new();
+        let res = driver.run(&mut [policy], vec![lane]).0.remove(0);
         TmrOutcome {
             core: res.out,
             corrections: res.events.count(TraceEventKind::Corrected),

@@ -22,9 +22,8 @@
 //!   profiles the vulnerability campaign compares: UnSync's full
 //!   placement, an L2-SECDED-only baseline, and bare SRAM.
 //!
-//! Strikes are *delivered* by `unsync_exec`'s
-//! `run_system_with_uncore_faults` path (by cycle, into scheduler
-//! ticks) and *classified* by [`crate::roec`]; this module is pure
+//! Strikes are *delivered* by `unsync_exec`'s driver (a lane's
+//! uncore schedule, by cycle, into scheduler ticks) and *classified* by [`crate::roec`]; this module is pure
 //! planning and never touches execution state.
 
 use serde::{Deserialize, Serialize};

@@ -4,7 +4,7 @@
 //!
 //! * [`timeline`] — the **simulated-cycle domain**. Converts the
 //!   cycle-stamped sources every run already produces — the
-//!   `UNSYNC_TRACE_JOURNAL` event journal, recovery episodes
+//!   opt-in event journal (`RedundantDriver::with_journal`), recovery episodes
 //!   ([`unsync_exec::spans`]), shared-L2 bank-conflict events, uncore
 //!   strike schedules — into one [`timeline::Timeline`] model, rendered
 //!   either as Chrome Trace Event Format JSON (loadable in Perfetto /

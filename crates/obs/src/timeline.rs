@@ -1,7 +1,7 @@
 //! The cycle-domain timeline model and its two renderers.
 //!
 //! A [`Timeline`] is assembled from the cycle-stamped sources a run
-//! already produces — the event journal (`UNSYNC_TRACE_JOURNAL`),
+//! already produces — the event journal (`RedundantDriver::with_journal`),
 //! recovery [`Episode`]s, the driver's per-bank
 //! [`unsync_mem::L2ContentionEvent`]s, and the uncore strike schedule —
 //! and rendered either as Chrome Trace Event Format JSON

@@ -17,7 +17,9 @@
 //! decoupled one in [`unsync_exec::RedundancyPolicy::finish`].
 
 use serde::{Deserialize, Serialize};
-use unsync_exec::{LaneState, OutcomeCore, RedundancyPolicy, RedundantDriver, TraceEventKind};
+use unsync_exec::{
+    Lane, LaneState, OutcomeCore, RedundancyPolicy, RedundantDriver, TraceEventKind,
+};
 use unsync_isa::{Inst, TraceProgram};
 use unsync_mem::MemSystem;
 use unsync_sim::{CoreConfig, NullHooks};
@@ -58,8 +60,11 @@ impl LockstepPair {
     pub fn run(&self, trace: &TraceProgram) -> LockstepOutcome {
         assert!(self.window >= 1);
         let driver = RedundantDriver::new(self.ccfg);
-        let mut policy = LockstepPolicy::new(self.window);
-        let res = driver.run(&mut policy, trace, &[]);
+        let policy = LockstepPolicy::new(self.window);
+        let res = driver
+            .run(&mut [policy], vec![Lane::new(trace)])
+            .0
+            .remove(0);
         LockstepOutcome {
             core: res.out,
             coupling_stall_cycles: res.events.sum(TraceEventKind::CouplingStall),

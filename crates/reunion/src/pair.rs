@@ -26,7 +26,7 @@
 
 use serde::{Deserialize, Serialize};
 use unsync_exec::{
-    LaneState, OutcomeCore, RedundancyPolicy, RedundantDriver, SegmentVerdict, TraceEventKind,
+    Lane, LaneState, OutcomeCore, RedundancyPolicy, RedundantDriver, SegmentVerdict, TraceEventKind,
 };
 use unsync_fault::{FaultTarget, Fingerprint, PairFault};
 use unsync_isa::{Inst, TraceProgram};
@@ -109,8 +109,10 @@ impl ReunionPair {
         golden: Option<&unsync_isa::ArchMemory>,
     ) -> PairOutcome {
         let driver = RedundantDriver::new(self.ccfg);
-        let mut policy = ReunionPolicy::new(self.rcfg);
-        let res = driver.run_with_golden(&mut policy, trace, faults, golden);
+        let policy = ReunionPolicy::new(self.rcfg);
+        let mut lane = Lane::new(trace);
+        (lane.faults, lane.golden) = (faults.to_vec(), golden);
+        let res = driver.run(&mut [policy], vec![lane]).0.remove(0);
         PairOutcome {
             core: res.out,
             mismatches: res.events.count(TraceEventKind::FingerprintMismatch),

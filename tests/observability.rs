@@ -4,7 +4,7 @@
 //! must be deterministic.
 
 use unsync::core::{UnsyncConfig, UnsyncPolicy};
-use unsync::exec::{overlap_fraction, RedundantDriver, RunResult, TraceEventKind};
+use unsync::exec::{overlap_fraction, Lane, RedundantDriver, RunResult, TraceEventKind};
 use unsync::mem::WritePolicy;
 use unsync::prelude::*;
 use unsync::sim::CoreConfig;
@@ -26,13 +26,15 @@ fn strikes(insts: u64, n: u64) -> Vec<PairFault> {
 fn faulted_pair_run(seed: u64) -> RunResult {
     let t = WorkloadGen::new(Benchmark::Gzip, 5_000, seed).collect_trace();
     let driver = RedundantDriver::new(CoreConfig::table1());
-    let mut policy = UnsyncPolicy::new(
+    let policy = UnsyncPolicy::new(
         "unsync_pair",
         UnsyncConfig::paper_baseline(),
         WritePolicy::WriteThrough,
         0,
     );
-    driver.run(&mut policy, &t, &strikes(5_000, 3))
+    let mut lane = Lane::new(&t);
+    lane.faults = strikes(5_000, 3);
+    driver.run(&mut [policy], vec![lane]).0.remove(0)
 }
 
 /// Span-derived statistics are pinned to the event-stream counters
@@ -122,9 +124,11 @@ fn rollback_schemes_produce_episodes_too() {
         kind: unsync::fault::FaultKind::Single,
     };
     let driver = RedundantDriver::new(CoreConfig::table1());
-    let mut policy =
+    let policy =
         unsync::reunion::ReunionPolicy::new(unsync::reunion::ReunionConfig::paper_baseline());
-    let res = driver.run(&mut policy, &t, &[fault]);
+    let mut lane = Lane::new(&t);
+    lane.faults = vec![fault];
+    let res = driver.run(&mut [policy], vec![lane]).0.remove(0);
     let rollbacks = res.events.count(TraceEventKind::Rollback);
     assert!(rollbacks > 0, "fixture must roll back");
     let episodes = res.events.episodes();

@@ -5,12 +5,18 @@
 //! outcome counters, trace-event streams, and final committed memory
 //! images, plus identical shared-L2 statistics. This is the contract
 //! that let the scheduler land without re-blessing a single golden
-//! snapshot.
+//! snapshot. Rollback schemes are held to it too: their retried
+//! segments re-execute across scheduler ticks.
 
 use unsync_core::{UnsyncConfig, UnsyncPolicy};
-use unsync_exec::{RedundantDriver, RunResult};
-use unsync_isa::TraceProgram;
+use unsync_exec::{
+    EventStream, FlexConfig, FlexGranularityPolicy, Lane, LaneState, RedundancyPolicy,
+    RedundantDriver, RunResult, SegmentVerdict, TraceEventKind,
+};
+use unsync_fault::{FaultKind, FaultSite, FaultTarget, PairFault};
+use unsync_isa::{Inst, TraceProgram};
 use unsync_mem::{L2ContentionConfig, MemSystem, WritePolicy};
+use unsync_reunion::{ReunionConfig, ReunionPolicy};
 use unsync_sim::CoreConfig;
 use unsync_workloads::{Benchmark, WorkloadGen};
 
@@ -116,14 +122,151 @@ fn event_scheduler_handles_unequal_trace_lengths() {
     assert_equal("unequal lanes", &new, &old);
 }
 
+/// A rollback policy with a planted fault schedule. The reference loop
+/// takes bare traces, so the faults enter through `prepare_faults`;
+/// every other callback the rollback schemes override is forwarded.
+struct Planted<P> {
+    inner: P,
+    faults: Vec<PairFault>,
+}
+
+/// Forwards each listed callback to `self.inner`.
+macro_rules! forward {
+    (&self $($name:ident($($arg:ident: $ty:ty),*) -> $ret:ty;)*) => {$(
+        fn $name(&self, $($arg: $ty),*) -> $ret {
+            self.inner.$name($($arg),*)
+        }
+    )*};
+    (&mut self $($name:ident($($arg:ident: $ty:ty),*) $(-> $ret:ty)?;)*) => {$(
+        fn $name(&mut self, $($arg: $ty),*) $(-> $ret)? {
+            self.inner.$name($($arg),*)
+        }
+    )*};
+}
+
+impl<P: RedundancyPolicy> RedundancyPolicy for Planted<P> {
+    type Hooks = P::Hooks;
+
+    fn prepare_faults(
+        &mut self,
+        insts: &[Inst],
+        _: Vec<PairFault>,
+        ev: &mut EventStream,
+    ) -> Vec<PairFault> {
+        self.inner.prepare_faults(insts, self.faults.clone(), ev)
+    }
+
+    forward! { &self
+        name() -> &'static str;
+        golden_requires_recoverable() -> bool;
+        rolls_back() -> bool;
+        segment_end(insts: &[Inst], start: usize) -> usize;
+    }
+
+    forward! { &mut self
+        hooks_mut(core: usize) -> &mut P::Hooks;
+        begin_attempt(lane: &mut LaneState, attempt: u32);
+        pre_execute(lane: &mut LaneState, inst: &Inst, core: usize, seq: u64,
+            faults: &[PairFault], first: bool);
+        effective_addr(lane: &mut LaneState, inst: &Inst, core: usize, seq: u64, addr: u64,
+            faults: &[PairFault], first: bool) -> u64;
+        transform_load(lane: &mut LaneState, inst: &Inst, core: usize, seq: u64, value: u64,
+            first: bool) -> u64;
+        transform_result(lane: &mut LaneState, inst: &Inst, core: usize, seq: u64, result: u64,
+            faults: &[PairFault], first: bool) -> u64;
+        executed(lane: &mut LaneState, inst: &Inst, core: usize, seq: u64, result: u64);
+        end_segment(mem: &mut MemSystem, lane: &mut LaneState, insts: &[Inst], start: usize,
+            end: usize, attempt: u32) -> SegmentVerdict;
+    }
+}
+
+/// One ROB transient on lane `p`, mid-trace: its corrupted result
+/// diverges the fingerprints, so the segment holding it retries.
+fn rob_fault(p: usize, insts: u64) -> PairFault {
+    PairFault {
+        at: insts / 2 + 17 * p as u64,
+        core: p % 2,
+        site: FaultSite {
+            target: FaultTarget::Rob,
+            bit_offset: 5 + p as u64,
+        },
+        kind: FaultKind::Single,
+    }
+}
+
+/// Four faulted lanes of a rollback scheme on the contended L2: the
+/// scheduler matches the reference scan, and the planted policies match
+/// the same faults given as lane schedules.
+fn check_rollback_lanes<P: RedundancyPolicy>(label: &str, policy: impl Fn() -> P) {
+    const LANES: usize = 4;
+    const INSTS: u64 = 600;
+    let driver = RedundantDriver::new(CoreConfig::table1())
+        .with_l2_contention(L2ContentionConfig::many_core());
+    let ts = traces(LANES, INSTS, 53);
+    let planted = || -> Vec<Planted<P>> {
+        (0..LANES)
+            .map(|p| Planted {
+                inner: policy(),
+                faults: vec![rob_fault(p, INSTS)],
+            })
+            .collect()
+    };
+    let new = driver.run_system(&mut planted(), &ts);
+    let old = driver.run_system_reference(&mut planted(), &ts);
+    assert_equal(&format!("{label}: scheduler vs reference"), &new, &old);
+    let scheduled = driver.run(
+        &mut (0..LANES).map(|_| policy()).collect::<Vec<_>>(),
+        ts.iter()
+            .enumerate()
+            .map(|(p, t)| Lane {
+                faults: vec![rob_fault(p, INSTS)],
+                ..Lane::new(t)
+            })
+            .collect(),
+    );
+    assert_equal(
+        &format!("{label}: planted vs lane faults"),
+        &new,
+        &scheduled,
+    );
+    for (p, r) in new.0.iter().enumerate() {
+        assert_eq!(r.out.committed, INSTS, "{label}: lane {p} committed");
+        assert!(
+            r.events.count(TraceEventKind::Rollback) >= 1,
+            "{label}: lane {p} must roll back"
+        );
+        assert!(
+            r.out.memory_matches_golden,
+            "{label}: lane {p} memory vs golden"
+        );
+    }
+}
+
 #[test]
 fn run_system_with_empty_faults_is_run_system() {
     let driver = RedundantDriver::new(CoreConfig::table1());
     let ts = traces(4, 500, 9);
     let plain = driver.run_system(&mut policies(4), &ts);
-    let faulted = driver.run_system_with_faults(&mut policies(4), &ts, &[]);
+    let faulted = driver.run(&mut policies(4), ts.iter().map(Lane::new).collect());
     assert_equal("no faults", &faulted, &plain);
-    let empty: Vec<Vec<unsync_fault::PairFault>> = vec![Vec::new(); 4];
-    let empty_lists = driver.run_system_with_faults(&mut policies(4), &ts, &empty);
+    let empty_lists = driver.run(
+        &mut policies(4),
+        ts.iter()
+            .map(|t| Lane {
+                faults: Vec::new(),
+                ..Lane::new(t)
+            })
+            .collect(),
+    );
     assert_equal("empty per-lane fault lists", &empty_lists, &plain);
+}
+
+#[test]
+fn rollback_schemes_match_the_reference_under_contention() {
+    check_rollback_lanes("reunion", || {
+        ReunionPolicy::new(ReunionConfig::paper_baseline())
+    });
+    check_rollback_lanes("flex", || {
+        FlexGranularityPolicy::new(FlexConfig::paper_baseline())
+    });
 }

@@ -5,7 +5,7 @@
 //! serialize to a valid, loadable trace.
 
 use unsync::core::{UnsyncConfig, UnsyncPolicy};
-use unsync::exec::{RedundantDriver, RunResult};
+use unsync::exec::{Lane, RedundantDriver, RunResult};
 use unsync::mem::WritePolicy;
 use unsync::obs::Timeline;
 use unsync::prelude::*;
@@ -26,7 +26,7 @@ fn faulted_pair_run(seed: u64) -> RunResult {
     let insts = 5_000u64;
     let t = WorkloadGen::new(Benchmark::Gzip, insts, seed).collect_trace();
     let driver = RedundantDriver::new(CoreConfig::table1());
-    let mut policy = UnsyncPolicy::new(
+    let policy = UnsyncPolicy::new(
         "unsync_pair",
         UnsyncConfig::paper_baseline(),
         WritePolicy::WriteThrough,
@@ -43,7 +43,9 @@ fn faulted_pair_run(seed: u64) -> RunResult {
             kind: unsync::fault::FaultKind::Single,
         })
         .collect();
-    driver.run(&mut policy, &t, &faults)
+    let mut lane = Lane::new(&t);
+    lane.faults = faults;
+    driver.run(&mut [policy], vec![lane]).0.remove(0)
 }
 
 #[test]
@@ -102,13 +104,13 @@ fn episode_spans_match_the_span_tracker_exactly() {
 fn zero_event_run_exports_a_valid_empty_trace() {
     let t = WorkloadGen::new(Benchmark::Gzip, 500, 3).collect_trace();
     let driver = RedundantDriver::new(CoreConfig::table1());
-    let mut policy = UnsyncPolicy::new(
+    let policy = UnsyncPolicy::new(
         "unsync_pair",
         UnsyncConfig::paper_baseline(),
         WritePolicy::WriteThrough,
         0,
     );
-    let res = driver.run(&mut policy, &t, &[]);
+    let res = driver.run(&mut [policy], vec![Lane::new(&t)]).0.remove(0);
     assert_eq!(res.out.detections, 0, "fixture must be fault-free");
 
     let mut tl = Timeline::new("empty");

@@ -1,20 +1,14 @@
-//! The opt-in full trace journal (`UNSYNC_TRACE_JOURNAL`).
-//!
-//! This file is its own test binary, so setting the environment
-//! variable here cannot leak into other test processes; the single
-//! `#[test]` keeps the process-wide env write race-free, and the cap
-//! is read once per process (OnceLock) exactly like production.
+//! The opt-in full trace journal (`RedundantDriver::with_journal`).
 
 use unsync::core::{UnsyncConfig, UnsyncPolicy};
-use unsync::exec::{episodes_from, RedundantDriver, TraceEventKind};
+use unsync::exec::event::DEFAULT_JOURNAL_CAP;
+use unsync::exec::{episodes_from, Lane, RedundantDriver, TraceEventKind};
 use unsync::mem::WritePolicy;
 use unsync::prelude::*;
 use unsync::sim::CoreConfig;
 
 #[test]
 fn journal_captures_the_full_stamped_sequence() {
-    std::env::set_var("UNSYNC_TRACE_JOURNAL", "on");
-
     let t = WorkloadGen::new(Benchmark::Gzip, 4_000, 5).collect_trace();
     let fault = PairFault {
         at: 2_000,
@@ -25,14 +19,16 @@ fn journal_captures_the_full_stamped_sequence() {
         },
         kind: unsync::fault::FaultKind::Single,
     };
-    let driver = RedundantDriver::new(CoreConfig::table1());
-    let mut policy = UnsyncPolicy::new(
+    let driver = RedundantDriver::new(CoreConfig::table1()).with_journal(DEFAULT_JOURNAL_CAP);
+    let policy = UnsyncPolicy::new(
         "unsync_pair",
         UnsyncConfig::paper_baseline(),
         WritePolicy::WriteThrough,
         0,
     );
-    let res = driver.run(&mut policy, &t, &[fault]);
+    let mut lane = Lane::new(&t);
+    lane.faults = vec![fault];
+    let res = driver.run(&mut [policy], vec![lane]).0.remove(0);
 
     let journal = res.events.journal().expect("journal mode is on");
     assert_eq!(res.events.journal_dropped(), 0, "default cap is ample");

@@ -1,11 +1,12 @@
-//! Property tests over cycle-scheduled uncore fault injection
-//! (`RedundantDriver::run_system_with_uncore_faults`) and the ROEC 2.0
+//! Property tests over cycle-scheduled uncore fault injection (a
+//! lane's `uncore` schedule in `RedundantDriver::run`) and the ROEC 2.0
 //! campaign built on it:
 //!
 //! * a zero-strike campaign run is byte-identical to `run_system` —
 //!   the injection path costs nothing when unused;
 //! * every classified strike carries exactly one of the four outcome
-//!   labels, and the label round-trips through its string form;
+//!   labels, and the label round-trips through its string form — also
+//!   under Reunion, a rollback scheme;
 //! * `masked` strikes left the committed memory image byte-identical
 //!   to the golden run, `sdc` strikes provably diverged;
 //! * the campaign is bit-identical across worker counts and reruns;
@@ -13,15 +14,17 @@
 //!   uncore-before-core contract is a `debug_assert` in the driver, so
 //!   this binary exercising it under `cargo test` is the enforcement).
 
-use unsync_bench::roec_uncore::{run_campaign, RoecUncoreConfig};
+use unsync_bench::roec_uncore::{classify_strike_result, run_campaign, RoecUncoreConfig};
 use unsync_bench::Runner;
 use unsync_core::{UnsyncConfig, UnsyncPolicy};
-use unsync_exec::RedundantDriver;
+use unsync_exec::event::DEFAULT_JOURNAL_CAP;
+use unsync_exec::{Lane, RedundantDriver};
 use unsync_fault::roec::{StrikeOutcome, ALL_OUTCOMES};
-use unsync_fault::uncore::{UncoreStrike, UncoreTarget};
+use unsync_fault::uncore::{UncoreSite, UncoreStrike, UncoreTarget};
 use unsync_fault::{FaultKind, FaultSite, FaultTarget, PairFault};
-use unsync_isa::TraceProgram;
-use unsync_mem::WritePolicy;
+use unsync_isa::{golden_run, TraceProgram};
+use unsync_mem::{L2ContentionConfig, WritePolicy};
+use unsync_reunion::{ReunionConfig, ReunionPolicy};
 use unsync_sim::CoreConfig;
 use unsync_workloads::{Benchmark, WorkloadGen};
 
@@ -49,7 +52,16 @@ fn zero_strike_run_is_byte_identical_to_run_system() {
     let driver = RedundantDriver::new(CoreConfig::table1());
     let ts = traces(3, 500, 7);
     let (plain, plain_mem) = driver.run_system(&mut policies(3), &ts);
-    let (with, with_mem) = driver.run_system_with_uncore_faults(&mut policies(3), &ts, &[], &[]);
+    let (with, with_mem) = driver.run(
+        &mut policies(3),
+        ts.iter()
+            .map(|t| Lane {
+                faults: Vec::new(),
+                uncore: Vec::new(),
+                ..Lane::new(t)
+            })
+            .collect(),
+    );
     assert_eq!(plain.len(), with.len());
     for (p, (a, b)) in plain.iter().zip(with.iter()).enumerate() {
         assert_eq!(a.out, b.out, "lane {p} outcome counters");
@@ -61,9 +73,8 @@ fn zero_strike_run_is_byte_identical_to_run_system() {
         with_mem.l2_stats().miss_rate(),
         "shared L2 statistics"
     );
-    // The fault path *does* force the journal on — that is its one
-    // observable difference, and it is excluded from equality above.
-    assert!(with[0].events.journal().is_some());
+    // No journal unless the driver asks for one.
+    assert!(with[0].events.journal().is_none());
 }
 
 #[test]
@@ -122,12 +133,12 @@ fn campaign_is_deterministic_across_worker_counts_and_reruns() {
 /// recovered exactly as in a pure core-fault campaign.
 #[test]
 fn mixed_core_and_uncore_schedules_deliver_in_cycle_order() {
-    let driver = RedundantDriver::new(CoreConfig::table1());
+    let driver = RedundantDriver::new(CoreConfig::table1()).with_journal(DEFAULT_JOURNAL_CAP);
     let ts = traces(1, 600, 3);
     let strike = UncoreStrike {
         cycle: 40,
         lane: 0,
-        site: unsync_fault::uncore::UncoreSite::plan_in(UncoreTarget::L2Data, 9, 1),
+        site: UncoreSite::plan_in(UncoreTarget::L2Data, 9, 1),
         kind: FaultKind::Single,
         directed: false,
     };
@@ -140,12 +151,9 @@ fn mixed_core_and_uncore_schedules_deliver_in_cycle_order() {
         },
         kind: FaultKind::Single,
     };
-    let (results, _) = driver.run_system_with_uncore_faults(
-        &mut policies(1),
-        &ts,
-        &[vec![fault]],
-        &[vec![strike]],
-    );
+    let mut lane = Lane::new(&ts[0]);
+    (lane.faults, lane.uncore) = (vec![fault], vec![strike]);
+    let (results, _) = driver.run(&mut policies(1), vec![lane]);
     let r = &results[0];
     assert_eq!(r.out.recoveries, 1, "core fault must still recover");
     assert!(r.out.detections >= 1, "core fault must still be detected");
@@ -155,6 +163,26 @@ fn mixed_core_and_uncore_schedules_deliver_in_cycle_order() {
         r.out
     );
     // The journal records both deliveries, cycle-stamped.
-    let journal = r.events.journal().expect("journal forced on");
+    let journal = r.events.journal().expect("journal requested");
     assert!(journal.windows(2).all(|w| w[0].cycle <= w[1].cycle));
+}
+
+/// A one-lane Reunion run takes a directed L2 strike on the contended
+/// L2 — the rollback scheme on the uncore-strike path — finishes its
+/// trace, and its strike gets exactly one of the four labels.
+#[test]
+fn reunion_strike_gets_exactly_one_of_the_four_labels() {
+    let driver = RedundantDriver::new(CoreConfig::table1())
+        .with_l2_contention(L2ContentionConfig::many_core());
+    let ts = traces(1, 400, 13);
+    let golden = golden_run(&ts[0]).1;
+    let mut lane = Lane::new(&ts[0]);
+    lane.uncore = vec![UncoreStrike::plan_in(UncoreTarget::L2Data, 7, 1, 0, 400).directed()];
+    lane.golden = Some(&golden);
+    let policy = ReunionPolicy::new(ReunionConfig::paper_baseline());
+    let (results, _) = driver.run(&mut [policy], vec![lane]);
+    assert_eq!(results[0].out.committed, 400);
+    let (outcome, _) = classify_strike_result(&results[0], &golden);
+    assert!(ALL_OUTCOMES.contains(&outcome), "{outcome:?}");
+    assert_eq!(StrikeOutcome::from_label(outcome.label()), Some(outcome));
 }
