@@ -8,6 +8,7 @@
 
 use unsync_bench::{ExperimentConfig, Json, RunLog};
 use unsync_core::{DrainPolicy, UnsyncConfig, UnsyncPair};
+use unsync_exec::TraceEventKind;
 use unsync_fault::{FaultSite, FaultTarget, PairFault};
 use unsync_sim::{run_baseline, CoreConfig};
 use unsync_workloads::{Benchmark, WorkloadGen};
@@ -68,11 +69,12 @@ fn main() {
         };
         let clean = UnsyncPair::new(CoreConfig::table1(), cfg).run(&t, &[]);
         let faulty = UnsyncPair::new(CoreConfig::table1(), cfg).run(&t, &faults);
+        let cb_full_stall_cycles = clean.events.sum(TraceEventKind::CbFullStall);
         log.record(
             Json::obj()
                 .field("policy", name)
                 .field("runtime_norm", clean.cycles as f64 / base)
-                .field("cb_full_stall_cycles", clean.cb_full_stall_cycles)
+                .field("cb_full_stall_cycles", cb_full_stall_cycles)
                 .field("recoveries", faulty.recoveries)
                 .field("silent_faults", faulty.silent_faults),
         );
@@ -80,7 +82,7 @@ fn main() {
             "{:<16} {:>13.4} {:>14} {:>12} {:>10}",
             name,
             clean.cycles as f64 / base,
-            clean.cb_full_stall_cycles,
+            cb_full_stall_cycles,
             faulty.recoveries,
             faulty.silent_faults
         );

@@ -15,12 +15,9 @@
 //! of starting fresh — the CI kill-then-resume check),
 //! `UNSYNC_WORKERS` (engine worker count), and `UNSYNC_RESULTS_DIR`.
 
-use unsync_bench::campaign::{
-    normalized_lines, run_collected, CampaignEngine, CampaignGrid, COMPARATORS,
-};
+use unsync_bench::campaign::{normalized_lines, run_collected, CampaignEngine, CampaignGrid};
 use unsync_bench::roec_uncore::SCHEMES;
-use unsync_bench::runlog;
-use unsync_bench::Runner;
+use unsync_bench::{runlog, scheme, Runner};
 use unsync_fault::uncore::StrikePlan;
 use unsync_mem::L2ContentionConfig;
 use unsync_workloads::WorkloadSpec;
@@ -67,7 +64,7 @@ fn compare_grid(seed: u64, smoke: bool) -> CampaignGrid {
             inst_count: 400,
             seeds: vec![seed, seed + 1],
             workloads: vec![workload("gzip"), workload("kernel:qsort")],
-            schemes: COMPARATORS.iter().map(|&(name, _)| name).collect(),
+            schemes: scheme::TABLE.iter().map(|s| s.name).collect(),
             strikes: None,
             contention: None,
         }

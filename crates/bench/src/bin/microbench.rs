@@ -69,17 +69,15 @@ fn driver_benches(results: &mut Vec<BenchResult>) {
     let t = SyntheticSource::new(Benchmark::Gzip, 4_000, 11).trace();
     let qsort = SyntheticSource::new(Benchmark::Qsort, 4_000, 11).trace();
     let unsync = UnsyncPair::new(CoreConfig::table1(), UnsyncConfig::paper_baseline());
-    g.bench("pair_run/gzip_4k", || bb(unsync.run(&t, &[])).core.cycles);
+    g.bench("pair_run/gzip_4k", || bb(unsync.run(&t, &[])).cycles);
     // Qsort is the store-heaviest workload: the CB and pending-store
     // paths dominate.
-    g.bench("pair_run/qsort_4k", || {
-        bb(unsync.run(&qsort, &[])).core.cycles
-    });
+    g.bench("pair_run/qsort_4k", || bb(unsync.run(&qsort, &[])).cycles);
     // Reunion rolls back per interval, so its pending set grows to the
     // fingerprint interval — the forwarding-heavy case.
     let reunion = ReunionPair::new(CoreConfig::table1(), ReunionConfig::paper_baseline());
     g.bench("reunion_run/qsort_4k", || {
-        bb(reunion.run(&qsort, &[])).core.cycles
+        bb(reunion.run(&qsort, &[])).cycles
     });
     results.extend(g.into_results());
 }

@@ -27,10 +27,10 @@
 //!   resumed run's normalized output is byte-identical to an
 //!   uninterrupted one.
 //!
-//! * A grid naming a scheme outside its vocabulary
-//!   ([`crate::roec_uncore::SCHEMES`] for strike grids, [`COMPARATORS`]
-//!   for compare grids) is refused with an error before the log is
-//!   touched, never by a panic mid-campaign.
+//! * A grid naming a scheme outside the one scheme table
+//!   ([`crate::scheme::TABLE`], shared by compare and strike grids) is
+//!   refused with an error before the log is touched, never by a panic
+//!   mid-campaign.
 //!
 //! Strike jobs reuse the memoized golden image
 //! ([`golden_memory_source`]) both for SDC classification *and* —
@@ -45,21 +45,20 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use unsync_core::{UnsyncConfig, UnsyncPair};
-use unsync_exec::{FlexConfig, FlexPair, RedundantDriver, SecdedOnlyCore, TmrTriple};
+use unsync_exec::{Lane, RedundantDriver};
 use unsync_fault::uncore::{StrikePlan, UncoreTarget};
 use unsync_isa::exec::splitmix64;
 use unsync_isa::TraceProgram;
-use unsync_mem::{L2ContentionConfig, WritePolicy};
+use unsync_mem::L2ContentionConfig;
 use unsync_obs::prof;
-use unsync_reunion::{CheckpointConfig, CheckpointHooks, LockstepPair, ReunionConfig, ReunionPair};
 use unsync_sim::{metrics, CoreConfig};
 use unsync_workloads::{WorkloadSource, WorkloadSpec};
 
 use crate::experiments::ExperimentConfig;
-use crate::roec_uncore::{classify_strike_result, run_scheme_with_strikes, strike_salt, SCHEMES};
+use crate::roec_uncore::{classify_strike_result, run_scheme_with_strikes, strike_salt};
 use crate::runlog::{metrics_snapshot_json, prof_block_json, Json};
 use crate::runner::{baseline_cycles_source, golden_memory_source, job_seed_named, Runner};
+use crate::scheme;
 
 /// A grid of experiment requests: the cartesian product of workloads ×
 /// seeds × schemes, each cell either one comparator run (`strikes:
@@ -74,8 +73,7 @@ pub struct CampaignGrid {
     pub seeds: Vec<u64>,
     /// Workload sources swept (synthetic or `kernel:` backends).
     pub workloads: Vec<WorkloadSpec>,
-    /// Scheme names swept: [`COMPARATORS`] names for compare grids,
-    /// [`crate::roec_uncore::SCHEMES`] for strike grids.
+    /// Scheme names swept, each a row of [`crate::scheme::TABLE`].
     pub schemes: Vec<&'static str>,
     /// When set, every (workload, seed, scheme) cell expands into one
     /// job per strike of the plan instead of one comparator job.
@@ -314,60 +312,15 @@ fn run_job_inner(
     framed.render()
 }
 
-/// A comparator's fault-free run: trace → cycles.
-type ComparatorRun = fn(&TraceProgram) -> u64;
-
-/// The comparator schemes a compare grid may name, in table order,
-/// each with its fault-free run. The `comparators` experiment runs the
-/// same table.
-pub const COMPARATORS: [(&str, ComparatorRun); 7] = [
-    ("lockstep", |t| {
-        LockstepPair::new(CoreConfig::table1()).run(t).cycles
-    }),
-    ("reunion", |t| {
-        let pair = ReunionPair::new(CoreConfig::table1(), ReunionConfig::paper_baseline());
-        pair.run(t, &[]).cycles
-    }),
-    ("checkpoint", |t| {
-        let mut s = t.clone();
-        let mut hooks = CheckpointHooks::new(CheckpointConfig::default());
-        unsync_sim::run_stream(
-            CoreConfig::table1(),
-            &mut s,
-            &mut hooks,
-            WritePolicy::WriteThrough,
-        )
-        .core
-        .last_commit_cycle
-    }),
-    ("unsync_pair", |t| {
-        UnsyncPair::new(CoreConfig::table1(), UnsyncConfig::paper_baseline())
-            .run(t, &[])
-            .cycles
-    }),
-    ("tmr_vote", |t| {
-        TmrTriple::new(CoreConfig::table1()).run(t, &[]).cycles
-    }),
-    ("flex", |t| {
-        FlexPair::new(CoreConfig::table1(), FlexConfig::paper_baseline())
-            .run(t, &[])
-            .cycles
-    }),
-    ("secded_only", |t| {
-        SecdedOnlyCore::new(CoreConfig::table1()).run(t, &[]).cycles
-    }),
-];
-
 /// One fault-free comparator run: `scheme` cycles against the memoized
 /// unprotected baseline.
 fn run_compare_job(job: CampaignJob, t: &TraceProgram) -> Json {
     let source = job.workload.source(job.inst_count, job.seed);
     let base = baseline_cycles_source(&source);
-    let (_, run) = COMPARATORS
-        .iter()
-        .find(|&&(name, _)| name == job.scheme)
+    let scheme = scheme::find(job.scheme)
         .unwrap_or_else(|| panic!("unknown comparator scheme {}", job.scheme));
-    let cycles = run(t);
+    let driver = RedundantDriver::new(CoreConfig::table1());
+    let cycles = (scheme.run)(&driver, Lane::new(t)).cycles;
     Json::obj()
         .field("workload", job.workload.name())
         .field("inst_count", job.inst_count)
@@ -486,13 +439,8 @@ impl CampaignEngine {
         path: &Path,
     ) -> Result<CampaignReport, String> {
         let started = Instant::now();
-        // Refuse schemes outside the grid's vocabulary before touching
-        // the log: `SCHEMES` for strike grids, `COMPARATORS` otherwise.
-        let known = |s: &str| match grid.strikes {
-            Some(_) => SCHEMES.contains(&s),
-            None => COMPARATORS.iter().any(|&(name, _)| name == s),
-        };
-        if let Some(s) = grid.schemes.iter().find(|s| !known(s)) {
+        // Refuse schemes outside the table before touching the log.
+        if let Some(s) = grid.schemes.iter().find(|s| scheme::find(s).is_none()) {
             return Err(format!("grid {}: unknown scheme {s}", grid.name));
         }
         let jobs = grid.expand();
@@ -733,9 +681,9 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         let _ = fs::remove_file(&path);
         let (mut strike, mut compare) = (strike_grid(), compare_grid());
-        strike.schemes.push("reunion");
+        strike.schemes.push("nonesuch");
         compare.schemes.push("no_such_scheme");
-        for (grid, bad) in [(strike, "reunion"), (compare, "no_such_scheme")] {
+        for (grid, bad) in [(strike, "nonesuch"), (compare, "no_such_scheme")] {
             let err = CampaignEngine::new(2).run_streaming(&grid, &path);
             assert!(err.unwrap_err().contains(bad));
             assert!(!path.exists(), "the log must stay untouched");

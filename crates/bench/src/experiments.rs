@@ -2,15 +2,15 @@
 
 use serde::Serialize;
 use unsync_core::{UnsyncConfig, UnsyncPair};
-use unsync_exec::{FlexConfig, FlexPair, SecdedOnlyCore, TmrTriple};
+use unsync_exec::{Lane, RedundantDriver, RunResult, TraceEventKind};
 use unsync_fault::{Coverage, FaultTarget, PairFault, SerRate};
 use unsync_isa::TraceProgram;
 use unsync_reunion::{ReunionConfig, ReunionPair};
 use unsync_sim::CoreConfig;
 use unsync_workloads::{Benchmark, Kernel, SyntheticSource, WorkloadSource};
 
-use crate::campaign::COMPARATORS;
 use crate::runner::Runner;
+use crate::scheme;
 
 /// Common knobs for the simulation experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -108,16 +108,19 @@ pub fn fig4_on(runner: Runner, cfg: ExperimentConfig) -> Vec<Fig4Row> {
     per_benchmark(runner, Benchmark::all(), |bench| {
         let t = trace(bench, cfg);
         let base = baseline_cycles(bench, cfg) as f64;
-        let reunion =
-            ReunionPair::new(CoreConfig::table1(), ReunionConfig::paper_baseline()).run(&t, &[]);
-        let unsync =
-            UnsyncPair::new(CoreConfig::table1(), UnsyncConfig::paper_baseline()).run(&t, &[]);
+        // Keep only the cycles: a run's result holds its memory image.
+        let reunion = ReunionPair::new(CoreConfig::table1(), ReunionConfig::paper_baseline())
+            .run(&t, &[])
+            .cycles;
+        let unsync = UnsyncPair::new(CoreConfig::table1(), UnsyncConfig::paper_baseline())
+            .run(&t, &[])
+            .cycles;
         Fig4Row {
             bench: bench.name(),
             serializing_fraction: t.stats().serializing_fraction(),
             base_ipc: cfg.inst_count as f64 / base,
-            reunion_overhead: reunion.cycles as f64 / base - 1.0,
-            unsync_overhead: unsync.cycles as f64 / base - 1.0,
+            reunion_overhead: reunion as f64 / base - 1.0,
+            unsync_overhead: unsync as f64 / base - 1.0,
         }
     })
 }
@@ -224,7 +227,7 @@ pub fn fig6_on(runner: Runner, cfg: ExperimentConfig, benches: &[Benchmark]) -> 
                 cb_bytes: bytes,
                 cb_entries: entries,
                 unsync_norm: out.cycles as f64 / base,
-                cb_full_stall_cycles: out.cb_full_stall_cycles,
+                cb_full_stall_cycles: out.events.sum(TraceEventKind::CbFullStall),
             }
         });
         rows.append(&mut row);
@@ -270,8 +273,9 @@ pub fn ser_sweep_on(runner: Runner, cfg: ExperimentConfig, benches: &[Benchmark]
         let golden = crate::runner::golden_memory(bench, cfg);
         let reunion = ReunionPair::new(CoreConfig::table1(), ReunionConfig::paper_baseline());
         let unsync = UnsyncPair::new(CoreConfig::table1(), UnsyncConfig::paper_baseline());
-        let r0 = reunion.run_with_golden(&t, &[], Some(&golden));
-        let u0 = unsync.run_with_golden(&t, &[], Some(&golden));
+        // Keep only the cycles: a run's result holds its memory image.
+        let r0 = reunion.run_with_golden(&t, &[], Some(&golden)).cycles;
+        let u0 = unsync.run_with_golden(&t, &[], Some(&golden)).cycles;
         // Inject K recoverable faults to measure per-event cost.
         let k = 10u64;
         let faults: Vec<PairFault> = (0..k)
@@ -285,11 +289,11 @@ pub fn ser_sweep_on(runner: Runner, cfg: ExperimentConfig, benches: &[Benchmark]
                 kind: unsync_fault::FaultKind::Single,
             })
             .collect();
-        let rk = reunion.run_with_golden(&t, &faults, Some(&golden));
-        let uk = unsync.run_with_golden(&t, &faults, Some(&golden));
-        let r_cost = (rk.cycles.saturating_sub(r0.cycles)) as f64 / k as f64;
-        let u_cost = (uk.cycles.saturating_sub(u0.cycles)) as f64 / k as f64;
-        (r0.cycles as f64, u0.cycles as f64, r_cost, u_cost)
+        let rk = reunion.run_with_golden(&t, &faults, Some(&golden)).cycles;
+        let uk = unsync.run_with_golden(&t, &faults, Some(&golden)).cycles;
+        let r_cost = (rk.saturating_sub(r0)) as f64 / k as f64;
+        let u_cost = (uk.saturating_sub(u0)) as f64 / k as f64;
+        (r0 as f64, u0 as f64, r_cost, u_cost)
     });
     let n = measures.len() as f64;
     let (mut r0, mut u0, mut rc, mut uc) = (0.0, 0.0, 0.0, 0.0);
@@ -447,8 +451,9 @@ pub fn roec_on(runner: Runner, cfg: ExperimentConfig, campaigns: u64) -> RoecRep
                 for f in &faults {
                     let out = reunion.run_with_golden(&t, std::slice::from_ref(f), Some(&golden));
                     s.injected += 1;
-                    s.detected += u64::from(out.mismatches > 0);
-                    s.corrected_in_place += out.corrected_in_place;
+                    s.detected +=
+                        u64::from(out.events.count(TraceEventKind::FingerprintMismatch) > 0);
+                    s.corrected_in_place += out.events.count(TraceEventKind::CorrectedInPlace);
                     s.unrecoverable += out.unrecoverable;
                     s.silent_corruptions +=
                         u64::from(out.silent_faults > 0 || !out.memory_matches_golden);
@@ -522,11 +527,11 @@ pub fn comparators_on(runner: Runner, cfg: ExperimentConfig) -> Vec<ComparatorRo
     per_benchmark(runner, &COMPARATOR_BENCHES, |bench| {
         let t = trace(bench, cfg);
         let base = baseline_cycles(bench, cfg) as f64;
-        let over = |cycles: u64| cycles as f64 / base - 1.0;
+        let driver = RedundantDriver::new(CoreConfig::table1());
 
-        // One overhead per comparator, in `COMPARATORS` table order.
+        // One overhead per comparator, in scheme table order.
         let [lockstep, reunion, ckpt, unsync, tmr, flex, secded] =
-            COMPARATORS.map(|(_, run)| over(run(&t)));
+            scheme::TABLE.map(|s| (s.run)(&driver, Lane::new(&t)).cycles as f64 / base - 1.0);
         ComparatorRow {
             bench: bench.name(),
             lockstep_overhead: lockstep,
@@ -585,54 +590,42 @@ fn scheme_values_for(
     t: &TraceProgram,
     cfg: ExperimentConfig,
 ) -> [SchemeValuesRow; 3] {
-    let strike = |core: usize| PairFault {
-        at: cfg.inst_count / 2,
-        core,
-        site: unsync_fault::FaultSite {
-            target: FaultTarget::Rob,
-            bit_offset: 21,
-        },
-        kind: unsync_fault::FaultKind::Single,
-    };
-    let tmr = TmrTriple::new(CoreConfig::table1()).run(t, &[strike(1)]);
-    let flex =
-        FlexPair::new(CoreConfig::table1(), FlexConfig::paper_baseline()).run(t, &[strike(1)]);
-    let secded = SecdedOnlyCore::new(CoreConfig::table1()).run(t, &[strike(0)]);
-    [
-        SchemeValuesRow {
-            bench: workload,
-            scheme: "tmr_vote",
-            cycles: tmr.core.cycles,
-            committed: tmr.core.committed,
-            detections: tmr.core.detections,
-            corrections: tmr.corrections,
-            compares: 0,
-            corrected_in_place: 0,
-            correct: tmr.correct(),
-        },
-        SchemeValuesRow {
-            bench: workload,
-            scheme: "flex_step",
-            cycles: flex.core.cycles,
-            committed: flex.core.committed,
-            detections: flex.core.detections,
-            corrections: 0,
-            compares: flex.compares,
-            corrected_in_place: 0,
-            correct: flex.correct(),
-        },
-        SchemeValuesRow {
-            bench: workload,
-            scheme: "secded_only",
-            cycles: secded.core.cycles,
-            committed: secded.core.committed,
-            detections: secded.core.detections,
-            corrections: 0,
-            compares: 0,
-            corrected_in_place: secded.corrected_in_place,
-            correct: secded.correct(),
-        },
-    ]
+    let driver = RedundantDriver::new(CoreConfig::table1());
+    // (table row, row label, struck replica)
+    let rows = [
+        ("tmr_vote", "tmr_vote", 1),
+        ("flex", "flex_step", 1),
+        ("secded_only", "secded_only", 0),
+    ];
+    rows.map(|(name, label, core)| {
+        let mut lane = Lane::new(t);
+        lane.faults = vec![PairFault {
+            at: cfg.inst_count / 2,
+            core,
+            site: unsync_fault::FaultSite {
+                target: FaultTarget::Rob,
+                bit_offset: 21,
+            },
+            kind: unsync_fault::FaultKind::Single,
+        }];
+        let row = scheme::find(name).expect("scheme table row");
+        scheme_values_row(workload, label, &(row.run)(&driver, lane))
+    })
+}
+
+/// One scheme-values row read off a run.
+fn scheme_values_row(bench: &'static str, scheme: &'static str, r: &RunResult) -> SchemeValuesRow {
+    SchemeValuesRow {
+        bench,
+        scheme,
+        cycles: r.cycles,
+        committed: r.committed,
+        detections: r.detections,
+        corrections: r.events.count(TraceEventKind::Corrected),
+        compares: r.events.count(TraceEventKind::WindowCompared),
+        corrected_in_place: r.events.count(TraceEventKind::CorrectedInPlace),
+        correct: r.correct(),
+    }
 }
 
 /// [`scheme_values`] on an explicit runner.

@@ -28,6 +28,7 @@ pub mod render;
 pub mod roec_uncore;
 pub mod runlog;
 pub mod runner;
+pub mod scheme;
 pub mod stats;
 pub mod timeline;
 

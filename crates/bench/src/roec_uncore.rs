@@ -23,7 +23,9 @@
 //! few hundred valid lines at these trace lengths; uniform sampling
 //! alone would need thousands of strikes per cell to see one live hit).
 //!
-//! Three schemes bracket the design space:
+//! Every row of [`crate::scheme::TABLE`] runs on a strike grid; the
+//! default grid ([`SCHEMES`]) takes the three that bracket the design
+//! space:
 //! * `unsync_pair` — the paper's architecture: SECDED L2, parity
 //!   MSHRs, duplicated arbiters, fingerprinted CB (strikes on the CB
 //!   run the real §III-A recovery).
@@ -39,22 +41,21 @@
 
 use std::sync::Arc;
 
-use unsync_core::{UnsyncConfig, UnsyncPolicy};
-use unsync_exec::{
-    Lane, RedundantDriver, RunResult, SecdedOnlyPolicy, TmrVotePolicy, TraceEventKind,
-};
+use unsync_exec::{Lane, RedundantDriver, RunResult, TraceEventKind};
 use unsync_fault::roec::{classify, RoecEvent, RoecEventKind, StrikeOutcome, VulnerabilityTable};
 use unsync_fault::uncore::{StrikePlan, UncoreStrike, UncoreTarget};
 use unsync_isa::{ArchMemory, TraceProgram};
-use unsync_mem::{L2ContentionConfig, WritePolicy};
+use unsync_mem::L2ContentionConfig;
 use unsync_sim::CoreConfig;
 use unsync_workloads::{Benchmark, SyntheticSource, WorkloadSource};
 
 use crate::experiments::ExperimentConfig;
 use crate::runlog::{Json, RunLog};
 use crate::runner::{golden_memory, job_seed, Runner};
+use crate::scheme;
 
-/// The schemes the campaign compares, in table order.
+/// The schemes the campaign compares, in table order (a subset of
+/// [`crate::scheme::TABLE`]).
 pub const SCHEMES: [&str; 3] = ["unsync_pair", "tmr_vote", "secded_only"];
 
 /// Configuration of one uncore campaign.
@@ -166,10 +167,15 @@ pub fn strike_salt(target: UncoreTarget, scheme: &str, strike: u64) -> u64 {
     unsync_isa::exec::splitmix64(h ^ strike)
 }
 
-/// Runs `trace` under one named scheme with `strikes` injected.
-/// `golden` optionally supplies the memoized fault-free memory image so
-/// the driver skips its per-run golden re-execution (results are
-/// bit-identical either way — a trace's golden is unique).
+/// Runs `trace` under the [`crate::scheme::TABLE`] row named `scheme`
+/// with `strikes` injected. `golden` optionally supplies the memoized
+/// fault-free memory image so the driver skips its per-run golden
+/// re-execution (results are bit-identical either way — a trace's
+/// golden is unique).
+///
+/// # Panics
+///
+/// If no table row is named `scheme`.
 pub fn run_scheme_with_strikes(
     driver: &RedundantDriver,
     scheme: &str,
@@ -177,26 +183,13 @@ pub fn run_scheme_with_strikes(
     strikes: Vec<UncoreStrike>,
     golden: Option<&ArchMemory>,
 ) -> RunResult {
-    let lane = vec![Lane {
+    let row = scheme::find(scheme).unwrap_or_else(|| panic!("unknown scheme {scheme}"));
+    let lane = Lane {
         uncore: strikes,
         golden,
         ..Lane::new(trace)
-    }];
-    let (mut results, _mem) = match scheme {
-        "unsync_pair" => driver.run(
-            &mut [UnsyncPolicy::new(
-                "roec_uncore",
-                UnsyncConfig::paper_baseline(),
-                WritePolicy::WriteThrough,
-                0,
-            )],
-            lane,
-        ),
-        "tmr_vote" => driver.run(&mut [TmrVotePolicy::new()], lane),
-        "secded_only" => driver.run(&mut [SecdedOnlyPolicy::new()], lane),
-        other => panic!("unknown scheme {other}"),
     };
-    results.remove(0)
+    (row.run)(driver, lane)
 }
 
 /// Classifies one finished strike run: diffs committed memory against

@@ -40,8 +40,8 @@ pub mod system;
 
 pub use cb::{DrainPolicy, GroupCb, PairedCb};
 pub use config::{DetectionTiming, L1Protection, RecoveryMode, UnsyncConfig};
-pub use nway::{GroupOutcome, GroupPolicy, UnsyncGroup};
-pub use pair::{UnsyncOutcome, UnsyncPair, UnsyncPolicy};
+pub use nway::{GroupPolicy, UnsyncGroup};
+pub use pair::{UnsyncPair, UnsyncPolicy};
 pub use system::{SystemOutcome, SystemPairStats, UnsyncSystem};
 
 /// Re-export of the fault-model coverage map for UnSync (§III-B1).

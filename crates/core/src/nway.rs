@@ -14,13 +14,10 @@
 //!
 //! Execution routes through the shared [`unsync_exec::RedundantDriver`]
 //! with [`GroupPolicy`], the N-replica [`unsync_exec::RedundancyPolicy`]
-//! (it opts out of the driver's pair-shaped pending-store tracking and
-//! manages group store agreement itself).
+//! (it opts out of the driver's pair-shaped pending-store tracking, so
+//! the driver commits each store the whole group produced alike).
 
-use serde::{Deserialize, Serialize};
-use unsync_exec::{
-    Lane, LaneState, OutcomeCore, RedundancyPolicy, RedundantDriver, TraceEventKind,
-};
+use unsync_exec::{Lane, LaneState, RedundancyPolicy, RedundantDriver, RunResult, TraceEventKind};
 use unsync_fault::PairFault;
 use unsync_isa::{Inst, TraceProgram};
 use unsync_mem::MemSystem;
@@ -29,26 +26,8 @@ use unsync_sim::{CoreConfig, InstTiming, NullHooks};
 use crate::cb::GroupCb;
 use crate::config::UnsyncConfig;
 
-/// Outcome of running an N-way redundancy group.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct GroupOutcome {
-    /// The counters all schemes share (committed, cycles, recoveries,
-    /// unrecoverable, …).
-    pub core: OutcomeCore,
-    /// Redundancy degree.
-    pub ways: usize,
-    /// Entries drained through the group CB.
-    pub cb_drained: u64,
-}
-
-impl std::ops::Deref for GroupOutcome {
-    type Target = OutcomeCore;
-    fn deref(&self) -> &OutcomeCore {
-        &self.core
-    }
-}
-
-/// An N-way UnSync redundancy group.
+/// An N-way UnSync redundancy group. Its run sums the entries drained
+/// through the group CB over [`TraceEventKind::CbDrain`].
 ///
 /// # Examples
 ///
@@ -60,7 +39,7 @@ impl std::ops::Deref for GroupOutcome {
 /// let trace = WorkloadGen::new(Benchmark::Sha, 2_000, 1).collect_trace();
 /// let triple = UnsyncGroup::new(CoreConfig::table1(), UnsyncConfig::paper_baseline(), 3);
 /// let out = triple.run(&trace, &[]);
-/// assert_eq!(out.ways, 3);
+/// assert_eq!(out.committed, 2_000);
 /// assert!(out.correct());
 /// ```
 pub struct UnsyncGroup {
@@ -79,25 +58,20 @@ impl UnsyncGroup {
 
     /// Runs `trace` with the given faults (sorted by `at`; `core` indexes
     /// the replica, `< ways`).
-    pub fn run(&self, trace: &TraceProgram, faults: &[PairFault]) -> GroupOutcome {
+    pub fn run(&self, trace: &TraceProgram, faults: &[PairFault]) -> RunResult {
         let driver = RedundantDriver::new(self.ccfg);
         let policy = GroupPolicy::new(self.ucfg, self.ways);
         let mut lane = Lane::new(trace);
         lane.faults = faults.to_vec();
-        let res = driver.run(&mut [policy], vec![lane]).0.remove(0);
-        GroupOutcome {
-            core: res.out,
-            ways: self.ways,
-            cb_drained: res.events.sum(TraceEventKind::CbDrain),
-        }
+        driver.run(&mut [policy], vec![lane]).0.remove(0)
     }
 }
 
 /// The N-way UnSync group as a [`RedundancyPolicy`]. The group stays in
 /// virtual lockstep per instruction, so store forwarding simplifies to
 /// immediate visibility of the group's agreed store values: the policy
-/// opts out of pending-store tracking and commits replica 0's copy once
-/// the group produced the store.
+/// opts out of pending-store tracking, and the driver commits a store
+/// once every replica produced it.
 pub struct GroupPolicy {
     ucfg: UnsyncConfig,
     ways: usize,
@@ -145,17 +119,12 @@ impl RedundancyPolicy for GroupPolicy {
         core: usize,
         seq: u64,
         addr: u64,
-        result: u64,
+        _result: u64,
         timing: InstTiming,
     ) {
         let done = self.cb.push(core, seq, addr / 64, timing.commit, mem);
         if done > timing.commit {
             lane.engines[core].backpressure_until(done);
-        }
-        // All replicas produce the store this instruction (virtual
-        // lockstep); commit one copy architecturally.
-        if core == 0 {
-            lane.committed_mem.write(addr, result);
         }
     }
 
@@ -227,6 +196,7 @@ impl RedundancyPolicy for GroupPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use unsync_exec::TraceEventKind::CbDrain;
     use unsync_fault::{FaultSite, FaultTarget};
     use unsync_workloads::{Benchmark, WorkloadGen};
 
@@ -251,9 +221,9 @@ mod tests {
         let t = trace(5_000);
         let g = UnsyncGroup::new(CoreConfig::table1(), UnsyncConfig::paper_baseline(), 2);
         let out = g.run(&t, &[]);
-        assert_eq!(out.core.committed, 5_000);
+        assert_eq!(out.committed, 5_000);
         assert!(out.correct(), "{out:?}");
-        assert!(out.cb_drained > 0);
+        assert!(out.events.sum(CbDrain) > 0);
     }
 
     #[test]
@@ -265,7 +235,7 @@ mod tests {
                 let g = UnsyncGroup::new(CoreConfig::table1(), UnsyncConfig::paper_baseline(), n);
                 let out = g.run(&t, &[]);
                 assert!(out.correct(), "{n}-way: {out:?}");
-                out.core.cycles
+                out.cycles
             })
             .collect();
         // The slowest of N replicas can only get slower as N grows.
@@ -280,13 +250,13 @@ mod tests {
         let faults2 = [fault(1_000, 0), fault(1_000, 1)];
         let g2 = UnsyncGroup::new(CoreConfig::table1(), UnsyncConfig::paper_baseline(), 2);
         let out2 = g2.run(&t, &faults2);
-        assert_eq!(out2.core.unrecoverable, 1);
+        assert_eq!(out2.unrecoverable, 1);
         assert!(!out2.correct());
         // A 3-way group has a surviving replica to copy from.
         let g3 = UnsyncGroup::new(CoreConfig::table1(), UnsyncConfig::paper_baseline(), 3);
         let out3 = g3.run(&t, &faults2);
-        assert_eq!(out3.core.unrecoverable, 0);
-        assert_eq!(out3.core.recoveries, 1);
+        assert_eq!(out3.unrecoverable, 0);
+        assert_eq!(out3.recoveries, 1);
         assert!(out3.correct(), "{out3:?}");
     }
 
@@ -298,7 +268,7 @@ mod tests {
                 let g =
                     UnsyncGroup::new(CoreConfig::table1(), UnsyncConfig::paper_baseline(), ways);
                 let out = g.run(&t, &[fault(800, core)]);
-                assert_eq!(out.core.recoveries, 1, "{ways}-way, core {core}");
+                assert_eq!(out.recoveries, 1, "{ways}-way, core {core}");
                 assert!(out.correct(), "{ways}-way, core {core}: {out:?}");
             }
         }

@@ -20,9 +20,8 @@
 //! 6. both cores resume from the error-free core's PC — *always
 //!    forward*, no re-execution.
 
-use serde::{Deserialize, Serialize};
 use unsync_exec::{
-    Lane, LaneState, OutcomeCore, RedundancyPolicy, RedundantDriver, SegmentVerdict, TraceEventKind,
+    Lane, LaneState, RedundancyPolicy, RedundantDriver, RunResult, SegmentVerdict, TraceEventKind,
 };
 use unsync_fault::uncore::{UncoreProtection, UncoreStrike, UncoreTarget};
 use unsync_fault::{DetectionMechanism, FaultKind, FaultTarget, PairFault};
@@ -33,33 +32,10 @@ use unsync_sim::{CoreConfig, InstTiming, NullHooks};
 use crate::cb::PairedCb;
 use crate::config::UnsyncConfig;
 
-/// Result of running an UnSync pair to completion.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct UnsyncOutcome {
-    /// The counters all schemes share (committed, cycles, detections,
-    /// recoveries, …).
-    pub core: OutcomeCore,
-    /// Strikes on dead values that never needed detection
-    /// ([`crate::config::DetectionTiming::OnFirstUse`] only).
-    pub benign_faults: u64,
-    /// Single-bit strikes corrected in place by a SECDED L1
-    /// ([`crate::config::L1Protection::Secded`] only) — no pair recovery
-    /// needed.
-    pub corrected_in_place: u64,
-    /// Stores drained to the L2 (one copy per matched CB pair).
-    pub cb_drained: u64,
-    /// Commit cycles lost to a full CB (both cores).
-    pub cb_full_stall_cycles: u64,
-}
-
-impl std::ops::Deref for UnsyncOutcome {
-    type Target = OutcomeCore;
-    fn deref(&self) -> &OutcomeCore {
-        &self.core
-    }
-}
-
-/// The UnSync redundant core pair.
+/// The UnSync redundant core pair. Its run's events count benign
+/// dead-value strikes (`BenignFault`) and SECDED-L1 in-place corrections
+/// (`CorrectedInPlace`), and sum CB drains (`CbDrain`) and full-CB
+/// commit stalls (`CbFullStall`).
 ///
 /// # Examples
 ///
@@ -83,7 +59,7 @@ impl std::ops::Deref for UnsyncOutcome {
 ///     kind: FaultKind::Single,
 /// };
 /// let out = pair.run(&trace, &[fault]);
-/// assert_eq!(out.core.recoveries, 1);
+/// assert_eq!(out.recoveries, 1);
 /// assert!(out.correct());
 /// ```
 pub struct UnsyncPair {
@@ -116,7 +92,7 @@ impl UnsyncPair {
     }
 
     /// Runs `trace` to completion with the given faults (sorted by `at`).
-    pub fn run(&self, trace: &TraceProgram, faults: &[PairFault]) -> UnsyncOutcome {
+    pub fn run(&self, trace: &TraceProgram, faults: &[PairFault]) -> RunResult {
         self.run_with_golden(trace, faults, None)
     }
 
@@ -129,19 +105,12 @@ impl UnsyncPair {
         trace: &TraceProgram,
         faults: &[PairFault],
         golden: Option<&unsync_isa::ArchMemory>,
-    ) -> UnsyncOutcome {
+    ) -> RunResult {
         let driver = RedundantDriver::new(self.ccfg);
         let policy = UnsyncPolicy::new("unsync_pair", self.ucfg, self.l1_policy, 0);
         let mut lane = Lane::new(trace);
         (lane.faults, lane.golden) = (faults.to_vec(), golden);
-        let res = driver.run(&mut [policy], vec![lane]).0.remove(0);
-        UnsyncOutcome {
-            core: res.out,
-            benign_faults: res.events.count(TraceEventKind::BenignFault),
-            corrected_in_place: res.events.count(TraceEventKind::CorrectedInPlace),
-            cb_drained: res.events.sum(TraceEventKind::CbDrain),
-            cb_full_stall_cycles: res.events.sum(TraceEventKind::CbFullStall),
-        }
+        driver.run(&mut [policy], vec![lane]).0.remove(0)
     }
 }
 
@@ -583,6 +552,7 @@ impl RedundancyPolicy for UnsyncPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use unsync_exec::TraceEventKind::{BenignFault, CbDrain, CbFullStall, CorrectedInPlace};
     use unsync_fault::FaultSite;
     use unsync_workloads::{Benchmark, WorkloadGen};
 
@@ -610,11 +580,14 @@ mod tests {
     fn error_free_run_is_correct_and_complete() {
         let t = trace(3_000, 1);
         let out = pair().run(&t, &[]);
-        assert_eq!(out.core.committed, 3_000);
-        assert_eq!(out.core.detections, 0);
-        assert_eq!(out.core.recoveries, 0);
+        assert_eq!(out.committed, 3_000);
+        assert_eq!(out.detections, 0);
+        assert_eq!(out.recoveries, 0);
         assert!(out.correct(), "{out:?}");
-        assert!(out.cb_drained > 0, "stores must drain through the CB");
+        assert!(
+            out.events.sum(CbDrain) > 0,
+            "stores must drain through the CB"
+        );
     }
 
     #[test]
@@ -624,9 +597,9 @@ mod tests {
             let t = trace(2_000, 2);
             let faults = [fault(600 + k as u64, k % 2, target, 37 + k as u64)];
             let out = pair().run(&t, &faults);
-            assert_eq!(out.core.detections, 1, "{target:?}");
-            assert_eq!(out.core.recoveries, 1, "{target:?}");
-            assert_eq!(out.core.silent_faults, 0, "{target:?}");
+            assert_eq!(out.detections, 1, "{target:?}");
+            assert_eq!(out.recoveries, 1, "{target:?}");
+            assert_eq!(out.silent_faults, 0, "{target:?}");
             assert!(out.correct(), "{target:?}: {out:?}");
         }
     }
@@ -638,7 +611,7 @@ mod tests {
         let t = trace(2_000, 3);
         let faults = [fault(100, 1, FaultTarget::RegisterFile, 5 * 64 + 3)];
         let out = pair().run(&t, &faults);
-        assert_eq!(out.core.recoveries, 1);
+        assert_eq!(out.recoveries, 1);
         assert!(out.correct(), "{out:?}");
     }
 
@@ -651,12 +624,12 @@ mod tests {
         let faults = [fault(2_500, 0, FaultTarget::Lsq, 11)];
         let faulty = pair().run(&t, &faults);
         assert!(
-            faulty.core.cycles > clean.core.cycles + 1_000,
+            faulty.cycles > clean.cycles + 1_000,
             "{} vs {}",
-            faulty.core.cycles,
-            clean.core.cycles
+            faulty.cycles,
+            clean.cycles
         );
-        assert!(faulty.core.recovery_stall_cycles > 1_000);
+        assert!(faulty.recovery_stall_cycles > 1_000);
         assert!(faulty.correct());
     }
 
@@ -669,14 +642,14 @@ mod tests {
         let large =
             UnsyncPair::new(CoreConfig::table1(), UnsyncConfig::with_cb_entries(512)).run(&t, &[]);
         assert!(
-            tiny.cb_full_stall_cycles > large.cb_full_stall_cycles,
+            tiny.events.sum(CbFullStall) > large.events.sum(CbFullStall),
             "tiny {} vs large {}",
-            tiny.cb_full_stall_cycles,
-            large.cb_full_stall_cycles
+            tiny.events.sum(CbFullStall),
+            large.events.sum(CbFullStall)
         );
         // Allow tiny scheduling perturbations; the stall comparison above
         // is the real invariant.
-        assert!(tiny.core.cycles as f64 >= large.core.cycles as f64 * 0.98);
+        assert!(tiny.cycles as f64 >= large.cycles as f64 * 0.98);
     }
 
     #[test]
@@ -690,13 +663,13 @@ mod tests {
         ];
         let wb = UnsyncPair::with_write_back_l1(CoreConfig::table1(), UnsyncConfig::default())
             .run(&t, &faults);
-        assert_eq!(wb.core.unrecoverable, 1, "{wb:?}");
+        assert_eq!(wb.unrecoverable, 1, "{wb:?}");
         assert!(!wb.correct());
         // The same double strike under write-through is just two
         // recoveries: the L2 always holds a correct copy.
         let wt = pair().run(&t, &faults);
-        assert_eq!(wt.core.unrecoverable, 0);
-        assert_eq!(wt.core.recoveries, 2);
+        assert_eq!(wt.unrecoverable, 0);
+        assert_eq!(wt.recoveries, 2);
         assert!(wt.correct(), "{wt:?}");
     }
 
@@ -709,7 +682,7 @@ mod tests {
         let base = run_baseline(CoreConfig::table1(), &mut stream);
         let t = WorkloadGen::new(Benchmark::Bzip2, 20_000, 7).collect_trace();
         let us = pair().run(&t, &[]);
-        let overhead = us.core.cycles as f64 / base.core.last_commit_cycle as f64 - 1.0;
+        let overhead = us.cycles as f64 / base.core.last_commit_cycle as f64 - 1.0;
         assert!(overhead < 0.10, "UnSync overhead on bzip2 = {overhead}");
     }
 
@@ -728,8 +701,8 @@ mod tests {
         };
         // The paper's 1-bit line parity: even flips are invisible.
         let parity = pair().run(&t, &[mbu]);
-        assert_eq!(parity.core.silent_faults, 1, "{parity:?}");
-        assert_eq!(parity.core.recoveries, 0);
+        assert_eq!(parity.silent_faults, 1, "{parity:?}");
+        assert_eq!(parity.recoveries, 0);
         assert!(!parity.correct());
         // The §VIII upgrade: SECDED detects the double and recovery runs.
         let cfg = UnsyncConfig {
@@ -737,8 +710,8 @@ mod tests {
             ..UnsyncConfig::paper_baseline()
         };
         let secded = UnsyncPair::new(CoreConfig::table1(), cfg).run(&t, &[mbu]);
-        assert_eq!(secded.core.silent_faults, 0);
-        assert_eq!(secded.core.recoveries, 1);
+        assert_eq!(secded.silent_faults, 0);
+        assert_eq!(secded.recoveries, 1);
         assert!(secded.correct(), "{secded:?}");
         // And single strikes on SECDED are corrected in place for free.
         let single = PairFault {
@@ -746,8 +719,8 @@ mod tests {
             ..mbu
         };
         let in_place = UnsyncPair::new(CoreConfig::table1(), cfg).run(&t, &[single]);
-        assert_eq!(in_place.corrected_in_place, 1);
-        assert_eq!(in_place.core.recoveries, 0);
+        assert_eq!(in_place.events.count(CorrectedInPlace), 1);
+        assert_eq!(in_place.recoveries, 0);
         assert!(in_place.correct());
     }
 
@@ -769,7 +742,7 @@ mod tests {
         let mut cfg = UnsyncConfig::paper_baseline();
         cfg.drain_policy = crate::cb::DrainPolicy::Eager;
         let eager = UnsyncPair::new(CoreConfig::table1(), cfg).run(&t, &faults);
-        assert!(eager.core.silent_faults > 0, "{eager:?}");
+        assert!(eager.silent_faults > 0, "{eager:?}");
         assert!(!eager.correct());
     }
 
@@ -837,12 +810,12 @@ mod tests {
             fault(3, 1, FaultTarget::RegisterFile, 2 * 64 + 9), // r2
         ];
         let out = UnsyncPair::new(CoreConfig::table1(), cfg).run(&t, &faults);
-        assert_eq!(out.benign_faults, 1, "{out:?}");
-        assert_eq!(out.core.recoveries, 1, "only the live strike recovers");
+        assert_eq!(out.events.count(BenignFault), 1, "{out:?}");
+        assert_eq!(out.recoveries, 1, "only the live strike recovers");
         assert!(out.correct(), "{out:?}");
         // Immediate timing charges both.
         let strict = pair().run(&t, &faults);
-        assert_eq!(strict.core.recoveries, 2);
+        assert_eq!(strict.recoveries, 2);
         assert!(strict.correct());
     }
 
@@ -857,10 +830,10 @@ mod tests {
         let inval = UnsyncPair::new(CoreConfig::table1(), cfg).run(&t, &faults);
         assert!(copy.correct() && inval.correct());
         assert!(
-            inval.core.recovery_stall_cycles < copy.core.recovery_stall_cycles,
+            inval.recovery_stall_cycles < copy.recovery_stall_cycles,
             "invalidate {} vs copy {}",
-            inval.core.recovery_stall_cycles,
-            copy.core.recovery_stall_cycles
+            inval.recovery_stall_cycles,
+            copy.recovery_stall_cycles
         );
     }
 

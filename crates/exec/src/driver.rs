@@ -176,8 +176,8 @@ impl LaneState {
 pub struct RunResult {
     /// The shared outcome counters.
     pub out: OutcomeCore,
-    /// The lane's trace-event stream (policies' outcome extensions are
-    /// derived from it).
+    /// The lane's trace-event stream: every scheme-specific counter
+    /// (corrections, rollbacks, CB drains, …) is a count or sum of it.
     pub events: EventStream,
     /// The lane's final committed (agreed) memory image.
     pub memory: ArchMemory,
@@ -187,6 +187,15 @@ pub struct RunResult {
     /// Deterministic like everything else in the cycle domain; empty
     /// when the contention model is off.
     pub l2_events: Vec<L2ContentionEvent>,
+}
+
+/// A run's shared counters read straight off its result
+/// (`result.cycles`, `result.correct()`).
+impl std::ops::Deref for RunResult {
+    type Target = OutcomeCore;
+    fn deref(&self) -> &OutcomeCore {
+        &self.out
+    }
 }
 
 /// One lane of a [`RedundantDriver::run`]: the trace it executes and
@@ -612,6 +621,9 @@ impl<P: RedundancyPolicy> LaneRunner<'_, P> {
         let seq = *idx as u64;
         let faults = &faults[seg_faults.clone()];
         let first_attempt = *attempt == 0;
+        // Without pending tracking, a store commits once every replica
+        // produced the same copy (a lone replica's stores at once).
+        let (mut store, mut unanimous) = (None, true);
         for core in 0..lane.engines.len() {
             let timing = lane.engines[core].feed(inst, mem, policy.hooks_mut(core));
             lane.bump_clock(lane.engines[core].now());
@@ -637,6 +649,9 @@ impl<P: RedundancyPolicy> LaneRunner<'_, P> {
             if inst.op.is_store() {
                 if policy.uses_pending() {
                     lane.pending.record(core, seq, addr & !7, result);
+                } else {
+                    unanimous &= store.is_none_or(|s| s == (addr, result));
+                    store = Some((addr, result));
                 }
                 policy.store_executed(mem, lane, inst, core, seq, addr, result, timing);
                 lane.bump_clock(lane.engines[core].now());
@@ -645,6 +660,9 @@ impl<P: RedundancyPolicy> LaneRunner<'_, P> {
                 lane.arch[core].write(d, result);
             }
             policy.executed(lane, inst, core, seq, result);
+        }
+        if let (Some((addr, value)), true) = (store, unanimous) {
+            lane.committed_mem.write(addr, value);
         }
         policy.after_instruction(mem, lane, inst, seq, faults, first_attempt);
         lane.sync_clock();
@@ -778,6 +796,46 @@ mod tests {
         assert_eq!(res.out.committed, 2_000);
         assert!(res.out.cycles > 0);
         assert!(res.out.correct(), "{:?}", res.out);
+    }
+
+    /// The floor at other redundancy degrees: `name`, `replicas` and
+    /// `hooks_mut` only, so every store commits through the driver's
+    /// unanimous-store rule.
+    struct Minimal {
+        hooks: Vec<NullHooks>,
+    }
+
+    impl RedundancyPolicy for Minimal {
+        type Hooks = NullHooks;
+
+        fn name(&self) -> &'static str {
+            "minimal"
+        }
+
+        fn replicas(&self) -> usize {
+            self.hooks.len()
+        }
+
+        fn hooks_mut(&mut self, core: usize) -> &mut NullHooks {
+            &mut self.hooks[core]
+        }
+    }
+
+    #[test]
+    fn minimal_one_and_three_replica_policies_commit_their_stores() {
+        let t = SyntheticSource::new(Benchmark::Gzip, 2_000, 3).trace();
+        assert!(t.insts().iter().any(|i| i.op.is_store()));
+        let golden = golden_run(&t).1;
+        let driver = RedundantDriver::new(CoreConfig::table1());
+        for n in [1, 3] {
+            let policy = Minimal {
+                hooks: vec![NullHooks; n],
+            };
+            let res = &driver.run(&mut [policy], vec![Lane::new(&t)]).0[0];
+            assert_eq!(res.committed, 2_000, "{n} replicas");
+            assert!(res.correct(), "{n} replicas: {:?}", res.out);
+            assert!(golden.iter().all(|(addr, v)| res.memory.read(addr) == v));
+        }
     }
 
     #[test]

@@ -27,12 +27,13 @@
 //!   routes into `unsync_sim::metrics`, so every scheme gets the
 //!   observability the hand-rolled runners used to implement one-off.
 //!
-//! Adding a new scheme is implementing [`RedundancyPolicy`] plus a
-//! small outcome extension — no interleaving, forwarding, or golden
-//! comparison code. See `ARCHITECTURE.md` ("Where to add things") for
-//! the recipe, the [`schemes`] module for three complete worked
-//! examples (TMR voting, FlexStep-style granularity, SECDED-only
-//! baseline), and this crate's tests for the minimal floor.
+//! Adding a new scheme is implementing [`RedundancyPolicy`] — no
+//! interleaving, forwarding, golden comparison, or outcome type: every
+//! run returns a [`RunResult`], whose event stream carries the scheme's
+//! own counters. See `ARCHITECTURE.md` ("Where to add things") for the
+//! recipe, the [`schemes`] module for three complete worked examples
+//! (TMR voting, FlexStep-style granularity, SECDED-only baseline), and
+//! this crate's tests for the minimal floor.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -54,8 +55,8 @@ pub use pending::{PendingStore, PendingStores};
 pub use policy::{RedundancyPolicy, SegmentVerdict};
 pub use sched::{Component, EventQueue};
 pub use schemes::{
-    FlexConfig, FlexGranularityPolicy, FlexOutcome, FlexPair, SecdedOnlyCore, SecdedOnlyOutcome,
-    SecdedOnlyPolicy, TmrOutcome, TmrTriple, TmrVotePolicy,
+    FlexConfig, FlexGranularityPolicy, FlexPair, SecdedOnlyCore, SecdedOnlyPolicy, TmrTriple,
+    TmrVotePolicy,
 };
 pub use spans::{episodes_from, overlap_fraction, Episode, SpanStats, SpanTracker};
 pub use uncore::{corrupt_memory, deliver as deliver_uncore_strike, strike_is_live};

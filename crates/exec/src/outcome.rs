@@ -4,9 +4,8 @@ use serde::{Deserialize, Serialize};
 
 /// Counters common to every redundancy scheme's outcome.
 ///
-/// Scheme outcomes (`UnsyncOutcome`, `PairOutcome`, `LockstepOutcome`,
-/// `GroupOutcome`, …) embed one of these as their `core` field and
-/// `Deref` to it, so `ipc()` / `correct()` exist exactly once.
+/// Every run's [`crate::RunResult`] carries one as its `out` field and
+/// `Deref`s to it, so `ipc()` / `correct()` exist exactly once.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OutcomeCore {
     /// Committed (for rollback schemes: verified) instructions.

@@ -10,8 +10,10 @@
 //! points of its loop.
 //!
 //! All callbacks default to "do nothing": a minimal policy is just
-//! `name` + `hooks_mut`, and yields plain unchecked redundant
-//! execution with golden verification.
+//! `name` + `hooks_mut` (plus `replicas` when it is not a pair), and
+//! yields plain unchecked redundant execution with golden
+//! verification. A pair's stores wait in the pending set until the
+//! policy commits them ([`crate::LaneState::commit_matched_pending`]).
 
 use unsync_fault::uncore::{UncoreProtection, UncoreStrike};
 use unsync_fault::PairFault;
@@ -112,10 +114,13 @@ pub trait RedundancyPolicy {
     }
 
     /// Whether the driver tracks per-store pending entries with
-    /// cross-replica forwarding (N-way groups manage their own store
-    /// agreement and opt out).
+    /// cross-replica forwarding. Pending entries are pair-shaped, so
+    /// the default is "exactly two replicas" (a 2-way group that
+    /// manages its own store agreement opts out). Without pending
+    /// tracking the driver commits each store once every replica has
+    /// produced the same copy — at once for a lone replica.
     fn uses_pending(&self) -> bool {
-        true
+        self.replicas() == 2
     }
 
     /// Whether mismatched segments are re-executed from a snapshot

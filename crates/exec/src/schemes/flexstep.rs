@@ -34,9 +34,8 @@ use unsync_isa::{Inst, TraceProgram};
 use unsync_mem::MemSystem;
 use unsync_sim::{CoreConfig, NullHooks};
 
-use crate::driver::{Lane, LaneState, RedundantDriver};
+use crate::driver::{Lane, LaneState, RedundantDriver, RunResult};
 use crate::event::TraceEventKind;
-use crate::outcome::OutcomeCore;
 use crate::policy::{RedundancyPolicy, SegmentVerdict};
 
 /// Consecutive mismatching re-executions of one window before the pair
@@ -76,44 +75,21 @@ impl FlexConfig {
     }
 }
 
-/// Outcome of running a flexible-granularity pair.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FlexOutcome {
-    /// The counters all schemes share.
-    pub core: OutcomeCore,
-    /// Window boundaries compared (including rollback re-checks).
-    pub compares: u64,
-    /// Fingerprint mismatches observed.
-    pub mismatches: u64,
-    /// Rollback re-executions performed.
-    pub rollbacks: u64,
-    /// Summed detection latency in instructions (strike → boundary that
-    /// caught it), over all detections.
-    pub detection_latency_insts: u64,
-    /// Average pending-store occupancy observed at window boundaries —
-    /// the CB/CSB sizing pressure of this granularity.
-    pub avg_store_occupancy: f64,
-}
-
-impl std::ops::Deref for FlexOutcome {
-    type Target = OutcomeCore;
-    fn deref(&self) -> &OutcomeCore {
-        &self.core
-    }
-}
-
-/// A dual-modular pair comparing at a configurable granularity.
+/// A dual-modular pair comparing at a configurable granularity. Its
+/// run's `WindowCompared` events (one per compared boundary) carry the
+/// pending stores seen there, its `Detection` events the latency.
 ///
 /// # Examples
 ///
 /// ```
 /// use unsync_exec::schemes::{FlexConfig, FlexPair};
+/// use unsync_exec::TraceEventKind;
 /// use unsync_sim::CoreConfig;
 /// use unsync_workloads::{Benchmark, SyntheticSource, WorkloadSource};
 ///
 /// let trace = SyntheticSource::new(Benchmark::Gzip, 2_000, 1).trace();
 /// let out = FlexPair::new(CoreConfig::table1(), FlexConfig::with_window(64)).run(&trace, &[]);
-/// assert_eq!(out.compares, 2_000 / 64 + 1); // ⌈n/W⌉
+/// assert_eq!(out.events.count(TraceEventKind::WindowCompared), 2_000 / 64 + 1); // ⌈n/W⌉
 /// assert!(out.correct());
 /// ```
 pub struct FlexPair {
@@ -128,25 +104,12 @@ impl FlexPair {
     }
 
     /// Runs `trace` with the given faults (sorted by `at`).
-    pub fn run(&self, trace: &TraceProgram, faults: &[PairFault]) -> FlexOutcome {
+    pub fn run(&self, trace: &TraceProgram, faults: &[PairFault]) -> RunResult {
         let driver = RedundantDriver::new(self.ccfg);
         let policy = FlexGranularityPolicy::new(self.fcfg);
         let mut lane = Lane::new(trace);
         lane.faults = faults.to_vec();
-        let res = driver.run(&mut [policy], vec![lane]).0.remove(0);
-        let compares = res.events.count(TraceEventKind::WindowCompared);
-        FlexOutcome {
-            core: res.out,
-            compares,
-            mismatches: res.events.count(TraceEventKind::FingerprintMismatch),
-            rollbacks: res.events.count(TraceEventKind::Rollback),
-            detection_latency_insts: res.events.sum(TraceEventKind::Detection),
-            avg_store_occupancy: if compares == 0 {
-                0.0
-            } else {
-                res.events.sum(TraceEventKind::WindowCompared) as f64 / compares as f64
-            },
-        }
+        driver.run(&mut [policy], vec![lane]).0.remove(0)
     }
 }
 
@@ -373,6 +336,7 @@ impl RedundancyPolicy for FlexGranularityPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TraceEventKind::{Detection, FingerprintMismatch, Rollback, WindowCompared};
     use unsync_fault::{FaultKind, FaultSite};
     use unsync_workloads::{Benchmark, SyntheticSource, WorkloadSource};
 
@@ -382,6 +346,12 @@ mod tests {
 
     fn pair(window: u32) -> FlexPair {
         FlexPair::new(CoreConfig::table1(), FlexConfig::with_window(window))
+    }
+
+    /// Average pending stores observed per window boundary.
+    fn occupancy(out: &RunResult) -> f64 {
+        let compares = out.events.count(WindowCompared);
+        out.events.sum(WindowCompared) as f64 / compares as f64
     }
 
     fn rob_fault(at: u64, core: usize) -> PairFault {
@@ -402,8 +372,8 @@ mod tests {
         for window in [1u32, 7, 64, 1024, 5_000] {
             let out = pair(window).run(&t, &[]);
             let expect = 2_000u64.div_ceil(u64::from(window));
-            assert_eq!(out.compares, expect, "window {window}");
-            assert_eq!(out.mismatches, 0);
+            assert_eq!(out.events.count(WindowCompared), expect, "window {window}");
+            assert_eq!(out.events.count(FingerprintMismatch), 0);
             assert!(out.correct(), "window {window}: {out:?}");
         }
     }
@@ -414,10 +384,10 @@ mod tests {
         let fine = pair(1).run(&t, &[]);
         let coarse = pair(512).run(&t, &[]);
         assert!(
-            fine.core.cycles > coarse.core.cycles,
+            fine.cycles > coarse.cycles,
             "per-instruction comparison must pay the boundary tax: {} vs {}",
-            fine.core.cycles,
-            coarse.core.cycles
+            fine.cycles,
+            coarse.cycles
         );
     }
 
@@ -427,10 +397,10 @@ mod tests {
         let fine = pair(4).run(&t, &[]);
         let coarse = pair(512).run(&t, &[]);
         assert!(
-            coarse.avg_store_occupancy > fine.avg_store_occupancy,
+            occupancy(&coarse) > occupancy(&fine),
             "{} vs {}",
-            coarse.avg_store_occupancy,
-            fine.avg_store_occupancy
+            occupancy(&coarse),
+            occupancy(&fine)
         );
     }
 
@@ -438,10 +408,10 @@ mod tests {
     fn in_window_strike_is_caught_at_its_boundary() {
         let t = trace(2_000, 4);
         let out = pair(100).run(&t, &[rob_fault(523, 1)]);
-        assert_eq!(out.mismatches, 1);
-        assert_eq!(out.rollbacks, 1);
+        assert_eq!(out.events.count(FingerprintMismatch), 1);
+        assert_eq!(out.events.count(Rollback), 1);
         // Strike at 523, window [500, 600): caught at 600 — latency 77.
-        assert_eq!(out.detection_latency_insts, 77);
+        assert_eq!(out.events.sum(Detection), 77);
         assert!(out.correct(), "{out:?}");
     }
 
@@ -473,11 +443,11 @@ mod tests {
             kind: FaultKind::Single,
         };
         let out = pair(10).run(&t, &[f]);
-        assert_eq!(out.core.unrecoverable, 1, "{out:?}");
-        assert!(out.rollbacks >= MAX_ROLLBACK_RETRIES as u64);
+        assert_eq!(out.unrecoverable, 1, "{out:?}");
+        assert!(out.events.count(Rollback) >= MAX_ROLLBACK_RETRIES as u64);
         // Detected late: the strike lands at 5, the reading window ends
         // at 30 — latency spans windows.
-        assert_eq!(out.detection_latency_insts, 25);
+        assert_eq!(out.events.sum(Detection), 25);
     }
 
     #[test]

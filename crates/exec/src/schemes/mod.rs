@@ -1,7 +1,7 @@
 //! Additional redundancy schemes built directly on the driver.
 //!
 //! Each submodule is one [`crate::RedundancyPolicy`] implementation plus
-//! the thin runner/outcome pair every scheme ships — no interleaving,
+//! a thin typed runner returning [`crate::RunResult`] — no interleaving,
 //! forwarding, or golden-comparison code of its own. Together they
 //! bracket the design space the UnSync paper argues inside:
 //!
@@ -23,6 +23,6 @@ pub mod flexstep;
 pub mod secded_only;
 pub mod tmr;
 
-pub use flexstep::{FlexConfig, FlexGranularityPolicy, FlexOutcome, FlexPair};
-pub use secded_only::{SecdedOnlyCore, SecdedOnlyOutcome, SecdedOnlyPolicy};
-pub use tmr::{TmrOutcome, TmrTriple, TmrVotePolicy};
+pub use flexstep::{FlexConfig, FlexGranularityPolicy, FlexPair};
+pub use secded_only::{SecdedOnlyCore, SecdedOnlyPolicy};
+pub use tmr::{TmrTriple, TmrVotePolicy};

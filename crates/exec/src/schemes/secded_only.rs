@@ -24,52 +24,34 @@
 //!
 //! [`decode`]: SecdedCodeword::decode
 
-use serde::{Deserialize, Serialize};
 use unsync_fault::{FaultKind, FaultSite, FaultTarget, PairFault, SecdedCodeword, SecdedOutcome};
 use unsync_isa::{Inst, TraceProgram};
-use unsync_mem::MemSystem;
-use unsync_sim::{CoreConfig, InstTiming, NullHooks};
+use unsync_sim::{CoreConfig, NullHooks};
 
-use crate::driver::{Lane, LaneState, RedundantDriver};
+use crate::driver::{Lane, LaneState, RedundantDriver, RunResult};
 use crate::event::TraceEventKind;
-use crate::outcome::OutcomeCore;
 use crate::policy::RedundancyPolicy;
 
 /// Cycles a detected-but-uncorrectable double error stalls the core
 /// (machine-check reporting) before execution proceeds corrupted.
 const DOUBLE_ERROR_STALL: u64 = 8;
 
-/// Outcome of running the SECDED-only baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SecdedOnlyOutcome {
-    /// The counters all schemes share.
-    pub core: OutcomeCore,
-    /// Strikes the array SECDED corrected in place.
-    pub corrected_in_place: u64,
-    /// Strikes detected as uncorrectable double errors.
-    pub double_errors: u64,
-}
-
-impl std::ops::Deref for SecdedOnlyOutcome {
-    type Target = OutcomeCore;
-    fn deref(&self) -> &OutcomeCore {
-        &self.core
-    }
-}
-
-/// A single non-redundant core protected only by array SECDED.
+/// A single non-redundant core protected only by array SECDED. Its
+/// run's events count in-place corrections (`CorrectedInPlace`) and
+/// double errors (`Unrecoverable`).
 ///
 /// # Examples
 ///
 /// ```
 /// use unsync_exec::schemes::SecdedOnlyCore;
+/// use unsync_exec::TraceEventKind;
 /// use unsync_sim::CoreConfig;
 /// use unsync_workloads::{Benchmark, SyntheticSource, WorkloadSource};
 ///
 /// let trace = SyntheticSource::new(Benchmark::Sha, 2_000, 1).trace();
 /// let out = SecdedOnlyCore::new(CoreConfig::table1()).run(&trace, &[]);
 /// assert!(out.correct());
-/// assert_eq!(out.corrected_in_place, 0);
+/// assert_eq!(out.events.count(TraceEventKind::CorrectedInPlace), 0);
 /// ```
 pub struct SecdedOnlyCore {
     ccfg: CoreConfig,
@@ -83,17 +65,12 @@ impl SecdedOnlyCore {
 
     /// Runs `trace` with the given faults (sorted by `at`; every
     /// fault's `core` must be `0` — there is only one replica).
-    pub fn run(&self, trace: &TraceProgram, faults: &[PairFault]) -> SecdedOnlyOutcome {
+    pub fn run(&self, trace: &TraceProgram, faults: &[PairFault]) -> RunResult {
         let driver = RedundantDriver::new(self.ccfg);
         let mut lane = Lane::new(trace);
         lane.faults = faults.to_vec();
         let policy = SecdedOnlyPolicy::new();
-        let res = driver.run(&mut [policy], vec![lane]).0.remove(0);
-        SecdedOnlyOutcome {
-            core: res.out,
-            corrected_in_place: res.events.count(TraceEventKind::CorrectedInPlace),
-            double_errors: res.events.count(TraceEventKind::Unrecoverable),
-        }
+        driver.run(&mut [policy], vec![lane]).0.remove(0)
     }
 }
 
@@ -179,12 +156,6 @@ impl RedundancyPolicy for SecdedOnlyPolicy {
 
     fn replicas(&self) -> usize {
         1
-    }
-
-    /// Pending-store tracking is pair-shaped; a single replica commits
-    /// its stores directly.
-    fn uses_pending(&self) -> bool {
-        false
     }
 
     /// ECC on the L2 arrays and nothing else — no CB, no MSHR parity,
@@ -290,27 +261,12 @@ impl RedundancyPolicy for SecdedOnlyPolicy {
             }
         }
     }
-
-    /// A lone replica's stores are architecturally committed as they
-    /// execute — there is nobody to agree with.
-    fn store_executed(
-        &mut self,
-        _mem: &mut MemSystem,
-        lane: &mut LaneState,
-        _inst: &Inst,
-        _core: usize,
-        _seq: u64,
-        addr: u64,
-        result: u64,
-        _timing: InstTiming,
-    ) {
-        lane.committed_mem.write(addr, result);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TraceEventKind::{CorrectedInPlace, Unrecoverable};
     use unsync_fault::inject::ALL_TARGETS;
     use unsync_workloads::{Benchmark, SyntheticSource, WorkloadSource};
 
@@ -334,11 +290,11 @@ mod tests {
     fn error_free_run_is_correct() {
         let t = trace(2_000, 1);
         let out = SecdedOnlyCore::new(CoreConfig::table1()).run(&t, &[]);
-        assert_eq!(out.core.committed, 2_000);
-        assert!(out.core.cycles > 0);
+        assert_eq!(out.committed, 2_000);
+        assert!(out.cycles > 0);
         assert!(out.correct(), "{out:?}");
-        assert_eq!(out.corrected_in_place, 0);
-        assert_eq!(out.double_errors, 0);
+        assert_eq!(out.events.count(CorrectedInPlace), 0);
+        assert_eq!(out.events.count(Unrecoverable), 0);
     }
 
     #[test]
@@ -351,9 +307,9 @@ mod tests {
             let out = SecdedOnlyCore::new(CoreConfig::table1())
                 .run(&t, &[fault(700, target, FaultKind::Single)]);
             assert!(out.correct(), "{target:?}: {out:?}");
-            assert_eq!(out.corrected_in_place, 1, "{target:?}");
-            assert_eq!(out.core.detections, 0, "{target:?}");
-            assert_eq!(out.double_errors, 0, "{target:?}");
+            assert_eq!(out.events.count(CorrectedInPlace), 1, "{target:?}");
+            assert_eq!(out.detections, 0, "{target:?}");
+            assert_eq!(out.events.count(Unrecoverable), 0, "{target:?}");
         }
     }
 
@@ -364,9 +320,9 @@ mod tests {
             &t,
             &[fault(700, FaultTarget::Rob, FaultKind::AdjacentDouble)],
         );
-        assert_eq!(out.core.detections, 1);
-        assert_eq!(out.double_errors, 1);
-        assert_eq!(out.corrected_in_place, 0);
+        assert_eq!(out.detections, 1);
+        assert_eq!(out.events.count(Unrecoverable), 1);
+        assert_eq!(out.events.count(CorrectedInPlace), 0);
         assert!(!out.correct(), "{out:?}");
     }
 
@@ -376,8 +332,8 @@ mod tests {
         for target in [FaultTarget::Pc, FaultTarget::PipelineRegs] {
             let out = SecdedOnlyCore::new(CoreConfig::table1())
                 .run(&t, &[fault(700, target, FaultKind::Single)]);
-            assert_eq!(out.core.silent_faults, 1, "{target:?}");
-            assert_eq!(out.core.detections, 0, "{target:?}");
+            assert_eq!(out.silent_faults, 1, "{target:?}");
+            assert_eq!(out.detections, 0, "{target:?}");
             assert!(!out.correct(), "{target:?}: {out:?}");
         }
     }
@@ -391,10 +347,10 @@ mod tests {
             .collect();
         let struck = SecdedOnlyCore::new(CoreConfig::table1()).run(&t, &faults);
         assert!(
-            struck.core.cycles > clean.core.cycles,
+            struck.cycles > clean.cycles,
             "{} vs {}",
-            struck.core.cycles,
-            clean.core.cycles
+            struck.cycles,
+            clean.cycles
         );
     }
 

@@ -23,15 +23,13 @@
 //! replica; distinct ones deadlock the vote 1-1-1), which the voter
 //! reports as detected-but-uncorrectable.
 
-use serde::{Deserialize, Serialize};
 use unsync_fault::{FaultTarget, PairFault};
 use unsync_isa::{Inst, TraceProgram};
 use unsync_mem::MemSystem;
 use unsync_sim::{CoreConfig, NullHooks};
 
-use crate::driver::{Lane, LaneState, RedundantDriver};
+use crate::driver::{Lane, LaneState, RedundantDriver, RunResult};
 use crate::event::TraceEventKind;
-use crate::outcome::OutcomeCore;
 use crate::policy::{RedundancyPolicy, SegmentVerdict};
 
 /// Replicas in a TMR lane.
@@ -42,41 +40,22 @@ const WAYS: usize = 3;
 /// the group scheme's interrupt + flush + L1 copy recovery).
 const CORRECTION_STALL: u64 = 16;
 
-/// Outcome of running a TMR triple.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TmrOutcome {
-    /// The counters all schemes share (committed, cycles, detections,
-    /// unrecoverable, …).
-    pub core: OutcomeCore,
-    /// Outvoted replicas repaired in place by the majority vote.
-    pub corrections: u64,
-    /// Rollback re-executions — structurally zero for TMR (the property
-    /// tests pin this).
-    pub rollbacks: u64,
-    /// Vote windows with no trustworthy majority (≥ 2 replicas struck).
-    pub uncorrectable_votes: u64,
-}
-
-impl std::ops::Deref for TmrOutcome {
-    type Target = OutcomeCore;
-    fn deref(&self) -> &OutcomeCore {
-        &self.core
-    }
-}
-
-/// A voting TMR triple over one trace.
+/// A voting TMR triple over one trace. Its run's events count in-place
+/// repairs (`Corrected`) and votes with no trustworthy majority
+/// (`Unrecoverable`); it never rolls back.
 ///
 /// # Examples
 ///
 /// ```
 /// use unsync_exec::schemes::TmrTriple;
+/// use unsync_exec::TraceEventKind;
 /// use unsync_sim::CoreConfig;
 /// use unsync_workloads::{Benchmark, SyntheticSource, WorkloadSource};
 ///
 /// let trace = SyntheticSource::new(Benchmark::Sha, 2_000, 1).trace();
 /// let out = TmrTriple::new(CoreConfig::table1()).run(&trace, &[]);
-/// assert_eq!(out.core.committed, 2_000);
-/// assert_eq!(out.rollbacks, 0);
+/// assert_eq!(out.committed, 2_000);
+/// assert_eq!(out.events.count(TraceEventKind::Rollback), 0);
 /// assert!(out.correct());
 /// ```
 pub struct TmrTriple {
@@ -91,18 +70,12 @@ impl TmrTriple {
 
     /// Runs `trace` with the given faults (sorted by `at`; `core`
     /// indexes the replica, `< 3`).
-    pub fn run(&self, trace: &TraceProgram, faults: &[PairFault]) -> TmrOutcome {
+    pub fn run(&self, trace: &TraceProgram, faults: &[PairFault]) -> RunResult {
         let driver = RedundantDriver::new(self.ccfg);
         let mut lane = Lane::new(trace);
         lane.faults = faults.to_vec();
         let policy = TmrVotePolicy::new();
-        let res = driver.run(&mut [policy], vec![lane]).0.remove(0);
-        TmrOutcome {
-            core: res.out,
-            corrections: res.events.count(TraceEventKind::Corrected),
-            rollbacks: res.events.count(TraceEventKind::Rollback),
-            uncorrectable_votes: res.events.count(TraceEventKind::Unrecoverable),
-        }
+        driver.run(&mut [policy], vec![lane]).0.remove(0)
     }
 }
 
@@ -166,13 +139,6 @@ impl RedundancyPolicy for TmrVotePolicy {
 
     fn replicas(&self) -> usize {
         WAYS
-    }
-
-    /// The triple stays in virtual lockstep per instruction and the
-    /// driver's pending-store tracking is pair-shaped; the voter manages
-    /// 3-way store agreement itself.
-    fn uses_pending(&self) -> bool {
-        false
     }
 
     /// Deliberately the unprotected default: TMR triplicates *cores*
@@ -295,9 +261,10 @@ impl RedundancyPolicy for TmrVotePolicy {
         }
     }
 
-    /// The vote. Error-free segments commit replica 0's store and move
-    /// on; a single struck replica is outvoted and repaired in place; two
-    /// or more struck replicas leave no trustworthy majority.
+    /// The vote. Error-free segments move on (the driver already
+    /// committed their unanimous store); a single struck replica is
+    /// outvoted and repaired in place; two or more struck replicas
+    /// leave no trustworthy majority.
     fn end_segment(
         &mut self,
         _mem: &mut MemSystem,
@@ -309,11 +276,7 @@ impl RedundancyPolicy for TmrVotePolicy {
     ) -> SegmentVerdict {
         let struck_count = self.struck.iter().filter(|&&s| s).count();
         if struck_count == 0 {
-            // Deterministic replicas agree; commit one store copy.
             debug_assert!(self.agree(lane, 0, 1) && self.agree(lane, 0, 2));
-            if let Some((addr, value)) = self.stores[0] {
-                lane.committed_mem.write(addr, value);
-            }
             self.reset_vote();
             return SegmentVerdict::Commit;
         }
@@ -382,6 +345,7 @@ impl RedundancyPolicy for TmrVotePolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TraceEventKind::{Corrected, Rollback, Unrecoverable};
     use unsync_fault::{FaultKind, FaultSite};
     use unsync_workloads::{Benchmark, SyntheticSource, WorkloadSource};
 
@@ -405,9 +369,9 @@ mod tests {
     fn error_free_triple_is_correct_and_never_votes_anyone_out() {
         let t = trace(3_000, 1);
         let out = TmrTriple::new(CoreConfig::table1()).run(&t, &[]);
-        assert_eq!(out.core.committed, 3_000);
-        assert_eq!(out.corrections, 0);
-        assert_eq!(out.rollbacks, 0);
+        assert_eq!(out.committed, 3_000);
+        assert_eq!(out.events.count(Corrected), 0);
+        assert_eq!(out.events.count(Rollback), 0);
         assert!(out.correct(), "{out:?}");
     }
 
@@ -417,9 +381,9 @@ mod tests {
         for core in 0..3 {
             let out = TmrTriple::new(CoreConfig::table1())
                 .run(&t, &[fault(700, core, FaultTarget::Rob, 13)]);
-            assert_eq!(out.corrections, 1, "replica {core}");
-            assert_eq!(out.rollbacks, 0, "replica {core}");
-            assert_eq!(out.core.recoveries, 0, "replica {core}");
+            assert_eq!(out.events.count(Corrected), 1, "replica {core}");
+            assert_eq!(out.events.count(Rollback), 0, "replica {core}");
+            assert_eq!(out.recoveries, 0, "replica {core}");
             assert!(out.correct(), "replica {core}: {out:?}");
         }
     }
@@ -431,7 +395,7 @@ mod tests {
         let t = trace(2_000, 3);
         let out = TmrTriple::new(CoreConfig::table1())
             .run(&t, &[fault(500, 1, FaultTarget::RegisterFile, 64 * 63 + 5)]);
-        assert_eq!(out.corrections, 1);
+        assert_eq!(out.events.count(Corrected), 1);
         assert!(out.correct(), "{out:?}");
     }
 
@@ -450,8 +414,8 @@ mod tests {
             })
             .collect();
         let faulty = TmrTriple::new(CoreConfig::table1()).run(&t, &faults);
-        assert_eq!(faulty.corrections, 10);
-        assert!(faulty.core.cycles > clean.core.cycles);
+        assert_eq!(faulty.events.count(Corrected), 10);
+        assert!(faulty.cycles > clean.cycles);
         assert!(faulty.correct(), "{faulty:?}");
     }
 
@@ -463,9 +427,9 @@ mod tests {
             fault(900, 1, FaultTarget::Rob, 21),
         ];
         let out = TmrTriple::new(CoreConfig::table1()).run(&t, &faults);
-        assert_eq!(out.core.detections, 1);
-        assert_eq!(out.uncorrectable_votes, 1);
-        assert_eq!(out.corrections, 0);
+        assert_eq!(out.detections, 1);
+        assert_eq!(out.events.count(Unrecoverable), 1);
+        assert_eq!(out.events.count(Corrected), 0);
         assert!(!out.correct(), "{out:?}");
     }
 

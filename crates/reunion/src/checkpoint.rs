@@ -20,6 +20,7 @@
 //! Reunion's fine-grained rollback.
 
 use serde::{Deserialize, Serialize};
+use unsync_exec::RedundancyPolicy;
 use unsync_fault::Fingerprint;
 use unsync_isa::Inst;
 use unsync_mem::MemSystem;
@@ -156,6 +157,40 @@ impl CoreHooks for CheckpointHooks {
         // snapshot occupies the state-capture port, not the front end,
         // so only serializing boundaries gate dispatch — handled above).
         cycle
+    }
+}
+
+/// Checkpointing as a one-replica [`RedundancyPolicy`] (error-free
+/// timing only): one engine under [`CheckpointHooks`], timed exactly
+/// as `unsync_sim::run_stream` times it. Verified stores drain through
+/// core 0, so it models a single-lane run.
+#[derive(Debug, Clone)]
+pub struct CheckpointPolicy {
+    hooks: CheckpointHooks,
+}
+
+impl CheckpointPolicy {
+    /// A policy with the given checkpoint configuration.
+    pub fn new(cfg: CheckpointConfig) -> Self {
+        CheckpointPolicy {
+            hooks: CheckpointHooks::new(cfg),
+        }
+    }
+}
+
+impl RedundancyPolicy for CheckpointPolicy {
+    type Hooks = CheckpointHooks;
+
+    fn name(&self) -> &'static str {
+        "checkpoint"
+    }
+
+    fn replicas(&self) -> usize {
+        1
+    }
+
+    fn hooks_mut(&mut self, _core: usize) -> &mut CheckpointHooks {
+        &mut self.hooks
     }
 }
 

@@ -39,9 +39,9 @@ pub mod hooks;
 pub mod lockstep;
 pub mod pair;
 
-pub use checkpoint::{checkpoint_error_cost, CheckpointConfig, CheckpointHooks};
+pub use checkpoint::{checkpoint_error_cost, CheckpointConfig, CheckpointHooks, CheckpointPolicy};
 pub use config::ReunionConfig;
 pub use hooks::ReunionHooks;
-pub use lockstep::{LockstepOutcome, LockstepPair, LockstepPolicy};
-pub use pair::{PairOutcome, ReunionPair, ReunionPolicy};
+pub use lockstep::{LockstepPair, LockstepPolicy};
+pub use pair::{ReunionPair, ReunionPolicy};
 pub use unsync_fault::PairFault;

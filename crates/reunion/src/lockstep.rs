@@ -16,32 +16,13 @@
 //! arithmetic and substitutes the locked retirement clock for the
 //! decoupled one in [`unsync_exec::RedundancyPolicy::finish`].
 
-use serde::{Deserialize, Serialize};
-use unsync_exec::{
-    Lane, LaneState, OutcomeCore, RedundancyPolicy, RedundantDriver, TraceEventKind,
-};
+use unsync_exec::{Lane, LaneState, RedundancyPolicy, RedundantDriver, RunResult, TraceEventKind};
 use unsync_isa::{Inst, TraceProgram};
 use unsync_mem::MemSystem;
 use unsync_sim::{CoreConfig, NullHooks};
 
-/// Outcome of a lockstep pair run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LockstepOutcome {
-    /// The counters all schemes share (committed, cycles, …). `cycles`
-    /// is the *locked* retirement clock.
-    pub core: OutcomeCore,
-    /// Cycles lost re-synchronizing the momentarily faster core.
-    pub coupling_stall_cycles: u64,
-}
-
-impl std::ops::Deref for LockstepOutcome {
-    type Target = OutcomeCore;
-    fn deref(&self) -> &OutcomeCore {
-        &self.core
-    }
-}
-
-/// A tightly lockstepped redundant pair.
+/// A tightly lockstepped redundant pair. Its run's `cycles` is the
+/// *locked* clock; `CouplingStall` events sum the re-sync cost.
 pub struct LockstepPair {
     ccfg: CoreConfig,
     /// Re-synchronization granularity in instructions (1 = classic
@@ -57,18 +38,13 @@ impl LockstepPair {
 
     /// Runs `trace` (error-free; lockstep's error handling is an
     /// immediate replay and is not the interesting axis here).
-    pub fn run(&self, trace: &TraceProgram) -> LockstepOutcome {
-        assert!(self.window >= 1);
+    pub fn run(&self, trace: &TraceProgram) -> RunResult {
         let driver = RedundantDriver::new(self.ccfg);
         let policy = LockstepPolicy::new(self.window);
-        let res = driver
+        driver
             .run(&mut [policy], vec![Lane::new(trace)])
             .0
-            .remove(0);
-        LockstepOutcome {
-            core: res.out,
-            coupling_stall_cycles: res.events.sum(TraceEventKind::CouplingStall),
-        }
+            .remove(0)
     }
 }
 
@@ -146,6 +122,7 @@ impl RedundancyPolicy for LockstepPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use unsync_exec::TraceEventKind::CouplingStall;
     use unsync_mem::{HierarchyConfig, WritePolicy};
     use unsync_sim::OooEngine;
     use unsync_workloads::{Benchmark, WorkloadGen};
@@ -154,8 +131,11 @@ mod tests {
     fn lockstep_runs_and_pays_coupling() {
         let t = WorkloadGen::new(Benchmark::Gzip, 10_000, 2).collect_trace();
         let out = LockstepPair::new(CoreConfig::table1()).run(&t);
-        assert_eq!(out.core.committed, 10_000);
-        assert!(out.coupling_stall_cycles > 0, "drift must force re-syncs");
+        assert_eq!(out.committed, 10_000);
+        assert!(
+            out.events.sum(CouplingStall) > 0,
+            "drift must force re-syncs"
+        );
         assert!(out.correct(), "{out:?}");
     }
 
@@ -180,11 +160,7 @@ mod tests {
             }
             engines[0].now().max(engines[1].now())
         };
-        assert!(
-            locked.core.cycles >= free,
-            "{} vs {free}",
-            locked.core.cycles
-        );
+        assert!(locked.cycles >= free, "{} vs {free}", locked.cycles);
     }
 
     #[test]
@@ -194,6 +170,6 @@ mod tests {
         let mut loose_pair = LockstepPair::new(CoreConfig::table1());
         loose_pair.window = 64;
         let loose = loose_pair.run(&t);
-        assert!(loose.coupling_stall_cycles <= tight.coupling_stall_cycles);
+        assert!(loose.events.sum(CouplingStall) <= tight.events.sum(CouplingStall));
     }
 }

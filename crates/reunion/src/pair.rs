@@ -24,9 +24,8 @@
 //!   wrong address — the fingerprint summarizes (pc, result), not store
 //!   addresses, so nothing ever fires.
 
-use serde::{Deserialize, Serialize};
 use unsync_exec::{
-    Lane, LaneState, OutcomeCore, RedundancyPolicy, RedundantDriver, SegmentVerdict, TraceEventKind,
+    Lane, LaneState, RedundancyPolicy, RedundantDriver, RunResult, SegmentVerdict, TraceEventKind,
 };
 use unsync_fault::{FaultTarget, Fingerprint, PairFault};
 use unsync_isa::{Inst, TraceProgram};
@@ -41,31 +40,9 @@ use crate::hooks::ReunionHooks;
 /// state).
 const MAX_ROLLBACK_RETRIES: u32 = 3;
 
-/// Result of running a redundant pair to completion.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PairOutcome {
-    /// The counters all schemes share (committed, cycles, detections,
-    /// unrecoverable, silent faults, …).
-    pub core: OutcomeCore,
-    /// Fingerprint mismatches observed.
-    pub mismatches: u64,
-    /// Rollback recoveries performed.
-    pub rollbacks: u64,
-    /// Errors absorbed in place by ECC (L1 strikes under Reunion).
-    pub corrected_in_place: u64,
-    /// Loads that observed an incoherent value under relaxed input
-    /// replication (each triggers a mismatch + re-issue).
-    pub incoherent_loads: u64,
-}
-
-impl std::ops::Deref for PairOutcome {
-    type Target = OutcomeCore;
-    fn deref(&self) -> &OutcomeCore {
-        &self.core
-    }
-}
-
-/// The vocal/mute Reunion pair.
+/// The vocal/mute Reunion pair. Its run's events count fingerprint
+/// mismatches, rollbacks, L1 strikes absorbed by ECC
+/// (`CorrectedInPlace`) and incoherent loads (`IncoherentLoad`).
 ///
 /// # Examples
 ///
@@ -77,7 +54,7 @@ impl std::ops::Deref for PairOutcome {
 /// let trace = WorkloadGen::new(Benchmark::Gzip, 3_000, 7).collect_trace();
 /// let pair = ReunionPair::new(CoreConfig::table1(), ReunionConfig::paper_baseline());
 /// let out = pair.run(&trace, &[]);
-/// assert_eq!(out.core.committed, 3_000);
+/// assert_eq!(out.committed, 3_000);
 /// assert!(out.correct());
 /// ```
 pub struct ReunionPair {
@@ -94,7 +71,7 @@ impl ReunionPair {
 
     /// Runs `trace` to completion with the given faults (empty slice =
     /// error-free execution). Faults must be sorted by `at`.
-    pub fn run(&self, trace: &TraceProgram, faults: &[PairFault]) -> PairOutcome {
+    pub fn run(&self, trace: &TraceProgram, faults: &[PairFault]) -> RunResult {
         self.run_with_golden(trace, faults, None)
     }
 
@@ -107,19 +84,12 @@ impl ReunionPair {
         trace: &TraceProgram,
         faults: &[PairFault],
         golden: Option<&unsync_isa::ArchMemory>,
-    ) -> PairOutcome {
+    ) -> RunResult {
         let driver = RedundantDriver::new(self.ccfg);
         let policy = ReunionPolicy::new(self.rcfg);
         let mut lane = Lane::new(trace);
         (lane.faults, lane.golden) = (faults.to_vec(), golden);
-        let res = driver.run(&mut [policy], vec![lane]).0.remove(0);
-        PairOutcome {
-            core: res.out,
-            mismatches: res.events.count(TraceEventKind::FingerprintMismatch),
-            rollbacks: res.events.count(TraceEventKind::Rollback),
-            corrected_in_place: res.events.count(TraceEventKind::CorrectedInPlace),
-            incoherent_loads: res.events.count(TraceEventKind::IncoherentLoad),
-        }
+        driver.run(&mut [policy], vec![lane]).0.remove(0)
     }
 }
 
@@ -385,6 +355,9 @@ impl RedundancyPolicy for ReunionPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use unsync_exec::TraceEventKind::{
+        CorrectedInPlace, FingerprintMismatch, IncoherentLoad, Rollback,
+    };
     use unsync_fault::FaultTarget;
     use unsync_workloads::{Benchmark, WorkloadGen};
 
@@ -407,11 +380,11 @@ mod tests {
     fn error_free_run_is_correct_and_complete() {
         let t = trace(3_000, 1);
         let out = pair().run(&t, &[]);
-        assert_eq!(out.core.committed, 3_000);
-        assert_eq!(out.mismatches, 0);
-        assert_eq!(out.rollbacks, 0);
+        assert_eq!(out.committed, 3_000);
+        assert_eq!(out.events.count(FingerprintMismatch), 0);
+        assert_eq!(out.events.count(Rollback), 0);
         assert!(out.correct(), "{out:?}");
-        assert!(out.core.cycles > 0);
+        assert!(out.cycles > 0);
     }
 
     #[test]
@@ -424,9 +397,9 @@ mod tests {
             kind: unsync_fault::FaultKind::Single,
         }];
         let out = pair().run(&t, &faults);
-        assert_eq!(out.mismatches, 1);
-        assert_eq!(out.rollbacks, 1);
-        assert_eq!(out.core.unrecoverable, 0);
+        assert_eq!(out.events.count(FingerprintMismatch), 1);
+        assert_eq!(out.events.count(Rollback), 1);
+        assert_eq!(out.unrecoverable, 0);
         assert!(out.correct(), "{out:?}");
     }
 
@@ -455,9 +428,9 @@ mod tests {
             kind: unsync_fault::FaultKind::Single,
         }]; // r1
         let out = pair().run(&t, &faults);
-        assert_eq!(out.mismatches, 1);
-        assert_eq!(out.rollbacks, 1);
-        assert_eq!(out.core.unrecoverable, 0);
+        assert_eq!(out.events.count(FingerprintMismatch), 1);
+        assert_eq!(out.events.count(Rollback), 1);
+        assert_eq!(out.unrecoverable, 0);
         assert!(out.correct(), "{out:?}");
     }
 
@@ -508,8 +481,8 @@ mod tests {
             kind: unsync_fault::FaultKind::Single,
         }];
         let out = pair().run(&t, &faults);
-        assert!(out.mismatches > 1, "{out:?}");
-        assert_eq!(out.core.unrecoverable, 1, "{out:?}");
+        assert!(out.events.count(FingerprintMismatch) > 1, "{out:?}");
+        assert_eq!(out.unrecoverable, 1, "{out:?}");
         assert!(!out.correct());
     }
 
@@ -523,8 +496,8 @@ mod tests {
             kind: unsync_fault::FaultKind::Single,
         }];
         let out = pair().run(&t, &faults);
-        assert_eq!(out.corrected_in_place, 1);
-        assert_eq!(out.mismatches, 0);
+        assert_eq!(out.events.count(CorrectedInPlace), 1);
+        assert_eq!(out.events.count(FingerprintMismatch), 0);
         assert!(out.correct(), "{out:?}");
     }
 
@@ -545,13 +518,14 @@ mod tests {
             kind: unsync_fault::FaultKind::Single,
         }];
         let out = pair().run(&t, &faults);
-        assert_eq!(out.core.silent_faults, 1);
+        assert_eq!(out.silent_faults, 1);
         assert_eq!(
-            out.mismatches, 0,
+            out.events.count(FingerprintMismatch),
+            0,
             "fingerprints never notice a wrong-address store"
         );
         assert!(
-            !out.core.memory_matches_golden,
+            !out.memory_matches_golden,
             "memory image silently corrupted"
         );
     }
@@ -564,14 +538,17 @@ mod tests {
         let mut cfg = ReunionConfig::paper_baseline();
         cfg.input_incoherence_rate = 0.002;
         let out = ReunionPair::new(CoreConfig::table1(), cfg).run(&t, &[]);
-        assert!(out.incoherent_loads > 0, "{out:?}");
-        assert!(out.mismatches > 0);
-        assert_eq!(out.mismatches, out.rollbacks);
+        assert!(out.events.count(IncoherentLoad) > 0, "{out:?}");
+        assert!(out.events.count(FingerprintMismatch) > 0);
+        assert_eq!(
+            out.events.count(FingerprintMismatch),
+            out.events.count(Rollback)
+        );
         assert!(out.correct(), "{out:?}");
         // And the coherent-by-construction single-thread run pays for it.
         let clean =
             ReunionPair::new(CoreConfig::table1(), ReunionConfig::paper_baseline()).run(&t, &[]);
-        assert!(out.core.cycles > clean.core.cycles);
+        assert!(out.cycles > clean.cycles);
     }
 
     #[test]
@@ -587,8 +564,8 @@ mod tests {
             })
             .collect();
         let faulty = pair().run(&t, &faults);
-        assert!(faulty.rollbacks >= 15, "{faulty:?}");
-        assert!(faulty.core.cycles > clean.core.cycles);
+        assert!(faulty.events.count(Rollback) >= 15, "{faulty:?}");
+        assert!(faulty.cycles > clean.cycles);
         assert!(
             faulty.correct(),
             "transient pipeline faults are fully recoverable"

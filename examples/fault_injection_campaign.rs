@@ -41,9 +41,9 @@ fn main() {
         let u = unsync.run(&trace, &[fault]);
         let describe_r = if r.correct() {
             r_ok += 1;
-            if r.corrected_in_place > 0 {
+            if r.events.count(TraceEventKind::CorrectedInPlace) > 0 {
                 "ECC-corrected"
-            } else if r.rollbacks > 0 {
+            } else if r.events.count(TraceEventKind::Rollback) > 0 {
                 "rolled back"
             } else {
                 "benign"

@@ -12,7 +12,8 @@ use std::path::PathBuf;
 
 use proptest::prelude::*;
 use unsync_bench::campaign::run_collected;
-use unsync_bench::{normalized_lines, CampaignEngine, CampaignGrid};
+use unsync_bench::{normalized_lines, CampaignEngine, CampaignGrid, Json};
+use unsync_fault::roec::StrikeOutcome;
 use unsync_fault::uncore::StrikePlan;
 use unsync_mem::L2ContentionConfig;
 use unsync_workloads::WorkloadSpec;
@@ -118,6 +119,29 @@ fn campaign_resumes_killed_run_to_identical_bytes() {
         reference,
         "resumed log diverged from the uninterrupted run"
     );
+}
+
+/// Every scheme table row runs on a strike grid, not only the three of
+/// the default ROEC grid: lockstep, the rollback schemes and the
+/// one-replica checkpoint scheme too.
+#[test]
+fn strike_grid_over_the_other_table_schemes_is_deterministic() {
+    let grid = CampaignGrid {
+        name: "campaign_det_table".into(),
+        schemes: vec!["lockstep", "reunion", "checkpoint", "flex"],
+        ..strike_grid()
+    };
+    let one = engine_lines(&grid, 1, "table_1");
+    assert_eq!(one.len(), grid.len() + 1);
+    assert_eq!(engine_lines(&grid, 2, "table_2"), one);
+    for line in &one[1..] {
+        let json = Json::parse(line).expect("record parses");
+        let label = json.get("outcome").and_then(Json::as_str);
+        assert!(
+            label.and_then(StrikeOutcome::from_label).is_some(),
+            "{line}"
+        );
+    }
 }
 
 #[test]

@@ -5,6 +5,7 @@
 //! asserted over the sweep — not exact numbers — so they survive timing
 //! retunes.
 
+use unsync::prelude::TraceEventKind::{Detection, FingerprintMismatch, Rollback, WindowCompared};
 use unsync::prelude::*;
 
 /// Doubling window sweep, 1 → 1024.
@@ -14,9 +15,15 @@ const WINDOWS: [u32; 11] = [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024];
 /// the error-free compare count is exactly `n / W`.
 const INSTS: u64 = 2_048;
 
-fn run(window: u32, faults: &[PairFault]) -> FlexOutcome {
+fn run(window: u32, faults: &[PairFault]) -> RunResult {
     let t = WorkloadGen::new(Benchmark::Gzip, INSTS, 5).collect_trace();
     FlexPair::new(CoreConfig::table1(), FlexConfig::with_window(window)).run(&t, faults)
+}
+
+/// Average pending stores observed per window boundary.
+fn occupancy(out: &RunResult) -> f64 {
+    let compares = out.events.count(WindowCompared);
+    out.events.sum(WindowCompared) as f64 / compares as f64
 }
 
 fn rob_strike(at: u64) -> PairFault {
@@ -33,10 +40,10 @@ fn rob_strike(at: u64) -> PairFault {
 
 #[test]
 fn error_free_compare_count_never_increases_with_the_window() {
-    let outs: Vec<FlexOutcome> = WINDOWS.iter().map(|&w| run(w, &[])).collect();
+    let outs: Vec<RunResult> = WINDOWS.iter().map(|&w| run(w, &[])).collect();
     for (i, out) in outs.iter().enumerate() {
         assert_eq!(
-            out.compares,
+            out.events.count(WindowCompared),
             INSTS / u64::from(WINDOWS[i]),
             "window {}",
             WINDOWS[i]
@@ -44,7 +51,7 @@ fn error_free_compare_count_never_increases_with_the_window() {
         assert!(out.correct(), "window {}: {out:?}", WINDOWS[i]);
     }
     for pair in outs.windows(2) {
-        assert!(pair[1].compares <= pair[0].compares);
+        assert!(pair[1].events.count(WindowCompared) <= pair[0].events.count(WindowCompared));
     }
 }
 
@@ -53,14 +60,18 @@ fn detection_latency_never_decreases_and_compares_never_increase() {
     // Several strike points so the invariant is not an artifact of one
     // alignment (window boundaries shift relative to `at`).
     for at in [137u64, 777, 1_500] {
-        let outs: Vec<FlexOutcome> = WINDOWS.iter().map(|&w| run(w, &[rob_strike(at)])).collect();
+        let outs: Vec<RunResult> = WINDOWS.iter().map(|&w| run(w, &[rob_strike(at)])).collect();
         for (i, out) in outs.iter().enumerate() {
             let w = WINDOWS[i];
-            assert_eq!(out.mismatches, 1, "window {w}, strike {at}");
-            assert_eq!(out.rollbacks, 1, "window {w}, strike {at}");
+            assert_eq!(
+                out.events.count(FingerprintMismatch),
+                1,
+                "window {w}, strike {at}"
+            );
+            assert_eq!(out.events.count(Rollback), 1, "window {w}, strike {at}");
             // An in-window strike is caught at its own window boundary.
             assert_eq!(
-                out.detection_latency_insts,
+                out.events.sum(Detection),
                 u64::from(w) - at % u64::from(w),
                 "window {w}, strike {at}"
             );
@@ -68,13 +79,13 @@ fn detection_latency_never_decreases_and_compares_never_increase() {
         }
         for (pair, w) in outs.windows(2).zip(WINDOWS.windows(2)) {
             assert!(
-                pair[1].detection_latency_insts >= pair[0].detection_latency_insts,
+                pair[1].events.sum(Detection) >= pair[0].events.sum(Detection),
                 "strike {at}: latency shrank going from window {} to {}",
                 w[0],
                 w[1]
             );
             assert!(
-                pair[1].compares <= pair[0].compares,
+                pair[1].events.count(WindowCompared) <= pair[0].events.count(WindowCompared),
                 "strike {at}: compare count grew going from window {} to {}",
                 w[0],
                 w[1]
@@ -85,11 +96,11 @@ fn detection_latency_never_decreases_and_compares_never_increase() {
 
 #[test]
 fn store_buffer_occupancy_scales_with_the_window() {
-    let outs: Vec<FlexOutcome> = WINDOWS.iter().map(|&w| run(w, &[])).collect();
+    let outs: Vec<RunResult> = WINDOWS.iter().map(|&w| run(w, &[])).collect();
     // CB/CSB pressure grows with granularity: the coarsest window must
     // buffer strictly more unverified stores on average than the finest.
     assert!(
-        outs.last().unwrap().avg_store_occupancy > outs[0].avg_store_occupancy,
+        occupancy(outs.last().unwrap()) > occupancy(&outs[0]),
         "{:?} vs {:?}",
         outs.last().unwrap(),
         outs[0]
@@ -97,7 +108,7 @@ fn store_buffer_occupancy_scales_with_the_window() {
     // And the trend is monotone across the doubling sweep.
     for pair in outs.windows(2) {
         assert!(
-            pair[1].avg_store_occupancy >= pair[0].avg_store_occupancy,
+            occupancy(&pair[1]) >= occupancy(&pair[0]),
             "{:?} vs {:?}",
             pair[1],
             pair[0]

@@ -52,7 +52,10 @@ fn system_and_pair_agree_for_one_pair() {
     let pair_out =
         UnsyncPair::new(CoreConfig::table1(), UnsyncConfig::paper_baseline()).run(&t, &[]);
     assert_eq!(sys_out.pairs[0].cycles, pair_out.cycles);
-    assert_eq!(sys_out.pairs[0].cb_drained, pair_out.cb_drained);
+    assert_eq!(
+        sys_out.pairs[0].cb_drained,
+        pair_out.events.sum(TraceEventKind::CbDrain)
+    );
 }
 
 #[test]

@@ -125,16 +125,16 @@ fn new_schemes_are_deterministic_across_repeated_same_seed_runs() {
 
     let tmr = || TmrTriple::new(CoreConfig::table1()).run(&t, &[strike(2)]);
     let tmr_ref = tmr();
-    assert_eq!(tmr_ref.corrections, 1);
+    assert_eq!(tmr_ref.events.count(TraceEventKind::Corrected), 1);
 
     let flex =
         || FlexPair::new(CoreConfig::table1(), FlexConfig::with_window(64)).run(&t, &[strike(1)]);
     let flex_ref = flex();
-    assert_eq!(flex_ref.rollbacks, 1);
+    assert_eq!(flex_ref.events.count(TraceEventKind::Rollback), 1);
 
     let secded = || SecdedOnlyCore::new(CoreConfig::table1()).run(&t, &[strike(0)]);
     let secded_ref = secded();
-    assert_eq!(secded_ref.corrected_in_place, 1);
+    assert_eq!(secded_ref.events.count(TraceEventKind::CorrectedInPlace), 1);
 
     for _ in 0..2 {
         assert_eq!(tmr(), tmr_ref, "TMR diverged on a same-seed rerun");
@@ -273,7 +273,7 @@ fn lockstep_pair_is_deterministic_across_repeated_runs() {
     };
     for window in [1, 8, 64] {
         let reference = run(window);
-        assert!(reference.core.cycles > 0);
+        assert!(reference.cycles > 0);
         for _ in 0..2 {
             assert_eq!(run(window), reference, "window {window} diverged");
         }
@@ -303,7 +303,7 @@ fn nway_group_is_deterministic_across_repeated_runs() {
                 .run(&t, &faults)
         };
         let reference = run();
-        assert_eq!(reference.core.recoveries, ways as u64, "{ways}-way");
+        assert_eq!(reference.recoveries, ways as u64, "{ways}-way");
         for _ in 0..2 {
             assert_eq!(run(), reference, "{ways}-way group diverged");
         }

@@ -7,6 +7,7 @@
 //! and counted as such.
 
 use proptest::prelude::*;
+use unsync::prelude::TraceEventKind::{Corrected, Rollback, Unrecoverable};
 use unsync::prelude::*;
 
 fn arb_target() -> impl Strategy<Value = FaultTarget> {
@@ -37,11 +38,11 @@ proptest! {
             kind: unsync_fault::FaultKind::Single,
         };
         let out = TmrTriple::new(CoreConfig::table1()).run(&t, &[fault]);
-        prop_assert_eq!(out.rollbacks, 0, "TMR never rolls back: {:?}", out);
-        prop_assert!(out.corrections >= 1, "{:?} -> {:?}", fault, out);
-        prop_assert_eq!(out.uncorrectable_votes, 0);
+        prop_assert_eq!(out.events.count(Rollback), 0, "TMR never rolls back: {:?}", out);
+        prop_assert!(out.events.count(Corrected) >= 1, "{:?} -> {:?}", fault, out);
+        prop_assert_eq!(out.events.count(Unrecoverable), 0);
         prop_assert!(out.correct(), "{:?} -> {:?}", fault, out);
-        prop_assert_eq!(out.core.committed, 2_000);
+        prop_assert_eq!(out.committed, 2_000);
     }
 }
 
@@ -69,10 +70,10 @@ proptest! {
             })
             .collect();
         let out = TmrTriple::new(CoreConfig::table1()).run(&t, &faults);
-        prop_assert_eq!(out.rollbacks, 0);
-        prop_assert_eq!(out.corrections, 0, "{:?}", out);
-        prop_assert!(out.core.detections >= 1, "{:?}", out);
-        prop_assert!(out.uncorrectable_votes >= 1, "{:?}", out);
+        prop_assert_eq!(out.events.count(Rollback), 0);
+        prop_assert_eq!(out.events.count(Corrected), 0, "{:?}", out);
+        prop_assert!(out.detections >= 1, "{:?}", out);
+        prop_assert!(out.events.count(Unrecoverable) >= 1, "{:?}", out);
         prop_assert!(!out.correct(), "an outvoted clean replica cannot be correct: {:?}", out);
     }
 }
