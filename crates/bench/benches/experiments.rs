@@ -4,6 +4,7 @@
 
 use unsync_bench::experiments::{self, ExperimentConfig};
 use unsync_bench::microbench::Bench;
+use unsync_bench::Runner;
 use unsync_core::{UnsyncConfig, UnsyncPair};
 use unsync_reunion::{ReunionConfig, ReunionPair};
 use unsync_sim::{run_baseline, CoreConfig};
@@ -102,10 +103,14 @@ fn bench_comparators_and_extensions() {
 fn bench_reliability() {
     let mut g = Bench::group("reliability");
     g.bench("ser-sweep", || {
-        experiments::ser_sweep(ExperimentConfig::quick(), &[Benchmark::Gzip])
+        experiments::ser_sweep_on(
+            Runner::new(1),
+            ExperimentConfig::quick(),
+            &[Benchmark::Gzip],
+        )
     });
     g.bench("roec-campaign", || {
-        experiments::roec(ExperimentConfig::quick(), 6)
+        experiments::roec_on(Runner::new(1), ExperimentConfig::quick(), 6)
     });
 }
 

@@ -17,7 +17,7 @@
 
 use unsync_bench::campaign::{normalized_lines, run_collected, CampaignEngine, CampaignGrid};
 use unsync_bench::roec_uncore::SCHEMES;
-use unsync_bench::{runlog, scheme, Runner};
+use unsync_bench::{env, runlog, scheme, Runner};
 use unsync_fault::uncore::StrikePlan;
 use unsync_mem::L2ContentionConfig;
 use unsync_workloads::WorkloadSpec;
@@ -101,13 +101,10 @@ fn run_grid(grid: &CampaignGrid, workers: usize, resume: bool) -> Result<(), Str
 }
 
 fn main() {
-    let seed = std::env::var("UNSYNC_SEED")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(11);
+    let seed = env::or_exit(env::var("UNSYNC_SEED")).unwrap_or(11);
+    let workers = env::or_exit(Runner::from_env()).workers();
     let smoke = env_flag("UNSYNC_CAMPAIGN_SMOKE");
     let resume = env_flag("UNSYNC_CAMPAIGN_RESUME_ONLY");
-    let workers = Runner::from_env().workers();
     for grid in [uncore_grid(seed, smoke), compare_grid(seed, smoke)] {
         if let Err(e) = run_grid(&grid, workers, resume) {
             eprintln!("error: campaign {}: {e}", grid.name);

@@ -103,7 +103,7 @@ fn run_timeline(args: &[String]) -> ExitCode {
     if !args.is_empty() {
         return usage();
     }
-    let cfg = TimelineScenarioConfig::from_env();
+    let cfg = unsync_bench::env::or_exit(TimelineScenarioConfig::from_env());
     let timeline = unsync_bench::build_timeline(&cfg);
     print!("{}", timeline.render_summary(72));
     ExitCode::SUCCESS

@@ -12,40 +12,31 @@
 //! benchmark name such as `gzip`, or a real-ISA kernel such as
 //! `kernel:crc32`; default `gzip`).
 
+use unsync_bench::env;
 use unsync_bench::lanesweep::{run_sweep, summary_json, sweep_log, LaneSweepConfig};
 use unsync_workloads::WorkloadSpec;
 
 /// Where the machine-readable summary lands (workspace root under CI).
 const OUT_PATH: &str = "BENCH_lanesweep.json";
 
-fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok()?.trim().parse().ok()
+/// The sweep config from the environment over the full default sweep.
+fn config() -> Result<LaneSweepConfig, String> {
+    let mut cfg = LaneSweepConfig::full(env::var("UNSYNC_SEED")?.unwrap_or(11));
+    if let Some(insts) = env::var("UNSYNC_INSTS")? {
+        cfg.insts_per_lane = insts as usize;
+    }
+    if let Some(counts) = env::var_list("UNSYNC_LANES")? {
+        cfg.lane_counts = counts.into_iter().map(|n| n as usize).collect();
+    }
+    if let Ok(name) = std::env::var("UNSYNC_WORKLOAD") {
+        cfg.workload =
+            WorkloadSpec::parse(name.trim()).map_err(|e| format!("UNSYNC_WORKLOAD: {e}"))?;
+    }
+    Ok(cfg)
 }
 
 fn main() {
-    let seed = env_u64("UNSYNC_SEED").unwrap_or(11);
-    let mut cfg = LaneSweepConfig::full(seed);
-    if let Some(insts) = env_u64("UNSYNC_INSTS") {
-        cfg.insts_per_lane = insts as usize;
-    }
-    if let Ok(spec) = std::env::var("UNSYNC_LANES") {
-        let counts: Vec<usize> = spec
-            .split(',')
-            .filter_map(|s| s.trim().parse().ok())
-            .collect();
-        if !counts.is_empty() {
-            cfg.lane_counts = counts;
-        }
-    }
-    if let Ok(name) = std::env::var("UNSYNC_WORKLOAD") {
-        match WorkloadSpec::parse(name.trim()) {
-            Ok(spec) => cfg.workload = spec,
-            Err(e) => {
-                eprintln!("error: UNSYNC_WORKLOAD: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
+    let cfg = env::or_exit(config());
     println!(
         "Lane sweep over contended shared L2 ({} × {} insts/lane, seed {}, {} banks × {}-cycle ports, {} MSHRs)",
         cfg.workload.name(),

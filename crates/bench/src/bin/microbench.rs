@@ -16,7 +16,7 @@
 //! `UNSYNC_BENCH_MS` scales the per-bench budget (CI smoke uses 20 ms);
 //! `UNSYNC_BENCH_FILTER` selects a subset by substring.
 
-use unsync_bench::microbench::{bb, Bench, BenchResult};
+use unsync_bench::microbench::{self, bb, Bench, BenchResult};
 use unsync_bench::runlog::Json;
 use unsync_core::{UnsyncConfig, UnsyncPair, UnsyncSystem};
 use unsync_isa::{golden_run, ArchMemory};
@@ -251,7 +251,7 @@ fn obs_benches(results: &mut Vec<BenchResult>) {
     results.extend(g.into_results());
 }
 
-fn write_json(results: &[BenchResult]) {
+fn write_json(results: &[BenchResult], bench_ms: u64) {
     let rows: Vec<Json> = results
         .iter()
         .map(|r| {
@@ -266,13 +266,7 @@ fn write_json(results: &[BenchResult]) {
         .collect();
     let doc = Json::obj()
         .field("schema", 1u64)
-        .field(
-            "bench_ms",
-            std::env::var("UNSYNC_BENCH_MS")
-                .ok()
-                .and_then(|v| v.trim().parse::<u64>().ok())
-                .unwrap_or(300),
-        )
+        .field("bench_ms", bench_ms)
         .field("results", Json::Arr(rows));
     let mut text = doc.render();
     text.push('\n');
@@ -286,6 +280,7 @@ fn write_json(results: &[BenchResult]) {
 }
 
 fn main() {
+    let bench_ms = unsync_bench::env::or_exit(microbench::bench_ms());
     let mut results = Vec::new();
     mem_benches(&mut results);
     driver_benches(&mut results);
@@ -299,5 +294,5 @@ fn main() {
         !results.is_empty(),
         "UNSYNC_BENCH_FILTER removed every bench"
     );
-    write_json(&results);
+    write_json(&results, bench_ms);
 }

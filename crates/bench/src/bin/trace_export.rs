@@ -14,13 +14,13 @@
 //! additionally dumps the metrics registry — including the host-domain
 //! `prof.*` histograms — after the export.
 
-use unsync_bench::runlog;
 use unsync_bench::timeline::TimelineScenarioConfig;
 use unsync_bench::Json;
+use unsync_bench::{env, runlog};
 use unsync_obs::prof;
 
 fn main() {
-    let cfg = TimelineScenarioConfig::from_env();
+    let cfg = env::or_exit(TimelineScenarioConfig::from_env());
     let timeline = {
         let _t = prof::scope("trace_export.build");
         unsync_bench::build_timeline(&cfg)

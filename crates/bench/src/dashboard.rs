@@ -22,7 +22,7 @@
 //!   perf-regression gate.
 //!
 //! Metrics snapshots are cumulative within one process, and several
-//! bins may append to one registry lifetime (`--bin all`), so a metric
+//! rows may append to one registry lifetime (`paper all`), so a metric
 //! observed in multiple files is aggregated by **max** (counters are
 //! monotonic; the largest snapshot is the most complete one).
 //! Histograms aggregate by largest observation count for the same

@@ -9,7 +9,9 @@ use unsync_reunion::{ReunionConfig, ReunionPair};
 use unsync_sim::CoreConfig;
 use unsync_workloads::{Benchmark, Kernel, SyntheticSource, WorkloadSource};
 
-use crate::runner::Runner;
+// Baseline cycles are memoized process-wide, so every figure
+// normalizing against the same baseline shares one simulation.
+use crate::runner::{baseline_cycles, Runner};
 use crate::scheme;
 
 /// Common knobs for the simulation experiments.
@@ -39,29 +41,20 @@ impl ExperimentConfig {
         }
     }
 
-    /// Reads overrides from the environment: `UNSYNC_INSTS` and
-    /// `UNSYNC_SEED` scale every experiment binary without recompiling.
-    pub fn from_env() -> Self {
+    /// Reads overrides from the environment: `UNSYNC_INSTS` (at least
+    /// 1 000) and `UNSYNC_SEED` scale every experiment without
+    /// recompiling. A malformed or too-small value is an error naming
+    /// the variable.
+    pub fn from_env() -> Result<Self, String> {
         let mut cfg = Self::default();
-        if let Ok(v) = std::env::var("UNSYNC_INSTS") {
-            if let Ok(n) = v.trim().parse::<u64>() {
-                cfg.inst_count = n.max(1_000);
-            }
+        if let Some(n) = crate::env::var_at_least("UNSYNC_INSTS", 1_000)? {
+            cfg.inst_count = n;
         }
-        if let Ok(v) = std::env::var("UNSYNC_SEED") {
-            if let Ok(s) = v.trim().parse::<u64>() {
-                cfg.seed = s;
-            }
+        if let Some(s) = crate::env::var("UNSYNC_SEED")? {
+            cfg.seed = s;
         }
-        cfg
+        Ok(cfg)
     }
-}
-
-/// Baseline cycles for one benchmark trace — memoized process-wide so
-/// every figure normalizing against the same baseline shares one
-/// simulation (see [`crate::runner::baseline_cycles`]).
-fn baseline_cycles(bench: Benchmark, cfg: ExperimentConfig) -> u64 {
-    crate::runner::baseline_cycles(bench, cfg)
 }
 
 fn trace(bench: Benchmark, cfg: ExperimentConfig) -> TraceProgram {
@@ -97,13 +90,9 @@ pub struct Fig4Row {
 /// Fig. 4: per-benchmark runtime overhead of Reunion (FI = 10) and UnSync
 /// relative to the unprotected baseline CMP. The paper's claims: Reunion
 /// averages ≈8 % and exceeds 10 % on bzip2/ammp/galgel (which have 2 %,
-/// 1.7 % and 1 % serializing instructions); UnSync stays ≈2 %.
-pub fn fig4(cfg: ExperimentConfig) -> Vec<Fig4Row> {
-    fig4_on(Runner::from_env(), cfg)
-}
-
-/// [`fig4`] on an explicit runner — results are identical at any worker
-/// count (the determinism regression tests rely on this).
+/// 1.7 % and 1 % serializing instructions); UnSync stays ≈2 %. Results
+/// are identical at any worker count (the determinism regression tests
+/// rely on this).
 pub fn fig4_on(runner: Runner, cfg: ExperimentConfig) -> Vec<Fig4Row> {
     per_benchmark(runner, Benchmark::all(), |bench| {
         let t = trace(bench, cfg);
@@ -151,11 +140,6 @@ pub const FIG5_POINTS: [(u32, u32); 5] = [(1, 10), (5, 15), (10, 20), (20, 30), 
 /// Fig. 5: Reunion's sensitivity to fingerprint interval and comparison
 /// latency. The paper: ammp and galgel degrade steeply (ROB saturation),
 /// reaching −27 % and −41 % at (30, 40); UnSync is flat.
-pub fn fig5(cfg: ExperimentConfig, benches: &[Benchmark]) -> Vec<Fig5Cell> {
-    fig5_on(Runner::from_env(), cfg, benches)
-}
-
-/// [`fig5`] on an explicit runner.
 pub fn fig5_on(runner: Runner, cfg: ExperimentConfig, benches: &[Benchmark]) -> Vec<Fig5Cell> {
     let mut cells = Vec::new();
     for &(fi, latency) in &FIG5_POINTS {
@@ -208,11 +192,6 @@ pub const FIG6_SIZES: [usize; 6] = [16, 64, 256, 1024, 2048, 4096];
 
 /// Fig. 6: UnSync runtime across CB sizes. The paper: small CBs stall the
 /// cores; 2 KB / 4 KB buffers eliminate the bottleneck entirely.
-pub fn fig6(cfg: ExperimentConfig, benches: &[Benchmark]) -> Vec<Fig6Row> {
-    fig6_on(Runner::from_env(), cfg, benches)
-}
-
-/// [`fig6`] on an explicit runner.
 pub fn fig6_on(runner: Runner, cfg: ExperimentConfig, benches: &[Benchmark]) -> Vec<Fig6Row> {
     let mut rows = Vec::new();
     for &bytes in &FIG6_SIZES {
@@ -261,11 +240,6 @@ pub struct SerSweep {
 /// as the paper does — measure error-free runtime and per-error recovery
 /// cost, then project. Uses recoverable in-pipeline faults (ROB strikes)
 /// to measure the per-event costs.
-pub fn ser_sweep(cfg: ExperimentConfig, benches: &[Benchmark]) -> SerSweep {
-    ser_sweep_on(Runner::from_env(), cfg, benches)
-}
-
-/// [`ser_sweep`] on an explicit runner.
 pub fn ser_sweep_on(runner: Runner, cfg: ExperimentConfig, benches: &[Benchmark]) -> SerSweep {
     // Per-benchmark error-free cycles and per-event costs, averaged.
     let measures = per_benchmark(runner, benches, |bench| {
@@ -384,11 +358,6 @@ fn target_name(t: FaultTarget) -> &'static str {
 /// architecture and verifies program outcomes against the golden run.
 /// TLB strikes are snapped to store instructions (the mistranslated-store
 /// case is the one that escapes Reunion's fingerprint).
-pub fn roec(cfg: ExperimentConfig, campaigns: u64) -> RoecReport {
-    roec_on(Runner::from_env(), cfg, campaigns)
-}
-
-/// [`roec`] on an explicit runner.
 pub fn roec_on(runner: Runner, cfg: ExperimentConfig, campaigns: u64) -> RoecReport {
     let bench = Benchmark::Gzip;
     let t = trace(bench, cfg);
@@ -516,13 +485,43 @@ pub const COMPARATOR_BENCHES: [Benchmark; 5] = [
     Benchmark::Qsort,
 ];
 
+/// The Fig. 5 benchmarks: the paper's highlighted ammp and galgel, plus
+/// a cache-resident MiBench kernel and a memory-bound code.
+pub const FIG5_BENCHES: [Benchmark; 5] = [
+    Benchmark::Ammp,
+    Benchmark::Galgel,
+    Benchmark::Sha,
+    Benchmark::Bzip2,
+    Benchmark::Mcf,
+];
+
+/// The Fig. 6 benchmarks: the store-heavy workloads that pressure the
+/// CB hardest.
+pub const FIG6_BENCHES: [Benchmark; 5] = [
+    Benchmark::Qsort,
+    Benchmark::Rijndael,
+    Benchmark::Bzip2,
+    Benchmark::Gzip,
+    Benchmark::Stringsearch,
+];
+
+/// The benchmarks the §VI-C SER sweep averages over.
+pub const SER_BENCHES: [Benchmark; 8] = [
+    Benchmark::Bzip2,
+    Benchmark::Gzip,
+    Benchmark::Ammp,
+    Benchmark::Galgel,
+    Benchmark::Qsort,
+    Benchmark::Sha,
+    Benchmark::Dijkstra,
+    Benchmark::Fft,
+];
+
+/// Single faults the §VI-D ROEC study injects into each architecture.
+pub const ROEC_CAMPAIGNS: u64 = 60;
+
 /// Error-free runtime overhead of every redundancy discipline —
 /// lockstep, Reunion, checkpointing, UnSync — on identical workloads.
-pub fn comparators(cfg: ExperimentConfig) -> Vec<ComparatorRow> {
-    comparators_on(Runner::from_env(), cfg)
-}
-
-/// [`comparators`] on an explicit runner.
 pub fn comparators_on(runner: Runner, cfg: ExperimentConfig) -> Vec<ComparatorRow> {
     per_benchmark(runner, &COMPARATOR_BENCHES, |bench| {
         let t = trace(bench, cfg);
@@ -576,13 +575,6 @@ pub struct SchemeValuesRow {
 /// every row simulates three schemes).
 pub const SCHEME_BENCHES: [Benchmark; 3] = [Benchmark::Bzip2, Benchmark::Sha, Benchmark::Qsort];
 
-/// Counter rows for the three PR-3 schemes under one mid-trace ROB
-/// strike each (core 1 for the redundant schemes, core 0 for the single
-/// SECDED lane), exercising detection, correction, and comparison paths.
-pub fn scheme_values(cfg: ExperimentConfig) -> Vec<SchemeValuesRow> {
-    scheme_values_on(Runner::from_env(), cfg)
-}
-
 /// The three PR-3 schemes on one trace under the fixed mid-trace ROB
 /// strike — shared by the synthetic and kernel scheme-values studies.
 fn scheme_values_for(
@@ -628,7 +620,9 @@ fn scheme_values_row(bench: &'static str, scheme: &'static str, r: &RunResult) -
     }
 }
 
-/// [`scheme_values`] on an explicit runner.
+/// Counter rows for the three PR-3 schemes under one mid-trace ROB
+/// strike each (core 1 for the redundant schemes, core 0 for the single
+/// SECDED lane), exercising detection, correction, and comparison paths.
 pub fn scheme_values_on(runner: Runner, cfg: ExperimentConfig) -> Vec<SchemeValuesRow> {
     let rows = per_benchmark(runner, &SCHEME_BENCHES, |bench| {
         scheme_values_for(bench.name(), &trace(bench, cfg), cfg)
@@ -671,7 +665,7 @@ mod tests {
 
     #[test]
     fn fig4_has_all_benchmarks_and_the_paper_shape() {
-        let rows = fig4(quick());
+        let rows = fig4_on(Runner::new(2), quick());
         assert_eq!(rows.len(), unsync_workloads::Benchmark::all().len());
         // UnSync is cheaper than Reunion on average.
         let avg_r: f64 = rows.iter().map(|r| r.reunion_overhead).sum::<f64>() / rows.len() as f64;
@@ -682,7 +676,7 @@ mod tests {
 
     #[test]
     fn fig5_degrades_with_fi_and_latency() {
-        let cells = fig5(quick(), &[Benchmark::Galgel]);
+        let cells = fig5_on(Runner::new(2), quick(), &[Benchmark::Galgel]);
         assert_eq!(cells.len(), FIG5_POINTS.len());
         let first = cells.first().unwrap();
         let last = cells.last().unwrap();
@@ -693,7 +687,7 @@ mod tests {
 
     #[test]
     fn fig6_small_cb_is_worse() {
-        let rows = fig6(quick(), &[Benchmark::Rijndael]);
+        let rows = fig6_on(Runner::new(2), quick(), &[Benchmark::Rijndael]);
         let tiny = rows.iter().find(|r| r.cb_bytes == 16).unwrap();
         let big = rows.iter().find(|r| r.cb_bytes == 4096).unwrap();
         assert!(tiny.unsync_norm >= big.unsync_norm, "{tiny:?} vs {big:?}");
@@ -702,7 +696,7 @@ mod tests {
 
     #[test]
     fn ser_sweep_is_flat_at_realistic_rates_with_a_break_even() {
-        let s = ser_sweep(quick(), &[Benchmark::Gzip, Benchmark::Sha]);
+        let s = ser_sweep_on(Runner::new(2), quick(), &[Benchmark::Gzip, Benchmark::Sha]);
         // Flat from 1e-17 to 1e-7 (the paper's observation).
         let ipc_at = |rate: f64, v: &[f64]| {
             let i = s
@@ -724,7 +718,7 @@ mod tests {
 
     #[test]
     fn scheme_values_exercise_every_scheme_path() {
-        let rows = scheme_values(quick());
+        let rows = scheme_values_on(Runner::new(2), quick());
         assert_eq!(rows.len(), SCHEME_BENCHES.len() * 3);
         for r in &rows {
             match r.scheme {
@@ -749,7 +743,7 @@ mod tests {
 
     #[test]
     fn roec_unsync_dominates() {
-        let r = roec(quick(), 12);
+        let r = roec_on(Runner::new(2), quick(), 12);
         assert!(r.unsync_roec > r.reunion_roec);
         assert_eq!(r.unsync.injected, 12);
         assert_eq!(

@@ -7,13 +7,14 @@
 //! mispredict rate, memory footprint, and baseline core performance —
 //! everything the profile tables assume — and renders them as the
 //! committed `KERNEL_stats.json` document plus a dashboard-diffable
-//! `kernelstats` run log (see the `kernel_stats` binary).
+//! `kernel_stats` run log (see the `kernel_stats` row of
+//! [`crate::experiment::TABLE`]).
 
 use unsync_isa::OpClass;
 use unsync_sim::{run_baseline, CoreConfig};
 use unsync_workloads::Kernel;
 
-use crate::runlog::{Json, RunLog};
+use crate::runlog::Json;
 use crate::ExperimentConfig;
 
 /// Measured statistics of one kernel at one `(length, seed)` point.
@@ -105,16 +106,6 @@ pub fn stats_json(cfg: ExperimentConfig, rows: &[KernelStatsRow]) -> Json {
         .field("inst_count", cfg.inst_count)
         .field("seed", cfg.seed)
         .field("kernels", Json::Arr(rows.iter().map(row_json).collect()))
-}
-
-/// Builds the `kernelstats` JSONL run log (header + one record per
-/// kernel) so same-seed reruns diff to zero through `dashboard --diff`.
-pub fn stats_log(cfg: ExperimentConfig, rows: &[KernelStatsRow]) -> RunLog {
-    let mut log = RunLog::start("kernelstats", cfg);
-    for r in rows {
-        log.record(row_json(r));
-    }
-    log
 }
 
 #[cfg(test)]

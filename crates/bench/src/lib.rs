@@ -2,9 +2,11 @@
 //!
 //! The experiment harness: regenerates every table and figure of the
 //! UnSync paper's evaluation (§V–§VI) from the simulator and hardware
-//! models. Each `table*`/`fig*`/`ser_sweep`/`roec` binary prints the
-//! corresponding artifact; [`experiments`] holds the reusable experiment
-//! drivers and [`render`] the text output.
+//! models. Every artifact and extension study is one row of
+//! [`experiment::TABLE`], run by `--bin paper -- <name>`;
+//! [`experiments`] holds the reusable experiment drivers, [`render`]
+//! the text output and [`env`](mod@env) the one reader of the
+//! `UNSYNC_*` knobs.
 //!
 //! Every parallel path — the figure and ROEC sweeps as well as the
 //! [`campaign`] engine, which runs each chunk of a grid through it —
@@ -12,14 +14,16 @@
 //! (scoped standard-library threads, no external crates). Each
 //! simulation is itself single-threaded and deterministic, and every
 //! job draws randomness only from its own seed-derived stream, so
-//! results are bit-identical at any worker count. Binaries
-//! additionally emit machine-readable JSONL run logs via [`runlog`].
+//! results are bit-identical at any worker count. Every row also
+//! leaves a machine-readable JSONL run log via [`runlog`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod campaign;
 pub mod dashboard;
+pub mod env;
+pub mod experiment;
 pub mod experiments;
 pub mod kernelstats;
 pub mod lanesweep;
@@ -37,12 +41,11 @@ pub use campaign::{
     JobKind,
 };
 pub use experiments::{
-    fig4, fig5, fig6, roec, scheme_values, ser_sweep, ExperimentConfig, Fig4Row, Fig5Cell, Fig6Row,
-    RoecReport, SchemeValuesRow, SerSweep,
+    ExperimentConfig, Fig4Row, Fig5Cell, Fig6Row, RoecReport, SchemeValuesRow, SerSweep,
 };
 pub use lanesweep::{run_sweep, sweep_point, LaneSweepConfig, LaneSweepRow};
 pub use roec_uncore::{run_campaign, RoecUncoreConfig, StrikeRecord};
 pub use runlog::{Json, RunLog};
 pub use runner::{baseline_cycles, job_seed, job_seed_named, job_stream, Runner};
-pub use stats::{multi_seed, Summary};
+pub use stats::Summary;
 pub use timeline::{build_timeline, plan_strikes, TimelineScenarioConfig};

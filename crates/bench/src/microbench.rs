@@ -35,6 +35,12 @@ pub struct BenchResult {
     pub batch: u64,
 }
 
+/// The per-bench time budget in milliseconds: `UNSYNC_BENCH_MS`,
+/// default 300.
+pub fn bench_ms() -> Result<u64, String> {
+    Ok(crate::env::var("UNSYNC_BENCH_MS")?.unwrap_or(300))
+}
+
 /// A group of related micro-benchmarks sharing one stdout table.
 pub struct Bench {
     group: String,
@@ -46,10 +52,7 @@ pub struct Bench {
 impl Bench {
     /// A named group; reads `UNSYNC_BENCH_MS` / `UNSYNC_BENCH_FILTER`.
     pub fn group(name: &str) -> Bench {
-        let ms = std::env::var("UNSYNC_BENCH_MS")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .unwrap_or(300);
+        let ms = crate::env::or_exit(bench_ms());
         let filter = std::env::var("UNSYNC_BENCH_FILTER")
             .ok()
             .filter(|f| !f.is_empty());

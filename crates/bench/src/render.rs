@@ -357,6 +357,7 @@ pub mod jsonl {
 mod tests {
     use super::*;
     use crate::experiments::{self, ExperimentConfig};
+    use crate::runner::Runner;
     use unsync_workloads::Benchmark;
 
     #[test]
@@ -365,7 +366,7 @@ mod tests {
             inst_count: 3_000,
             seed: 1,
         };
-        let rows = experiments::fig6(cfg, &[Benchmark::Sha]);
+        let rows = experiments::fig6_on(Runner::new(1), cfg, &[Benchmark::Sha]);
         let c = csv::fig6(&rows);
         let lines: Vec<&str> = c.lines().collect();
         assert_eq!(lines.len(), rows.len() + 1);
@@ -381,9 +382,10 @@ mod tests {
             inst_count: 3_000,
             seed: 1,
         };
-        let f6 = fig6(&experiments::fig6(cfg, &[Benchmark::Sha]));
+        let (r, sha) = (Runner::new(1), [Benchmark::Sha]);
+        let f6 = fig6(&experiments::fig6_on(r, cfg, &sha));
         assert!(f6.contains("CB size"));
-        let f5 = fig5(&experiments::fig5(cfg, &[Benchmark::Sha]));
+        let f5 = fig5(&experiments::fig5_on(r, cfg, &sha));
         assert!(f5.contains("latency"));
     }
 }

@@ -50,7 +50,7 @@ use unsync_sim::CoreConfig;
 use unsync_workloads::{Benchmark, SyntheticSource, WorkloadSource};
 
 use crate::experiments::ExperimentConfig;
-use crate::runlog::{Json, RunLog};
+use crate::runlog::Json;
 use crate::runner::{golden_memory, job_seed, Runner};
 use crate::scheme;
 
@@ -97,7 +97,7 @@ impl RoecUncoreConfig {
         }
     }
 
-    fn experiment(&self) -> ExperimentConfig {
+    pub(crate) fn experiment(&self) -> ExperimentConfig {
         ExperimentConfig {
             inst_count: self.inst_count,
             seed: self.seed,
@@ -302,15 +302,6 @@ pub fn record_json(r: &StrikeRecord) -> Json {
         .field("memory_matches", u64::from(r.memory_matches))
 }
 
-/// Builds the `roec_uncore` JSONL run log for `records`.
-pub fn campaign_log(cfg: &RoecUncoreConfig, records: &[StrikeRecord]) -> RunLog {
-    let mut log = RunLog::start("roec_uncore", cfg.experiment());
-    for r in records {
-        log.record(record_json(r));
-    }
-    log
-}
-
 /// The `BENCH_roec.json` document: config echo plus one row per
 /// (structure, scheme) cell with counts and derived rates.
 pub fn summary_json(cfg: &RoecUncoreConfig, records: &[StrikeRecord]) -> Json {
@@ -348,8 +339,8 @@ pub fn render_table(records: &[StrikeRecord]) -> String {
     render_vulnerability_table(&vulnerability_table(records))
 }
 
-/// Renders a [`VulnerabilityTable`] as aligned text (the `roec`
-/// binary's uncore section and the dashboard's ROEC section share it).
+/// Renders a [`VulnerabilityTable`] as aligned text (the `roec_uncore`
+/// experiment and the dashboard's ROEC section share it).
 pub fn render_vulnerability_table(table: &VulnerabilityTable) -> String {
     let mut out = String::new();
     out.push_str(&format!(

@@ -395,7 +395,7 @@ impl From<Vec<Json>> for Json {
 pub struct RunLog {
     experiment: String,
     lines: Vec<String>,
-    started: Instant,
+    pub(crate) started: Instant,
 }
 
 impl RunLog {

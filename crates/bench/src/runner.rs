@@ -47,19 +47,15 @@ impl Runner {
         Runner { workers }
     }
 
-    /// Worker count from `UNSYNC_WORKERS`, defaulting to the machine's
-    /// available parallelism.
-    pub fn from_env() -> Self {
-        let workers = std::env::var("UNSYNC_WORKERS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&w| w > 0)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            });
-        Runner::new(workers)
+    /// Worker count from `UNSYNC_WORKERS` (at least 1), defaulting to
+    /// the machine's available parallelism. A malformed value is an
+    /// error naming the variable.
+    pub fn from_env() -> Result<Self, String> {
+        let workers = match crate::env::var_at_least("UNSYNC_WORKERS", 1)? {
+            Some(w) => w as usize,
+            None => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        };
+        Ok(Runner::new(workers))
     }
 
     /// The configured worker count.
@@ -117,12 +113,6 @@ impl Runner {
                     .expect("worker filled slot")
             })
             .collect()
-    }
-}
-
-impl Default for Runner {
-    fn default() -> Self {
-        Runner::from_env()
     }
 }
 

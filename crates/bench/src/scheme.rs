@@ -3,7 +3,7 @@
 //! [`Lane`] of a [`RedundantDriver`].
 //!
 //! The compare grids, the strike grids, the `comparators` and
-//! scheme-values experiments and `--bin campaign` all look schemes up
+//! `schemes` experiments and `--bin campaign` all look schemes up
 //! here, so a new scheme is one policy plus one row. Each row builds
 //! its policy with the arguments its typed wrapper (`UnsyncPair`,
 //! `ReunionPair`, …) uses, so a row's run and its wrapper's run are the

@@ -4,8 +4,7 @@
 //! still be made over several seeds. [`Summary`] aggregates a metric
 //! across seeds into mean, standard deviation and a 95 % confidence
 //! interval (normal approximation — adequate for the ≥5 seeds the
-//! drivers use), and [`multi_seed`] runs any experiment closure across a
-//! seed set in parallel.
+//! drivers use).
 
 use serde::Serialize;
 
@@ -52,17 +51,6 @@ impl Summary {
     }
 }
 
-/// Runs `f(seed)` for every seed on the environment-configured
-/// [`Runner`](crate::runner::Runner) and returns the results in seed
-/// order.
-pub fn multi_seed<T, F>(seeds: &[u64], f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(u64) -> T + Sync,
-{
-    crate::runner::Runner::from_env().map(seeds, |&seed| f(seed))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,14 +76,6 @@ mod tests {
         let s = Summary::of(&[7.0]);
         assert_eq!(s.mean, 7.0);
         assert_eq!(s.ci95, 0.0);
-    }
-
-    #[test]
-    fn multi_seed_preserves_order_and_determinism() {
-        let seeds = [5u64, 1, 9, 3];
-        let out = multi_seed(&seeds, |s| s * 10);
-        assert_eq!(out, vec![50, 10, 90, 30]);
-        assert_eq!(out, multi_seed(&seeds, |s| s * 10));
     }
 
     #[test]

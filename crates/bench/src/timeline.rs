@@ -49,20 +49,22 @@ impl TimelineScenarioConfig {
         }
     }
 
-    /// Reads `UNSYNC_LANES` / `UNSYNC_INSTS` / `UNSYNC_SEED` over the
-    /// defaults (unset or unparsable values keep the default).
-    pub fn from_env() -> Self {
+    /// Reads `UNSYNC_LANES` (at least 1) / `UNSYNC_INSTS` (at least
+    /// 16) / `UNSYNC_SEED` over the defaults; unset values keep the
+    /// default, malformed ones are an error naming the variable.
+    pub fn from_env() -> Result<Self, String> {
+        use crate::env::{var, var_at_least};
         let mut cfg = TimelineScenarioConfig::default_scenario();
-        if let Some(n) = env_u64("UNSYNC_LANES") {
-            cfg.lanes = (n as usize).max(1);
+        if let Some(n) = var_at_least("UNSYNC_LANES", 1)? {
+            cfg.lanes = n as usize;
         }
-        if let Some(n) = env_u64("UNSYNC_INSTS") {
-            cfg.insts_per_lane = (n as usize).max(16);
+        if let Some(n) = var_at_least("UNSYNC_INSTS", 16)? {
+            cfg.insts_per_lane = n as usize;
         }
-        if let Some(n) = env_u64("UNSYNC_SEED") {
+        if let Some(n) = var("UNSYNC_SEED")? {
             cfg.seed = n;
         }
-        cfg
+        Ok(cfg)
     }
 
     /// A stable name embedded in the trace's `otherData` block.
@@ -72,10 +74,6 @@ impl TimelineScenarioConfig {
             self.lanes, self.insts_per_lane, self.seed
         )
     }
-}
-
-fn env_u64(key: &str) -> Option<u64> {
-    std::env::var(key).ok()?.trim().parse().ok()
 }
 
 /// Plans the per-lane uncore strike schedules, sorted by cycle as

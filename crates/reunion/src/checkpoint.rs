@@ -15,9 +15,9 @@
 //!   the store buffer must hold an entire interval's writes;
 //! * the error-detection latency is the full checkpoint interval.
 //!
-//! The recovery-discipline ablation (`--bin ablation_recovery`) uses this
-//! model as the third point between UnSync's always-forward recovery and
-//! Reunion's fine-grained rollback.
+//! The recovery-discipline ablation (the `ablation_recovery`
+//! experiment) uses this model as the third point between UnSync's
+//! always-forward recovery and Reunion's fine-grained rollback.
 
 use serde::{Deserialize, Serialize};
 use unsync_exec::RedundancyPolicy;

@@ -31,9 +31,10 @@
 //! println!("pair IPC = {:.3}", outcome.ipc());
 //! ```
 //!
-//! Every experiment of the paper is regenerated by the binaries in
-//! `unsync-bench` (`cargo run -p unsync-bench --bin table2`, `--bin fig4`,
-//! …); see EXPERIMENTS.md for paper-vs-measured values.
+//! Every experiment of the paper is a row of the `unsync-bench`
+//! experiment table, regenerated by its `paper` binary (`cargo run -p
+//! unsync-bench --bin paper -- table2`, `-- fig4`, …, `-- all`); see
+//! EXPERIMENTS.md for paper-vs-measured values.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,7 +1,10 @@
 //! Golden-value tests for the paper's headline experiments: the
-//! quick-config (`ExperimentConfig::quick()`) JSONL output of Fig. 4,
-//! Fig. 5, and Table I is snapshotted under `tests/golden/` and any
-//! drift fails the build.
+//! quick-config (`ExperimentConfig::quick()`) JSONL run logs of Table I,
+//! Fig. 4, Fig. 5, the comparators and the scheme-values study are
+//! snapshotted under `tests/golden/` and any drift fails the build.
+//! Table I, Fig. 4, the comparators and the scheme values are read
+//! through their `experiment::TABLE` rows, so each snapshot is exactly
+//! the deterministic part of the log `paper <name>` writes.
 //!
 //! When a change *intentionally* moves the numbers (new timing model,
 //! retuned workload profiles, …), regenerate the snapshots with
@@ -17,7 +20,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use unsync::prelude::Benchmark;
-use unsync_bench::{experiments, render, ExperimentConfig, RunLog, Runner};
+use unsync_bench::{experiment, experiments, render, ExperimentConfig, RunLog, Runner};
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -49,23 +52,25 @@ fn check(name: &str, lines: &[String]) {
     );
 }
 
+/// The deterministic lines of table row `name`'s run log at the quick
+/// config, on two workers so the snapshot also pins the parallel
+/// path's ordering.
+fn row_lines(name: &str) -> Vec<String> {
+    let row = experiment::find(name).expect("experiment table row");
+    let out = (row.run)(Runner::new(2), ExperimentConfig::quick());
+    out.log(name).deterministic_lines().to_vec()
+}
+
 #[test]
 fn fig4_quick_matches_golden() {
-    let cfg = ExperimentConfig::quick();
-    // Two workers: the snapshot also pins the parallel path's ordering.
-    let rows = experiments::fig4_on(Runner::new(2), cfg);
-    let mut log = RunLog::start("fig4", cfg);
-    for row in &rows {
-        log.record(render::jsonl::fig4(row));
-    }
-    check("fig4", log.deterministic_lines());
+    check("fig4", &row_lines("fig4"));
 }
 
 #[test]
 fn fig5_quick_matches_golden() {
     let cfg = ExperimentConfig::quick();
     // The paper's two highlighted benchmarks keep the snapshot (and the
-    // test) small; the full five-benchmark sweep lives in the fig5 bin.
+    // test) small; the full `FIG5_BENCHES` sweep is the fig5 row's.
     let benches = [Benchmark::Ammp, Benchmark::Galgel];
     let cells = experiments::fig5_on(Runner::new(2), cfg, &benches);
     let mut log = RunLog::start("fig5", cfg);
@@ -77,37 +82,18 @@ fn fig5_quick_matches_golden() {
 
 #[test]
 fn comparators_quick_matches_golden() {
-    let cfg = ExperimentConfig::quick();
-    let rows = experiments::comparators_on(Runner::new(2), cfg);
-    let mut log = RunLog::start("comparators", cfg);
     // The original four-discipline records come first and keep their
     // frozen shape (rows 0-4 must stay byte-identical across PRs); the
     // new schemes append their own records after them.
-    for row in &rows {
-        log.record(render::jsonl::comparators(row));
-    }
-    for row in &rows {
-        log.record(render::jsonl::comparator_schemes(row));
-    }
-    check("comparators", log.deterministic_lines());
+    check("comparators", &row_lines("comparators"));
 }
 
 #[test]
 fn scheme_values_quick_match_golden() {
-    let cfg = ExperimentConfig::quick();
-    let rows = experiments::scheme_values_on(Runner::new(2), cfg);
-    let mut log = RunLog::start("schemes", cfg);
-    for row in &rows {
-        log.record(render::jsonl::scheme_values(row));
-    }
     // The measured real-ISA kernel rows append strictly after the
     // synthetic rows: the pre-existing snapshot lines keep their byte
     // positions (see `synthetic_scheme_rows_are_an_untouched_prefix`).
-    let kernel_rows = experiments::kernel_scheme_values_on(Runner::new(2), cfg);
-    for row in &kernel_rows {
-        log.record(render::jsonl::scheme_values(row));
-    }
-    check("schemes", log.deterministic_lines());
+    check("schemes", &row_lines("schemes"));
 }
 
 /// Pins the seam refactor's no-drift guarantee: the synthetic scheme
@@ -132,7 +118,5 @@ fn synthetic_scheme_rows_are_an_untouched_prefix() {
 
 #[test]
 fn table1_matches_golden() {
-    let mut log = RunLog::start_static("table1");
-    log.record(render::jsonl::table1());
-    check("table1", log.deterministic_lines());
+    check("table1", &row_lines("table1"));
 }
