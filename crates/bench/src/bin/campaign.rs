@@ -1,5 +1,6 @@
-//! The batched campaign driver: runs a roec-style uncore strike grid
-//! and a scheme-comparator grid through the streaming
+//! The batched campaign driver: runs the uncore strike grid of the
+//! `roec_uncore` row ([`unsync_bench::roec_uncore::grid`]) and a
+//! scheme-comparator grid through the streaming
 //! [`unsync_bench::campaign`] engine, once each, and exits non-zero if
 //! either normalized JSONL log differs from the sequential
 //! `run_collected` reference.
@@ -10,39 +11,18 @@
 //! benchmark (`examples/benchmark`), not here.
 //!
 //! Environment knobs: `UNSYNC_SEED` (base seed, default 11),
-//! `UNSYNC_CAMPAIGN_SMOKE=1` (tiny CI grids),
+//! `UNSYNC_CAMPAIGN_SMOKE=1` (the CI grids),
 //! `UNSYNC_CAMPAIGN_RESUME_ONLY=1` (resume the logs in place instead
 //! of starting fresh — the CI kill-then-resume check),
 //! `UNSYNC_WORKERS` (engine worker count), and `UNSYNC_RESULTS_DIR`.
+//! A flag other than `0` or `1` exits 2.
 
 use unsync_bench::campaign::{normalized_lines, run_collected, CampaignEngine, CampaignGrid};
-use unsync_bench::roec_uncore::SCHEMES;
-use unsync_bench::{env, runlog, scheme, Runner};
-use unsync_fault::uncore::StrikePlan;
-use unsync_mem::L2ContentionConfig;
+use unsync_bench::{env, roec_uncore, runlog, scheme, Runner};
 use unsync_workloads::WorkloadSpec;
-
-fn env_flag(name: &str) -> bool {
-    std::env::var(name).is_ok_and(|v| v.trim() == "1")
-}
 
 fn workload(name: &str) -> WorkloadSpec {
     WorkloadSpec::parse(name).expect("campaign workload list is static")
-}
-
-/// The roec-style reference grid: every uncore structure struck under
-/// the three bracketing schemes, shared-L2 contention on.
-fn uncore_grid(seed: u64, smoke: bool) -> CampaignGrid {
-    let (inst_count, strikes_per_cell) = if smoke { (120, 1) } else { (400, 8) };
-    CampaignGrid {
-        name: "campaign_uncore".into(),
-        inst_count,
-        seeds: vec![seed],
-        workloads: vec![workload("gzip")],
-        schemes: SCHEMES.to_vec(),
-        strikes: Some(StrikePlan::all_uncore(strikes_per_cell, inst_count * 2)),
-        contention: Some(L2ContentionConfig::many_core()),
-    }
 }
 
 /// The scheme-comparator grid: fault-free overhead of every comparator
@@ -103,9 +83,15 @@ fn run_grid(grid: &CampaignGrid, workers: usize, resume: bool) -> Result<(), Str
 fn main() {
     let seed = env::or_exit(env::var("UNSYNC_SEED")).unwrap_or(11);
     let workers = env::or_exit(Runner::from_env()).workers();
-    let smoke = env_flag("UNSYNC_CAMPAIGN_SMOKE");
-    let resume = env_flag("UNSYNC_CAMPAIGN_RESUME_ONLY");
-    for grid in [uncore_grid(seed, smoke), compare_grid(seed, smoke)] {
+    let smoke = env::or_exit(env::flag("UNSYNC_CAMPAIGN_SMOKE"));
+    let resume = env::or_exit(env::flag("UNSYNC_CAMPAIGN_RESUME_ONLY"));
+    // The row's grid under its own log name, so both logs can share a
+    // results directory.
+    let uncore = CampaignGrid {
+        name: "campaign_uncore".into(),
+        ..roec_uncore::grid(seed, smoke)
+    };
+    for grid in [uncore, compare_grid(seed, smoke)] {
         if let Err(e) = run_grid(&grid, workers, resume) {
             eprintln!("error: campaign {}: {e}", grid.name);
             std::process::exit(1);

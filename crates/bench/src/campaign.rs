@@ -38,6 +38,10 @@
 //! [`unsync_exec::Lane::golden`]), eliminating the per-job golden
 //! re-execution. Records are unaffected: a trace's golden image is
 //! unique.
+//!
+//! This is the only code that runs a strike job: the `roec_uncore`
+//! row takes its records from [`run_records`], the engine's job path
+//! without the log.
 
 use std::collections::{HashMap, HashSet};
 use std::fs;
@@ -55,7 +59,7 @@ use unsync_sim::{metrics, CoreConfig};
 use unsync_workloads::{WorkloadSource, WorkloadSpec};
 
 use crate::experiments::ExperimentConfig;
-use crate::roec_uncore::{classify_strike_result, run_scheme_with_strikes, strike_salt};
+use crate::roec_uncore::{classify_strike_result, run_scheme_with_strikes};
 use crate::runlog::{metrics_snapshot_json, prof_block_json, Json};
 use crate::runner::{baseline_cycles_source, golden_memory_source, job_seed_named, Runner};
 use crate::scheme;
@@ -227,11 +231,10 @@ impl CampaignJob {
         }
     }
 
-    /// The job's salt into [`job_seed_named`]. Strike jobs reuse the
-    /// `roec` grid's [`strike_salt`] chain so campaign strikes over
-    /// the roec workload/seed reproduce `roec` placements
-    /// byte-for-byte; compare jobs hash the scheme under a distinct
-    /// prefix so the two kinds can never collide.
+    /// The job's salt into [`job_seed_named`]: a SplitMix64 chain over
+    /// the struck structure's label, the scheme name and the strike
+    /// index for strike jobs; compare jobs hash the scheme under a
+    /// distinct prefix so the two kinds can never collide.
     pub fn salt(&self) -> u64 {
         match self.kind {
             JobKind::Strike { target, index } => strike_salt(target, self.scheme, index),
@@ -249,6 +252,16 @@ impl CampaignJob {
     pub fn stream_seed(&self) -> u64 {
         job_seed_named(self.experiment(), self.workload.name(), self.salt())
     }
+}
+
+/// The salt of one strike cell: a SplitMix64 chain over the structure
+/// label, the scheme name, and the strike index.
+fn strike_salt(target: UncoreTarget, scheme: &str, strike: u64) -> u64 {
+    let mut h = 0x5ca1_ab1e_u64;
+    for b in target.label().bytes().chain(scheme.bytes()) {
+        h = splitmix64(h ^ u64::from(b));
+    }
+    splitmix64(h ^ strike)
 }
 
 /// A per-run memo of generated traces, keyed by `(workload name,
@@ -285,6 +298,34 @@ fn run_job_inner(
     reuse_cached_golden: bool,
     memo: Option<&TraceMemo>,
 ) -> String {
+    let mut framed = Json::obj().field("kind", "record").field("row", job.id);
+    if let (Json::Obj(dst), Json::Obj(pairs)) = (
+        &mut framed,
+        job_record(grid, job, reuse_cached_golden, memo),
+    ) {
+        dst.extend(pairs);
+    }
+    framed.render()
+}
+
+/// Runs every job of `grid` on `runner` through the engine's job path —
+/// the trace memo built up front, the cached golden fed to the driver —
+/// and returns each job's record fields in grid order, unframed. A
+/// record's `kind`/`row` framing with `row` = its index reproduces the
+/// engine's log line byte for byte.
+pub fn run_records(grid: &CampaignGrid, runner: &Runner) -> Vec<Json> {
+    let jobs = grid.expand();
+    let memo = trace_memo(grid, &jobs);
+    runner.map(&jobs, |job| job_record(grid, *job, true, Some(&memo)))
+}
+
+/// Runs one job: its record's fields, before `kind`/`row` framing.
+fn job_record(
+    grid: &CampaignGrid,
+    job: CampaignJob,
+    reuse_cached_golden: bool,
+    memo: Option<&TraceMemo>,
+) -> Json {
     let memoized = memo.and_then(|m| m.get(&(job.workload.name(), job.seed)));
     let generated;
     let trace = match memoized {
@@ -304,12 +345,8 @@ fn run_job_inner(
             run_strike_job(grid, job, trace, target, index, reuse_cached_golden)
         }
     };
-    let mut framed = Json::obj().field("kind", "record").field("row", job.id);
-    if let (Json::Obj(dst), Json::Obj(pairs)) = (&mut framed, fields) {
-        dst.extend(pairs);
-    }
     metrics::global().counter("campaign.jobs_completed").inc();
-    framed.render()
+    fields
 }
 
 /// One fault-free comparator run: `scheme` cycles against the memoized
@@ -332,8 +369,8 @@ fn run_compare_job(job: CampaignJob, t: &TraceProgram) -> Json {
         .field("overhead", cycles as f64 / base as f64 - 1.0)
 }
 
-/// One strike of the grid's plan: inject, journal, classify — the same
-/// record fields as the `roec_uncore` campaign plus the grid axes.
+/// One strike of the grid's plan: inject, classify, and record the
+/// grid axes, the planned strike and its outcome.
 fn run_strike_job(
     grid: &CampaignGrid,
     job: CampaignJob,
@@ -734,51 +771,5 @@ mod tests {
             .unwrap_err();
         assert!(err.contains("header does not match"), "{err}");
         let _ = fs::remove_file(&path);
-    }
-
-    #[test]
-    fn strike_records_match_roec_grid_placements() {
-        // A campaign strike grid over the roec workload/seed must
-        // derive the same strike parameters the roec campaign derives:
-        // the salt chain and job-seed recipe are shared.
-        let cfg = crate::roec_uncore::RoecUncoreConfig {
-            inst_count: 120,
-            seed: 17,
-            strikes_per_cell: 1,
-            contention: L2ContentionConfig::many_core(),
-            benchmark: Benchmark::Gzip,
-        };
-        let grid = CampaignGrid {
-            name: "campaign_roec_equiv".into(),
-            inst_count: cfg.inst_count,
-            seeds: vec![cfg.seed],
-            workloads: vec![WorkloadSpec::Synthetic(cfg.benchmark)],
-            schemes: vec!["unsync_pair"],
-            strikes: Some(cfg.strike_plan()),
-            contention: Some(cfg.contention),
-        };
-        let roec: Vec<_> = crate::roec_uncore::run_campaign(&cfg, &crate::runner::Runner::new(1))
-            .into_iter()
-            .filter(|r| r.scheme == "unsync_pair")
-            .collect();
-        let jobs = grid.expand();
-        assert_eq!(jobs.len(), roec.len());
-        for (job, rec) in jobs.iter().zip(&roec) {
-            let line = run_job(&grid, *job, true);
-            let json = Json::parse(&line).unwrap();
-            assert_eq!(
-                json.get("structure").and_then(Json::as_str),
-                Some(rec.structure)
-            );
-            assert_eq!(json.get("cycle").and_then(Json::as_u64), Some(rec.cycle));
-            assert_eq!(
-                json.get("bit_offset").and_then(Json::as_u64),
-                Some(rec.bit_offset)
-            );
-            assert_eq!(
-                json.get("outcome").and_then(Json::as_str),
-                Some(rec.outcome.label())
-            );
-        }
     }
 }

@@ -605,37 +605,23 @@ pub fn render_campaign_table(rows: &[CampaignRow]) -> String {
     out
 }
 
-/// Rebuilds the uncore vulnerability table from every `roec_uncore`
-/// run log in `logs` (record rows carry `structure` / `scheme` /
-/// `outcome`; rows whose outcome label fails to parse are skipped).
-/// Empty when no campaign log is present.
+/// Rebuilds the uncore vulnerability table from the record lines of
+/// every `roec_uncore` run log in `logs`, folded through
+/// [`crate::roec_uncore::vulnerability_table`]. Empty when no campaign
+/// log is present.
 pub fn roec_table(logs: &[LoadedLog]) -> unsync_fault::roec::VulnerabilityTable {
-    let mut table = unsync_fault::roec::VulnerabilityTable::new();
-    for log in logs {
-        let is_campaign = log.lines.first().is_some_and(|l| {
+    let is_campaign = |log: &&LoadedLog| {
+        log.lines.first().is_some_and(|l| {
             l.get("kind").and_then(Json::as_str) == Some("header")
                 && l.get("experiment").and_then(Json::as_str) == Some("roec_uncore")
-        });
-        if !is_campaign {
-            continue;
-        }
-        for line in &log.lines {
-            if line.get("kind").and_then(Json::as_str) != Some("record") {
-                continue;
-            }
-            let field = |k: &str| line.get(k).and_then(Json::as_str);
-            let (Some(structure), Some(scheme), Some(label)) =
-                (field("structure"), field("scheme"), field("outcome"))
-            else {
-                continue;
-            };
-            let Some(outcome) = unsync_fault::roec::StrikeOutcome::from_label(label) else {
-                continue;
-            };
-            table.record(structure, scheme, outcome);
-        }
-    }
-    table
+        })
+    };
+    crate::roec_uncore::vulnerability_table(
+        logs.iter()
+            .filter(is_campaign)
+            .flat_map(|log| &log.lines)
+            .filter(|l| l.get("kind").and_then(Json::as_str) == Some("record")),
+    )
 }
 
 /// Diff configuration.

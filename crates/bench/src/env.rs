@@ -1,16 +1,19 @@
-//! The one reader of the harness's numeric `UNSYNC_*` knobs.
+//! The one reader of the harness's numeric and boolean `UNSYNC_*`
+//! knobs.
 //!
 //! Every numeric knob is an unsigned integer (`UNSYNC_INSTS`,
 //! `UNSYNC_SEED`, `UNSYNC_WORKERS`, …) or a comma-separated list of
-//! them (`UNSYNC_LANES` in the lane sweep). [`parse_u64`] and
-//! [`parse_list`] are pure functions of the variable's name and raw
-//! value, so they are tested without touching the process environment;
-//! [`var`] and [`var_list`] read the environment through them.
+//! them (`UNSYNC_LANES` in the lane sweep); every boolean knob
+//! (`UNSYNC_ROEC_SMOKE`, `UNSYNC_CAMPAIGN_SMOKE`, …) is `0` or `1`.
+//! [`parse_u64`], [`parse_list`] and [`parse_flag`] are pure functions
+//! of the variable's name and raw value, so they are tested without
+//! touching the process environment; [`var`], [`var_list`] and [`flag`]
+//! read the environment through them.
 //!
-//! An unset or blank value is `Ok(None)` and the caller's default
-//! applies. Anything else that does not parse is an error naming the
-//! variable — never a silent fallback to the default — and the
-//! binaries exit 2 with it.
+//! An unset or blank value is `Ok(None)` (a flag: off) and the caller's
+//! default applies. Anything else that does not parse is an error
+//! naming the variable — never a silent fallback to the default — and
+//! the binaries exit 2 with it.
 
 use std::env::VarError;
 
@@ -41,6 +44,16 @@ pub fn parse_list(name: &str, value: Option<&str>) -> Result<Option<Vec<u64>>, S
         .map(Some)
 }
 
+/// Parses one boolean knob: unset, blank or `0` is off and `1` is on;
+/// surrounding whitespace is ignored.
+pub fn parse_flag(name: &str, value: Option<&str>) -> Result<bool, String> {
+    match value.map_or("", str::trim) {
+        "" | "0" => Ok(false),
+        "1" => Ok(true),
+        v => Err(format!("{name}={v}: not a flag (use 0 or 1)")),
+    }
+}
+
 /// Rejects a parsed `value` of `name` below `min`.
 fn at_least(name: &str, min: u64, value: Option<u64>) -> Result<Option<u64>, String> {
     match value {
@@ -64,6 +77,12 @@ pub fn var_at_least(name: &str, min: u64) -> Result<Option<u64>, String> {
 /// [`parse_list`].
 pub fn var_list(name: &str) -> Result<Option<Vec<u64>>, String> {
     parse_list(name, raw(name)?.as_deref())
+}
+
+/// Reads `name` from the process environment and parses it with
+/// [`parse_flag`].
+pub fn flag(name: &str) -> Result<bool, String> {
+    parse_flag(name, raw(name)?.as_deref())
 }
 
 /// How the binaries treat a bad knob: print the error and exit 2.
@@ -115,6 +134,21 @@ mod tests {
         assert!(err.starts_with("UNSYNC_LANES=2,x,8"), "{err}");
         assert!(err.contains("`x`"), "{err}");
         assert!(parse_list("UNSYNC_LANES", Some("2,,8")).is_err());
+    }
+
+    #[test]
+    fn flags_are_zero_or_one_and_reject_anything_else() {
+        for off in [None, Some(""), Some(" "), Some("0"), Some(" 0\n")] {
+            assert_eq!(parse_flag("UNSYNC_ROEC_SMOKE", off), Ok(false), "{off:?}");
+        }
+        for on in [Some("1"), Some(" 1\n")] {
+            assert_eq!(parse_flag("UNSYNC_ROEC_SMOKE", on), Ok(true), "{on:?}");
+        }
+        for bad in ["true", "yes", "on", "2", "01", "-1"] {
+            let err = parse_flag("UNSYNC_CAMPAIGN_RESUME_ONLY", Some(bad)).unwrap_err();
+            assert!(err.starts_with("UNSYNC_CAMPAIGN_RESUME_ONLY="), "{err}");
+            assert!(err.contains(bad), "{err}");
+        }
     }
 
     #[test]

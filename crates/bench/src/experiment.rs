@@ -31,7 +31,7 @@ use unsync_workloads::{Benchmark, SyntheticSource, WorkloadGen, WorkloadSource};
 use crate::experiments::{self as exp, ExperimentConfig};
 use crate::runlog::{self, Json, RunLog};
 use crate::runner::{baseline_cycles, Runner};
-use crate::{kernelstats, render, roec_uncore, stats};
+use crate::{campaign, env, kernelstats, render, roec_uncore, stats};
 
 /// Where a row sits in the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -429,7 +429,7 @@ fn comparators(runner: Runner, cfg: ExperimentConfig) -> Output {
         "DVFS, recovery, or asynchronous events) — the scaling burden §II cites for",
         "abandoning it. Reunion/checkpointing relax that but tax every instruction;",
         "UnSync decouples completely and bets on errors being rare (its per-error",
-        "recovery is the most expensive — see --bin ablation_recovery).",
+        "recovery is the most expensive — see paper ablation_recovery).",
         "The new columns bracket the space: TMR pays ~3x resources to vote errors",
         "away with zero rollback, FlexStep tunes the compare interval at runtime,",
         "and SECDED-only shows what a lone ECC-protected core gets you for free.",
@@ -1269,29 +1269,31 @@ fn kernel_stats(_: Runner, cfg: ExperimentConfig) -> Output {
 
 /// The uncore vulnerability campaign (ROEC 2.0, see [`roec_uncore`]):
 /// structure × scheme × strike, each strike classified against the
-/// golden memory image, summarized in `BENCH_roec.json`.
+/// golden memory image, summarized in `BENCH_roec.json`. The grid is
+/// [`roec_uncore::grid`] and its records come from the campaign
+/// engine's job path ([`campaign::run_records`]), so they equal the
+/// `campaign` bin's `campaign_uncore` records line for line.
 ///
 /// The campaign has its own trace length, and its own default seed
 /// (11), so it reads `UNSYNC_SEED` itself instead of taking `cfg`.
 /// `UNSYNC_ROEC_SMOKE=1` selects the CI smoke grid and
 /// `UNSYNC_ROEC_OUT` the summary path.
 fn roec_uncore(runner: Runner, _: ExperimentConfig) -> Output {
-    let seed = crate::env::or_exit(crate::env::var("UNSYNC_SEED")).unwrap_or(11);
-    let ucfg = if std::env::var("UNSYNC_ROEC_SMOKE").is_ok_and(|v| v.trim() == "1") {
-        roec_uncore::RoecUncoreConfig::smoke(seed)
-    } else {
-        roec_uncore::RoecUncoreConfig::full(seed)
-    };
-    let records = roec_uncore::run_campaign(&ucfg, &runner);
-    let mut o = Output::new(Some(ucfg.experiment()));
+    let seed = env::or_exit(env::var("UNSYNC_SEED")).unwrap_or(11);
+    let grid = roec_uncore::grid(seed, env::or_exit(env::flag("UNSYNC_ROEC_SMOKE")));
+    let plan = grid.strikes.as_ref().expect("the uncore grid strikes");
+    let records = campaign::run_records(&grid, &runner);
+    let mut o = Output::new(Some(ExperimentConfig {
+        inst_count: grid.inst_count,
+        seed,
+    }));
     outln!(
         o,
-        "Uncore vulnerability campaign ({} × {} insts, seed {}, {} strikes/cell, horizon {})",
-        ucfg.benchmark.name(),
-        ucfg.inst_count,
-        ucfg.seed,
-        ucfg.strikes_per_cell,
-        ucfg.horizon()
+        "Uncore vulnerability campaign ({} × {} insts, seed {seed}, {} strikes/cell, horizon {})",
+        grid.workloads[0].name(),
+        grid.inst_count,
+        plan.strikes_per_cell,
+        plan.horizon
     );
     o.text.push_str(&roec_uncore::render_table(&records));
     o.lines(&[
@@ -1302,11 +1304,11 @@ fn roec_uncore(runner: Runner, _: ExperimentConfig) -> Output {
     ]);
     let out_path =
         std::env::var("UNSYNC_ROEC_OUT").unwrap_or_else(|_| "BENCH_roec.json".to_string());
-    let mut text = roec_uncore::summary_json(&ucfg, &records).render();
+    let mut text = roec_uncore::summary_json(&grid, &records).render();
     text.push('\n');
     o.files.push((PathBuf::from(&out_path), text));
     outln!(o, "wrote {out_path} ({} strikes)", records.len());
-    o.records = records.iter().map(roec_uncore::record_json).collect();
+    o.records = records;
     o
 }
 

@@ -44,7 +44,6 @@ pub use experiments::{
     ExperimentConfig, Fig4Row, Fig5Cell, Fig6Row, RoecReport, SchemeValuesRow, SerSweep,
 };
 pub use lanesweep::{run_sweep, sweep_point, LaneSweepConfig, LaneSweepRow};
-pub use roec_uncore::{run_campaign, RoecUncoreConfig, StrikeRecord};
 pub use runlog::{Json, RunLog};
 pub use runner::{baseline_cycles, job_seed, job_seed_named, job_stream, Runner};
 pub use stats::Summary;

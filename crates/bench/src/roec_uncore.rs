@@ -33,138 +33,49 @@
 //!   replication ends at the core boundary.
 //! * `secded_only` — ECC on the L2 arrays and nothing else.
 //!
-//! Every job is a pure function of `(config, structure, scheme,
-//! strike index)` — strike placement comes from the per-job SplitMix64
-//! stream ([`crate::runner::job_seed`]) — so results are bit-identical
-//! across worker counts and reruns; the CI smoke reruns the grid and
-//! diffs at zero tolerance.
-
-use std::sync::Arc;
+//! [`grid`] is the campaign's one description — the `roec_uncore`
+//! row, the `campaign` bin and the tests all take it from there — and
+//! its strike jobs run through the campaign engine's job path
+//! ([`crate::campaign::run_records`]). Every job is a pure function of
+//! its grid cell — strike placement comes from the job's private
+//! SplitMix64 stream — so records are bit-identical across worker
+//! counts and reruns; the CI smoke reruns the grid and diffs at zero
+//! tolerance.
 
 use unsync_exec::{Lane, RedundantDriver, RunResult, TraceEventKind};
 use unsync_fault::roec::{classify, RoecEvent, RoecEventKind, StrikeOutcome, VulnerabilityTable};
-use unsync_fault::uncore::{StrikePlan, UncoreStrike, UncoreTarget};
+use unsync_fault::uncore::{StrikePlan, UncoreStrike};
 use unsync_isa::{ArchMemory, TraceProgram};
 use unsync_mem::L2ContentionConfig;
-use unsync_sim::CoreConfig;
-use unsync_workloads::{Benchmark, SyntheticSource, WorkloadSource};
+use unsync_workloads::{Benchmark, WorkloadSpec};
 
-use crate::experiments::ExperimentConfig;
+use crate::campaign::CampaignGrid;
 use crate::runlog::Json;
-use crate::runner::{golden_memory, job_seed, Runner};
 use crate::scheme;
 
 /// The schemes the campaign compares, in table order (a subset of
 /// [`crate::scheme::TABLE`]).
 pub const SCHEMES: [&str; 3] = ["unsync_pair", "tmr_vote", "secded_only"];
 
-/// Configuration of one uncore campaign.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RoecUncoreConfig {
-    /// Instructions per run.
-    pub inst_count: u64,
-    /// Base seed: strike placement derives from
-    /// `job_seed(cfg, bench, salt(structure, scheme, strike))`.
-    pub seed: u64,
-    /// Strikes per (structure, scheme) cell.
-    pub strikes_per_cell: u64,
-    /// The shared-L2 contention model (bank arbiters only exist — and
-    /// can only be struck live — when this is on).
-    pub contention: L2ContentionConfig,
-    /// The workload every run executes.
-    pub benchmark: Benchmark,
-}
-
-impl RoecUncoreConfig {
-    /// The committed-golden campaign: 6 structures × 3 schemes ×
-    /// 8 strikes at 400 instructions.
-    pub fn full(seed: u64) -> Self {
-        RoecUncoreConfig {
-            inst_count: 400,
-            seed,
-            strikes_per_cell: 8,
-            contention: L2ContentionConfig::many_core(),
-            benchmark: Benchmark::Gzip,
-        }
+/// The campaign grid at base seed `seed`: gzip, every uncore structure
+/// × [`SCHEMES`] × 8 strikes at 400 instructions, shared-L2 contention
+/// on (bank arbiters only exist — and can only be struck live — when
+/// it is). `smoke` selects the CI grid: 2 strikes per cell at 150
+/// instructions.
+pub fn grid(seed: u64, smoke: bool) -> CampaignGrid {
+    let (inst_count, strikes_per_cell) = if smoke { (150, 2) } else { (400, 8) };
+    CampaignGrid {
+        name: "roec_uncore".into(),
+        inst_count,
+        seeds: vec![seed],
+        workloads: vec![WorkloadSpec::Synthetic(Benchmark::Gzip)],
+        schemes: SCHEMES.to_vec(),
+        // A generous cycles-per-instruction bound so strikes land
+        // mid-run (the planner draws from the middle half of
+        // `[0, horizon)`).
+        strikes: Some(StrikePlan::all_uncore(strikes_per_cell, inst_count * 2)),
+        contention: Some(L2ContentionConfig::many_core()),
     }
-
-    /// The CI smoke grid: 2 strikes per cell, short traces.
-    pub fn smoke(seed: u64) -> Self {
-        RoecUncoreConfig {
-            inst_count: 150,
-            strikes_per_cell: 2,
-            ..Self::full(seed)
-        }
-    }
-
-    pub(crate) fn experiment(&self) -> ExperimentConfig {
-        ExperimentConfig {
-            inst_count: self.inst_count,
-            seed: self.seed,
-        }
-    }
-
-    /// The strike-placement horizon: a generous cycles-per-instruction
-    /// bound so strikes land mid-run (the planner draws from the middle
-    /// half of `[0, horizon)`).
-    pub fn horizon(&self) -> u64 {
-        self.inst_count * 2
-    }
-
-    /// The campaign's strike plan: every uncore structure,
-    /// `strikes_per_cell` strikes each, alternating uniform / directed
-    /// sampling. The campaign grid is this plan × [`SCHEMES`].
-    pub fn strike_plan(&self) -> StrikePlan {
-        StrikePlan::all_uncore(self.strikes_per_cell, self.horizon())
-    }
-}
-
-/// One classified strike.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StrikeRecord {
-    /// The struck structure's label.
-    pub structure: &'static str,
-    /// The scheme metric prefix.
-    pub scheme: &'static str,
-    /// Strike index within the cell.
-    pub strike: u64,
-    /// The planned strike (cycle, site, kind).
-    pub cycle: u64,
-    /// Bit offset within the structure.
-    pub bit_offset: u64,
-    /// `"single"` or `"double"` upset.
-    pub kind: &'static str,
-    /// Importance-sampled (liveness-conditioned) strike — see
-    /// [`UncoreStrike::directed`].
-    pub directed: bool,
-    /// The classified outcome.
-    pub outcome: StrikeOutcome,
-    /// Detections the run emitted.
-    pub detections: u64,
-    /// Recovery episodes the run completed.
-    pub recoveries: u64,
-    /// Whether final committed memory matched the golden image.
-    pub memory_matches: bool,
-}
-
-/// One job of the campaign grid.
-#[derive(Debug, Clone, Copy)]
-struct Job {
-    target: UncoreTarget,
-    scheme: &'static str,
-    strike: u64,
-}
-
-/// The per-job salt of a strike cell: a SplitMix64 chain over the
-/// structure label, scheme name, and strike index. Exported so the
-/// campaign engine's strike jobs reproduce `roec` grid placements
-/// byte-for-byte.
-pub fn strike_salt(target: UncoreTarget, scheme: &str, strike: u64) -> u64 {
-    let mut h = 0x5ca1_ab1e_u64;
-    for b in target.label().bytes().chain(scheme.bytes()) {
-        h = unsync_isa::exec::splitmix64(h ^ u64::from(b));
-    }
-    unsync_isa::exec::splitmix64(h ^ strike)
 }
 
 /// Runs `trace` under the [`crate::scheme::TABLE`] row named `scheme`
@@ -219,92 +130,32 @@ pub fn classify_strike_result(result: &RunResult, golden: &ArchMemory) -> (Strik
     (classify(&summary, memory_matches), memory_matches)
 }
 
-/// Runs one strike job: one simulation, one strike, one label.
-fn run_job(cfg: &RoecUncoreConfig, job: Job, golden: &ArchMemory) -> StrikeRecord {
-    let seed = job_seed(
-        cfg.experiment(),
-        cfg.benchmark,
-        strike_salt(job.target, job.scheme, job.strike),
-    );
-    // Odd strike indices run importance-sampled (conditioned on hitting
-    // live state) so low-occupancy structures still measure coverage;
-    // even indices sample the array uniformly and measure the AVF-style
-    // live fraction — [`StrikePlan::strike`] encodes the alternation.
-    let strike = cfg.strike_plan().strike(job.target, job.strike, seed, 0);
-    let trace = SyntheticSource::new(cfg.benchmark, cfg.inst_count, cfg.seed).trace();
-    let driver = RedundantDriver::new(CoreConfig::table1()).with_l2_contention(cfg.contention);
-    let result = run_scheme_with_strikes(&driver, job.scheme, &trace, vec![strike], Some(golden));
-    let (outcome, memory_matches) = classify_strike_result(&result, golden);
-    StrikeRecord {
-        structure: job.target.label(),
-        scheme: job.scheme,
-        strike: job.strike,
-        cycle: strike.cycle,
-        bit_offset: strike.site.bit_offset,
-        kind: match strike.kind {
-            unsync_fault::FaultKind::Single => "single",
-            unsync_fault::FaultKind::AdjacentDouble => "double",
-        },
-        directed: strike.directed,
-        outcome,
-        detections: result.out.detections,
-        recoveries: result.out.recoveries,
-        memory_matches,
-    }
-}
-
-/// Runs the full structure × scheme × strike grid on `runner`,
-/// returning records in grid order (structure-major, then scheme, then
-/// strike index) regardless of worker count.
-pub fn run_campaign(cfg: &RoecUncoreConfig, runner: &Runner) -> Vec<StrikeRecord> {
-    let golden: Arc<ArchMemory> = golden_memory(cfg.benchmark, cfg.experiment());
-    let plan = cfg.strike_plan();
-    let strikes_per_cell = plan.strikes_per_cell;
-    let jobs: Vec<Job> = plan
-        .targets
-        .iter()
-        .flat_map(|&target| {
-            SCHEMES.iter().flat_map(move |&scheme| {
-                (0..strikes_per_cell).map(move |strike| Job {
-                    target,
-                    scheme,
-                    strike,
-                })
-            })
-        })
-        .collect();
-    runner.map(&jobs, |job| run_job(cfg, *job, &golden))
-}
-
-/// Aggregates classified strikes into the per-structure table.
-pub fn vulnerability_table(records: &[StrikeRecord]) -> VulnerabilityTable {
+/// Aggregates campaign strike records — their `structure`, `scheme`
+/// and `outcome` fields — into the per-structure table. Records
+/// missing a field, or whose outcome label does not parse, are skipped.
+pub fn vulnerability_table<'a>(records: impl IntoIterator<Item = &'a Json>) -> VulnerabilityTable {
     let mut table = VulnerabilityTable::new();
     for r in records {
-        table.record(r.structure, r.scheme, r.outcome);
+        let field = |k: &str| r.get(k).and_then(Json::as_str);
+        let outcome = field("outcome").and_then(StrikeOutcome::from_label);
+        if let (Some(structure), Some(scheme), Some(outcome)) =
+            (field("structure"), field("scheme"), outcome)
+        {
+            table.record(structure, scheme, outcome);
+        }
     }
     table
 }
 
-/// The JSON fields of one strike record (run-log rows; covered by
-/// `dashboard --diff` like every other record row).
-pub fn record_json(r: &StrikeRecord) -> Json {
-    Json::obj()
-        .field("structure", r.structure)
-        .field("scheme", r.scheme)
-        .field("strike", r.strike)
-        .field("cycle", r.cycle)
-        .field("bit_offset", r.bit_offset)
-        .field("fault_kind", r.kind)
-        .field("directed", u64::from(r.directed))
-        .field("outcome", r.outcome.label())
-        .field("detections", r.detections)
-        .field("recoveries", r.recoveries)
-        .field("memory_matches", u64::from(r.memory_matches))
-}
-
-/// The `BENCH_roec.json` document: config echo plus one row per
-/// (structure, scheme) cell with counts and derived rates.
-pub fn summary_json(cfg: &RoecUncoreConfig, records: &[StrikeRecord]) -> Json {
+/// The `BENCH_roec.json` document: an echo of `grid` (a [`grid`]: one
+/// workload, one seed, a strike plan) plus one row per (structure,
+/// scheme) cell of `records` with counts and derived rates.
+///
+/// # Panics
+///
+/// If `grid` has no strike plan, workload or seed.
+pub fn summary_json(grid: &CampaignGrid, records: &[Json]) -> Json {
+    let plan = grid.strikes.as_ref().expect("the uncore grid strikes");
     let table = vulnerability_table(records);
     let rows: Vec<Json> = table
         .rows()
@@ -326,16 +177,17 @@ pub fn summary_json(cfg: &RoecUncoreConfig, records: &[StrikeRecord]) -> Json {
         .collect();
     Json::obj()
         .field("schema", 1u64)
-        .field("inst_count", cfg.inst_count)
-        .field("seed", cfg.seed)
-        .field("strikes_per_cell", cfg.strikes_per_cell)
-        .field("benchmark", cfg.benchmark.name())
-        .field("horizon", cfg.horizon())
+        .field("inst_count", grid.inst_count)
+        .field("seed", grid.seeds[0])
+        .field("strikes_per_cell", plan.strikes_per_cell)
+        .field("benchmark", grid.workloads[0].name())
+        .field("horizon", plan.horizon)
         .field("table", Json::Arr(rows))
 }
 
-/// Renders classified strikes as the aligned per-structure text table.
-pub fn render_table(records: &[StrikeRecord]) -> String {
+/// Renders campaign strike records as the aligned per-structure text
+/// table.
+pub fn render_table(records: &[Json]) -> String {
     render_vulnerability_table(&vulnerability_table(records))
 }
 
@@ -378,70 +230,27 @@ pub fn render_vulnerability_table(table: &VulnerabilityTable) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::run_records;
+    use crate::runner::Runner;
     use unsync_fault::uncore::ALL_UNCORE_TARGETS;
-
-    fn tiny() -> RoecUncoreConfig {
-        RoecUncoreConfig {
-            inst_count: 120,
-            seed: 17,
-            strikes_per_cell: 1,
-            contention: L2ContentionConfig::many_core(),
-            benchmark: Benchmark::Gzip,
-        }
-    }
-
-    #[test]
-    fn campaign_covers_the_whole_grid() {
-        let cfg = tiny();
-        let records = run_campaign(&cfg, &Runner::new(2));
-        assert_eq!(
-            records.len(),
-            ALL_UNCORE_TARGETS.len() * SCHEMES.len() * cfg.strikes_per_cell as usize
-        );
-        let table = vulnerability_table(&records);
-        assert_eq!(table.total(), records.len() as u64);
-        assert_eq!(
-            table.rows().len(),
-            ALL_UNCORE_TARGETS.len() * SCHEMES.len(),
-            "every cell reports even when all-masked"
-        );
-    }
-
-    #[test]
-    fn campaign_is_worker_count_independent() {
-        let cfg = tiny();
-        let a = run_campaign(&cfg, &Runner::new(1));
-        let b = run_campaign(&cfg, &Runner::new(4));
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn masked_strikes_left_memory_clean() {
-        let cfg = RoecUncoreConfig {
-            strikes_per_cell: 2,
-            ..tiny()
-        };
-        for r in run_campaign(&cfg, &Runner::new(2)) {
-            if r.outcome == StrikeOutcome::Masked {
-                assert!(r.memory_matches, "masked ⇒ memory == golden: {r:?}");
-            }
-            if r.outcome == StrikeOutcome::Sdc {
-                assert!(!r.memory_matches, "SDC ⇒ memory diverged: {r:?}");
-            }
-        }
-    }
 
     #[test]
     fn summary_parses_and_carries_every_cell() {
-        let cfg = tiny();
-        let records = run_campaign(&cfg, &Runner::new(2));
-        let text = summary_json(&cfg, &records).render();
+        let grid = grid(17, true);
+        let records = run_records(&grid, &Runner::new(2));
+        assert_eq!(records.len(), grid.len());
+        let text = summary_json(&grid, &records).render();
         let doc = Json::parse(&text).expect("summary must be valid JSON");
+        assert_eq!(doc.get("strikes_per_cell").and_then(Json::as_u64), Some(2));
         let rows = match doc.get("table") {
             Some(Json::Arr(items)) => items,
             other => panic!("expected table array, got {other:?}"),
         };
-        assert_eq!(rows.len(), ALL_UNCORE_TARGETS.len() * SCHEMES.len());
+        assert_eq!(
+            rows.len(),
+            ALL_UNCORE_TARGETS.len() * SCHEMES.len(),
+            "every cell reports even when all-masked"
+        );
         for row in rows {
             let outcome_sum = [
                 "masked",
@@ -453,6 +262,7 @@ mod tests {
             .map(|k| row.get(k).and_then(Json::as_u64).expect("count field"))
             .sum::<u64>();
             assert_eq!(Some(outcome_sum), row.get("strikes").and_then(Json::as_u64));
+            assert_eq!(outcome_sum, 2);
         }
     }
 }

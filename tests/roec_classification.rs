@@ -5,8 +5,9 @@
 //! strike planning, liveness probes, delivery order, or classification
 //! rules shows up as a reviewable diff here.
 
-use unsync_bench::roec_uncore::{classify_strike_result, run_campaign, RoecUncoreConfig, SCHEMES};
-use unsync_bench::Runner;
+use unsync_bench::campaign::run_records;
+use unsync_bench::roec_uncore::{self, classify_strike_result, SCHEMES};
+use unsync_bench::{Json, Runner};
 use unsync_exec::{EventStream, OutcomeCore, RunResult, TraceEventKind};
 use unsync_fault::roec::{classify, RoecEvent, RoecEventKind, StrikeOutcome};
 use unsync_isa::ArchMemory;
@@ -121,9 +122,9 @@ fn strike_label_survives_a_truncated_journal() {
 }
 
 /// Golden lock: the complete per-cell outcome sequence of the
-/// `smoke(42)` grid (2 strikes per cell — strike 0 uniform, strike 1
-/// liveness-conditioned). Regenerate by printing
-/// `run_campaign(&RoecUncoreConfig::smoke(42), ..)` if an intentional
+/// `grid(42, true)` smoke grid (2 strikes per cell — strike 0 uniform,
+/// strike 1 liveness-conditioned). Regenerate by printing
+/// `run_records(&roec_uncore::grid(42, true), ..)` if an intentional
 /// model change lands; any *unintentional* drift in strike planning,
 /// occupancy probes, or classification fails here first.
 #[test]
@@ -164,22 +165,29 @@ fn smoke_grid_42_vulnerability_table_is_locked() {
         ("cb_tag", "tmr_vote", ["sdc", "sdc"]),
         ("cb_tag", "secded_only", ["sdc", "sdc"]),
     ];
-    let cfg = RoecUncoreConfig::smoke(42);
-    assert_eq!(cfg.strikes_per_cell, 2, "lock assumes the smoke grid shape");
-    let records = run_campaign(&cfg, &Runner::new(2));
+    let grid = roec_uncore::grid(42, true);
+    let plan = grid.strikes.as_ref().expect("a strike grid");
+    assert_eq!(
+        plan.strikes_per_cell, 2,
+        "lock assumes the smoke grid shape"
+    );
+    let records = run_records(&grid, &Runner::new(2));
     assert_eq!(records.len(), EXPECTED.len() * 2);
+    let field = |r: &Json, k: &str| r.get(k).and_then(Json::as_str).map(str::to_string);
     for (structure, scheme, outcomes) in EXPECTED {
         assert!(SCHEMES.contains(&scheme));
         for (strike, want) in outcomes.iter().enumerate() {
             let got = records
                 .iter()
                 .find(|r| {
-                    r.structure == structure && r.scheme == scheme && r.strike == strike as u64
+                    field(r, "structure").as_deref() == Some(structure)
+                        && field(r, "scheme").as_deref() == Some(scheme)
+                        && r.get("strike").and_then(Json::as_u64) == Some(strike as u64)
                 })
                 .unwrap_or_else(|| panic!("missing cell {structure}/{scheme}/{strike}"));
             assert_eq!(
-                got.outcome.label(),
-                *want,
+                field(got, "outcome").as_deref(),
+                Some(*want),
                 "outcome drifted at {structure}/{scheme} strike {strike}"
             );
         }

@@ -10,12 +10,15 @@
 //! * `masked` strikes left the committed memory image byte-identical
 //!   to the golden run, `sdc` strikes provably diverged;
 //! * the campaign is bit-identical across worker counts and reruns;
+//! * the records the `roec_uncore` row logs are the sequential
+//!   `run_collected` reference's record lines;
 //! * mixed core + uncore schedules deliver in cycle order (the
 //!   uncore-before-core contract is a `debug_assert` in the driver, so
 //!   this binary exercising it under `cargo test` is the enforcement).
 
-use unsync_bench::roec_uncore::{classify_strike_result, run_campaign, RoecUncoreConfig};
-use unsync_bench::Runner;
+use unsync_bench::campaign::{run_collected, run_records};
+use unsync_bench::roec_uncore::{self, classify_strike_result};
+use unsync_bench::{ExperimentConfig, Json, RunLog, Runner};
 use unsync_core::{UnsyncConfig, UnsyncPolicy};
 use unsync_exec::event::DEFAULT_JOURNAL_CAP;
 use unsync_exec::{Lane, RedundantDriver};
@@ -77,20 +80,30 @@ fn zero_strike_run_is_byte_identical_to_run_system() {
     assert!(with[0].events.journal().is_none());
 }
 
+/// The run's outcome label and its `memory_matches` field.
+fn outcome(record: &Json) -> (StrikeOutcome, bool) {
+    let label = record.get("outcome").and_then(Json::as_str);
+    let outcome = label.and_then(StrikeOutcome::from_label);
+    let matches = record.get("memory_matches").and_then(Json::as_u64);
+    (
+        outcome.unwrap_or_else(|| panic!("unknown outcome {label:?}")),
+        matches == Some(1),
+    )
+}
+
 #[test]
 fn every_strike_gets_exactly_one_of_the_four_labels() {
-    let cfg = RoecUncoreConfig::smoke(23);
-    let records = run_campaign(&cfg, &Runner::new(2));
+    let records = run_records(&roec_uncore::grid(23, true), &Runner::new(2));
     assert!(!records.is_empty());
     for r in &records {
+        let (outcome, _) = outcome(r);
         assert!(
-            ALL_OUTCOMES.contains(&r.outcome),
-            "unknown outcome {:?}",
-            r.outcome
+            ALL_OUTCOMES.contains(&outcome),
+            "unknown outcome {outcome:?}"
         );
         assert_eq!(
-            StrikeOutcome::from_label(r.outcome.label()),
-            Some(r.outcome),
+            r.get("outcome").and_then(Json::as_str),
+            Some(outcome.label()),
             "label must round-trip"
         );
     }
@@ -98,14 +111,13 @@ fn every_strike_gets_exactly_one_of_the_four_labels() {
 
 #[test]
 fn masked_means_clean_memory_and_sdc_means_diverged() {
-    let cfg = RoecUncoreConfig::smoke(5);
-    for r in run_campaign(&cfg, &Runner::new(2)) {
-        match r.outcome {
-            StrikeOutcome::Masked => {
-                assert!(r.memory_matches, "masked strike corrupted memory: {r:?}")
+    for r in run_records(&roec_uncore::grid(5, true), &Runner::new(2)) {
+        match outcome(&r) {
+            (StrikeOutcome::Masked, clean) => {
+                assert!(clean, "masked strike corrupted memory: {}", r.render())
             }
-            StrikeOutcome::Sdc => {
-                assert!(!r.memory_matches, "SDC strike left memory clean: {r:?}")
+            (StrikeOutcome::Sdc, clean) => {
+                assert!(!clean, "SDC strike left memory clean: {}", r.render())
             }
             _ => {}
         }
@@ -114,14 +126,35 @@ fn masked_means_clean_memory_and_sdc_means_diverged() {
 
 #[test]
 fn campaign_is_deterministic_across_worker_counts_and_reruns() {
-    let cfg = RoecUncoreConfig::smoke(11);
-    let one = run_campaign(&cfg, &Runner::new(1));
-    let two = run_campaign(&cfg, &Runner::new(2));
-    let eight = run_campaign(&cfg, &Runner::new(8));
+    let grid = roec_uncore::grid(11, true);
+    let one = run_records(&grid, &Runner::new(1));
+    let two = run_records(&grid, &Runner::new(2));
+    let eight = run_records(&grid, &Runner::new(8));
     assert_eq!(one, two, "1 vs 2 workers");
     assert_eq!(one, eight, "1 vs 8 workers");
-    let rerun = run_campaign(&cfg, &Runner::new(2));
+    let rerun = run_records(&grid, &Runner::new(2));
     assert_eq!(two, rerun, "same-seed rerun");
+}
+
+/// The row's records, framed as its run log frames them, are the
+/// record lines of the sequential reference over the same grid — one
+/// strike path, whatever the caller.
+#[test]
+fn row_records_are_the_sequential_reference_lines() {
+    let grid = roec_uncore::grid(42, true);
+    let mut log = RunLog::start(
+        "roec_uncore",
+        ExperimentConfig {
+            inst_count: grid.inst_count,
+            seed: 42,
+        },
+    );
+    for record in run_records(&grid, &Runner::new(2)) {
+        log.record(record);
+    }
+    let reference = run_collected(&grid);
+    assert_eq!(reference.len(), grid.len() + 1);
+    assert_eq!(log.deterministic_lines()[1..], reference[1..]);
 }
 
 /// Mixed schedule: an uncore strike *and* a core fault on the same
