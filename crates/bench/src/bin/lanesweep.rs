@@ -22,10 +22,10 @@ const OUT_PATH: &str = "BENCH_lanesweep.json";
 /// The sweep config from the environment over the full default sweep.
 fn config() -> Result<LaneSweepConfig, String> {
     let mut cfg = LaneSweepConfig::full(env::var("UNSYNC_SEED")?.unwrap_or(11));
-    if let Some(insts) = env::var("UNSYNC_INSTS")? {
+    if let Some(insts) = env::var_at_least("UNSYNC_INSTS", 1)? {
         cfg.insts_per_lane = insts as usize;
     }
-    if let Some(counts) = env::var_list("UNSYNC_LANES")? {
+    if let Some(counts) = env::var_list("UNSYNC_LANES", 1)? {
         cfg.lane_counts = counts.into_iter().map(|n| n as usize).collect();
     }
     if let Ok(name) = std::env::var("UNSYNC_WORKLOAD") {

@@ -36,8 +36,8 @@ use std::path::Path;
 use crate::runlog::Json;
 
 /// One parsed run-log file: the file name (no directory) and its
-/// parsed lines. Single-document JSON files (e.g. `BENCH_driver.json`)
-/// load as one "line".
+/// parsed lines. Single-document JSON files (e.g. a `BENCH_*.json`
+/// summary) load as one "line".
 #[derive(Debug, Clone)]
 pub struct LoadedLog {
     /// File name within the results directory.
@@ -86,7 +86,7 @@ pub fn load_dir(dir: &Path) -> Result<Vec<LoadedLog>, String> {
 
 /// Parses JSONL text line by line; if any line is malformed, falls back
 /// to parsing the whole text as a single JSON document (covers
-/// pretty-printed single-object files like `BENCH_driver.json`).
+/// pretty-printed single-object files).
 fn parse_log(text: &str) -> Result<Vec<Json>, String> {
     let per_line: Result<Vec<Json>, String> = text
         .lines()

@@ -11,9 +11,9 @@
 //! read the environment through them.
 //!
 //! An unset or blank value is `Ok(None)` (a flag: off) and the caller's
-//! default applies. Anything else that does not parse is an error
-//! naming the variable — never a silent fallback to the default — and
-//! the binaries exit 2 with it.
+//! default applies. Anything else that does not parse, or falls below
+//! the knob's minimum, is an error naming the variable — never a silent
+//! fallback to the default or a clamp — and the binaries exit 2 with it.
 
 use std::env::VarError;
 
@@ -29,16 +29,21 @@ pub fn parse_u64(name: &str, value: Option<&str>) -> Result<Option<u64>, String>
 }
 
 /// The list form of [`parse_u64`]: comma-separated unsigned integers,
-/// every item required to parse.
-pub fn parse_list(name: &str, value: Option<&str>) -> Result<Option<Vec<u64>>, String> {
+/// every item required to parse and to be at least `min`.
+pub fn parse_list(name: &str, value: Option<&str>, min: u64) -> Result<Option<Vec<u64>>, String> {
     let Some(v) = value.map(str::trim).filter(|v| !v.is_empty()) else {
         return Ok(None);
     };
     v.split(',')
         .map(|item| {
             let item = item.trim();
-            item.parse()
-                .map_err(|_| format!("{name}={v}: item `{item}` is not an unsigned integer"))
+            match item.parse() {
+                Ok(n) if n >= min => Ok(n),
+                Ok(_) => Err(format!("{name}={v}: item `{item}` must be at least {min}")),
+                Err(_) => Err(format!(
+                    "{name}={v}: item `{item}` is not an unsigned integer"
+                )),
+            }
         })
         .collect::<Result<Vec<u64>, String>>()
         .map(Some)
@@ -74,9 +79,9 @@ pub fn var_at_least(name: &str, min: u64) -> Result<Option<u64>, String> {
 }
 
 /// Reads `name` from the process environment and parses it with
-/// [`parse_list`].
-pub fn var_list(name: &str) -> Result<Option<Vec<u64>>, String> {
-    parse_list(name, raw(name)?.as_deref())
+/// [`parse_list`], every item at least `min`.
+pub fn var_list(name: &str, min: u64) -> Result<Option<Vec<u64>>, String> {
+    parse_list(name, raw(name)?.as_deref(), min)
 }
 
 /// Reads `name` from the process environment and parses it with
@@ -109,8 +114,8 @@ mod tests {
     fn unset_and_blank_values_keep_the_default() {
         assert_eq!(parse_u64("UNSYNC_INSTS", None), Ok(None));
         assert_eq!(parse_u64("UNSYNC_INSTS", Some("  ")), Ok(None));
-        assert_eq!(parse_list("UNSYNC_LANES", None), Ok(None));
-        assert_eq!(parse_list("UNSYNC_LANES", Some("")), Ok(None));
+        assert_eq!(parse_list("UNSYNC_LANES", None, 1), Ok(None));
+        assert_eq!(parse_list("UNSYNC_LANES", Some(""), 1), Ok(None));
     }
 
     #[test]
@@ -118,7 +123,7 @@ mod tests {
         assert_eq!(parse_u64("UNSYNC_SEED", Some(" 42\n")), Ok(Some(42)));
         assert_eq!(parse_u64("UNSYNC_INSTS", Some("100000")), Ok(Some(100_000)));
         assert_eq!(
-            parse_list("UNSYNC_LANES", Some("2, 8,1000")),
+            parse_list("UNSYNC_LANES", Some("2, 8,1000"), 1),
             Ok(Some(vec![2, 8, 1000]))
         );
     }
@@ -130,10 +135,10 @@ mod tests {
             assert!(err.starts_with("UNSYNC_WORKERS="), "{err}");
             assert!(err.contains(bad), "{err}");
         }
-        let err = parse_list("UNSYNC_LANES", Some("2,x,8")).unwrap_err();
+        let err = parse_list("UNSYNC_LANES", Some("2,x,8"), 1).unwrap_err();
         assert!(err.starts_with("UNSYNC_LANES=2,x,8"), "{err}");
         assert!(err.contains("`x`"), "{err}");
-        assert!(parse_list("UNSYNC_LANES", Some("2,,8")).is_err());
+        assert!(parse_list("UNSYNC_LANES", Some("2,,8"), 1).is_err());
     }
 
     #[test]
@@ -161,5 +166,14 @@ mod tests {
         let err = at_least("UNSYNC_INSTS", 1_000, Some(999)).unwrap_err();
         assert!(err.starts_with("UNSYNC_INSTS=999"), "{err}");
         assert!(at_least("UNSYNC_WORKERS", 1, Some(0)).is_err());
+        assert_eq!(
+            parse_list("UNSYNC_LANES", Some("0,2"), 0),
+            Ok(Some(vec![0, 2]))
+        );
+        for bad in ["0", "2,0", "2, 0 ,8"] {
+            let err = parse_list("UNSYNC_LANES", Some(bad), 1).unwrap_err();
+            assert!(err.starts_with(&format!("UNSYNC_LANES={bad}")), "{err}");
+            assert!(err.contains("`0` must be at least 1"), "{err}");
+        }
     }
 }

@@ -27,7 +27,6 @@ pub mod experiment;
 pub mod experiments;
 pub mod kernelstats;
 pub mod lanesweep;
-pub mod microbench;
 pub mod render;
 pub mod roec_uncore;
 pub mod runlog;

@@ -1,7 +1,7 @@
 //! The workload-production seam: [`WorkloadSource`].
 //!
 //! Every consumer of traces — the bench runner, the experiment suite,
-//! the lane sweep, the microbenchmarks, the sim and exec test beds —
+//! the lane sweep, the repo benchmark, the sim and exec test beds —
 //! obtains its [`TraceProgram`] through this trait instead of
 //! constructing [`WorkloadGen`] directly. That gives the repo exactly
 //! one seam where a new trace backend plugs in; today there are two:
