@@ -120,6 +120,11 @@ const INVALID_WAY: Way = Way {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Cache {
     cfg: CacheConfig,
+    /// `cfg.num_sets() - 1`, computed once: the set index is the low
+    /// bits of the line address.
+    set_mask: u64,
+    /// `log2(cfg.num_sets())`: the tag is the line address above them.
+    set_bits: u32,
     policy: WritePolicy,
     ways: Vec<Way>, // num_sets × assoc, row-major
     stats: CacheStats,
@@ -128,11 +133,13 @@ pub struct Cache {
 impl Cache {
     /// An empty cache with the given geometry and write policy.
     pub fn new(cfg: CacheConfig, policy: WritePolicy) -> Self {
-        let n = (cfg.num_lines()) as usize;
+        let sets = cfg.num_sets();
         Cache {
             cfg,
+            set_mask: sets - 1,
+            set_bits: sets.trailing_zeros(),
             policy,
-            ways: vec![INVALID_WAY; n],
+            ways: vec![INVALID_WAY; cfg.num_lines() as usize],
             stats: CacheStats::default(),
         }
     }
@@ -158,10 +165,17 @@ impl Cache {
         &mut self.ways[base..base + assoc]
     }
 
+    /// `(set, tag)` of a line address: its low `set_bits` bits pick the
+    /// set, the rest are the tag (`CacheConfig::{set_index, tag}` without
+    /// recomputing the geometry).
+    #[inline]
+    fn set_tag(&self, line: u64) -> (u64, u64) {
+        (line & self.set_mask, line >> self.set_bits)
+    }
+
     /// True if `addr`'s line is present (no state change).
     pub fn probe(&self, addr: u64) -> bool {
-        let set = self.cfg.set_index(addr);
-        let tag = self.cfg.tag(addr);
+        let (set, tag) = self.set_tag(self.cfg.line_addr(addr));
         let assoc = self.cfg.assoc as usize;
         let base = set as usize * assoc;
         self.ways[base..base + assoc]
@@ -171,8 +185,7 @@ impl Cache {
 
     /// True if `addr`'s line is present *and dirty*.
     pub fn probe_dirty(&self, addr: u64) -> bool {
-        let set = self.cfg.set_index(addr);
-        let tag = self.cfg.tag(addr);
+        let (set, tag) = self.set_tag(self.cfg.line_addr(addr));
         let assoc = self.cfg.assoc as usize;
         let base = set as usize * assoc;
         self.ways[base..base + assoc]
@@ -183,10 +196,8 @@ impl Cache {
     /// Performs an access, allocating on miss (write-allocate for both
     /// policies, matching M5's default caches).
     pub fn access(&mut self, addr: u64, kind: AccessKind) -> CacheResponse {
-        let set = self.cfg.set_index(addr);
-        let tag = self.cfg.tag(addr);
         let line = self.cfg.line_addr(addr);
-        let num_sets = self.cfg.num_sets();
+        let (set, tag) = self.set_tag(line);
         let policy = self.policy;
         match kind {
             AccessKind::Read => self.stats.reads += 1,
@@ -232,7 +243,7 @@ impl Cache {
             AccessKind::Write => write_miss = 1,
         }
         let victim = ways.iter_mut().max_by_key(|w| w.lru).expect("assoc >= 1");
-        let evicted = victim.valid.then(|| victim.tag * num_sets + set);
+        let evicted = victim.valid.then(|| (victim.tag << self.set_bits) | set);
         let evicted_dirty = victim.valid && victim.dirty;
         victim.tag = tag;
         victim.valid = true;
@@ -259,9 +270,7 @@ impl Cache {
     /// Returns the evicted line address if a valid line was displaced.
     /// No-op if the line is already present.
     pub fn install(&mut self, addr: u64) -> Option<u64> {
-        let set = self.cfg.set_index(addr);
-        let tag = self.cfg.tag(addr);
-        let num_sets = self.cfg.num_sets();
+        let (set, tag) = self.set_tag(self.cfg.line_addr(addr));
         let assoc = self.cfg.assoc as usize;
         let base = set as usize * assoc;
         let ways = &mut self.ways[base..base + assoc];
@@ -272,7 +281,7 @@ impl Cache {
         // victim, and give the new line a middling age so demand lines
         // are not displaced by speculative ones.
         let victim = ways.iter_mut().max_by_key(|w| w.lru).expect("assoc >= 1");
-        let evicted = victim.valid.then(|| victim.tag * num_sets + set);
+        let evicted = victim.valid.then(|| (victim.tag << self.set_bits) | set);
         *victim = Way {
             tag,
             valid: true,
@@ -287,8 +296,7 @@ impl Cache {
     /// (UnSync recovery invalidates suspect L1 lines and refetches from
     /// the ECC-protected L2 — §III-C1.)
     pub fn invalidate(&mut self, addr: u64) -> Option<bool> {
-        let set = self.cfg.set_index(addr);
-        let tag = self.cfg.tag(addr);
+        let (set, tag) = self.set_tag(self.cfg.line_addr(addr));
         let w = self
             .set_slice(set)
             .iter_mut()
@@ -417,6 +425,54 @@ mod tests {
         c.access(0x0, AccessKind::Read); // miss
         c.access(0x0, AccessKind::Read); // hit
         assert!((c.stats().miss_rate() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn cached_geometry_matches_the_config_arithmetic() {
+        let table1 = crate::HierarchyConfig::table1();
+        let fully_associative = CacheConfig {
+            size_bytes: 512,
+            assoc: 8,
+            line_bytes: 64,
+            hit_latency: 1,
+            mshrs: 4,
+        };
+        for cfg in [table1.l1d, table1.l1i, table1.l2, fully_associative] {
+            let sets = cfg.num_sets();
+            let stride = sets * cfg.line_bytes as u64;
+            let mut demand = Cache::new(cfg, WritePolicy::WriteThrough);
+            let mut prefetch = demand.clone();
+            let mut filled = std::collections::HashSet::new();
+            let mut x = sets;
+            for _ in 0..1_000 {
+                x = unsync_isa::exec::splitmix64(x);
+                let addr = x >> (x % 24);
+                let line = cfg.line_addr(addr);
+                assert_eq!(demand.set_tag(line), (cfg.set_index(addr), cfg.tag(addr)));
+                // `assoc` more tags in `addr`'s set: under true LRU the
+                // last one evicts `addr`'s line.
+                demand.access(addr, AccessKind::Read);
+                let mut evicted = None;
+                for k in 1..=cfg.assoc as u64 {
+                    evicted = demand
+                        .access(addr.wrapping_add(k * stride), AccessKind::Read)
+                        .evicted;
+                }
+                assert_eq!(evicted, Some(line), "{cfg:?}: eviction of {addr:#x}");
+                // A prefetch fill's victim is a line filled earlier into
+                // the same set, and now gone.
+                for k in 0..=cfg.assoc as u64 {
+                    let a = addr.wrapping_add(k * stride);
+                    if let Some(victim) = prefetch.install(a) {
+                        let victim_addr = victim * cfg.line_bytes as u64;
+                        assert!(filled.contains(&victim), "{cfg:?}: victim {victim:#x}");
+                        assert_eq!(cfg.set_index(victim_addr), cfg.set_index(a));
+                        assert!(!prefetch.probe(victim_addr));
+                    }
+                    filled.insert(cfg.line_addr(a));
+                }
+            }
+        }
     }
 
     #[test]

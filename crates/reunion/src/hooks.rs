@@ -1,6 +1,6 @@
 //! The CHECK-stage timing model as [`CoreHooks`].
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use unsync_fault::Fingerprint;
 use unsync_isa::Inst;
@@ -13,6 +13,54 @@ use crate::config::ReunionConfig;
 struct CsbEntry {
     /// Verification cycle; `None` while the entry's interval is open.
     verify: Option<u64>,
+}
+
+/// Verification cycles of closed-but-unconsumed ROB entries, indexed by
+/// `seq - base`. The keys are dense: intervals close consecutive
+/// sequence numbers, and the engine consumes its ROB entries oldest
+/// first, so the live entries form one window that slides upward. A
+/// rollback flushes the engine's ROB but not this table; its replay
+/// re-closes the interval, possibly below `base` (the window then grows
+/// downward), and the orphaned entries of the flushed ROB are dropped
+/// once a younger entry is consumed.
+#[derive(Debug, Clone, Default)]
+struct VerifyTable {
+    slots: VecDeque<Option<u64>>,
+    /// Sequence number of `slots[0]`.
+    base: u64,
+}
+
+impl VerifyTable {
+    fn set(&mut self, seq: u64, verify: u64) {
+        if self.slots.is_empty() {
+            self.base = seq;
+        } else if seq < self.base {
+            for _ in seq..self.base {
+                self.slots.push_front(None);
+            }
+            self.base = seq;
+        }
+        let i = (seq - self.base) as usize;
+        if i >= self.slots.len() {
+            self.slots.resize(i + 1, None);
+        }
+        self.slots[i] = Some(verify);
+    }
+
+    fn get(&self, seq: u64) -> Option<u64> {
+        let i = seq.checked_sub(self.base)? as usize;
+        self.slots.get(i).copied().flatten()
+    }
+
+    /// Consumes `seq`'s entry. The engine consumes in sequence order
+    /// until a flush, and a replay re-closes every entry it consumes, so
+    /// the entries older than `seq` are dead and go with it.
+    fn take(&mut self, seq: u64) -> Option<u64> {
+        let verify = self.get(seq)?;
+        self.slots.drain(..=(seq - self.base) as usize);
+        self.base = seq + 1;
+        Some(verify)
+    }
 }
 
 /// Reunion's per-core checking machinery, as engine hooks.
@@ -31,7 +79,7 @@ pub struct ReunionHooks {
     /// L2 only after verification).
     interval_stores: Vec<u64>,
     /// Resolved verification cycle per sequence number.
-    verify_of: HashMap<u64, u64>,
+    verify_of: VerifyTable,
     /// CHECK-stage buffer occupancy, commit order.
     csb: VecDeque<CsbEntry>,
     /// Timing-model fingerprint over the commit stream (pc, seq).
@@ -63,7 +111,7 @@ impl ReunionHooks {
             cfg,
             interval_members: Vec::with_capacity(cfg.fingerprint_interval as usize),
             interval_stores: Vec::new(),
-            verify_of: HashMap::new(),
+            verify_of: VerifyTable::default(),
             csb: VecDeque::with_capacity(cfg.csb_entries as usize + 1),
             fingerprint: Fingerprint::new(),
             last_verify: 0,
@@ -89,7 +137,7 @@ impl ReunionHooks {
     pub fn patch_last_verify(&mut self, verify: u64) -> u64 {
         let verify = verify.max(self.last_verify);
         for seq in &self.last_closed {
-            self.verify_of.insert(*seq, verify);
+            self.verify_of.set(*seq, verify);
         }
         // The last interval's CSB entries are the trailing run whose
         // verify equals the pre-patch value; rewrite the trailing
@@ -132,7 +180,7 @@ impl ReunionHooks {
         let verify = cycle + self.cfg.comparison_latency as u64;
         self.last_closed.clear();
         for seq in self.interval_members.drain(..) {
-            self.verify_of.insert(seq, verify);
+            self.verify_of.set(seq, verify);
             self.last_closed.push(seq);
         }
         // The open interval's entries are the trailing `verify: None` run.
@@ -179,7 +227,7 @@ impl CoreHooks for ReunionHooks {
     }
 
     fn resolve_rob_release(&mut self, seq: u64) -> u64 {
-        self.verify_of.remove(&seq).expect(
+        self.verify_of.take(seq).expect(
             "pending ROB release consumed before its interval closed — the ROB must be \
              deeper than the fingerprint interval",
         )
@@ -203,9 +251,9 @@ impl CoreHooks for ReunionHooks {
         // on_commit already cut the interval at this serializing
         // instruction; dispatch resumes once it verifies AND the two
         // cores have rendezvoused (§IV-5).
-        let verify = *self
+        let verify = self
             .verify_of
-            .get(&inst.seq)
+            .get(inst.seq)
             .expect("serializing instruction closed its interval");
         verify + self.cfg.serialize_sync_penalty as u64
     }
@@ -287,6 +335,111 @@ mod tests {
         // Instruction 0's release resolves to interval-0's verify cycle.
         let v = h.resolve_rob_release(0);
         assert_eq!(v, last_commit_of_first_interval + 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "pending ROB release consumed before its interval closed")]
+    fn resolving_an_open_interval_panics() {
+        let mut h = ReunionHooks::new(ReunionConfig::for_fi(10, 6));
+        let mut m = mem();
+        let mut e = OooEngine::new(CoreConfig::table1(), 0);
+        for i in 0..5 {
+            e.feed(&alu(i), &mut m, &mut h);
+        }
+        h.resolve_rob_release(3);
+    }
+
+    /// [`ReunionHooks`] with every verify-table answer checked against a
+    /// map of each sequence number's latest close.
+    struct Checked {
+        inner: ReunionHooks,
+        model: std::collections::HashMap<u64, u64>,
+        open: Vec<u64>,
+        resolved: u64,
+    }
+
+    impl CoreHooks for Checked {
+        fn commit_gate(&mut self, inst: &Inst, ready: u64) -> u64 {
+            self.inner.commit_gate(inst, ready)
+        }
+
+        fn rob_release(&mut self, inst: &Inst, commit: u64) -> RobRelease {
+            self.inner.rob_release(inst, commit)
+        }
+
+        fn resolve_rob_release(&mut self, seq: u64) -> u64 {
+            let v = self.inner.resolve_rob_release(seq);
+            assert_eq!(self.model.remove(&seq), Some(v), "seq {seq}");
+            self.resolved += 1;
+            v
+        }
+
+        fn store_committed(
+            &mut self,
+            inst: &Inst,
+            line: u64,
+            cycle: u64,
+            m: &mut MemSystem,
+        ) -> u64 {
+            self.inner.store_committed(inst, line, cycle, m)
+        }
+
+        fn serialize_release(&mut self, inst: &Inst, commit: u64) -> u64 {
+            let v = self.inner.serialize_release(inst, commit);
+            assert_eq!(Some(v), self.model.get(&inst.seq).map(|m| m + 6));
+            v
+        }
+
+        fn on_commit(&mut self, inst: &Inst, cycle: u64, m: &mut MemSystem) {
+            let closed = self.inner.intervals_closed;
+            self.inner.on_commit(inst, cycle, m);
+            self.open.push(inst.seq);
+            if self.inner.intervals_closed > closed {
+                for seq in self.open.drain(..) {
+                    self.model.insert(seq, self.inner.last_verify);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn replay_below_the_oldest_unresolved_entry_resolves_like_a_map() {
+        // The engine's ROB is flushed and the program replayed from below
+        // the table's base, i.e. from entries consumed before the flush;
+        // a second flush leaves orphans behind. Every resolution must
+        // match a map of the latest close per sequence number.
+        let mut cfg = ReunionConfig::for_fi(10, 6);
+        cfg.serialize_sync_penalty = 6;
+        let mut h = Checked {
+            inner: ReunionHooks::new(cfg),
+            model: Default::default(),
+            open: Vec::new(),
+            resolved: 0,
+        };
+        let mut m = mem();
+        let mut e = OooEngine::new(CoreConfig::table1(), 0);
+        let trap = |seq| Inst::build(OpClass::Trap).seq(seq).pc(seq * 4).finish();
+        let mut feed = |e: &mut OooEngine, h: &mut Checked, seqs: std::ops::Range<u64>| {
+            for i in seqs {
+                let inst = if i % 37 == 0 { trap(i) } else { alu(i) };
+                e.feed(&inst, &mut m, h);
+            }
+        };
+        feed(&mut e, &mut h, 0..300);
+        let base = h.inner.verify_of.base;
+        assert!(base > 150, "entries below {base} already consumed");
+        e.flush_pipeline(e.now() + 10);
+        feed(&mut e, &mut h, 150..160);
+        assert_eq!(h.inner.verify_of.base, 150, "the table grew downward");
+        feed(&mut e, &mut h, 160..330);
+        e.flush_pipeline(e.now() + 10);
+        feed(&mut e, &mut h, 320..700);
+        assert!(h.resolved > 400, "{} resolutions", h.resolved);
+        assert!(
+            h.inner.verify_of.slots.len() <= 128 + 10,
+            "orphans of the flushed ROB were dropped: {} entries",
+            h.inner.verify_of.slots.len()
+        );
     }
 
     #[test]

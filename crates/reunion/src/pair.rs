@@ -573,6 +573,39 @@ mod tests {
     }
 
     #[test]
+    fn back_to_back_rollbacks_keep_their_timing() {
+        // A rollback every 90 instructions flushes the ROB before it
+        // refills (128 entries), so each flush orphans closed-but-unconsumed
+        // verify-table entries, and the next one orphans more; they are
+        // dropped when the ROB first fills after the last rollback. The
+        // register strike is read within its interval: rolled back too.
+        use unsync_exec::TraceEventKind::Detection;
+        let t = trace(3_000, 6);
+        let mut faults: Vec<PairFault> = (0..20)
+            .map(|k| PairFault {
+                at: 50 + k * 90,
+                core: (k % 2) as usize,
+                site: site(FaultTarget::PipelineRegs, k * 7),
+                kind: unsync_fault::FaultKind::Single,
+            })
+            .collect();
+        faults.push(PairFault {
+            at: 2_400,
+            core: 1,
+            site: site(FaultTarget::RegisterFile, 64 * 8 + 5),
+            kind: unsync_fault::FaultKind::Single,
+        });
+        let out = pair().run(&t, &faults);
+        assert!(out.correct(), "{out:?}");
+        assert_eq!(out.committed, 3_000);
+        // Pinned: a verify time answered wrongly for any replayed
+        // instruction moves the cycle count.
+        assert_eq!(out.events.count(Detection), 21);
+        assert_eq!(out.events.count(Rollback), 21);
+        assert_eq!(out.cycles, 60_103);
+    }
+
+    #[test]
     fn deterministic_outcomes() {
         let t = trace(1_500, 7);
         let faults = [PairFault {

@@ -253,15 +253,13 @@ impl OooEngine {
         self.fetch_buf.push_back(dispatch);
 
         // ROB occupancy sample: in-flight entries at dispatch time
-        // (pending releases are by definition still in flight).
-        let in_flight = self
+        // (pending releases are by definition still in flight). The
+        // window is sorted by release (the `CoreHooks::rob_release`
+        // contract), so the released entries are a prefix.
+        let released = self
             .rob
-            .iter()
-            .filter(|r| match r {
-                RobRelease::At(r) => *r > dispatch,
-                RobRelease::Pending(_) => true,
-            })
-            .count();
+            .partition_point(|r| matches!(r, RobRelease::At(c) if *c <= dispatch));
+        let in_flight = self.rob.len() - released;
         self.stats.rob_occupancy_sum += in_flight as u64;
         self.stats.rob_occupancy_samples += 1;
         let bucket = (in_flight * 16 / cfg.rob_size as usize).min(16);
@@ -341,15 +339,24 @@ impl OooEngine {
         if let Some(d) = inst.arch_dest() {
             self.reg_avail[d.index()] = complete;
         }
-        let release = hooks.rob_release(inst, commit);
-        let rob_free = match release {
-            RobRelease::At(r) => r.max(commit),
-            RobRelease::Pending(_) => commit, // reported estimate only
-        };
-        self.rob.push_back(match release {
+        let release = match hooks.rob_release(inst, commit) {
             RobRelease::At(r) => RobRelease::At(r.max(commit)),
             p => p,
-        });
+        };
+        let rob_free = match release {
+            RobRelease::At(r) => r,
+            RobRelease::Pending(_) => commit, // reported estimate only
+        };
+        debug_assert!(
+            match (self.rob.back(), release) {
+                (Some(RobRelease::At(older)), RobRelease::At(r)) => *older <= r,
+                (Some(RobRelease::Pending(_)), RobRelease::At(_)) => false,
+                _ => true,
+            },
+            "ROB releases out of order: {release:?} after {:?}",
+            self.rob.back()
+        );
+        self.rob.push_back(release);
         self.iq.push_back(issue);
         if inst.op.is_mem() {
             self.lsq.push_back(commit);
@@ -662,6 +669,25 @@ mod tests {
             t_ld.commit
         );
         assert!(e.stats().rob_full_cycles > 0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "ROB releases out of order")]
+    fn unsorted_rob_releases_are_caught() {
+        // Each release earlier than the previous one's: the occupancy
+        // count's binary search would be wrong, so debug builds refuse.
+        struct Shrinking;
+        impl CoreHooks for Shrinking {
+            fn rob_release(&mut self, inst: &Inst, commit: u64) -> RobRelease {
+                RobRelease::At(commit + 1_000 - inst.seq * 100)
+            }
+        }
+        let mut e = engine();
+        let mut m = mem();
+        for i in 0..2u64 {
+            e.feed(&alu(i, 1, 2, 3), &mut m, &mut Shrinking);
+        }
     }
 
     #[test]

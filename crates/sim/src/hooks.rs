@@ -50,6 +50,13 @@ pub trait CoreHooks {
     /// Reunion returns [`RobRelease::Pending`] and later resolves it to
     /// the fingerprint-verification time, which is how CHECK-stage
     /// residency turns into ROB pressure (§IV-5).
+    ///
+    /// Releases must keep the ROB window sorted, because the engine
+    /// counts its in-flight entries with a binary search: an `At`
+    /// release is never earlier than an older entry's `At` (commit is
+    /// monotone, so `At(commit + k)` with non-decreasing `k` qualifies),
+    /// and no `At` follows a `Pending` inside one ROB window. Debug
+    /// builds assert both at every ROB insertion.
     fn rob_release(&mut self, _inst: &Inst, commit: u64) -> RobRelease {
         RobRelease::At(commit)
     }
