@@ -407,6 +407,10 @@ impl GroupCb {
                 .map(|e| e.ready)
                 .max()
                 .expect("at least two sides");
+            // Drains as core 0, and `drain_write` exempts only the
+            // writer's pair (cores 0 and 1) from cross-pair invalidation:
+            // replicas 2 and up lose their copies to their own group's
+            // drains. A known fidelity gap, kept so outputs stay put.
             let done = mem.drain_write(0, line, start);
             for (c, p) in positions.iter().enumerate() {
                 self.sides[c][p.unwrap()].drain_done = done;

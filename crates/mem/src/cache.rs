@@ -127,6 +127,14 @@ pub struct Cache {
     set_bits: u32,
     policy: WritePolicy,
     ways: Vec<Way>, // num_sets × assoc, row-major
+    /// Ways currently valid, so `valid_lines` needs no scan.
+    valid: usize,
+    /// Lowest and highest line address allocated since `new` or the last
+    /// `invalidate_all` (`lo > hi` while none was): every valid line lies
+    /// in `lo..=hi`, so `invalidate_line` rejects a line outside without
+    /// reading its set.
+    lo: u64,
+    hi: u64,
     stats: CacheStats,
 }
 
@@ -140,6 +148,9 @@ impl Cache {
             set_bits: sets.trailing_zeros(),
             policy,
             ways: vec![INVALID_WAY; cfg.num_lines() as usize],
+            valid: 0,
+            lo: u64::MAX,
+            hi: 0,
             stats: CacheStats::default(),
         }
     }
@@ -171,6 +182,16 @@ impl Cache {
     #[inline]
     fn set_tag(&self, line: u64) -> (u64, u64) {
         (line & self.set_mask, line >> self.set_bits)
+    }
+
+    /// Records that `line` is being allocated into a way that was
+    /// `was_valid` before: widens the allocation bounds and counts a way
+    /// that turns valid.
+    #[inline]
+    fn note_fill(&mut self, line: u64, was_valid: bool) {
+        self.lo = self.lo.min(line);
+        self.hi = self.hi.max(line);
+        self.valid += usize::from(!was_valid);
     }
 
     /// True if `addr`'s line is present (no state change).
@@ -250,6 +271,7 @@ impl Cache {
         victim.dirty = kind == AccessKind::Write && policy == WritePolicy::WriteBack;
         victim.prefetched = false;
         victim.lru = 0;
+        self.note_fill(line, evicted.is_some());
 
         self.stats.read_misses += read_miss;
         self.stats.write_misses += write_miss;
@@ -270,7 +292,8 @@ impl Cache {
     /// Returns the evicted line address if a valid line was displaced.
     /// No-op if the line is already present.
     pub fn install(&mut self, addr: u64) -> Option<u64> {
-        let (set, tag) = self.set_tag(self.cfg.line_addr(addr));
+        let line = self.cfg.line_addr(addr);
+        let (set, tag) = self.set_tag(line);
         let assoc = self.cfg.assoc as usize;
         let base = set as usize * assoc;
         let ways = &mut self.ways[base..base + assoc];
@@ -289,20 +312,28 @@ impl Cache {
             prefetched: true,
             lru: 1,
         };
+        self.note_fill(line, evicted.is_some());
         evicted
     }
 
-    /// Invalidates `addr`'s line if present; returns whether it was dirty.
-    /// (UnSync recovery invalidates suspect L1 lines and refetches from
-    /// the ECC-protected L2 — §III-C1.)
-    pub fn invalidate(&mut self, addr: u64) -> Option<bool> {
-        let (set, tag) = self.set_tag(self.cfg.line_addr(addr));
+    /// Invalidates line address `line` (byte address / line size) if
+    /// present; returns whether it was dirty. (UnSync recovery invalidates
+    /// suspect L1 lines and refetches from the ECC-protected L2 —
+    /// §III-C1.) A line outside the range allocated since the last
+    /// [`Cache::invalidate_all`] cannot be present, so it returns `None`
+    /// without reading its set.
+    pub fn invalidate_line(&mut self, line: u64) -> Option<bool> {
+        if line < self.lo || line > self.hi {
+            return None;
+        }
+        let (set, tag) = self.set_tag(line);
         let w = self
             .set_slice(set)
             .iter_mut()
             .find(|w| w.valid && w.tag == tag)?;
         let was_dirty = w.dirty;
         *w = INVALID_WAY;
+        self.valid -= 1;
         Some(was_dirty)
     }
 
@@ -310,11 +341,14 @@ impl Cache {
     /// as invalidate + refill-on-demand from L2).
     pub fn invalidate_all(&mut self) {
         self.ways.fill(INVALID_WAY);
+        self.valid = 0;
+        self.lo = u64::MAX;
+        self.hi = 0;
     }
 
-    /// Number of currently valid lines.
+    /// Number of currently valid lines (a running count: O(1)).
     pub fn valid_lines(&self) -> usize {
-        self.ways.iter().filter(|w| w.valid).count()
+        self.valid
     }
 
     /// Number of currently dirty lines.
@@ -392,8 +426,8 @@ mod tests {
     fn invalidate_reports_dirtiness() {
         let mut c = tiny(WritePolicy::WriteBack);
         c.access(0x80, AccessKind::Write);
-        assert_eq!(c.invalidate(0x80), Some(true));
-        assert_eq!(c.invalidate(0x80), None, "already gone");
+        assert_eq!(c.invalidate_line(0x80 / 64), Some(true));
+        assert_eq!(c.invalidate_line(0x80 / 64), None, "already gone");
         assert!(!c.probe(0x80));
     }
 
@@ -473,6 +507,66 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn valid_count_and_bounds_track_every_operation() {
+        let one_set = CacheConfig {
+            size_bytes: 512,
+            assoc: 8,
+            line_bytes: 64,
+            hit_latency: 1,
+            mshrs: 4,
+        };
+        for cfg in [CacheConfig::l1_table1(), one_set] {
+            // Lines drawn from a window a few times the cache's size, so
+            // sets fill, evict and empty again.
+            let span = 4 * cfg.num_lines() * cfg.line_bytes as u64;
+            let mut c = Cache::new(cfg, WritePolicy::WriteBack);
+            let mut x = cfg.num_lines();
+            for step in 0..20_000 {
+                x = unsync_isa::exec::splitmix64(x);
+                let addr = 0x4000_0000 + (x >> 8) % span;
+                match x % 16 {
+                    0..=5 => _ = c.access(addr, AccessKind::Read),
+                    6..=8 => _ = c.access(addr, AccessKind::Write),
+                    9..=11 => _ = c.install(addr),
+                    12..=14 => _ = c.invalidate_line(cfg.line_addr(addr)),
+                    15 if step % 8 == 0 => c.invalidate_all(),
+                    _ => c = c.clone(),
+                }
+                let valid: Vec<u64> = c
+                    .ways
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, w)| w.valid)
+                    .map(|(i, w)| (w.tag << c.set_bits) | (i / cfg.assoc as usize) as u64)
+                    .collect();
+                assert_eq!(c.valid_lines(), valid.len(), "{cfg:?} step {step}");
+                assert!(
+                    valid.iter().all(|l| (c.lo..=c.hi).contains(l)),
+                    "{cfg:?} step {step}: a valid line outside {}..={}",
+                    c.lo,
+                    c.hi
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn invalidate_skips_lines_outside_the_allocated_range() {
+        let mut c = tiny(WritePolicy::WriteThrough);
+        assert_eq!(c.invalidate_line(0), None, "empty cache");
+        c.access(0x1000, AccessKind::Read);
+        c.install(0x2000);
+        // In range and present; in range but absent; out of range.
+        assert_eq!(c.invalidate_line(0x2000 / 64), Some(false));
+        assert_eq!(c.invalidate_line(0x1800 / 64), None);
+        assert_eq!(c.invalidate_line(0x3000 / 64), None);
+        assert_eq!(c.valid_lines(), 1);
+        // The range widens only by allocation and resets with the cache.
+        c.invalidate_all();
+        assert_eq!((c.lo, c.hi, c.valid_lines()), (u64::MAX, 0, 0));
     }
 
     #[test]

@@ -348,10 +348,14 @@ impl MemSystem {
         // Coherence: a store becoming architectural at the L2 invalidates
         // stale copies in *other pairs'* L1s. The writer's own pair is
         // exempt — both of its cores legitimately hold the line (they run
-        // the same thread).
+        // the same thread). Each L1 rejects a line outside the range it
+        // has allocated in O(1), so lanes at disjoint address bases never
+        // read each other's sets. `line` is `addr`'s line as the L1s see
+        // it, derived once per drain rather than once per core.
+        let line = self.cfg.l1d.line_addr(addr);
         let writer_pair = core / 2;
         for (c, port) in self.cores.iter_mut().enumerate() {
-            if c / 2 != writer_pair && port.l1d.invalidate(addr).is_some() {
+            if c / 2 != writer_pair && port.l1d.invalidate_line(line).is_some() {
                 port.invalidations += 1;
             }
         }
