@@ -15,11 +15,11 @@
 //!   from [`job_seed_named`], so results are a pure function of the
 //!   job alone: bit-identical across worker counts, reruns, and
 //!   resumes.
-//! * [`CampaignEngine::run_streaming`] cuts the pending jobs into
-//!   fixed-size chunks, runs each chunk through [`Runner::map`], and
-//!   appends the chunk's records to the JSONL log in row order before
-//!   starting the next. Memory stays bounded by one chunk no matter how
-//!   large the grid.
+//! * [`CampaignEngine::run_streaming`] runs the pending jobs on one
+//!   worker pool through [`Runner::map_chunks`] and appends each
+//!   fixed-size chunk's records to the JSONL log in row order before
+//!   the workers start the next. Memory stays bounded by one chunk no
+//!   matter how large the grid.
 //! * Because every finished chunk is on disk, a killed run leaves a
 //!   valid prefix and loses at most one chunk of work. On restart the
 //!   engine replays the partial log, validates the header against the
@@ -417,10 +417,10 @@ fn run_strike_job(
         .field("memory_matches", u64::from(memory_matches))
 }
 
-/// Jobs per [`Runner::map`] call. A chunk's records reach the log only
-/// once the whole chunk has finished, so a killed run loses at most
-/// one chunk of work; larger chunks only amortize the pool start and
-/// the append.
+/// Jobs per log append. The pool starts no job of the next chunk
+/// before a chunk's records reach the log, so a killed run loses at
+/// most one chunk of work; larger chunks only amortize the append and
+/// the wait for each chunk's slowest job.
 const CHUNK: usize = 256;
 
 /// What one [`CampaignEngine::run_streaming`] call did.
@@ -452,7 +452,7 @@ impl CampaignReport {
 }
 
 /// The streaming campaign engine: a worker count for the [`Runner`]
-/// pool it runs each chunk on.
+/// pool it runs the grid on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CampaignEngine {
     /// Worker threads executing jobs.
@@ -498,16 +498,19 @@ impl CampaignEngine {
         metrics::global()
             .gauge("campaign.workers")
             .set(self.workers as f64);
-        let runner = Runner::new(self.workers);
-        for chunk in pending.chunks(CHUNK) {
-            let lines = runner.map(chunk, |job| run_job_inner(grid, *job, true, Some(&memo)));
-            let mut text = lines.join("\n");
-            text.push('\n');
-            let _t = prof::scope("campaign.writer_flush");
-            file.write_all(text.as_bytes())
-                .and_then(|()| file.flush())
-                .map_err(|e| format!("append {}: {e}", path.display()))?;
-        }
+        Runner::new(self.workers).map_chunks(
+            &pending,
+            CHUNK,
+            |job| run_job_inner(grid, *job, true, Some(&memo)),
+            |lines| {
+                let mut text = lines.join("\n");
+                text.push('\n');
+                let _t = prof::scope("campaign.writer_flush");
+                file.write_all(text.as_bytes())
+                    .and_then(|()| file.flush())
+                    .map_err(|e| format!("append {}: {e}", path.display()))
+            },
+        )?;
 
         let wall_ms = started.elapsed().as_millis() as u64;
         let report = CampaignReport {

@@ -21,8 +21,9 @@
 //!   `runner.baseline_cache_hits` in the metrics registry.
 
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
 
 use unsync_isa::exec::splitmix64;
 use unsync_isa::{golden_run, ArchMemory};
@@ -75,44 +76,145 @@ impl Runner {
         T: Send,
         F: Fn(&I) -> T + Sync,
     {
+        let mut out = Vec::new();
+        let Ok(()) = self.map_chunks(items, items.len().max(1), f, |all| {
+            out = all;
+            Ok::<(), Infallible>(())
+        });
+        out
+    }
+
+    /// Applies `f` to every item on one worker pool and hands `sink` the
+    /// outputs `chunk` items at a time, in input order (the last chunk
+    /// may be short), on the calling thread. Workers start no item past
+    /// the chunk being assembled, so at most one chunk of outputs is
+    /// held, as if each chunk ran through [`Runner::map`] in turn, but
+    /// the threads start once. The first `sink` error stops the workers
+    /// taking new items and is returned once the running ones finish.
+    ///
+    /// # Panics
+    /// Panics if `chunk` is zero. Propagates a panic from any job after
+    /// all workers stop.
+    pub fn map_chunks<I, T, E, F, S>(
+        &self,
+        items: &[I],
+        chunk: usize,
+        f: F,
+        mut sink: S,
+    ) -> Result<(), E>
+    where
+        I: Sync,
+        T: Send,
+        F: Fn(&I) -> T + Sync,
+        S: FnMut(Vec<T>) -> Result<(), E>,
+    {
+        assert!(chunk > 0, "at least one item per chunk");
         let m = metrics::global();
         m.gauge("runner.workers").set(self.workers as f64);
         let jobs_done = m.counter("runner.jobs_completed");
-        if items.is_empty() {
-            return Vec::new();
-        }
+        let run = |item: &I| {
+            let r = f(item);
+            jobs_done.inc();
+            r
+        };
         let workers = self.workers.min(items.len());
-        if workers == 1 {
+        if workers <= 1 {
             return items
-                .iter()
-                .map(|item| {
-                    let r = f(item);
-                    jobs_done.inc();
-                    r
-                })
-                .collect();
+                .chunks(chunk)
+                .try_for_each(|part| sink(part.iter().map(run).collect()));
         }
+        let gate = Gate {
+            state: Mutex::new((0, false)),
+            moved: Condvar::new(),
+            chunk,
+        };
         let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<T>>> = items.iter().map(|_| Mutex::new(None)).collect();
+        let (tx, rx) = mpsc::channel();
         std::thread::scope(|scope| {
             for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(item) = items.get(i) else { break };
-                    let r = f(item);
-                    *slots[i].lock().expect("result slot poisoned") = Some(r);
-                    jobs_done.inc();
+                let tx = tx.clone();
+                let (gate, next, run) = (&gate, &next, &run);
+                scope.spawn(move || {
+                    let _halt = HaltOnPanic(gate);
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= items.len() || !gate.admit(i) {
+                            break;
+                        }
+                        if tx.send((i, run(&items[i]))).is_err() {
+                            break;
+                        }
+                    }
                 });
             }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("result slot poisoned")
-                    .expect("worker filled slot")
-            })
-            .collect()
+            drop(tx);
+            let _halt = HaltOnPanic(&gate);
+            // The chunk being assembled: items `base..base + slots.len()`,
+            // `filled` of them done. The gate keeps every output inside it.
+            let (mut base, mut filled) = (0, 0);
+            let mut slots: Vec<Option<T>> = Vec::new();
+            slots.resize_with(chunk.min(items.len()), || None);
+            for (i, r) in rx.iter() {
+                slots[i - base] = Some(r);
+                filled += 1;
+                if filled == slots.len() {
+                    let part = slots.drain(..).map(|r| r.expect("filled")).collect();
+                    base += filled;
+                    if let Err(e) = sink(part) {
+                        gate.halt();
+                        return Err(e);
+                    }
+                    filled = 0;
+                    slots.resize_with(chunk.min(items.len() - base), || None);
+                    gate.advance(base);
+                }
+            }
+            // Every sender is gone: either every chunk reached `sink`, or
+            // a worker panicked and the scope re-raises it.
+            Ok(())
+        })
+    }
+}
+
+/// Holds back workers that reach past the chunk being assembled, and
+/// stops them all on a `sink` error or a panic.
+struct Gate {
+    /// Items handed to `sink` so far, and whether the pool is stopping.
+    state: Mutex<(usize, bool)>,
+    moved: Condvar,
+    chunk: usize,
+}
+
+impl Gate {
+    /// Waits until item `i` may start; false once the pool is stopping.
+    fn admit(&self, i: usize) -> bool {
+        let mut state = self.state.lock().expect("gate poisoned");
+        while i >= state.0 + self.chunk && !state.1 {
+            state = self.moved.wait(state).expect("gate poisoned");
+        }
+        !state.1
+    }
+
+    fn advance(&self, emitted: usize) {
+        self.state.lock().expect("gate poisoned").0 = emitted;
+        self.moved.notify_all();
+    }
+
+    fn halt(&self) {
+        self.state.lock().expect("gate poisoned").1 = true;
+        self.moved.notify_all();
+    }
+}
+
+/// Halts the gate if its thread unwinds, so no worker waits forever on
+/// a chunk that will never be handed over.
+struct HaltOnPanic<'a>(&'a Gate);
+
+impl Drop for HaltOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.halt();
+        }
     }
 }
 
@@ -295,6 +397,90 @@ mod tests {
         let none: Vec<u64> = Vec::new();
         assert!(Runner::new(3).map(&none, |&x| x).is_empty());
         assert_eq!(Runner::new(3).map(&[9u64], |&x| x + 1), vec![10]);
+    }
+
+    /// A job whose cost varies with its input, so workers finish out of
+    /// order.
+    fn uneven(x: &u64) -> u64 {
+        (0..x % 7 * 500).fold(*x, |h, _| splitmix64(h))
+    }
+
+    /// Every chunk `map_chunks` hands over, at `workers` workers.
+    fn chunks_of(items: &[u64], workers: usize, chunk: usize) -> Vec<Vec<u64>> {
+        let mut chunks = Vec::new();
+        let Ok(()) = Runner::new(workers).map_chunks(items, chunk, uneven, |c| {
+            chunks.push(c);
+            Ok::<(), Infallible>(())
+        });
+        chunks
+    }
+
+    #[test]
+    fn map_chunks_hands_over_chunks_in_input_order() {
+        let items: Vec<u64> = (0..103).collect();
+        for workers in [1, 2, 8] {
+            let chunks = chunks_of(&items, workers, 25);
+            let sizes: Vec<usize> = chunks.iter().map(Vec::len).collect();
+            assert_eq!(sizes, [25, 25, 25, 25, 3], "{workers} workers");
+            let expected: Vec<u64> = items.iter().map(uneven).collect();
+            assert_eq!(chunks.concat(), expected, "{workers} workers");
+        }
+        assert!(chunks_of(&[], 2, 25).is_empty());
+    }
+
+    #[test]
+    fn map_chunks_equals_map_at_any_worker_count() {
+        let items: Vec<u64> = (0..300).collect();
+        let expected = Runner::new(1).map(&items, uneven);
+        for workers in [1, 2, 8] {
+            assert_eq!(Runner::new(workers).map(&items, uneven), expected);
+            for chunk in [1, 7, 256, 1_000] {
+                assert_eq!(chunks_of(&items, workers, chunk).concat(), expected);
+            }
+        }
+    }
+
+    #[test]
+    fn a_failing_sink_stops_the_pool() {
+        let items: Vec<u64> = (0..1_000).collect();
+        for workers in [1, 2, 8] {
+            let ran = AtomicUsize::new(0);
+            let mut handed = 0;
+            let out = Runner::new(workers).map_chunks(
+                &items,
+                10,
+                |x| {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                    uneven(x)
+                },
+                |c| {
+                    handed += c.len();
+                    if handed == 20 {
+                        Err(format!("full after {handed}"))
+                    } else {
+                        Ok(())
+                    }
+                },
+            );
+            assert_eq!(out, Err("full after 20".to_string()));
+            // No item past the failed chunk starts.
+            assert_eq!(ran.load(Ordering::Relaxed), 20, "{workers} workers");
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn a_panicking_job_stops_the_pool() {
+        let items: Vec<u64> = (0..1_000).collect();
+        let _ = Runner::new(2).map_chunks(
+            &items,
+            10,
+            |&x| {
+                assert_ne!(x, 15, "job 15 fails");
+                x
+            },
+            |_| Ok::<(), Infallible>(()),
+        );
     }
 
     #[test]

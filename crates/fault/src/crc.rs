@@ -9,9 +9,13 @@
 //!
 //! The implementation here is a real CRC-16/CCITT (polynomial `0x1021`):
 //! a bitwise reference plus a table-driven fast path, cross-checked by
-//! property tests. The [`Fingerprint`] accumulator folds each committed
-//! instruction's (pc, result) update into the running checksum exactly the
-//! way the CHECK stage consumes the commit stream.
+//! property tests. Whole 64-bit words fold by slicing-by-8: eight
+//! 256-entry tables (4 KiB), table `k` holding a byte's CRC advanced by
+//! `k` further zero bytes, so a word costs eight independent lookups
+//! instead of a chain of eight dependent ones. The [`Fingerprint`]
+//! accumulator folds each committed instruction's (pc, result) update
+//! into the running checksum exactly the way the CHECK stage consumes
+//! the commit stream.
 
 use serde::{Deserialize, Serialize};
 
@@ -59,23 +63,48 @@ const fn build_table() -> [u16; 256] {
     table
 }
 
-/// Table for the byte-at-a-time fast path (what a two-stage parallel
-/// hardware generator computes combinationally).
-static CRC16_TABLE: [u16; 256] = build_table();
+/// The lookup tables. `CRC16_SLICES[0]` drives the byte-at-a-time fast
+/// path (what a two-stage parallel hardware generator computes
+/// combinationally); `CRC16_SLICES[k][x]` is byte `x` folded in and then
+/// `k` zero bytes after it, for the slicing-by-8 word fold.
+static CRC16_SLICES: [[u16; 256]; 8] = build_slices();
 
 /// Table-driven CRC step (must agree with [`crc16_byte`]).
 #[inline]
 pub fn crc16_byte_fast(crc: u16, byte: u8) -> u16 {
-    (crc << 8) ^ CRC16_TABLE[((crc >> 8) ^ byte as u16) as usize]
+    (crc << 8) ^ CRC16_SLICES[0][((crc >> 8) ^ byte as u16) as usize]
 }
 
-/// Folds a 64-bit word (big-endian byte order) into the register.
-#[inline]
-pub fn crc16_word(mut crc: u16, word: u64) -> u16 {
-    for byte in word.to_be_bytes() {
-        crc = crc16_byte_fast(crc, byte);
+const fn build_slices() -> [[u16; 256]; 8] {
+    let base = build_table();
+    let mut slices = [base; 8];
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = slices[k - 1][i];
+            slices[k][i] = (prev << 8) ^ base[(prev >> 8) as usize];
+            i += 1;
+        }
+        k += 1;
     }
-    crc
+    slices
+}
+
+/// Folds a 64-bit word (big-endian byte order) into the register; equal
+/// to eight [`crc16_byte`] steps over its bytes.
+#[inline]
+pub fn crc16_word(crc: u16, word: u64) -> u16 {
+    let b = word.to_be_bytes();
+    let t = &CRC16_SLICES;
+    t[7][(b[0] ^ (crc >> 8) as u8) as usize]
+        ^ t[6][(b[1] ^ crc as u8) as usize]
+        ^ t[5][b[2] as usize]
+        ^ t[4][b[3] as usize]
+        ^ t[3][b[4] as usize]
+        ^ t[2][b[5] as usize]
+        ^ t[1][b[6] as usize]
+        ^ t[0][b[7] as usize]
 }
 
 /// The running fingerprint of one core's commit stream.
@@ -145,6 +174,7 @@ impl Fingerprint {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use unsync_isa::exec::splitmix64;
 
     /// Known-answer test: CRC-16/CCITT-FALSE of "123456789" is 0x29B1.
     #[test]
@@ -163,6 +193,26 @@ mod tests {
             crc = crc16_byte_fast(crc, b);
         }
         assert_eq!(crc, 0x29b1);
+    }
+
+    #[test]
+    fn word_fold_equals_eight_byte_steps() {
+        let bytewise = |crc, word: u64| word.to_be_bytes().into_iter().fold(crc, crc16_byte);
+        let mut x = 0x5eed_u64;
+        for i in 0..1_000_000u64 {
+            x = splitmix64(x);
+            let crc = match i % 4 {
+                0 => 0x0000,
+                1 => 0xffff,
+                _ => (x >> 48) as u16,
+            };
+            let word = splitmix64(x ^ i);
+            assert_eq!(
+                crc16_word(crc, word),
+                bytewise(crc, word),
+                "{crc:#06x} {word:#x}"
+            );
+        }
     }
 
     #[test]

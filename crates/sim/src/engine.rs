@@ -104,6 +104,8 @@ pub struct OooEngine {
     reg_avail: [u64; 64],
     /// ROB-entry releases of the youngest `rob_size` instructions.
     rob: VecDeque<RobRelease>,
+    /// Leading `rob` entries released at or before the last dispatch.
+    rob_released: usize,
     /// Issue cycles of the youngest `iq_size` instructions.
     iq: VecDeque<u64>,
     /// Commit cycles of the youngest `lsq_size` memory instructions.
@@ -122,6 +124,9 @@ pub struct OooEngine {
     predictor: Option<Gshare>,
     /// Last instruction-cache line fetched (icache modelling).
     last_fetch_line: u64,
+    /// Sequence-number residue (mod `drift_period`) of this core's drift
+    /// events.
+    drift_phase: u64,
     stats: CoreStats,
 }
 
@@ -136,6 +141,10 @@ impl OooEngine {
             vec![0u64; cfg.fp_units as usize],
             vec![0u64; cfg.mem_ports as usize],
         ];
+        let drift_phase = match cfg.drift_period {
+            0 => 0,
+            period => splitmix64(core_id as u64 + 1) % period as u64,
+        };
         OooEngine {
             cfg,
             core_id,
@@ -145,6 +154,7 @@ impl OooEngine {
             fetch_buf: VecDeque::with_capacity(cfg.fetch_buffer as usize + 1),
             reg_avail: [0; 64],
             rob: VecDeque::with_capacity(cfg.rob_size as usize + 1),
+            rob_released: 0,
             iq: VecDeque::with_capacity(cfg.iq_size as usize + 1),
             lsq: VecDeque::with_capacity(cfg.lsq_size as usize + 1),
             fu_free,
@@ -153,6 +163,7 @@ impl OooEngine {
             last_commit: 0,
             predictor: None,
             last_fetch_line: u64::MAX,
+            drift_phase,
             stats: CoreStats::default(),
         }
     }
@@ -228,6 +239,7 @@ impl OooEngine {
                 RobRelease::At(r) => r,
                 RobRelease::Pending(seq) => hooks.resolve_rob_release(seq),
             };
+            self.rob_released = self.rob_released.saturating_sub(1);
             if release > dispatch_lb {
                 self.stats.rob_full_cycles += release - dispatch_lb;
                 dispatch_lb = release;
@@ -255,11 +267,19 @@ impl OooEngine {
         // ROB occupancy sample: in-flight entries at dispatch time
         // (pending releases are by definition still in flight). The
         // window is sorted by release (the `CoreHooks::rob_release`
-        // contract), so the released entries are a prefix.
-        let released = self
-            .rob
-            .partition_point(|r| matches!(r, RobRelease::At(c) if *c <= dispatch));
-        let in_flight = self.rob.len() - released;
+        // contract), so the released entries are a prefix, and dispatch
+        // never moves back, so that prefix only grows until its entries
+        // are popped: the cursor passes each entry at most once.
+        while matches!(self.rob.get(self.rob_released), Some(RobRelease::At(c)) if *c <= dispatch) {
+            self.rob_released += 1;
+        }
+        debug_assert_eq!(
+            self.rob_released,
+            self.rob
+                .partition_point(|r| matches!(r, RobRelease::At(c) if *c <= dispatch)),
+            "ROB release cursor out of step with the window"
+        );
+        let in_flight = self.rob.len() - self.rob_released;
         self.stats.rob_occupancy_sum += in_flight as u64;
         self.stats.rob_occupancy_samples += 1;
         let bucket = (in_flight * 16 / cfg.rob_size as usize).min(16);
@@ -369,17 +389,17 @@ impl OooEngine {
         // Asynchronous core-local stall events (refresh/interrupt class):
         // each core's events land at a different phase, so paired cores
         // drift apart.
-        if cfg.drift_max > 0 && cfg.drift_period > 0 {
-            let phase = splitmix64(self.core_id as u64 + 1) % cfg.drift_period as u64;
-            if inst.seq % cfg.drift_period as u64 == phase {
-                let stall = splitmix64(
-                    (self.core_id as u64 + 1) ^ inst.seq.wrapping_mul(0x9e37_79b9_7f4a_7c15),
-                ) % cfg.drift_max as u64;
-                commit += stall;
-                self.stats.drift_stall_cycles += stall;
-                self.commit_tr.reset_to(commit);
-                self.fetch_floor = self.fetch_floor.max(commit);
-            }
+        if cfg.drift_max > 0
+            && cfg.drift_period > 0
+            && inst.seq % cfg.drift_period as u64 == self.drift_phase
+        {
+            let stall = splitmix64(
+                (self.core_id as u64 + 1) ^ inst.seq.wrapping_mul(0x9e37_79b9_7f4a_7c15),
+            ) % cfg.drift_max as u64;
+            commit += stall;
+            self.stats.drift_stall_cycles += stall;
+            self.commit_tr.reset_to(commit);
+            self.fetch_floor = self.fetch_floor.max(commit);
         }
         self.last_commit = commit;
         self.stats.committed += 1;
@@ -445,6 +465,7 @@ impl OooEngine {
     pub fn flush_pipeline(&mut self, cycle: u64) {
         self.fetch_buf.clear();
         self.rob.clear();
+        self.rob_released = 0;
         self.iq.clear();
         self.lsq.clear();
         for pool in &mut self.fu_free {
@@ -676,7 +697,7 @@ mod tests {
     #[should_panic(expected = "ROB releases out of order")]
     fn unsorted_rob_releases_are_caught() {
         // Each release earlier than the previous one's: the occupancy
-        // count's binary search would be wrong, so debug builds refuse.
+        // count's release cursor would be wrong, so debug builds refuse.
         struct Shrinking;
         impl CoreHooks for Shrinking {
             fn rob_release(&mut self, inst: &Inst, commit: u64) -> RobRelease {

@@ -52,11 +52,11 @@ pub trait CoreHooks {
     /// residency turns into ROB pressure (§IV-5).
     ///
     /// Releases must keep the ROB window sorted, because the engine
-    /// counts its in-flight entries with a binary search: an `At`
-    /// release is never earlier than an older entry's `At` (commit is
-    /// monotone, so `At(commit + k)` with non-decreasing `k` qualifies),
-    /// and no `At` follows a `Pending` inside one ROB window. Debug
-    /// builds assert both at every ROB insertion.
+    /// counts its in-flight entries with a cursor over the released
+    /// prefix: an `At` release is never earlier than an older entry's
+    /// `At` (commit is monotone, so `At(commit + k)` with non-decreasing
+    /// `k` qualifies), and no `At` follows a `Pending` inside one ROB
+    /// window. Debug builds assert both at every ROB insertion.
     fn rob_release(&mut self, _inst: &Inst, commit: u64) -> RobRelease {
         RobRelease::At(commit)
     }
