@@ -15,22 +15,15 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use unsync_core::{
-    DrainPolicy, L1Protection, RecoveryMode, UnsyncConfig, UnsyncGroup, UnsyncPair, UnsyncSystem,
-};
-use unsync_exec::TraceEventKind;
-use unsync_fault::{avf, Coverage, FaultKind, FaultSite, FaultTarget, PairFault, ScrubModel};
-use unsync_hwcost::{CacheModel, CacheProtection, CoreModel, DvfsModel, EnergyReport};
-use unsync_mem::{HierarchyConfig, WritePolicy};
-use unsync_reunion::{
-    checkpoint_error_cost, CheckpointConfig, CheckpointHooks, ReunionConfig, ReunionPair,
-};
-use unsync_sim::{run_baseline, run_stream, CoreConfig};
-use unsync_workloads::{Benchmark, SyntheticSource, WorkloadGen, WorkloadSource};
+use unsync_core::{UnsyncConfig, UnsyncGroup, UnsyncPair, UnsyncSystem};
+use unsync_fault::{FaultKind, FaultSite, FaultTarget, PairFault};
+use unsync_mem::HierarchyConfig;
+use unsync_sim::CoreConfig;
+use unsync_workloads::{Benchmark, SyntheticSource, WorkloadSource};
 
 use crate::experiments::{self as exp, ExperimentConfig};
 use crate::runlog::{self, Json, RunLog};
-use crate::runner::{baseline_cycles, Runner};
+use crate::runner::Runner;
 use crate::{campaign, env, kernelstats, render, roec_uncore, stats};
 
 /// Where a row sits in the paper.
@@ -134,7 +127,7 @@ macro_rules! outln {
 
 /// Every experiment: the paper's artifacts in paper order, then the
 /// extension studies.
-pub const TABLE: [Experiment; 22] = [
+pub const TABLE: [Experiment; 13] = [
     paper("table1", "Table I", table1),
     paper("table2", "Table II", table2),
     paper("table3", "Table III", table3),
@@ -145,16 +138,7 @@ pub const TABLE: [Experiment; 22] = [
     paper("roec", "§VI-D", roec),
     extension("comparators", comparators),
     extension("schemes", schemes),
-    extension("ablation_recovery", ablation_recovery),
-    extension("ablation_cb", ablation_cb),
-    extension("energy", energy),
-    extension("avf", avf),
-    extension("dvfs", dvfs),
-    extension("scrub", scrub),
-    extension("memstats", memstats),
     extension("fig4_ci", fig4_ci),
-    extension("mbu", mbu),
-    extension("sensitivity", sensitivity),
     extension("kernel_stats", kernel_stats),
     extension("roec_uncore", roec_uncore),
 ];
@@ -500,503 +484,6 @@ fn schemes(runner: Runner, cfg: ExperimentConfig) -> Output {
     o
 }
 
-/// Recovery disciplines across soft-error rates.
-///
-/// Three ways to buy back a detected error:
-/// * **UnSync** — always-forward state copy: zero re-execution, expensive
-///   per event (whole-L1 copy), *nothing* paid when error-free;
-/// * **Reunion** — fine-grained rollback: cheap per event, but the
-///   fingerprint machinery taxes every instruction;
-/// * **Checkpointing** (Smolens 2004) — coarse rollback: cheap machinery,
-///   but half a (multi-thousand-instruction) interval re-executes per
-///   event and every boundary stalls for the heavy-weight snapshot.
-///
-/// The sweep shows where each discipline wins as the error rate rises —
-/// the §VI-C analysis generalized to three designs.
-fn ablation_recovery(_: Runner, cfg: ExperimentConfig) -> Output {
-    let bench = Benchmark::Gzip;
-    let t = WorkloadGen::new(bench, cfg.inst_count, cfg.seed).collect_trace();
-    let insts = cfg.inst_count as f64;
-    let base = baseline_cycles(bench, cfg) as f64;
-
-    // Error-free runtimes.
-    let unsync = UnsyncPair::new(CoreConfig::table1(), UnsyncConfig::paper_baseline());
-    let reunion = ReunionPair::new(CoreConfig::table1(), ReunionConfig::paper_baseline());
-    let u0 = unsync.run(&t, &[]).cycles as f64;
-    let r0 = reunion.run(&t, &[]).cycles as f64;
-    let ckpt_cfg = CheckpointConfig::default();
-    let c0 = {
-        let mut s = WorkloadGen::new(bench, cfg.inst_count, cfg.seed);
-        let mut hooks = CheckpointHooks::new(ckpt_cfg);
-        run_stream(
-            CoreConfig::table1(),
-            &mut s,
-            &mut hooks,
-            WritePolicy::WriteThrough,
-        )
-        .core
-        .last_commit_cycle as f64
-    };
-
-    // Per-error costs: measured for UnSync/Reunion, analytic for the
-    // checkpoint scheme.
-    let k = 10u64;
-    let faults: Vec<PairFault> = (0..k)
-        .map(|i| PairFault {
-            at: (i + 1) * cfg.inst_count / (k + 1),
-            core: (i % 2) as usize,
-            site: FaultSite {
-                target: FaultTarget::Rob,
-                bit_offset: 7 + i,
-            },
-            kind: FaultKind::Single,
-        })
-        .collect();
-    let u_cost = (unsync.run(&t, &faults).cycles as f64 - u0) / k as f64;
-    let r_cost = (reunion.run(&t, &faults).cycles as f64 - r0) / k as f64;
-    let c_cost = checkpoint_error_cost(&ckpt_cfg, c0 / insts);
-
-    let mut o = Output::new(Some(cfg));
-    outln!(
-        o,
-        "Ablation — recovery disciplines on {} ({} instructions)",
-        bench.name(),
-        cfg.inst_count
-    );
-    outln!(o, "discipline       error-free ovh   cycles per error");
-    for (name, t0, cost) in [
-        ("UnSync", u0, u_cost),
-        ("Reunion", r0, r_cost),
-        ("Checkpoint", c0, c_cost),
-    ] {
-        let ovh = (t0 / base - 1.0) * 100.0;
-        o.records.push(
-            Json::obj()
-                .field("discipline", name)
-                .field("error_free_overhead_pct", ovh)
-                .field("cycles_per_error", cost),
-        );
-        outln!(o, "{name:<14} {ovh:>15.2}% {cost:>18.0}");
-    }
-
-    o.lines(&["", "projected runtime (normalized to baseline) vs SER:"]);
-    outln!(o, " SER (/inst)     UnSync    Reunion   Checkpoint");
-    for exp in [-17i32, -9, -7, -6, -5, -4, -3] {
-        let rate = 10f64.powi(exp);
-        let [u, r, c] = [(u0, u_cost), (r0, r_cost), (c0, c_cost)]
-            .map(|(t0, cost)| (t0 + rate * insts * cost) / base);
-        o.records.push(
-            Json::obj()
-                .field("ser_per_inst", rate)
-                .field("unsync_norm", u)
-                .field("reunion_norm", r)
-                .field("checkpoint_norm", c),
-        );
-        outln!(o, "{rate:>12.0e} {u:>10.4} {r:>10.4} {c:>12.4}");
-    }
-    o.lines(&[
-        "",
-        "Reading: at physical rates (≤1e-7) the error-free column dominates and the",
-        "cheapest machinery (UnSync) wins; only at absurd rates do rollback disciplines",
-        "catch up — the paper's always-forward bet, quantified across three designs.",
-    ]);
-
-    // Second axis: the always-forward recovery's own L1 strategy.
-    let mut inval_cfg = UnsyncConfig::paper_baseline();
-    inval_cfg.recovery_mode = RecoveryMode::InvalidateOnly;
-    let inval = UnsyncPair::new(CoreConfig::table1(), inval_cfg);
-    let i0 = inval.run(&t, &[]).cycles as f64;
-    let i_cost = (inval.run(&t, &faults).cycles as f64 - i0) / k as f64;
-    o.lines(&[
-        "",
-        "UnSync L1-recovery strategy ablation (same always-forward discipline):",
-    ]);
-    outln!(o, "{:<22} {:>18}", "strategy", "cycles per error");
-    outln!(o, "{:<22} {:>18.0}", "copy whole L1 (paper)", u_cost);
-    outln!(o, "{:<22} {:>18.0}", "invalidate + refill", i_cost);
-    o.records.push(
-        Json::obj()
-            .field("l1_recovery_ablation", true)
-            .field("copy_whole_l1_cycles_per_error", u_cost)
-            .field("invalidate_refill_cycles_per_error", i_cost),
-    );
-    o.lines(&[
-        "The invalidate-only variant shifts the cost into post-recovery cold misses,",
-        "which the per-error figure above already includes (measured end to end).",
-    ]);
-    o
-}
-
-/// Communication-Buffer drain policy: both-complete (the paper's §III-A
-/// rule) vs. eager first-copy drain. Eager drains earlier (slightly
-/// lower CB pressure) but reopens the silent-corruption window the
-/// both-complete rule exists to close — a corrupted store value can
-/// reach the ECC-protected L2 before its parity error is detected.
-fn ablation_cb(_: Runner, cfg: ExperimentConfig) -> Output {
-    let insts = cfg.inst_count;
-    let bench = Benchmark::Qsort;
-    let t = WorkloadGen::new(bench, insts, cfg.seed).collect_trace();
-    let base = baseline_cycles(bench, cfg) as f64;
-
-    // LSQ faults snapped to stores — the hazard-triggering class.
-    let stores: Vec<u64> = t
-        .insts()
-        .iter()
-        .filter(|i| i.op.is_store())
-        .map(|i| i.seq)
-        .collect();
-    let faults: Vec<PairFault> = (0..20u64)
-        .map(|i| PairFault {
-            at: stores[(i as usize + 1) * stores.len() / 22],
-            core: 0,
-            site: FaultSite {
-                target: FaultTarget::Lsq,
-                bit_offset: 3 + i,
-            },
-            kind: FaultKind::Single,
-        })
-        .collect();
-
-    let mut o = Output::new(Some(cfg));
-    outln!(
-        o,
-        "Ablation — CB drain policy on {} ({insts} instructions, 20 LSQ faults on stores)",
-        bench.name()
-    );
-    o.lines(&["policy            runtime norm      CB stalls   recoveries     silent"]);
-    for (name, policy) in [
-        ("both-complete", DrainPolicy::BothComplete),
-        ("eager", DrainPolicy::Eager),
-    ] {
-        let ucfg = UnsyncConfig {
-            drain_policy: policy,
-            ..UnsyncConfig::paper_baseline()
-        };
-        let clean = UnsyncPair::new(CoreConfig::table1(), ucfg).run(&t, &[]);
-        let faulty = UnsyncPair::new(CoreConfig::table1(), ucfg).run(&t, &faults);
-        let norm = clean.cycles as f64 / base;
-        let stalls = clean.events.sum(TraceEventKind::CbFullStall);
-        let (recoveries, silent) = (faulty.recoveries, faulty.silent_faults);
-        o.records.push(
-            Json::obj()
-                .field("policy", name)
-                .field("runtime_norm", norm)
-                .field("cb_full_stall_cycles", stalls)
-                .field("recoveries", recoveries)
-                .field("silent_faults", silent),
-        );
-        outln!(
-            o,
-            "{name:<16} {norm:>13.4} {stalls:>14} {recoveries:>12} {silent:>10}"
-        );
-    }
-    o.lines(&[
-        "",
-        "Reading: eager saves a little CB occupancy but lets corrupted store values",
-        "escape to the L2 before detection — the both-complete rule is what makes the",
-        "CB a correctness mechanism, not just a write buffer.",
-    ]);
-    o
-}
-
-/// Runtime-integrated energy: Table II's power numbers × simulated
-/// runtimes ⇒ energy and EDP per configuration per benchmark.
-fn energy(_: Runner, cfg: ExperimentConfig) -> Output {
-    let insts = cfg.inst_count;
-    let clock_hz = CoreConfig::table1().clock_ghz * 1e9;
-    let mut o = Output::new(Some(cfg));
-    outln!(
-        o,
-        "Energy accounting ({insts} instructions per benchmark, 2 GHz)"
-    );
-    o.lines(&[
-        "benchmark  config          cores    power W    energy mJ    nJ per inst     EDP rel.",
-    ]);
-    for bench in [
-        Benchmark::Bzip2,
-        Benchmark::Galgel,
-        Benchmark::Sha,
-        Benchmark::Mcf,
-    ] {
-        let t = WorkloadGen::new(bench, insts, cfg.seed).collect_trace();
-        let base_cycles = baseline_cycles(bench, cfg);
-        let unsync_cycles = UnsyncPair::new(CoreConfig::table1(), UnsyncConfig::paper_baseline())
-            .run(&t, &[])
-            .cycles;
-        let reunion_cycles =
-            ReunionPair::new(CoreConfig::table1(), ReunionConfig::paper_baseline())
-                .run(&t, &[])
-                .cycles;
-
-        let reports = [
-            EnergyReport::new(&CoreModel::mips_baseline(), 1, base_cycles, insts, clock_hz),
-            EnergyReport::new(&CoreModel::reunion(), 2, reunion_cycles, insts, clock_hz),
-            EnergyReport::new(&CoreModel::unsync(), 2, unsync_cycles, insts, clock_hz),
-        ];
-        let base_edp = reports[0].edp;
-        for r in &reports {
-            o.records.push(
-                Json::obj()
-                    .field("benchmark", bench.name())
-                    .field("config", r.name)
-                    .field("cores", r.cores)
-                    .field("power_w", r.power_w)
-                    .field("energy_mj", r.energy_j * 1e3)
-                    .field("nj_per_inst", r.energy_per_inst_nj)
-                    .field("edp_rel", r.edp / base_edp),
-            );
-            outln!(
-                o,
-                "{:<10} {:<12} {:>8} {:>10.2} {:>12.3} {:>14.2} {:>12.2}",
-                bench.name(),
-                r.name,
-                r.cores,
-                r.power_w,
-                r.energy_j * 1e3,
-                r.energy_per_inst_nj,
-                r.edp / base_edp
-            );
-        }
-    }
-    o.lines(&[
-        "",
-        "Reading: redundancy inherently doubles core energy; UnSync's pair stays",
-        "close to 2× baseline while Reunion compounds higher power with longer runtime.",
-    ]);
-    o
-}
-
-/// AVF-weighted SDC/DUE analysis per architecture: how much *silent*
-/// vulnerability each scheme leaves, weighted by how often struck bits
-/// actually hold live data.
-fn avf(_: Runner, cfg: ExperimentConfig) -> Output {
-    let mut o = Output::new(Some(cfg));
-    outln!(
-        o,
-        "AVF-weighted vulnerability ({} instructions per benchmark)",
-        cfg.inst_count
-    );
-    o.lines(&[
-        "benchmark      RF AVF  ROB AVF  L1 reuse    baseline SDC%   Reunion SDC%    UnSync SDC%",
-    ]);
-    for bench in [
-        Benchmark::Bzip2,
-        Benchmark::Galgel,
-        Benchmark::Mcf,
-        Benchmark::Sha,
-        Benchmark::Qsort,
-    ] {
-        let t = WorkloadGen::new(bench, cfg.inst_count, cfg.seed).collect_trace();
-        let mut s = WorkloadGen::new(bench, cfg.inst_count, cfg.seed);
-        let sim = run_baseline(CoreConfig::table1(), &mut s);
-        let core = CoreConfig::table1();
-        let est = avf::estimate(
-            &t,
-            sim.core.avg_rob_occupancy() / core.rob_size as f64,
-            // IQ/LSQ utilization approximated from ROB occupancy scaled
-            // by their relative depths.
-            sim.core.avg_rob_occupancy() / core.rob_size as f64,
-            sim.core.avg_rob_occupancy() / core.rob_size as f64 * 0.5,
-        );
-        let [base, reunion, unsync] = [
-            Coverage::baseline(),
-            Coverage::reunion(),
-            Coverage::unsync(),
-        ]
-        .map(|c| avf::SdcDueSplit::compute(&est, &c).sdc_fraction() * 100.0);
-        let (rf, rob, l1) = (est.register_file, est.rob, est.l1_data);
-        o.records.push(
-            Json::obj()
-                .field("benchmark", bench.name())
-                .field("rf_avf", rf)
-                .field("rob_avf", rob)
-                .field("l1_reuse", l1)
-                .field("baseline_sdc_pct", base)
-                .field("reunion_sdc_pct", reunion)
-                .field("unsync_sdc_pct", unsync),
-        );
-        outln!(
-            o,
-            "{:<12} {rf:>8.3} {rob:>8.3} {l1:>9.3}   {base:>13.1}% {reunion:>13.1}% {unsync:>13.1}%",
-            bench.name()
-        );
-    }
-    o.lines(&[
-        "",
-        "Reading: UnSync's placement drives AVF-weighted silent corruption to zero;",
-        "Reunion's residual SDC comes from the ARF and TLB it leaves uncovered.",
-    ]);
-    o
-}
-
-/// DVFS iso-performance: because UnSync is faster than Reunion at equal
-/// frequency, an UnSync pair can be *downclocked to Reunion's
-/// throughput* and bank the voltage savings on top of Table II's power
-/// advantage.
-fn dvfs(_: Runner, cfg: ExperimentConfig) -> Output {
-    let dvfs = DvfsModel::default();
-    let f_nom = CoreConfig::table1().clock_ghz * 1e9;
-    let mut o = Output::new(Some(cfg));
-    outln!(
-        o,
-        "DVFS iso-performance study ({} instructions; nominal {} GHz)",
-        cfg.inst_count,
-        f_nom / 1e9
-    );
-    o.lines(&["benchmark     iso f GHz  P(UnSync) W       P(iso) W   P(Reunion) W       saving"]);
-    for bench in [
-        Benchmark::Bzip2,
-        Benchmark::Galgel,
-        Benchmark::Sha,
-        Benchmark::Qsort,
-    ] {
-        let t = WorkloadGen::new(bench, cfg.inst_count, cfg.seed).collect_trace();
-        let u_cycles = UnsyncPair::new(CoreConfig::table1(), UnsyncConfig::paper_baseline())
-            .run(&t, &[])
-            .cycles;
-        let r_cycles = ReunionPair::new(CoreConfig::table1(), ReunionConfig::paper_baseline())
-            .run(&t, &[])
-            .cycles;
-        // Treat the measured cycle counts as core-bound at the nominal
-        // clock (memory time folded in — a conservative choice: it makes
-        // the achievable downclock smaller, not larger).
-        let target = r_cycles as f64 / f_nom;
-        let f_iso = dvfs
-            .iso_performance_frequency(u_cycles, 0.0, target)
-            .unwrap_or(f_nom);
-        let unsync = CoreModel::unsync();
-        let reunion = CoreModel::reunion();
-        let p_full = 2.0 * dvfs.power_at(&unsync, f_nom);
-        let p_iso = 2.0 * dvfs.power_at(&unsync, f_iso.min(f_nom));
-        let p_reunion = 2.0 * dvfs.power_at(&reunion, f_nom);
-        let (ghz, saving) = (f_iso / 1e9, 1.0 - p_iso / p_reunion);
-        o.records.push(
-            Json::obj()
-                .field("benchmark", bench.name())
-                .field("iso_freq_ghz", ghz)
-                .field("unsync_pair_power_w", p_full)
-                .field("iso_pair_power_w", p_iso)
-                .field("reunion_pair_power_w", p_reunion)
-                .field("saving_fraction", saving),
-        );
-        outln!(
-            o,
-            "{:<12} {ghz:>10.2} {p_full:>12.2} {p_iso:>14.2} {p_reunion:>14.2} {:>11.1}%",
-            bench.name(),
-            saving * 100.0
-        );
-    }
-    o.lines(&[
-        "",
-        "Reading: matching Reunion's throughput lets the UnSync pair shed frequency",
-        "AND voltage; the last column is the total pair-power saving vs a Reunion pair",
-        "at nominal clock (Table II's static 34.5% claim, compounded by DVFS).",
-    ]);
-    o
-}
-
-/// L2 ECC scrubbing: how often the shared L2 must be scrubbed for its
-/// "always a correct copy" role in UnSync's recovery story to hold at a
-/// given reliability budget.
-fn scrub(_: Runner, _: ExperimentConfig) -> Output {
-    let m = ScrubModel::l2_table1();
-    let mut o = Output::new(None);
-    outln!(
-        o,
-        "Shared L2 ({} codewords × {} bits, {} FIT/bit raw rate)",
-        m.codewords,
-        m.codeword_bits,
-        m.fit_per_bit
-    );
-    outln!(o, "{:>16} {:>24}", "scrub period", "uncorrectable FIT (L2)");
-    for (label, secs) in [
-        ("1 minute", 60.0),
-        ("1 hour", 3_600.0),
-        ("1 day", 86_400.0),
-        ("1 week", 604_800.0),
-        ("1 month", 2_592_000.0),
-        ("1 year", 31_536_000.0),
-    ] {
-        let fit = m.uncorrectable_fit(secs);
-        outln!(o, "{label:>16} {fit:>24.6}");
-        o.records.push(
-            Json::obj()
-                .field("scrub_period_s", secs)
-                .field("uncorrectable_fit", fit),
-        );
-    }
-    for target in [1.0, 0.01] {
-        let t = m.required_scrub_interval(target);
-        o.records.push(
-            Json::obj()
-                .field("target_fit", target)
-                .field("required_scrub_interval_s", t),
-        );
-        outln!(
-            o,
-            "\nto keep the whole L2 at ≤ {target} FIT of uncorrectable errors, scrub every \
-             {:.1} hours",
-            t / 3_600.0
-        );
-    }
-    o.lines(&[
-        "",
-        "Reading: double-strike accumulation is quadratic in the scrub period, so even",
-        "leisurely scrub rates keep the SECDED L2 effectively error-free — which is what",
-        "lets both the paper's recovery (UnSync) and its baseline assumption (Reunion's",
-        "ECC L1/L2) treat the protected arrays as always-correct sources.",
-    ]);
-    o
-}
-
-/// Workload characterization: baseline IPC, cache miss rates and stall
-/// breakdown per benchmark — the substrate numbers behind Figures 4–6.
-fn memstats(_: Runner, cfg: ExperimentConfig) -> Output {
-    let mut o = Output::new(Some(cfg));
-    outln!(
-        o,
-        "Baseline workload characterization ({} instructions, seed {})",
-        cfg.inst_count,
-        cfg.seed
-    );
-    o.lines(&[
-        "benchmark          IPC  L1D miss   L2 miss   ROB occ   ROB sat  IQ stalls   ser stl",
-    ]);
-    for &bench in Benchmark::all() {
-        let mut s = WorkloadGen::new(bench, cfg.inst_count, cfg.seed);
-        let r = run_baseline(CoreConfig::table1(), &mut s);
-        o.records.push(
-            Json::obj()
-                .field("benchmark", bench.name())
-                .field("ipc", r.ipc())
-                .field("l1d_miss_rate", r.l1d_miss_rate)
-                .field("l2_miss_rate", r.l2_miss_rate)
-                .field("avg_rob_occupancy", r.core.avg_rob_occupancy())
-                .field("rob_saturation_fraction", r.core.rob_saturation_fraction())
-                .field("iq_full_cycles", r.core.iq_full_cycles)
-                .field("serialize_stall_cycles", r.core.serialize_stall_cycles),
-        );
-        outln!(
-            o,
-            "{:<14} {:>7.3} {:>8.2}% {:>8.2}% {:>9.1} {:>8.1}% {:>10} {:>9}",
-            bench.name(),
-            r.ipc(),
-            r.l1d_miss_rate * 100.0,
-            r.l2_miss_rate * 100.0,
-            r.core.avg_rob_occupancy(),
-            r.core.rob_saturation_fraction() * 100.0,
-            r.core.iq_full_cycles,
-            r.core.serialize_stall_cycles
-        );
-    }
-    o.lines(&[
-        "",
-        "(ROB sat = fraction of dispatches finding the ROB completely full — the",
-        "precondition for Fig. 5's CHECK-stage back-pressure argument.)",
-    ]);
-    o
-}
-
 /// Fig. 4 across five workload seeds, reported as mean ± 95 % CI: how
 /// much of each single-seed number is workload-draw noise.
 fn fig4_ci(runner: Runner, cfg: ExperimentConfig) -> Output {
@@ -1056,176 +543,11 @@ fn fig4_ci(runner: Runner, cfg: ExperimentConfig) -> Output {
     o
 }
 
-/// Multi-bit upsets (§VIII future work: "multi-bit correction for cache
-/// blocks"): adjacent double-bit strikes on the L1 defeat the paper's
-/// 1-bit line parity, and what upgrading to SECDED costs.
-fn mbu(_: Runner, cfg: ExperimentConfig) -> Output {
-    let t = WorkloadGen::new(Benchmark::Gzip, cfg.inst_count, cfg.seed).collect_trace();
-    let campaigns = 40u64;
-    let mut o = Output::new(Some(cfg));
-    outln!(
-        o,
-        "MBU campaign: {campaigns} adjacent double-bit L1 strikes on gzip"
-    );
-    o.lines(&["L1 protection            detected   recoveries     silent   correct"]);
-    for (label, prot) in [
-        ("line parity (paper)", L1Protection::LineParity),
-        ("SECDED (§VIII)", L1Protection::Secded),
-    ] {
-        let ucfg = UnsyncConfig {
-            l1_protection: prot,
-            ..UnsyncConfig::paper_baseline()
-        };
-        let pair = UnsyncPair::new(CoreConfig::table1(), ucfg);
-        let (mut det, mut rec, mut silent, mut correct) = (0u64, 0u64, 0u64, 0u64);
-        for i in 0..campaigns {
-            let fault = PairFault {
-                at: 500 + i * (cfg.inst_count - 1_000) / campaigns,
-                core: (i % 2) as usize,
-                site: FaultSite {
-                    target: FaultTarget::L1Data,
-                    bit_offset: 1_000 + i * 997,
-                },
-                kind: FaultKind::AdjacentDouble,
-            };
-            let out = pair.run(&t, &[fault]);
-            det += out.detections;
-            rec += out.recoveries;
-            silent += out.silent_faults;
-            correct += u64::from(out.correct());
-        }
-        o.records.push(
-            Json::obj()
-                .field("l1_protection", label)
-                .field("campaigns", campaigns)
-                .field("detected", det)
-                .field("recoveries", rec)
-                .field("silent", silent)
-                .field("correct", correct),
-        );
-        outln!(
-            o,
-            "{label:<22} {det:>10} {rec:>12} {silent:>10} {correct:>6}/{campaigns}"
-        );
-    }
-
-    let parity = CacheModel::l1(CacheProtection::parity_per_256());
-    let secded = CacheModel::l1(CacheProtection::Secded);
-    o.records.push(
-        Json::obj()
-            .field("hw_cost", true)
-            .field("parity_area_mm2", parity.area_mm2())
-            .field("secded_area_mm2", secded.area_mm2())
-            .field("parity_power_mw", parity.power_mw())
-            .field("secded_power_mw", secded.power_mw()),
-    );
-    outln!(
-        o,
-        "\nhardware cost of closing the hole: L1 {:.4} → {:.4} mm² (+{:.1}%), \
-         {:.2} → {:.2} mW (+{:.1}%)",
-        parity.area_mm2(),
-        secded.area_mm2(),
-        (secded.area_mm2() / parity.area_mm2() - 1.0) * 100.0,
-        parity.power_mw(),
-        secded.power_mw(),
-        (secded.power_mw() / parity.power_mw() - 1.0) * 100.0
-    );
-    o.lines(&[
-        "",
-        "Reading: single-event upsets (the paper's threat model) are fully covered by",
-        "parity; once multi-bit upsets matter, the L1 needs SECDED — which also corrects",
-        "single strikes in place, removing those pair recoveries entirely.",
-    ]);
-    o
-}
-
-/// The Table I core with one parameter family changed.
-fn variant(name: &str) -> CoreConfig {
-    let mut c = CoreConfig::table1();
-    match name {
-        "2-wide" => {
-            c.fetch_width = 2;
-            c.dispatch_width = 2;
-            c.commit_width = 2;
-            c.int_alus = 2;
-            c.mem_ports = 1;
-            c.iq_size = 32;
-            c.rob_size = 64;
-            c.lsq_size = 32;
-        }
-        "table1" => {}
-        "6-wide" => {
-            c.fetch_width = 6;
-            c.dispatch_width = 6;
-            c.commit_width = 6;
-            c.int_alus = 6;
-            c.fp_units = 3;
-            c.mem_ports = 3;
-            c.iq_size = 96;
-            c.rob_size = 192;
-            c.lsq_size = 96;
-        }
-        "rob-64" => c.rob_size = 64,
-        "rob-256" => c.rob_size = 256,
-        other => panic!("unknown variant {other}"),
-    }
-    c
-}
-
-/// Do the headline conclusions survive changes to the Table I machine?
-/// Sweeps core width and ROB depth and re-measures the Reunion/UnSync
-/// overheads on the serializing-heavy trio.
-fn sensitivity(_: Runner, cfg: ExperimentConfig) -> Output {
-    let benches = Benchmark::serializing_heavy();
-    let mut o = Output::new(Some(cfg));
-    outln!(
-        o,
-        "Core-configuration sensitivity on {{bzip2, ammp, galgel}} ({} instructions)",
-        cfg.inst_count
-    );
-    o.lines(&["machine         Reunion ovh (avg)       UnSync ovh (avg)"]);
-    for name in ["2-wide", "rob-64", "table1", "rob-256", "6-wide"] {
-        let core = variant(name);
-        let (mut r_sum, mut u_sum) = (0.0, 0.0);
-        for bench in benches {
-            let t = WorkloadGen::new(bench, cfg.inst_count, cfg.seed).collect_trace();
-            let mut s = WorkloadGen::new(bench, cfg.inst_count, cfg.seed);
-            let base = run_baseline(core, &mut s).core.last_commit_cycle as f64;
-            let r = ReunionPair::new(core, ReunionConfig::paper_baseline())
-                .run(&t, &[])
-                .cycles;
-            let u = UnsyncPair::new(core, UnsyncConfig::paper_baseline())
-                .run(&t, &[])
-                .cycles;
-            r_sum += r as f64 / base - 1.0;
-            u_sum += u as f64 / base - 1.0;
-        }
-        let (r_avg, u_avg) = (
-            r_sum / benches.len() as f64 * 100.0,
-            u_sum / benches.len() as f64 * 100.0,
-        );
-        o.records.push(
-            Json::obj()
-                .field("machine", name)
-                .field("reunion_overhead_avg_pct", r_avg)
-                .field("unsync_overhead_avg_pct", u_avg),
-        );
-        outln!(o, "{name:<10} {r_avg:>21.2}% {u_avg:>21.2}%");
-    }
-    o.lines(&[
-        "",
-        "Reading: the ordering (Reunion pays double digits on serializing workloads,",
-        "UnSync stays near zero) is robust across machine widths and window depths —",
-        "it follows from the synchronization protocol, not from Table I specifics.",
-    ]);
-    o
-}
-
 /// Measured per-kernel workload statistics (see [`kernelstats`]),
 /// written as the committed `KERNEL_stats.json` summary.
-fn kernel_stats(_: Runner, cfg: ExperimentConfig) -> Output {
+fn kernel_stats(runner: Runner, cfg: ExperimentConfig) -> Output {
     const OUT_PATH: &str = "KERNEL_stats.json";
-    let rows = kernelstats::kernel_stats(cfg);
+    let rows = kernelstats::kernel_stats(runner, cfg);
     let mut o = Output::new(Some(cfg));
     outln!(
         o,
@@ -1295,13 +617,11 @@ fn roec_uncore(runner: Runner, _: ExperimentConfig) -> Output {
         plan.strikes_per_cell,
         plan.horizon
     );
-    o.text.push_str(&roec_uncore::render_table(&records));
-    o.lines(&[
-        "",
-        "Paper claims (§III-B1): UnSync's uncore placement — SECDED L2, parity MSHRs,",
-        "duplicated arbiters, fingerprinted CB — leaves no live uncore strike silent,",
-        "where TMR's sphere of replication ends at the core boundary (bare uncore).",
-    ]);
+    let table = roec_uncore::vulnerability_table(&records);
+    o.text
+        .push_str(&roec_uncore::render_vulnerability_table(&table));
+    outln!(o);
+    o.text.push_str(&roec_uncore::claim(&table));
     let out_path =
         std::env::var("UNSYNC_ROEC_OUT").unwrap_or_else(|_| "BENCH_roec.json".to_string());
     let mut text = roec_uncore::summary_json(&grid, &records).render();

@@ -15,6 +15,7 @@ use unsync_sim::{run_baseline, CoreConfig};
 use unsync_workloads::Kernel;
 
 use crate::runlog::Json;
+use crate::runner::Runner;
 use crate::ExperimentConfig;
 
 /// Measured statistics of one kernel at one `(length, seed)` point.
@@ -49,36 +50,34 @@ pub struct KernelStatsRow {
     pub baseline_ipc: f64,
 }
 
-/// Measures every kernel at `cfg`'s `(inst_count, seed)` point: builds
-/// the trace through the [`unsync_workloads::WorkloadSource`] seam,
-/// takes its
+/// Measures every kernel at `cfg`'s `(inst_count, seed)` point on
+/// `runner`'s pool, one kernel per job: builds the trace through the
+/// [`unsync_workloads::WorkloadSource`] seam, takes its
 /// [`unsync_isa::TraceStats`], and runs the Table I baseline core over
-/// it. Fully deterministic in `cfg`.
-pub fn kernel_stats(cfg: ExperimentConfig) -> Vec<KernelStatsRow> {
-    Kernel::all()
-        .iter()
-        .map(|&kernel| {
-            let source = kernel.source(cfg.inst_count, cfg.seed);
-            let (trace, memory) = source.build();
-            let stats = trace.stats();
-            let baseline = run_baseline(CoreConfig::table1(), &mut trace.clone());
-            KernelStatsRow {
-                name: kernel.spec_name(),
-                instructions: trace.len() as u64,
-                seed: cfg.seed,
-                serializing_fraction: stats.serializing_fraction(),
-                store_fraction: stats.store_fraction(),
-                load_fraction: stats.fraction(OpClass::Load),
-                branch_fraction: stats.fraction(OpClass::Branch),
-                int_alu_fraction: stats.fraction(OpClass::IntAlu),
-                mispredict_rate: stats.mispredict_rate(),
-                distinct_lines: stats.distinct_lines,
-                footprint_words: memory.footprint_words() as u64,
-                baseline_cycles: baseline.core.last_commit_cycle,
-                baseline_ipc: baseline.ipc(),
-            }
-        })
-        .collect()
+/// it. Rows come back in [`Kernel::all`] order and are fully
+/// deterministic in `cfg`, whatever the worker count.
+pub fn kernel_stats(runner: Runner, cfg: ExperimentConfig) -> Vec<KernelStatsRow> {
+    runner.map(Kernel::all(), |&kernel| {
+        let source = kernel.source(cfg.inst_count, cfg.seed);
+        let (trace, memory) = source.build();
+        let stats = trace.stats();
+        let baseline = run_baseline(CoreConfig::table1(), &mut trace.clone());
+        KernelStatsRow {
+            name: kernel.spec_name(),
+            instructions: trace.len() as u64,
+            seed: cfg.seed,
+            serializing_fraction: stats.serializing_fraction(),
+            store_fraction: stats.store_fraction(),
+            load_fraction: stats.fraction(OpClass::Load),
+            branch_fraction: stats.fraction(OpClass::Branch),
+            int_alu_fraction: stats.fraction(OpClass::IntAlu),
+            mispredict_rate: stats.mispredict_rate(),
+            distinct_lines: stats.distinct_lines,
+            footprint_words: memory.footprint_words() as u64,
+            baseline_cycles: baseline.core.last_commit_cycle,
+            baseline_ipc: baseline.ipc(),
+        }
+    })
 }
 
 /// The JSON fields of one row (shared by the run log and the summary).
@@ -121,9 +120,10 @@ mod tests {
 
     #[test]
     fn stats_are_deterministic_and_cover_every_kernel() {
-        let rows = kernel_stats(tiny());
+        let rows = kernel_stats(Runner::new(1), tiny());
         assert_eq!(rows.len(), Kernel::all().len());
-        assert_eq!(rows, kernel_stats(tiny()));
+        assert_eq!(rows, kernel_stats(Runner::new(1), tiny()));
+        assert_eq!(rows, kernel_stats(Runner::new(2), tiny()));
         for r in &rows {
             assert_eq!(r.instructions, 2_000, "{}", r.name);
             assert!(r.serializing_fraction > 0.0, "{}", r.name);
@@ -142,7 +142,7 @@ mod tests {
     #[test]
     fn summary_document_parses_back() {
         let cfg = tiny();
-        let rows = kernel_stats(cfg);
+        let rows = kernel_stats(Runner::new(1), cfg);
         let doc = Json::parse(&stats_json(cfg, &rows).render()).expect("valid json");
         assert_eq!(doc.get("schema").and_then(Json::as_u64), Some(1));
         let kernels = match doc.get("kernels") {

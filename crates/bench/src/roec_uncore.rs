@@ -43,7 +43,9 @@
 //! tolerance.
 
 use unsync_exec::{Lane, RedundantDriver, RunResult, TraceEventKind};
-use unsync_fault::roec::{classify, RoecEvent, RoecEventKind, StrikeOutcome, VulnerabilityTable};
+use unsync_fault::roec::{
+    classify, RoecEvent, RoecEventKind, StrikeOutcome, VulnerabilityRow, VulnerabilityTable,
+};
 use unsync_fault::uncore::{StrikePlan, UncoreStrike};
 use unsync_isa::{ArchMemory, TraceProgram};
 use unsync_mem::L2ContentionConfig;
@@ -187,12 +189,6 @@ pub fn summary_json(grid: &CampaignGrid, records: &[Json]) -> Json {
         .field("table", Json::Arr(rows))
 }
 
-/// Renders campaign strike records as the aligned per-structure text
-/// table.
-pub fn render_table(records: &[Json]) -> String {
-    render_vulnerability_table(&vulnerability_table(records))
-}
-
 /// Renders a [`VulnerabilityTable`] as aligned text (the `roec_uncore`
 /// experiment and the dashboard's ROEC section share it).
 pub fn render_vulnerability_table(table: &VulnerabilityTable) -> String {
@@ -226,6 +222,40 @@ pub fn render_vulnerability_table(table: &VulnerabilityTable) -> String {
             c.sdc_rate(),
         ));
     }
+    out
+}
+
+/// The §III-B1 claim lines under the `roec_uncore` table, computed from
+/// `table`: the `unsync_pair` SDC count over its strikes, naming each
+/// cell with an SDC, then the paper's claim only when that count is 0;
+/// otherwise the claim is "not shown at this grid".
+pub fn claim(table: &VulnerabilityTable) -> String {
+    let rows: Vec<VulnerabilityRow> = table
+        .rows()
+        .into_iter()
+        .filter(|r| r.scheme == "unsync_pair")
+        .collect();
+    let strikes: u64 = rows.iter().map(|r| r.counts.total()).sum();
+    let sdc: u64 = rows.iter().map(|r| r.counts.sdc).sum();
+    let cells: Vec<String> = rows
+        .iter()
+        .filter(|r| r.counts.sdc > 0)
+        .map(|r| format!("{}: {} of {}", r.structure, r.counts.sdc, r.counts.total()))
+        .collect();
+    let mut out = format!("unsync_pair: {sdc} SDC in {strikes} strikes");
+    if !cells.is_empty() {
+        out.push_str(&format!(" ({})", cells.join(", ")));
+    }
+    out.push_str(".\n");
+    out.push_str(if sdc == 0 {
+        "Paper claims (§III-B1): UnSync's uncore placement — SECDED L2, parity MSHRs,\n\
+         duplicated arbiters, fingerprinted CB — leaves no live uncore strike silent,\n\
+         where TMR's sphere of replication ends at the core boundary (bare uncore).\n"
+    } else {
+        "Paper claim (§III-B1) not shown at this grid: that UnSync's uncore placement —\n\
+         SECDED L2, parity MSHRs, duplicated arbiters, fingerprinted CB — leaves no\n\
+         live uncore strike silent.\n"
+    });
     out
 }
 
@@ -266,5 +296,35 @@ mod tests {
             assert_eq!(Some(outcome_sum), row.get("strikes").and_then(Json::as_u64));
             assert_eq!(outcome_sum, 2);
         }
+    }
+
+    #[test]
+    fn claim_is_stated_only_when_unsync_pair_has_no_sdc() {
+        let mut table = VulnerabilityTable::new();
+        table.record("l2_data", "unsync_pair", StrikeOutcome::Masked);
+        table.record(
+            "mshr_entry",
+            "unsync_pair",
+            StrikeOutcome::DetectedRecovered,
+        );
+        table.record("mshr_entry", "tmr_vote", StrikeOutcome::Sdc);
+        let clean = claim(&table);
+        assert!(
+            clean.starts_with("unsync_pair: 0 SDC in 2 strikes.\n"),
+            "{clean}"
+        );
+        assert!(
+            clean.contains("leaves no live uncore strike silent,"),
+            "{clean}"
+        );
+        assert!(!clean.contains("not shown"), "{clean}");
+
+        table.record("mshr_entry", "unsync_pair", StrikeOutcome::Sdc);
+        let escaped = claim(&table);
+        assert!(
+            escaped.starts_with("unsync_pair: 1 SDC in 3 strikes (mshr_entry: 1 of 2).\n"),
+            "{escaped}"
+        );
+        assert!(escaped.contains("not shown at this grid"), "{escaped}");
     }
 }

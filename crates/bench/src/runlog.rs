@@ -410,7 +410,7 @@ impl RunLog {
     }
 
     /// Starts a log for an analytic experiment with no simulation
-    /// config (hardware-model tables, scrub analysis).
+    /// config (the hardware-model tables).
     pub fn start_static(experiment: &str) -> RunLog {
         Self::with_header(experiment, Json::Null)
     }

@@ -175,28 +175,6 @@ impl Coverage {
         }
     }
 
-    /// A custom protection placement (§VIII: "our architecture framework
-    /// allows for possible customization at the hardware") — e.g. a
-    /// cost-constrained subset of UnSync's full placement.
-    pub fn custom(name: &'static str, map: Vec<(FaultTarget, Option<DetectionMechanism>)>) -> Self {
-        for &t in &ALL_TARGETS {
-            assert!(
-                map.iter().filter(|(mt, _)| *mt == t).count() == 1,
-                "custom coverage must name every target exactly once ({t:?})"
-            );
-        }
-        Coverage { name, map }
-    }
-
-    /// The mechanism UnSync's placement rules would choose for `target`
-    /// (§III-B1): DMR for every-cycle elements, parity elsewhere.
-    pub fn preferred_mechanism(target: FaultTarget) -> DetectionMechanism {
-        match target {
-            FaultTarget::Pc | FaultTarget::PipelineRegs => DetectionMechanism::Dmr,
-            _ => DetectionMechanism::Parity,
-        }
-    }
-
     /// Architecture name.
     pub fn name(&self) -> &'static str {
         self.name

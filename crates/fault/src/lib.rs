@@ -20,22 +20,24 @@
 //!   architectural element an error strikes, which mechanism (if any)
 //!   detects it under each architecture, and the resulting *region of
 //!   error coverage* (ROEC, §VI-D).
+//! * **Uncore strikes and their outcomes** ([`uncore`], [`roec`]):
+//!   seeded strikes on the shared L2, MSHRs, bank arbiters and the
+//!   Communication Buffer, each run labelled masked / detected-recovered
+//!   / detected-unrecoverable / SDC and tallied per (structure, scheme)
+//!   cell.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod avf;
 pub mod crc;
 pub mod dmr;
 pub mod inject;
 pub mod parity;
 pub mod roec;
-pub mod scrub;
 pub mod secded;
 pub mod ser;
 pub mod uncore;
 
-pub use avf::{AvfEstimate, SdcDueSplit};
 pub use crc::{crc16_word, Fingerprint, CRC16_CCITT_POLY};
 pub use dmr::{DmrReg, TmrReg};
 pub use inject::{
@@ -46,7 +48,6 @@ pub use roec::{
     classify, OutcomeCounts, RoecEvent, RoecEventKind, StrikeOutcome, VulnerabilityRow,
     VulnerabilityTable, ALL_OUTCOMES,
 };
-pub use scrub::ScrubModel;
 pub use secded::{SecdedCodeword, SecdedOutcome};
 pub use ser::{ErrorArrivals, SerRate};
 pub use uncore::{UncoreProtection, UncoreSite, UncoreStrike, UncoreTarget, ALL_UNCORE_TARGETS};

@@ -15,9 +15,9 @@
 //!   the store buffer must hold an entire interval's writes;
 //! * the error-detection latency is the full checkpoint interval.
 //!
-//! The recovery-discipline ablation (the `ablation_recovery`
-//! experiment) uses this model as the third point between UnSync's
-//! always-forward recovery and Reunion's fine-grained rollback.
+//! The `comparators` experiment row runs this model as the coarse
+//! point beside UnSync's always-forward recovery and Reunion's
+//! fine-grained rollback.
 
 use serde::{Deserialize, Serialize};
 use unsync_exec::RedundancyPolicy;
@@ -36,8 +36,6 @@ pub struct CheckpointConfig {
     pub snapshot_cost: u32,
     /// Fingerprint exchange/compare latency at the boundary, cycles.
     pub comparison_latency: u32,
-    /// Cycles to restore a checkpoint on rollback, before re-execution.
-    pub restore_cost: u32,
 }
 
 impl Default for CheckpointConfig {
@@ -48,7 +46,6 @@ impl Default for CheckpointConfig {
             interval: 5_000,
             snapshot_cost: 250,
             comparison_latency: 30,
-            restore_cost: 400,
         }
     }
 }
@@ -60,12 +57,6 @@ impl CheckpointConfig {
             return Err("checkpoint interval must be ≥ 1".into());
         }
         Ok(())
-    }
-
-    /// Expected re-execution cost of one detected error, in instructions:
-    /// on average half the interval is lost, plus the restore.
-    pub fn expected_rollback_insts(&self) -> f64 {
-        self.interval as f64 / 2.0
     }
 }
 
@@ -194,12 +185,6 @@ impl RedundancyPolicy for CheckpointPolicy {
     }
 }
 
-/// Per-error recovery cost of the checkpoint scheme in cycles, given the
-/// measured error-free CPI: restore + re-execution of half an interval.
-pub fn checkpoint_error_cost(cfg: &CheckpointConfig, cpi: f64) -> f64 {
-    cfg.restore_cost as f64 + cfg.expected_rollback_insts() * cpi
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -284,20 +269,6 @@ mod tests {
             ckpt_ovh < reunion_ovh,
             "checkpoint {ckpt_ovh:.3} vs reunion {reunion_ovh:.3}"
         );
-    }
-
-    #[test]
-    fn expected_rollback_grows_with_interval() {
-        let small = CheckpointConfig {
-            interval: 100,
-            ..Default::default()
-        };
-        let large = CheckpointConfig {
-            interval: 10_000,
-            ..Default::default()
-        };
-        assert!(large.expected_rollback_insts() > small.expected_rollback_insts());
-        assert!(checkpoint_error_cost(&large, 2.0) > checkpoint_error_cost(&small, 2.0));
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub mod hooks;
 pub mod lockstep;
 pub mod pair;
 
-pub use checkpoint::{checkpoint_error_cost, CheckpointConfig, CheckpointHooks, CheckpointPolicy};
+pub use checkpoint::{CheckpointConfig, CheckpointHooks, CheckpointPolicy};
 pub use config::ReunionConfig;
 pub use hooks::ReunionHooks;
 pub use lockstep::{LockstepPair, LockstepPolicy};

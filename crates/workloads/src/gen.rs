@@ -15,32 +15,6 @@ const CODE_BASE: u64 = 0x0040_0000;
 /// Number of static branch sites a program cycles through.
 const BRANCH_SITES: u64 = 256;
 
-/// Program-phase model: real applications alternate compute-bound and
-/// memory-bound *phases* rather than drawing every instruction from one
-/// stationary mix. During a memory phase the load/store fractions are
-/// multiplied by `mem_boost` (compute instructions absorb the
-/// difference); phases alternate every `period` instructions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct PhaseModel {
-    /// Instructions per phase.
-    pub period: u64,
-    /// Multiplier on memory-op fractions during memory phases (> 1).
-    pub mem_boost: f64,
-}
-
-impl PhaseModel {
-    /// Validates the model.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.period == 0 {
-            return Err("phase period must be ≥ 1".into());
-        }
-        if !(1.0..=4.0).contains(&self.mem_boost) {
-            return Err("mem_boost must be in [1, 4]".into());
-        }
-        Ok(())
-    }
-}
-
 /// A deterministic instruction-stream generator for one benchmark.
 ///
 /// Implements [`InstStream`]; `reset` rewinds to an identical replay of
@@ -64,8 +38,6 @@ pub struct WorkloadGen {
     seed: u64,
     /// Base address of this process's data segment.
     data_base: u64,
-    /// Optional compute/memory phase alternation.
-    phases: Option<PhaseModel>,
     // --- replayable state ---
     rng: SplitMixStream,
     emitted: u64,
@@ -89,8 +61,8 @@ impl WorkloadGen {
         g
     }
 
-    /// A generator from an explicit profile (used by the ablation benches
-    /// to sweep single parameters).
+    /// A generator from an explicit profile (for sweeping single
+    /// profile parameters).
     pub fn from_profile(profile: BenchmarkProfile, length: u64, seed: u64) -> Self {
         profile.validate().expect("profile must be valid");
         let mut g = WorkloadGen {
@@ -98,7 +70,6 @@ impl WorkloadGen {
             length,
             seed,
             data_base: DATA_BASE,
-            phases: None,
             rng: SplitMixStream::new(seed),
             emitted: 0,
             pc: CODE_BASE,
@@ -114,21 +85,6 @@ impl WorkloadGen {
         &self.profile
     }
 
-    /// Enables compute/memory phase alternation (see [`PhaseModel`]).
-    pub fn with_phases(mut self, phases: PhaseModel) -> Self {
-        phases.validate().expect("phase model must be valid");
-        self.phases = Some(phases);
-        self
-    }
-
-    /// True while the generator is inside a memory phase.
-    fn in_memory_phase(&self) -> bool {
-        match self.phases {
-            Some(p) => (self.emitted / p.period) % 2 == 1,
-            None => false,
-        }
-    }
-
     /// Materializes the whole trace.
     pub fn collect_trace(mut self) -> TraceProgram {
         TraceProgram::from_stream(&mut self)
@@ -136,11 +92,6 @@ impl WorkloadGen {
 
     fn pick_op(&mut self) -> OpClass {
         let p = &self.profile;
-        let boost = if self.in_memory_phase() {
-            self.phases.expect("phase checked").mem_boost
-        } else {
-            1.0
-        };
         let mut x = self.rng.next_f64();
         let mut table = [
             (OpClass::IntMul, p.frac_int_mul),
@@ -148,8 +99,8 @@ impl WorkloadGen {
             (OpClass::FpAlu, p.frac_fp_alu),
             (OpClass::FpMul, p.frac_fp_mul),
             (OpClass::FpDiv, p.frac_fp_div),
-            (OpClass::Load, (p.frac_load * boost).min(0.6)),
-            (OpClass::Store, (p.frac_store * boost).min(0.3)),
+            (OpClass::Load, p.frac_load.min(0.6)),
+            (OpClass::Store, p.frac_store.min(0.3)),
             (OpClass::Branch, p.frac_branch),
             (OpClass::Trap, p.frac_serializing / 2.0),
             (OpClass::MemBarrier, p.frac_serializing / 2.0),
@@ -451,58 +402,6 @@ mod tests {
             .collect();
         assert!(sites.len() <= 256, "{} sites", sites.len());
         assert!(sites.len() > 100, "{} sites", sites.len());
-    }
-
-    #[test]
-    fn phases_create_bursty_memory_behaviour() {
-        let phased = WorkloadGen::new(Benchmark::Gzip, 40_000, 3)
-            .with_phases(PhaseModel {
-                period: 2_000,
-                mem_boost: 2.0,
-            })
-            .collect_trace();
-        let flat = WorkloadGen::new(Benchmark::Gzip, 40_000, 3).collect_trace();
-        // Windowed memory-op fraction varies much more with phases on.
-        let windowed_var = |t: &unsync_isa::TraceProgram| {
-            let w = 2_000;
-            let fracs: Vec<f64> = t
-                .insts()
-                .chunks(w)
-                .map(|c| c.iter().filter(|i| i.op.is_mem()).count() as f64 / c.len() as f64)
-                .collect();
-            let mean = fracs.iter().sum::<f64>() / fracs.len() as f64;
-            fracs.iter().map(|f| (f - mean) * (f - mean)).sum::<f64>() / fracs.len() as f64
-        };
-        assert!(
-            windowed_var(&phased) > 4.0 * windowed_var(&flat),
-            "{} vs {}",
-            windowed_var(&phased),
-            windowed_var(&flat)
-        );
-        // Still a valid, dense trace.
-        assert_eq!(phased.len(), 40_000);
-    }
-
-    #[test]
-    fn phase_model_validation() {
-        assert!(PhaseModel {
-            period: 0,
-            mem_boost: 2.0
-        }
-        .validate()
-        .is_err());
-        assert!(PhaseModel {
-            period: 100,
-            mem_boost: 9.0
-        }
-        .validate()
-        .is_err());
-        assert!(PhaseModel {
-            period: 100,
-            mem_boost: 2.0
-        }
-        .validate()
-        .is_ok());
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub mod profile;
 pub mod rng;
 pub mod source;
 
-pub use gen::{PhaseModel, WorkloadGen};
+pub use gen::WorkloadGen;
 pub use kernels::{Kernel, KernelSource};
 pub use profile::{Benchmark, BenchmarkProfile, Suite};
 pub use rng::SplitMixStream;
