@@ -357,7 +357,7 @@ fn run_compare_job(job: CampaignJob, t: &TraceProgram) -> Json {
     let scheme = scheme::find(job.scheme)
         .unwrap_or_else(|| panic!("unknown comparator scheme {}", job.scheme));
     let driver = RedundantDriver::new(CoreConfig::table1());
-    let cycles = (scheme.run)(&driver, Lane::new(t)).cycles;
+    let cycles = (scheme.run)(&driver, Lane::new(t), true).cycles;
     Json::obj()
         .field("workload", job.workload.name())
         .field("inst_count", job.inst_count)

@@ -413,7 +413,7 @@ fn comparators(runner: Runner, cfg: ExperimentConfig) -> Output {
         "DVFS, recovery, or asynchronous events) — the scaling burden §II cites for",
         "abandoning it. Reunion/checkpointing relax that but tax every instruction;",
         "UnSync decouples completely and bets on errors being rare (its per-error",
-        "recovery is the most expensive — see paper ablation_recovery).",
+        "recovery is the most expensive — paper ser_sweep prints its cycles).",
         "The new columns bracket the space: TMR pays ~3x resources to vote errors",
         "away with zero rollback, FlexStep tunes the compare interval at runtime,",
         "and SECDED-only shows what a lone ECC-protected core gets you for free.",

@@ -530,7 +530,7 @@ pub fn comparators_on(runner: Runner, cfg: ExperimentConfig) -> Vec<ComparatorRo
 
         // One overhead per comparator, in scheme table order.
         let [lockstep, reunion, ckpt, unsync, tmr, flex, secded] =
-            scheme::TABLE.map(|s| (s.run)(&driver, Lane::new(&t)).cycles as f64 / base - 1.0);
+            scheme::TABLE.map(|s| (s.run)(&driver, Lane::new(&t), true).cycles as f64 / base - 1.0);
         ComparatorRow {
             bench: bench.name(),
             lockstep_overhead: lockstep,
@@ -601,7 +601,7 @@ fn scheme_values_for(
             kind: unsync_fault::FaultKind::Single,
         }];
         let row = scheme::find(name).expect("scheme table row");
-        scheme_values_row(workload, label, &(row.run)(&driver, lane))
+        scheme_values_row(workload, label, &(row.run)(&driver, lane, true))
     })
 }
 

@@ -53,6 +53,7 @@ use unsync_workloads::{Benchmark, WorkloadSpec};
 
 use crate::campaign::CampaignGrid;
 use crate::runlog::Json;
+use crate::runner::reference_run;
 use crate::scheme;
 
 /// The schemes the campaign compares, in table order (a subset of
@@ -85,8 +86,13 @@ pub fn grid(seed: u64, smoke: bool) -> CampaignGrid {
 /// Runs `trace` under the [`crate::scheme::TABLE`] row named `scheme`
 /// with `strikes` injected. `golden` optionally supplies the memoized
 /// fault-free memory image so the driver skips its per-run golden
-/// re-execution (results are bit-identical either way — a trace's
-/// golden is unique).
+/// re-execution. Supplying it also opts into the strike-free reference
+/// memo ([`crate::runner::reference_run`]): a run whose strikes all
+/// leave state untouched ends at its last strike and takes the rest of
+/// its result from the memoized strike-free run. Results are
+/// bit-identical either way (a trace's golden is unique, and an early
+/// exit reproduces the full run's [`RunResult`]); with `None` every
+/// run is simulated in full, the independent oracle.
 ///
 /// # Panics
 ///
@@ -99,12 +105,16 @@ pub fn run_scheme_with_strikes(
     golden: Option<&ArchMemory>,
 ) -> RunResult {
     let row = scheme::find(scheme).unwrap_or_else(|| panic!("unknown scheme {scheme}"));
+    let stored = golden
+        .filter(|_| !strikes.is_empty())
+        .and_then(|g| Some((reference_run(driver, row, trace, g)?, g)));
     let lane = Lane {
         uncore: strikes,
         golden,
+        reference: stored.as_ref().map(|(run, g)| run.view(g)),
         ..Lane::new(trace)
     };
-    (row.run)(driver, lane)
+    (row.run)(driver, lane, true)
 }
 
 /// Classifies one finished strike run: diffs committed memory against

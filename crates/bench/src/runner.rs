@@ -19,18 +19,26 @@
 //!   executes exactly once no matter how many experiments ask for it —
 //!   observable as `runner.baseline_sim_runs` vs.
 //!   `runner.baseline_cache_hits` in the metrics registry.
+//! * **Strike-free references.** A strike job whose strikes change no
+//!   state ends at its last strike and takes the rest of its run from
+//!   the strike-free run of the same scheme, trace and driver
+//!   ([`reference_run`], `unsync_exec::Lane::reference`), simulated once
+//!   per process — `runner.reference_sim_runs` vs.
+//!   `runner.reference_cache_hits`.
 
 use std::collections::HashMap;
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
 
+use unsync_exec::{Lane, RedundantDriver, Reference, RunResult};
 use unsync_isa::exec::splitmix64;
-use unsync_isa::{golden_run, ArchMemory};
+use unsync_isa::{golden_run, ArchMemory, TraceProgram};
 use unsync_sim::{metrics, run_baseline, CoreConfig};
 use unsync_workloads::{Benchmark, SplitMixStream, SyntheticSource, WorkloadSource};
 
 use crate::experiments::ExperimentConfig;
+use crate::scheme::Scheme;
 
 /// A fixed-size deterministic worker pool.
 #[derive(Debug, Clone, Copy)]
@@ -371,6 +379,125 @@ pub fn golden_memory_source(source: &dyn WorkloadSource) -> Arc<ArchMemory> {
 /// [`golden_memory_source`] for a synthetic benchmark under `cfg`.
 pub fn golden_memory(bench: Benchmark, cfg: ExperimentConfig) -> Arc<ArchMemory> {
     golden_memory_source(&SyntheticSource::new(bench, cfg.inst_count, cfg.seed))
+}
+
+/// A memoized strike-free run ([`reference_run`]).
+#[derive(Debug)]
+pub struct StrikeFreeRun {
+    /// The run, its journal complete. Its memory image is left empty
+    /// when it equals the golden image, which then stands in for it.
+    run: RunResult,
+    memory_is_golden: bool,
+}
+
+impl StrikeFreeRun {
+    /// The run as a lane's [`Reference`]; `golden` must be the golden
+    /// image of the trace it ran.
+    pub fn view<'a>(&'a self, golden: &'a ArchMemory) -> Reference<'a> {
+        Reference {
+            memory: if self.memory_is_golden {
+                golden
+            } else {
+                &self.run.memory
+            },
+            ..Reference::of(&self.run)
+        }
+    }
+}
+
+/// One memo slot: a strike-free run once simulated, `None` when its
+/// journal dropped events.
+type RunSlot = Arc<OnceLock<Option<Arc<StrikeFreeRun>>>>;
+
+/// The strike-free runs of one trace: the trace, which confirms every
+/// hit, and one slot per scheme row and driver configuration. One copy
+/// of the trace serves every scheme and driver that runs it.
+struct TraceRuns {
+    trace: TraceProgram,
+    runs: Vec<(&'static str, RedundantDriver, RunSlot)>,
+}
+
+/// The strike-free run memo, keyed by trace digest and length.
+fn reference_cache() -> &'static ShardedCache<Mutex<TraceRuns>> {
+    static CACHE: OnceLock<ShardedCache<Mutex<TraceRuns>>> = OnceLock::new();
+    CACHE.get_or_init(ShardedCache::new)
+}
+
+/// The strike-free run of `trace` under the [`Scheme`] row `scheme` on
+/// `driver` (with `golden`, the trace's golden image), memoized
+/// process-wide per scheme, driver configuration and trace content.
+///
+/// The run publishes no metrics and keeps a journal
+/// ([`RedundantDriver::reference_driver`]). A run whose journal dropped
+/// events is never served, and a trace whose digest matches a stored
+/// trace that is not equal to it gets no run, so a digest collision can
+/// never return another trace's run. Fills count as
+/// `runner.reference_sim_runs`, served stored runs as
+/// `runner.reference_cache_hits`.
+pub fn reference_run(
+    driver: &RedundantDriver,
+    scheme: &Scheme,
+    trace: &TraceProgram,
+    golden: &ArchMemory,
+) -> Option<Arc<StrikeFreeRun>> {
+    let key = ("strike_free", trace.digest(), trace.len() as u64);
+    let cell = reference_cache().cell(key);
+    let slot = {
+        let mut runs = cell
+            .get_or_init(|| {
+                Mutex::new(TraceRuns {
+                    trace: trace.clone(),
+                    runs: Vec::new(),
+                })
+            })
+            .lock()
+            .expect("reference memo poisoned");
+        if runs.trace != *trace {
+            return None;
+        }
+        // Keep the trace last confirmed: its clones share instructions,
+        // so the next lookup with it confirms by identity.
+        runs.trace = trace.clone();
+        let found = runs
+            .runs
+            .iter()
+            .find(|(name, d, _)| *name == scheme.name && d == driver);
+        match found {
+            Some((_, _, slot)) => Arc::clone(slot),
+            None => {
+                let slot = RunSlot::default();
+                runs.runs
+                    .push((scheme.name, driver.clone(), Arc::clone(&slot)));
+                slot
+            }
+        }
+    };
+    let m = metrics::global();
+    let mut simulated = false;
+    let stored = slot.get_or_init(|| {
+        simulated = true;
+        m.counter("runner.reference_sim_runs").inc();
+        let lane = Lane {
+            golden: Some(golden),
+            ..Lane::new(trace)
+        };
+        let mut run = (scheme.run)(&driver.reference_driver(), lane, false);
+        let memory_is_golden = run.memory == *golden;
+        if memory_is_golden {
+            run.memory = ArchMemory::new();
+        }
+        let complete = run.events.journal_dropped() == 0;
+        complete.then(|| {
+            Arc::new(StrikeFreeRun {
+                run,
+                memory_is_golden,
+            })
+        })
+    });
+    if stored.is_some() && !simulated {
+        m.counter("runner.reference_cache_hits").inc();
+    }
+    stored.clone()
 }
 
 #[cfg(test)]

@@ -24,13 +24,30 @@ use unsync_reunion::{
 pub struct Scheme {
     /// The name grids and run logs use.
     pub name: &'static str,
-    /// Runs one lane under the scheme's policy.
-    pub run: fn(&RedundantDriver, Lane<'_>) -> RunResult,
+    /// Runs one lane under the scheme's policy; with `publish` false the
+    /// run leaves the metrics registry as it was
+    /// ([`RedundantDriver::run_unpublished`]).
+    pub run: fn(&RedundantDriver, Lane<'_>, bool) -> RunResult,
 }
 
-/// Runs `lane` alone on `driver` under `policy`.
-fn one<P: RedundancyPolicy>(driver: &RedundantDriver, policy: P, lane: Lane<'_>) -> RunResult {
-    driver.run(&mut [policy], vec![lane]).0.remove(0)
+/// Runs `lane` alone on `driver` under `policy`, publishing its metrics
+/// if `publish`. The only caller that drops the run's [`MemSystem`]
+/// (which, for a lane that ended on its reference, is the system at the
+/// stop — see [`Lane::reference`]).
+///
+/// [`MemSystem`]: unsync_mem::MemSystem
+fn one<P: RedundancyPolicy>(
+    driver: &RedundantDriver,
+    policy: P,
+    lane: Lane<'_>,
+    publish: bool,
+) -> RunResult {
+    let (mut results, _) = if publish {
+        driver.run(&mut [policy], vec![lane])
+    } else {
+        driver.run_unpublished(&mut [policy], vec![lane])
+    };
+    results.remove(0)
 }
 
 /// Every comparator scheme, in the column order of the `comparators`
@@ -38,38 +55,38 @@ fn one<P: RedundancyPolicy>(driver: &RedundantDriver, policy: P, lane: Lane<'_>)
 pub const TABLE: [Scheme; 7] = [
     Scheme {
         name: "lockstep",
-        run: |d, l| one(d, LockstepPolicy::new(1), l),
+        run: |d, l, p| one(d, LockstepPolicy::new(1), l, p),
     },
     Scheme {
         name: "reunion",
-        run: |d, l| one(d, ReunionPolicy::new(ReunionConfig::paper_baseline()), l),
+        run: |d, l, p| one(d, ReunionPolicy::new(ReunionConfig::paper_baseline()), l, p),
     },
     Scheme {
         name: "checkpoint",
-        run: |d, l| one(d, CheckpointPolicy::new(CheckpointConfig::default()), l),
+        run: |d, l, p| one(d, CheckpointPolicy::new(CheckpointConfig::default()), l, p),
     },
     Scheme {
         name: "unsync_pair",
-        run: |d, l| {
+        run: |d, l, publish| {
             let ucfg = UnsyncConfig::paper_baseline();
             let p = UnsyncPolicy::new("unsync_pair", ucfg, WriteThrough, 0);
-            one(d, p, l)
+            one(d, p, l, publish)
         },
     },
     Scheme {
         name: "tmr_vote",
-        run: |d, l| one(d, TmrVotePolicy::new(), l),
+        run: |d, l, p| one(d, TmrVotePolicy::new(), l, p),
     },
     Scheme {
         name: "flex",
-        run: |d, l| {
+        run: |d, l, publish| {
             let p = FlexGranularityPolicy::new(FlexConfig::paper_baseline());
-            one(d, p, l)
+            one(d, p, l, publish)
         },
     },
     Scheme {
         name: "secded_only",
-        run: |d, l| one(d, SecdedOnlyPolicy::new(), l),
+        run: |d, l, p| one(d, SecdedOnlyPolicy::new(), l, p),
     },
 ];
 
@@ -122,7 +139,7 @@ mod tests {
             let spec = WorkloadSpec::parse(name).expect("known workload");
             let t = spec.source(6_000, 11).trace();
             let rows = TABLE.map(|s| {
-                let out = (s.run)(&driver, Lane::new(&t));
+                let out = (s.run)(&driver, Lane::new(&t), true);
                 assert!(out.correct(), "{name} {}: {:?}", s.name, out.out);
                 out.cycles
             });

@@ -153,6 +153,13 @@ impl PairedCb {
         self.sides[core].len()
     }
 
+    /// Occupancy of `core`'s side at `cycle` without retiring anything:
+    /// the entries behind those a retire at `cycle` would drop.
+    pub fn resident(&self, core: usize, cycle: u64) -> usize {
+        let side = &self.sides[core];
+        side.len() - side.iter().take_while(|e| e.drain_done <= cycle).count()
+    }
+
     fn retire(&mut self, core: usize, cycle: u64) {
         while self.sides[core]
             .front()

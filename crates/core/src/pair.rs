@@ -21,7 +21,8 @@
 //!    forward*, no re-execution.
 
 use unsync_exec::{
-    Lane, LaneState, RedundancyPolicy, RedundantDriver, RunResult, SegmentVerdict, TraceEventKind,
+    Lane, LaneState, RedundancyPolicy, RedundantDriver, RunResult, SegmentVerdict, StrikeVerdict,
+    TraceEventKind,
 };
 use unsync_fault::uncore::{UncoreProtection, UncoreStrike, UncoreTarget};
 use unsync_fault::{DetectionMechanism, FaultKind, FaultTarget, PairFault};
@@ -153,15 +154,16 @@ impl UnsyncPolicy {
     }
 
     /// Attempts to land a CB strike at the lane's current cycle.
-    /// Returns `false` only for a directed strike that found the struck
+    /// Returns `None` only for a directed strike that found the struck
     /// side empty — the caller pends it until the buffer refills. A
-    /// uniform strike against an empty slot is simply benign.
+    /// uniform strike against an empty slot is simply benign and
+    /// [`StrikeVerdict::Neutral`]: its occupancy probe only reads.
     fn try_cb_strike(
         &mut self,
         mem: &mut MemSystem,
         lane: &mut LaneState,
         strike: &UncoreStrike,
-    ) -> bool {
+    ) -> Option<StrikeVerdict> {
         let now = lane.now();
         // Entry index interleaves the two sides; the slot addresses
         // that side's queue (capacity-wrapped for uniform strikes,
@@ -169,14 +171,20 @@ impl UnsyncPolicy {
         // entry whenever one exists).
         let entry = strike.site.entry_index();
         let side = (entry % 2) as usize;
-        let occ = self.cb.occupancy(side, now);
-        if occ == 0 && strike.directed {
-            return false;
-        }
         let slot = if strike.directed {
-            (entry / 2) as usize % occ.max(1)
+            let occ = self.cb.occupancy(side, now);
+            if occ == 0 {
+                return None;
+            }
+            (entry / 2) as usize % occ
         } else {
-            (entry / 2) as usize % self.cb.capacity()
+            let slot = (entry / 2) as usize % self.cb.capacity();
+            if slot >= self.cb.resident(side, now) {
+                lane.events
+                    .emit_at(TraceEventKind::BenignFault, strike.site.bit_offset, now);
+                return Some(StrikeVerdict::Neutral);
+            }
+            slot
         };
         let hit = match strike.site.target {
             UncoreTarget::CbData => self
@@ -186,11 +194,7 @@ impl UnsyncPolicy {
                 .cb
                 .corrupt_fingerprint(side, slot, strike.site.bit_offset, now),
         };
-        if !hit {
-            lane.events
-                .emit_at(TraceEventKind::BenignFault, strike.site.bit_offset, now);
-            return true;
-        }
+        debug_assert!(hit, "the struck slot is resident");
         // The fingerprint check at pair completion (or bus grant)
         // would refuse to drain this entry; the EIH treats the
         // mismatch like any other detection and runs recovery, with
@@ -199,7 +203,7 @@ impl UnsyncPolicy {
             .emit_at(TraceEventKind::Detection, strike.site.bit_offset, now);
         let recovery_end = self.recover(mem, lane, side);
         self.recovery_window = Some((recovery_end, side ^ 1));
-        true
+        Some(StrikeVerdict::Perturbed)
     }
 
     /// The §III-A always-forward recovery procedure. Returns the cycle
@@ -484,7 +488,7 @@ impl RedundancyPolicy for UnsyncPolicy {
         // A directed CB strike the run never refilled for dies benign:
         // the buffer held nothing strikeable for the rest of the run.
         if let Some(strike) = self.pending_cb_strike.take() {
-            if !self.try_cb_strike(mem, lane, &strike) {
+            if self.try_cb_strike(mem, lane, &strike).is_none() {
                 lane.events.emit_at(
                     TraceEventKind::BenignFault,
                     strike.site.bit_offset,
@@ -520,7 +524,7 @@ impl RedundancyPolicy for UnsyncPolicy {
     ) -> SegmentVerdict {
         let _ = (insts, start, end, attempt);
         if let Some(strike) = self.pending_cb_strike {
-            if self.try_cb_strike(mem, lane, &strike) {
+            if self.try_cb_strike(mem, lane, &strike).is_some() {
                 self.pending_cb_strike = None;
             }
         }
@@ -537,12 +541,21 @@ impl RedundancyPolicy for UnsyncPolicy {
     /// push and bus drain), so conditioning on occupancy means
     /// rejection-sampling in time, not just in space. Every other
     /// structure takes the generic mechanism-table delivery.
-    fn uncore_strike(&mut self, mem: &mut MemSystem, lane: &mut LaneState, strike: &UncoreStrike) {
+    ///
+    /// A uniform strike on an empty slot is [`StrikeVerdict::Neutral`];
+    /// a pending strike and a recovery are perturbed.
+    fn uncore_strike(
+        &mut self,
+        mem: &mut MemSystem,
+        lane: &mut LaneState,
+        strike: &UncoreStrike,
+    ) -> StrikeVerdict {
         match strike.site.target {
             UncoreTarget::CbData | UncoreTarget::CbTag => {
-                if !self.try_cb_strike(mem, lane, strike) {
+                self.try_cb_strike(mem, lane, strike).unwrap_or_else(|| {
                     self.pending_cb_strike = Some(*strike);
-                }
+                    StrikeVerdict::Perturbed
+                })
             }
             _ => unsync_exec::uncore::deliver(&self.uncore_protection(), mem, lane, strike),
         }

@@ -23,7 +23,11 @@
 //! requesting lane and surface as cycle-stamped
 //! [`TraceEventKind::L2Contention`] events in that lane's stream. With
 //! [`RedundantDriver::with_journal`], every lane keeps its full
-//! cycle-stamped event journal ([`EventStream::journal`]).
+//! cycle-stamped event journal ([`EventStream::journal`]). A one-lane
+//! strike run given a strike-free [`Lane::reference`] stops at its last
+//! strike when every strike left state untouched
+//! ([`StrikeVerdict::Neutral`]) and takes the rest of its result from
+//! the reference.
 
 use std::borrow::Cow;
 use std::ops::Range;
@@ -35,10 +39,10 @@ use unsync_isa::{golden_run, ArchMemory, ArchState, Inst, TraceProgram};
 use unsync_mem::{HierarchyConfig, L2ContentionConfig, L2ContentionEvent, MemSystem};
 use unsync_sim::{CoreConfig, OooEngine};
 
-use crate::event::{scheme_counters, EventStream, TraceEventKind};
+use crate::event::{scheme_counters, EventStream, TraceEventKind, DEFAULT_JOURNAL_CAP};
 use crate::outcome::OutcomeCore;
 use crate::pending::PendingStores;
-use crate::policy::{RedundancyPolicy, SegmentVerdict};
+use crate::policy::{RedundancyPolicy, SegmentVerdict, StrikeVerdict};
 use crate::sched::{self, Component};
 
 pub use crate::pending::PendingStore;
@@ -61,19 +65,11 @@ pub struct LaneState {
     pub pending: PendingStores,
     /// The lane's structured trace-event stream.
     pub events: EventStream,
-    /// Per-bank L2 conflict tallies (index = bank), accumulated while
-    /// draining [`unsync_mem::L2ContentionEvent`]s and published as the
-    /// scheme's `l2_bank_conflicts` histogram at finalization. Empty
-    /// when the contention model is off.
-    pub bank_conflicts: Vec<u64>,
-    /// Per-bank L2 stall-cycle tallies (index = bank), the cycle-
-    /// weighted companion of [`LaneState::bank_conflicts`]; published
-    /// as the scheme's `l2_bank_stalls` histogram at finalization.
-    pub bank_stalls: Vec<u64>,
     /// The cycle-stamped bank-conflict events drained from the shared
     /// L2, in drain order. The journal's `L2Contention` entries carry
     /// only the stall; this keeps the bank index so timeline exports
-    /// can place each conflict on its bank track. Empty when the
+    /// can place each conflict on its bank track, and the published
+    /// per-bank histograms are tallied from it. Empty when the
     /// contention model is off.
     pub l2_events: Vec<L2ContentionEvent>,
     /// The outcome counters being accumulated.
@@ -84,7 +80,7 @@ pub struct LaneState {
 }
 
 impl LaneState {
-    fn new(ccfg: CoreConfig, replicas: usize, core_base: usize) -> Self {
+    pub(crate) fn new(ccfg: CoreConfig, replicas: usize, core_base: usize) -> Self {
         LaneState {
             core_base,
             engines: (0..replicas)
@@ -94,8 +90,6 @@ impl LaneState {
             committed_mem: ArchMemory::new(),
             pending: PendingStores::new(),
             events: EventStream::new(),
-            bank_conflicts: Vec::new(),
-            bank_stalls: Vec::new(),
             l2_events: Vec::new(),
             out: OutcomeCore::default(),
             clock: 0,
@@ -153,12 +147,6 @@ impl LaneState {
     fn drain_l2_events(&mut self, mem: &mut MemSystem) {
         if let Some(events) = mem.l2_events_mut() {
             for e in events.drain(..) {
-                if self.bank_conflicts.len() <= e.bank {
-                    self.bank_conflicts.resize(e.bank + 1, 0);
-                    self.bank_stalls.resize(e.bank + 1, 0);
-                }
-                self.bank_conflicts[e.bank] += 1;
-                self.bank_stalls[e.bank] += e.stall;
                 self.l2_events.push(e);
                 self.events
                     .emit_at(TraceEventKind::L2Contention, e.stall, e.cycle);
@@ -212,6 +200,18 @@ pub struct Lane<'a> {
     /// `None` computes it (a trace's golden is unique, so the result is
     /// identical).
     pub golden: Option<&'a ArchMemory>,
+    /// The strike-free run of this trace under the same policy and
+    /// driver configuration, when the caller has it memoized. It is used
+    /// only when the run has this one lane, the lane has no core faults
+    /// and at least one uncore strike, and the reference's journal kept
+    /// every event. Then, once every strike has been delivered and each
+    /// returned [`StrikeVerdict::Neutral`], the lane stops simulating:
+    /// the rest of the run is the reference's, so its result is the
+    /// reference's counters, memory and bank-conflict events with the
+    /// strikes' own events spliced into the replayed event stream — the
+    /// same [`RunResult`] the full run gives. The [`MemSystem`] such a
+    /// run returns is the system as it was at the stop.
+    pub reference: Option<Reference<'a>>,
 }
 
 impl<'a> Lane<'a> {
@@ -222,13 +222,48 @@ impl<'a> Lane<'a> {
             faults: Vec::new(),
             uncore: Vec::new(),
             golden: None,
+            reference: None,
         }
+    }
+}
+
+/// A finished strike-free run a strike lane may end on
+/// ([`Lane::reference`]), borrowed part by part so a memo can share one
+/// memory image between the reference and the golden run.
+#[derive(Debug, Clone, Copy)]
+pub struct Reference<'a> {
+    /// The run's outcome counters.
+    pub out: OutcomeCore,
+    /// The run's event stream, with its journal
+    /// ([`RedundantDriver::reference_driver`]).
+    pub events: &'a EventStream,
+    /// The run's final committed memory image.
+    pub memory: &'a ArchMemory,
+    /// The run's bank-conflict events.
+    pub l2_events: &'a [L2ContentionEvent],
+}
+
+impl<'a> Reference<'a> {
+    /// The reference view of a whole run.
+    pub fn of(run: &'a RunResult) -> Self {
+        Reference {
+            out: run.out,
+            events: &run.events,
+            memory: &run.memory,
+            l2_events: &run.l2_events,
+        }
+    }
+
+    /// Whether a lane can end on this run: its journal holds every event.
+    fn is_complete(&self) -> bool {
+        self.events.journal().is_some() && self.events.journal_dropped() == 0
     }
 }
 
 /// The shared redundant-execution driver (see the [module docs]).
 ///
 /// [module docs]: crate::driver
+#[derive(Debug, Clone, PartialEq)]
 pub struct RedundantDriver {
     ccfg: CoreConfig,
     hierarchy: HierarchyConfig,
@@ -265,6 +300,13 @@ impl RedundantDriver {
         self
     }
 
+    /// This driver with the journal a [`Reference`] needs
+    /// ([`DEFAULT_JOURNAL_CAP`] events per lane): the driver to run a
+    /// strike-free reference on.
+    pub fn reference_driver(&self) -> Self {
+        self.clone().with_journal(DEFAULT_JOURNAL_CAP)
+    }
+
     /// Runs one policy per lane over a single shared memory system
     /// (lane `p` on cores `p*n .. p*n + n`, `n` =
     /// `policies[0].replicas()`), scheduled by the discrete-event queue
@@ -286,6 +328,20 @@ impl RedundantDriver {
     /// unsorted schedule, a fault core outside the lane's replicas, or
     /// a strike addressed to another lane.
     pub fn run<P: RedundancyPolicy>(
+        &self,
+        policies: &mut [P],
+        lanes: Vec<Lane<'_>>,
+    ) -> (Vec<RunResult>, MemSystem) {
+        let names: Vec<&'static str> = policies.iter().map(|p| p.name()).collect();
+        let (results, mem) = self.run_unpublished(policies, lanes);
+        publish(&names, &results);
+        (results, mem)
+    }
+
+    /// [`RedundantDriver::run`] without publishing the run's metrics:
+    /// the registry is left as it was. For runs that are inputs to other
+    /// runs rather than results, such as a memoized [`Reference`].
+    pub fn run_unpublished<P: RedundancyPolicy>(
         &self,
         policies: &mut [P],
         lanes: Vec<Lane<'_>>,
@@ -336,6 +392,7 @@ impl RedundantDriver {
                 "uncore strike addressed to the wrong lane"
             );
         }
+        let alone = lanes.len() == 1;
         let mut mem = MemSystem::new(
             self.hierarchy,
             lanes.len() * n,
@@ -360,6 +417,11 @@ impl RedundantDriver {
                     lane.events = EventStream::with_journal(cap);
                 }
                 let insts = spec.trace.insts();
+                // Other lanes share the L2 and its contention, and core
+                // faults change state the strikes' verdicts do not cover.
+                let reference = spec.reference.filter(|r| {
+                    alone && spec.faults.is_empty() && !spec.uncore.is_empty() && r.is_complete()
+                });
                 let faults = policy.prepare_faults(insts, spec.faults, &mut lane.events);
                 debug_assert!(
                     faults.windows(2).all(|w| w[0].at <= w[1].at),
@@ -380,111 +442,21 @@ impl RedundantDriver {
                     uncore: spec.uncore,
                     next_uncore: 0,
                     last_delivery_cycle: 0,
+                    reference,
+                    strike_events: 0,
                 }
             })
             .collect();
         (runners, mem)
     }
 
-    /// Finalizes every lane once the schedule has run dry — late
-    /// strikes, policy epilogue, counters from the event stream, golden
-    /// check — and publishes the run's metrics.
+    /// Finalizes every lane once the schedule has run dry (see
+    /// [`LaneRunner::finish`]); publishes nothing.
     fn finish<P: RedundancyPolicy>(
         runners: Vec<LaneRunner<'_, P>>,
         mut mem: MemSystem,
     ) -> (Vec<RunResult>, MemSystem) {
-        // The scheme's metric handles, resolved once per run.
-        let scheme = runners[0].policy.name();
-        let counters = scheme_counters(scheme);
-        counters.runs.inc();
-        let mut results = Vec::with_capacity(runners.len());
-        for runner in runners {
-            let LaneRunner {
-                policy,
-                golden,
-                mut lane,
-                uncore,
-                next_uncore,
-                ..
-            } = runner;
-            // Strikes past the lane's last tick: deliver them at the final
-            // clock, where state is usually dead (masked) — a schedule must
-            // never silently lose strikes.
-            for strike in &uncore[next_uncore..] {
-                policy.uncore_strike(&mut mem, &mut lane, strike);
-                lane.sync_clock();
-            }
-            lane.sync_clock();
-            lane.out.cycles = lane.now();
-            policy.finish(&mut mem, &mut lane);
-
-            lane.out.detections = lane.events.count(TraceEventKind::Detection);
-            lane.out.recoveries = lane.events.count(TraceEventKind::RecoveryEnd);
-            lane.out.recovery_stall_cycles = lane.events.sum(TraceEventKind::RecoveryEnd);
-            lane.out.unrecoverable = lane.events.count(TraceEventKind::Unrecoverable);
-            lane.out.silent_faults = lane.events.count(TraceEventKind::SilentFault);
-
-            if let Some(g) = golden {
-                let recoverable =
-                    !policy.golden_requires_recoverable() || lane.out.unrecoverable == 0;
-                lane.out.memory_matches_golden = recoverable
-                    && g.iter()
-                        .all(|(addr, val)| lane.committed_mem.read(addr) == val);
-            }
-
-            // A lane whose policy goes by another name publishes under it.
-            let lane_counters = if policy.name() == scheme {
-                Arc::clone(&counters)
-            } else {
-                scheme_counters(policy.name())
-            };
-            // Publish run aggregates once per run (never per instruction —
-            // the lane loop is the hot path).
-            lane_counters.instructions.add(lane.out.committed);
-            lane_counters.cycles.add(lane.out.cycles);
-            // Recovery-episode distributions (see `crate::spans`): one MTTR
-            // observation per episode, one detection→recovery-start latency
-            // observation per episode that carries a detection stamp.
-            for ep in lane.events.episodes() {
-                lane_counters.mttr.observe(ep.stall as f64);
-                if let Some(lat) = ep.detection_latency() {
-                    lane_counters.detect_latency.observe(lat as f64);
-                }
-            }
-            // Per-bank L2 conflict profile: one pre-aggregated observation
-            // batch per bank, valued at the bank index — and its stall-
-            // cycle companion, weighted by the cycles spent waiting.
-            for (bank, &n) in lane.bank_conflicts.iter().enumerate() {
-                lane_counters.l2_banks.observe_n(bank as f64, n);
-            }
-            for (bank, &stall) in lane.bank_stalls.iter().enumerate() {
-                lane_counters.l2_bank_stalls.observe_n(bank as f64, stall);
-            }
-            lane.events.publish_to(&lane_counters);
-            // Journal overflow is a health signal: a truncated journal
-            // silently under-reports the cycle timeline, so the drop count
-            // is surfaced process-wide for the dashboard's health line.
-            let dropped = lane.events.journal_dropped();
-            if dropped > 0 {
-                unsync_sim::metrics::global()
-                    .counter("exec.journal_dropped")
-                    .add(dropped);
-            }
-            results.push(RunResult {
-                out: lane.out,
-                events: lane.events,
-                memory: lane.committed_mem,
-                l2_events: lane.l2_events,
-            });
-        }
-        // System-level recovery concurrency: the fraction of recovery
-        // time during which two or more lanes were recovering at once
-        // (see `crate::spans::overlap_fraction`).
-        let all_episodes: Vec<crate::spans::Episode> = results
-            .iter()
-            .flat_map(|r| r.events.episodes().iter().copied())
-            .collect();
-        counters.set_recovery_overlap(scheme, crate::spans::overlap_fraction(&all_episodes));
+        let results = runners.into_iter().map(|r| r.finish(&mut mem)).collect();
         (results, mem)
     }
 
@@ -509,7 +481,95 @@ impl RedundantDriver {
         {
             runners[p].tick(now, &mut mem);
         }
-        Self::finish(runners, mem)
+        let names: Vec<&'static str> = runners.iter().map(|r| r.policy.name()).collect();
+        let (results, mem) = Self::finish(runners, mem);
+        publish(&names, &results);
+        (results, mem)
+    }
+}
+
+/// Publishes one run's metrics, a function of its results alone: each
+/// lane's aggregates under its policy's name (`names[p]` for lane `p`),
+/// and the run count and recovery overlap under the first lane's.
+fn publish(names: &[&'static str], results: &[RunResult]) {
+    // The scheme's metric handles, resolved once per run.
+    let scheme = names[0];
+    let counters = scheme_counters(scheme);
+    counters.runs.inc();
+    for (&name, r) in names.iter().zip(results) {
+        // A lane whose policy goes by another name publishes under it.
+        let lane_counters = if name == scheme {
+            Arc::clone(&counters)
+        } else {
+            scheme_counters(name)
+        };
+        // Publish run aggregates once per run (never per instruction —
+        // the lane loop is the hot path).
+        lane_counters.instructions.add(r.out.committed);
+        lane_counters.cycles.add(r.out.cycles);
+        // Recovery-episode distributions (see `crate::spans`): one MTTR
+        // observation per episode, one detection→recovery-start latency
+        // observation per episode that carries a detection stamp.
+        for ep in r.events.episodes() {
+            lane_counters.mttr.observe(ep.stall as f64);
+            if let Some(lat) = ep.detection_latency() {
+                lane_counters.detect_latency.observe(lat as f64);
+            }
+        }
+        // Per-bank L2 conflict profile: one pre-aggregated observation
+        // batch per bank, valued at the bank index — and its stall-
+        // cycle companion, weighted by the cycles spent waiting.
+        let banks = r.l2_events.iter().map(|e| e.bank + 1).max().unwrap_or(0);
+        let (mut conflicts, mut stalls) = (vec![0u64; banks], vec![0u64; banks]);
+        for e in &r.l2_events {
+            conflicts[e.bank] += 1;
+            stalls[e.bank] += e.stall;
+        }
+        for (bank, (&n, &stall)) in conflicts.iter().zip(&stalls).enumerate() {
+            lane_counters.l2_banks.observe_n(bank as f64, n);
+            lane_counters.l2_bank_stalls.observe_n(bank as f64, stall);
+        }
+        r.events.publish_to(&lane_counters);
+        // Journal overflow is a health signal: a truncated journal
+        // silently under-reports the cycle timeline, so the drop count
+        // is surfaced process-wide for the dashboard's health line.
+        let dropped = r.events.journal_dropped();
+        if dropped > 0 {
+            unsync_sim::metrics::global()
+                .counter("exec.journal_dropped")
+                .add(dropped);
+        }
+    }
+    // System-level recovery concurrency: the fraction of recovery
+    // time during which two or more lanes were recovering at once
+    // (see `crate::spans::overlap_fraction`).
+    let all_episodes: Vec<crate::spans::Episode> = results
+        .iter()
+        .flat_map(|r| r.events.episodes().iter().copied())
+        .collect();
+    counters.set_recovery_overlap(scheme, crate::spans::overlap_fraction(&all_episodes));
+}
+
+/// Folds a finished lane's event stream into its counters and, when
+/// the policy verifies against a golden image, checks `memory` against
+/// it (`requires_recoverable`: an unrecoverable event fails the check
+/// whatever the image holds).
+fn settle(
+    out: &mut OutcomeCore,
+    events: &EventStream,
+    golden: Option<&ArchMemory>,
+    requires_recoverable: bool,
+    memory: &ArchMemory,
+) {
+    out.detections = events.count(TraceEventKind::Detection);
+    out.recoveries = events.count(TraceEventKind::RecoveryEnd);
+    out.recovery_stall_cycles = events.sum(TraceEventKind::RecoveryEnd);
+    out.unrecoverable = events.count(TraceEventKind::Unrecoverable);
+    out.silent_faults = events.count(TraceEventKind::SilentFault);
+    if let Some(g) = golden {
+        let recoverable = !requires_recoverable || out.unrecoverable == 0;
+        out.memory_matches_golden =
+            recoverable && g.iter().all(|(addr, val)| memory.read(addr) == val);
     }
 }
 
@@ -559,9 +619,93 @@ struct LaneRunner<'a, P: RedundancyPolicy> {
     /// uncore strike delivered earlier by cycle can never be reordered
     /// after a core fault delivered later).
     last_delivery_cycle: u64,
+    /// The strike-free run this lane may end on ([`Lane::reference`]);
+    /// dropped at the first strike that is not neutral.
+    reference: Option<Reference<'a>>,
+    /// Events the strike deliveries emitted into `lane.events`.
+    strike_events: u64,
 }
 
 impl<P: RedundancyPolicy> LaneRunner<'_, P> {
+    /// Whether the lane ended on its reference: every strike has been
+    /// delivered and none changed state.
+    fn stopped(&self) -> bool {
+        self.reference.is_some() && self.next_uncore == self.uncore.len()
+    }
+
+    /// Finalizes the lane once the schedule has run dry — late strikes,
+    /// policy epilogue, counters from the event stream, golden check —
+    /// or, for a lane that ended on its reference, splices the rest of
+    /// the reference's run in instead.
+    fn finish(self, mem: &mut MemSystem) -> RunResult {
+        let stopped = self.stopped();
+        let LaneRunner {
+            policy,
+            golden,
+            mut lane,
+            uncore,
+            next_uncore,
+            reference,
+            strike_events,
+            ..
+        } = self;
+        let requires_recoverable = policy.golden_requires_recoverable();
+        if let (true, Some(reference)) = (stopped, reference) {
+            // Up to the stop the lane ran as the reference did, plus the
+            // strikes' events; after it, the reference's events follow
+            // with their own stamps (a strike never raises the stream
+            // clock, so none of them moves).
+            let mut events = lane.events;
+            let replayed = (events.emitted() - strike_events) as usize;
+            let rest = reference
+                .events
+                .journal()
+                .and_then(|j| j.get(replayed..))
+                .expect("the reference is this lane's strike-free run");
+            for ev in rest {
+                events.emit_at(ev.kind, ev.value, ev.cycle);
+            }
+            events.set_clock(reference.events.clock());
+            let mut out = reference.out;
+            settle(
+                &mut out,
+                &events,
+                golden.as_deref(),
+                requires_recoverable,
+                reference.memory,
+            );
+            return RunResult {
+                out,
+                events,
+                memory: reference.memory.clone(),
+                l2_events: reference.l2_events.to_vec(),
+            };
+        }
+        // Strikes past the lane's last tick: deliver them at the final
+        // clock, where state is usually dead (masked) — a schedule must
+        // never silently lose strikes.
+        for strike in &uncore[next_uncore..] {
+            policy.uncore_strike(mem, &mut lane, strike);
+            lane.sync_clock();
+        }
+        lane.sync_clock();
+        lane.out.cycles = lane.now();
+        policy.finish(mem, &mut lane);
+        settle(
+            &mut lane.out,
+            &lane.events,
+            golden.as_deref(),
+            requires_recoverable,
+            &lane.committed_mem,
+        );
+        RunResult {
+            out: lane.out,
+            events: lane.events,
+            memory: lane.committed_mem,
+            l2_events: lane.l2_events,
+        }
+    }
+
     /// Starts an attempt of the segment at `idx`. The first attempt
     /// also picks the segment's end, its fault window and (for rollback
     /// policies) its snapshot; a retry reuses all three.
@@ -709,7 +853,7 @@ impl<P: RedundancyPolicy> Component for LaneRunner<'_, P> {
     type Ctx = MemSystem;
 
     fn next_tick(&self) -> Option<u64> {
-        (self.idx < self.insts.len()).then(|| self.lane.now())
+        (self.idx < self.insts.len() && !self.stopped()).then(|| self.lane.now())
     }
 
     fn tick(&mut self, _now: u64, mem: &mut MemSystem) {
@@ -725,15 +869,24 @@ impl<P: RedundancyPolicy> Component for LaneRunner<'_, P> {
             .is_some_and(|s| s.cycle <= wake)
         {
             let strike = self.uncore[self.next_uncore];
-            self.policy.uncore_strike(mem, &mut self.lane, &strike);
+            let emitted = self.lane.events.emitted();
+            let verdict = self.policy.uncore_strike(mem, &mut self.lane, &strike);
             self.lane.sync_clock();
             self.lane.drain_l2_events(mem);
+            self.strike_events += self.lane.events.emitted() - emitted;
+            if verdict == StrikeVerdict::Perturbed {
+                self.reference = None;
+            }
             debug_assert!(
                 wake >= self.last_delivery_cycle,
                 "uncore strike delivered behind an earlier fault's cycle"
             );
             self.last_delivery_cycle = wake;
             self.next_uncore += 1;
+        }
+        if self.stopped() {
+            // The rest of the run is the reference's (see `finish`).
+            return;
         }
         if !self.open {
             self.begin_attempt(wake);

@@ -408,6 +408,11 @@ impl EventStream {
         self.sums[kind as usize]
     }
 
+    /// How many events were emitted, of every kind.
+    pub fn emitted(&self) -> u64 {
+        self.counts.iter().sum()
+    }
+
     /// The most recent events, oldest first (bounded ring).
     pub fn recent(&self) -> impl Iterator<Item = &TraceEvent> {
         let (tail, head) = self.recent.split_at(self.next.min(self.recent.len()));

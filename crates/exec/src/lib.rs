@@ -48,11 +48,11 @@ pub mod schemes;
 pub mod spans;
 pub mod uncore;
 
-pub use driver::{Lane, LaneState, RedundantDriver, RunResult};
+pub use driver::{Lane, LaneState, RedundantDriver, Reference, RunResult};
 pub use event::{EventStream, TraceEvent, TraceEventKind};
 pub use outcome::OutcomeCore;
 pub use pending::{PendingStore, PendingStores};
-pub use policy::{RedundancyPolicy, SegmentVerdict};
+pub use policy::{RedundancyPolicy, SegmentVerdict, StrikeVerdict};
 pub use sched::{Component, EventQueue};
 pub use schemes::{
     FlexConfig, FlexGranularityPolicy, FlexPair, SecdedOnlyCore, SecdedOnlyPolicy, TmrTriple,

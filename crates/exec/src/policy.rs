@@ -40,6 +40,19 @@ pub enum SegmentVerdict {
     Abandon,
 }
 
+/// What an uncore strike's delivery did to the simulation
+/// ([`RedundancyPolicy::uncore_strike`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StrikeVerdict {
+    /// The delivery only emitted events into the lane's stream: every
+    /// other piece of state (engines, memory system, policy, committed
+    /// image) is as a strike-free run has it.
+    Neutral,
+    /// The delivery changed state beyond the event stream (a flipped
+    /// word, a stall, a recovery, a pending strike).
+    Perturbed,
+}
+
 /// One redundancy scheme, plugged into [`crate::RedundantDriver`].
 ///
 /// Callback order per segment `[start, end)`:
@@ -298,8 +311,22 @@ pub trait RedundancyPolicy {
     /// schemes with real recovery machinery (UnSync's CB overwrite)
     /// override delivery for the structures they own.
     ///
+    /// The contract: return [`StrikeVerdict::Neutral`] only when the
+    /// delivery changed nothing but `lane.events` — not the engines, the
+    /// memory system (a probe that retires entries counts), the policy's
+    /// own state, or the committed image. Any other change must return
+    /// [`StrikeVerdict::Perturbed`]. A lane whose strikes were all
+    /// neutral may end at its last one and take the rest of its result
+    /// from a strike-free run ([`crate::Lane::reference`]), so a wrong
+    /// `Neutral` silently drops the strike's effect.
+    ///
     /// [`uncore_protection`]: RedundancyPolicy::uncore_protection
-    fn uncore_strike(&mut self, mem: &mut MemSystem, lane: &mut LaneState, strike: &UncoreStrike) {
-        crate::uncore::deliver(&self.uncore_protection(), mem, lane, strike);
+    fn uncore_strike(
+        &mut self,
+        mem: &mut MemSystem,
+        lane: &mut LaneState,
+        strike: &UncoreStrike,
+    ) -> StrikeVerdict {
+        crate::uncore::deliver(&self.uncore_protection(), mem, lane, strike)
     }
 }

@@ -1,11 +1,10 @@
-//! Dual- and triple-modular redundancy for every-cycle sequential elements.
+//! Dual-modular redundancy for every-cycle sequential elements.
 //!
 //! Storage that is read and written in the *same* cycle (the PC, pipeline
 //! latches) cannot hide a parity tree's latency, so UnSync duplicates
 //! those flops and compares (§III-B1): DMR detection costs ~6 % power
 //! against TMR's ~200 % (the paper's cited figures; costs live in
-//! `unsync-hwcost`). DMR detects any corruption of one copy; TMR also
-//! corrects it by majority vote.
+//! `unsync-hwcost`). DMR detects any corruption of one copy.
 
 use serde::{Deserialize, Serialize};
 
@@ -67,38 +66,6 @@ impl DmrReg {
     }
 }
 
-/// A TMR-protected 64-bit register: three copies with majority voting.
-/// Used only by the design-space ablations (the paper rejects TMR for its
-/// ~200 % power overhead).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TmrReg {
-    copies: [u64; 3],
-}
-
-impl TmrReg {
-    /// Stores `value` into all three copies.
-    #[inline]
-    pub fn store(value: u64) -> Self {
-        TmrReg { copies: [value; 3] }
-    }
-
-    /// Majority-voted read: each output bit is the majority of the three
-    /// copies' bits. Also reports whether any copy disagreed (a scrub
-    /// signal in real designs).
-    pub fn load(self) -> (u64, bool) {
-        let [a, b, c] = self.copies;
-        let voted = (a & b) | (a & c) | (b & c);
-        let disagreement = a != b || b != c;
-        (voted, disagreement)
-    }
-
-    /// Flips bit `bit` of copy `copy` (0–2).
-    pub fn flip_bit(&mut self, copy: usize, bit: u32) {
-        assert!(bit < 64);
-        self.copies[copy] ^= 1 << bit;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,46 +102,12 @@ mod tests {
         assert!(r.check());
     }
 
-    #[test]
-    fn tmr_corrects_single_copy_corruption() {
-        let mut r = TmrReg::store(0xdead_beef);
-        r.flip_bit(1, 17);
-        let (v, dis) = r.load();
-        assert_eq!(v, 0xdead_beef);
-        assert!(dis);
-    }
-
-    #[test]
-    fn tmr_clean_read_reports_agreement() {
-        let (v, dis) = TmrReg::store(99).load();
-        assert_eq!(v, 99);
-        assert!(!dis);
-    }
-
     proptest! {
         #[test]
         fn prop_dmr_single_flip_always_detected(value: u64, bit in 0u32..64, which: bool) {
             let mut r = DmrReg::store(value);
             if which { r.flip_main_bit(bit) } else { r.flip_shadow_bit(bit) }
             prop_assert!(!r.check());
-        }
-
-        #[test]
-        fn prop_tmr_any_single_copy_corruption_corrected(
-            value: u64,
-            copy in 0usize..3,
-            mask in 1u64..,
-        ) {
-            let mut r = TmrReg::store(value);
-            // Arbitrary multi-bit corruption of ONE copy is still voted out.
-            for bit in 0..64 {
-                if mask >> bit & 1 == 1 {
-                    r.flip_bit(copy, bit);
-                }
-            }
-            let (v, dis) = r.load();
-            prop_assert_eq!(v, value);
-            prop_assert!(dis);
         }
     }
 }

@@ -75,14 +75,6 @@ impl FaultTarget {
         }
     }
 
-    /// True for structures *inside* the core IP (everything but the L1
-    /// arrays) — the distinction §VI-D draws when crediting UnSync with
-    /// covering "all the sequential blocks within the processor IP-core
-    /// and also the L1 cache".
-    pub fn is_core_block(self) -> bool {
-        !matches!(self, FaultTarget::L1Data | FaultTarget::L1Tag)
-    }
-
     /// True for structures whose corruption is visible to Reunion's
     /// fingerprint: state feeding instruction results *before* the commit
     /// stage. Architectural state that is only read long after commit

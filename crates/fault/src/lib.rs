@@ -39,7 +39,7 @@ pub mod ser;
 pub mod uncore;
 
 pub use crc::{crc16_word, Fingerprint, CRC16_CCITT_POLY};
-pub use dmr::{DmrReg, TmrReg};
+pub use dmr::DmrReg;
 pub use inject::{
     Coverage, DetectionMechanism, FaultKind, FaultSite, FaultTarget, InjectionPlan, PairFault,
 };

@@ -140,7 +140,8 @@ const PAGE_SHIFT: u64 = 12;
 
 /// A fast non-cryptographic hasher for page ids (FxHash-style multiply
 /// mix) — page keys are small integers, so `SipHash`'s DoS resistance
-/// buys nothing on the per-load/per-store path.
+/// buys nothing on the per-load/per-store path. It also folds a trace's
+/// instructions into [`crate::TraceProgram::digest`], one mix per field.
 #[derive(Debug, Clone, Default)]
 pub struct PageIdHasher {
     hash: u64,
@@ -166,8 +167,23 @@ impl Hasher for PageIdHasher {
     }
 
     #[inline]
+    fn write_u8(&mut self, n: u8) {
+        self.add(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    #[inline]
     fn write_u64(&mut self, n: u64) {
         self.add(n);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
     }
 }
 

@@ -1,7 +1,11 @@
 //! Instruction streams and trace statistics.
 
+use std::hash::{Hash, Hasher};
+use std::sync::{Arc, OnceLock};
+
 use serde::{Deserialize, Serialize};
 
+use crate::exec::PageIdHasher;
 use crate::inst::Inst;
 use crate::op::{OpClass, ALL_OP_CLASSES};
 
@@ -23,11 +27,14 @@ pub trait InstStream {
     }
 }
 
-/// A materialized instruction trace.
+/// A materialized instruction trace. The instructions are immutable
+/// and shared: a clone costs a reference count, not a copy.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct TraceProgram {
-    insts: Vec<Inst>,
+    insts: Arc<Vec<Inst>>,
     cursor: usize,
+    /// [`TraceProgram::digest`], computed on first use.
+    digest: OnceLock<u64>,
 }
 
 impl TraceProgram {
@@ -46,7 +53,11 @@ impl TraceProgram {
                 "trace sequence numbers must be dense from 0"
             );
         }
-        TraceProgram { insts, cursor: 0 }
+        TraceProgram {
+            insts: Arc::new(insts),
+            cursor: 0,
+            digest: OnceLock::new(),
+        }
     }
 
     /// Collects a stream into a materialized trace.
@@ -76,17 +87,29 @@ impl TraceProgram {
         self.insts.is_empty()
     }
 
+    /// A 64-bit hash of the instructions, computed once per trace value:
+    /// equal traces have equal digests, so memos key on it (and confirm
+    /// a hit with `==`, since unequal traces may collide).
+    pub fn digest(&self) -> u64 {
+        *self.digest.get_or_init(|| {
+            let mut h = PageIdHasher::default();
+            self.insts.hash(&mut h);
+            h.finish()
+        })
+    }
+
     /// Computes summary statistics over the trace.
     pub fn stats(&self) -> TraceStats {
         TraceStats::from_insts(&self.insts)
     }
 }
 
-/// Two traces are equal when they contain the same instructions; the
-/// replay cursor is transient state and does not participate.
+/// Two traces are equal when they contain the same instructions (at
+/// once when they share them); the replay cursor is transient state
+/// and, like the cached digest, does not participate.
 impl PartialEq for TraceProgram {
     fn eq(&self, other: &Self) -> bool {
-        self.insts == other.insts
+        Arc::ptr_eq(&self.insts, &other.insts) || self.insts == other.insts
     }
 }
 

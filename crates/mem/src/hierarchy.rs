@@ -122,9 +122,10 @@ impl MemSystem {
         self.contention.as_mut().map(L2Contention::events_mut)
     }
 
-    /// Outstanding shared-L2 misses after retiring completions at
-    /// `cycle` (bounded by the configured MSHR capacity).
-    pub fn l2_mshr_outstanding(&mut self, cycle: u64) -> usize {
+    /// Shared-L2 misses still outstanding at `cycle` (bounded by the
+    /// configured MSHR capacity); read-only, like
+    /// [`MshrFile::outstanding`].
+    pub fn l2_mshr_outstanding(&self, cycle: u64) -> usize {
         self.l2_mshrs.outstanding(cycle)
     }
 

@@ -126,10 +126,15 @@ impl MshrFile {
         }
     }
 
-    /// Number of currently outstanding misses (after retiring at `cycle`).
-    pub fn outstanding(&mut self, cycle: u64) -> usize {
-        self.retire(cycle);
-        self.entries.len()
+    /// Number of misses still outstanding at `cycle`. A read-only probe:
+    /// completed entries stay until the next access retires them, so
+    /// probing never changes what a later access at an earlier cycle
+    /// sees.
+    pub fn outstanding(&self, cycle: u64) -> usize {
+        self.entries
+            .iter()
+            .filter(|e| e.ready_cycle > cycle)
+            .count()
     }
 
     /// If a fill for `line_addr` is still in flight at `cycle`, returns
@@ -182,6 +187,19 @@ mod tests {
             o => panic!("expected coalesce, got {o:?}"),
         }
         assert_eq!(m.coalesced, 1);
+    }
+
+    #[test]
+    fn outstanding_probe_retires_nothing() {
+        let mut m = MshrFile::new(2);
+        m.track(1, 0, 10);
+        assert_eq!(m.outstanding(20), 0);
+        // A later access at an earlier cycle still finds the fill in
+        // flight: the probe left it in place.
+        assert!(matches!(
+            m.track(1, 5, 10),
+            MshrOutcome::Coalesced { ready_cycle: 10 }
+        ));
     }
 
     #[test]

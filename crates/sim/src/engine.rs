@@ -9,7 +9,6 @@ use unsync_mem::MemSystem;
 
 use crate::config::CoreConfig;
 use crate::hooks::{CoreHooks, RobRelease};
-use crate::predictor::Gshare;
 use crate::stats::CoreStats;
 
 /// The computed pipeline timestamps of one instruction.
@@ -118,10 +117,6 @@ pub struct OooEngine {
     dispatch_floor: u64,
     /// Last commit cycle (commit is in order).
     last_commit: u64,
-    /// Optional live branch predictor; when absent, the trace's
-    /// misprediction annotations are used (the default for architecture
-    /// comparisons — identical control flow everywhere).
-    predictor: Option<Gshare>,
     /// Last instruction-cache line fetched (icache modelling).
     last_fetch_line: u64,
     /// Sequence-number residue (mod `drift_period`) of this core's drift
@@ -161,23 +156,10 @@ impl OooEngine {
             fetch_floor: 0,
             dispatch_floor: 0,
             last_commit: 0,
-            predictor: None,
             last_fetch_line: u64::MAX,
             drift_phase,
             stats: CoreStats::default(),
         }
-    }
-
-    /// Replaces the trace's misprediction annotations with a live gshare
-    /// predictor (prediction studies — see [`crate::predictor`]).
-    pub fn with_predictor(mut self, predictor: Gshare) -> Self {
-        self.predictor = Some(predictor);
-        self
-    }
-
-    /// The live predictor's statistics, if one is attached.
-    pub fn predictor(&self) -> Option<&Gshare> {
-        self.predictor.as_ref()
     }
 
     /// The core's configuration.
@@ -320,14 +302,10 @@ impl OooEngine {
             op => issue + op.exec_latency() as u64,
         };
 
-        // Mispredicted branch: redirect the front end after resolution.
-        // With a live predictor attached, prediction outcomes come from
-        // it; otherwise from the trace annotation.
-        let mispredicted = match (&mut self.predictor, inst.branch) {
-            (Some(p), Some(b)) => p.resolve(inst.pc, b.taken),
-            _ => inst.is_mispredicted_branch(),
-        };
-        if mispredicted {
+        // Mispredicted branch (the trace's annotation, so every scheme
+        // sees identical control flow): redirect the front end after
+        // resolution.
+        if inst.is_mispredicted_branch() {
             self.stats.mispredicts += 1;
             self.fetch_floor = self
                 .fetch_floor

@@ -37,13 +37,11 @@ pub mod config;
 pub mod engine;
 pub mod hooks;
 pub mod metrics;
-pub mod predictor;
 pub mod runner;
 pub mod stats;
 
 pub use config::CoreConfig;
 pub use engine::{InstTiming, OooEngine};
 pub use hooks::{BaselineHooks, CoreHooks, NullHooks, RobRelease};
-pub use predictor::Gshare;
 pub use runner::{run_baseline, run_stream, SimResult};
 pub use stats::CoreStats;
