@@ -16,7 +16,7 @@
 //! `UNSYNC_SEED` (default 1) set the experiment config,
 //! `UNSYNC_WORKERS` the worker pool, `UNSYNC_RESULTS_DIR` the results
 //! directory (default `results/`). The `roec_uncore` row also reads
-//! `UNSYNC_ROEC_SMOKE=1` (the CI smoke grid) and `UNSYNC_ROEC_OUT`
+//! `UNSYNC_ROEC_SMOKE=1` (the smoke grid) and `UNSYNC_ROEC_OUT`
 //! (summary path, default `BENCH_roec.json`).
 
 use std::process::exit;

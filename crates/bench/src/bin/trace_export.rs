@@ -50,7 +50,7 @@ fn main() {
 
 /// Re-parses the rendered trace with the in-repo JSON parser and
 /// asserts the fields Perfetto needs are present. Panics (non-zero
-/// exit) on any violation, so CI can run the binary as a smoke test.
+/// exit) on any violation, so every export checks itself.
 fn validate(text: &str) {
     let v = Json::parse(text).expect("exported trace must be valid JSON");
     let events = match v.get("traceEvents") {

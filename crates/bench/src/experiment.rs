@@ -598,7 +598,7 @@ fn kernel_stats(runner: Runner, cfg: ExperimentConfig) -> Output {
 ///
 /// The campaign has its own trace length, and its own default seed
 /// (11), so it reads `UNSYNC_SEED` itself instead of taking `cfg`.
-/// `UNSYNC_ROEC_SMOKE=1` selects the CI smoke grid and
+/// `UNSYNC_ROEC_SMOKE=1` selects the smoke grid and
 /// `UNSYNC_ROEC_OUT` the summary path.
 fn roec_uncore(runner: Runner, _: ExperimentConfig) -> Output {
     let seed = env::or_exit(env::var("UNSYNC_SEED")).unwrap_or(11);

@@ -61,15 +61,6 @@ fn trace(bench: Benchmark, cfg: ExperimentConfig) -> TraceProgram {
     SyntheticSource::new(bench, cfg.inst_count, cfg.seed).trace()
 }
 
-/// Runs `f` once per benchmark on `runner`, preserving benchmark order.
-fn per_benchmark<T, F>(runner: Runner, benches: &[Benchmark], f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(Benchmark) -> T + Sync,
-{
-    runner.map(benches, |&bench| f(bench))
-}
-
 // ───────────────────────────── Figure 4 ─────────────────────────────────
 
 /// One bar group of Fig. 4.
@@ -94,7 +85,7 @@ pub struct Fig4Row {
 /// are identical at any worker count (the determinism regression tests
 /// rely on this).
 pub fn fig4_on(runner: Runner, cfg: ExperimentConfig) -> Vec<Fig4Row> {
-    per_benchmark(runner, Benchmark::all(), |bench| {
+    runner.map(Benchmark::all(), |&bench| {
         let t = trace(bench, cfg);
         let base = baseline_cycles(bench, cfg) as f64;
         // Keep only the cycles: a run's result holds its memory image.
@@ -143,7 +134,7 @@ pub const FIG5_POINTS: [(u32, u32); 5] = [(1, 10), (5, 15), (10, 20), (20, 30), 
 pub fn fig5_on(runner: Runner, cfg: ExperimentConfig, benches: &[Benchmark]) -> Vec<Fig5Cell> {
     let mut cells = Vec::new();
     for &(fi, latency) in &FIG5_POINTS {
-        let mut row = per_benchmark(runner, benches, |bench| {
+        let mut row = runner.map(benches, |&bench| {
             let t = trace(bench, cfg);
             let base = baseline_cycles(bench, cfg) as f64;
             let mut stream = trace(bench, cfg);
@@ -196,7 +187,7 @@ pub fn fig6_on(runner: Runner, cfg: ExperimentConfig, benches: &[Benchmark]) -> 
     let mut rows = Vec::new();
     for &bytes in &FIG6_SIZES {
         let entries = UnsyncConfig::cb_entries_for_bytes(bytes);
-        let mut row = per_benchmark(runner, benches, |bench| {
+        let mut row = runner.map(benches, |&bench| {
             let t = trace(bench, cfg);
             let base = baseline_cycles(bench, cfg) as f64;
             let out = UnsyncPair::new(CoreConfig::table1(), UnsyncConfig::with_cb_entries(entries))
@@ -242,7 +233,7 @@ pub struct SerSweep {
 /// to measure the per-event costs.
 pub fn ser_sweep_on(runner: Runner, cfg: ExperimentConfig, benches: &[Benchmark]) -> SerSweep {
     // Per-benchmark error-free cycles and per-event costs, averaged.
-    let measures = per_benchmark(runner, benches, |bench| {
+    let measures = runner.map(benches, |&bench| {
         let t = trace(bench, cfg);
         let golden = crate::runner::golden_memory(bench, cfg);
         let reunion = ReunionPair::new(CoreConfig::table1(), ReunionConfig::paper_baseline());
@@ -339,6 +330,13 @@ pub struct RoecReport {
     pub reunion_by_target: Vec<(&'static str, u64, u64)>,
 }
 
+/// The two architectures the §VI-D campaign strikes.
+#[derive(Debug, Clone, Copy)]
+enum RoecArch {
+    Unsync,
+    Reunion,
+}
+
 fn target_name(t: FaultTarget) -> &'static str {
     match t {
         FaultTarget::RegisterFile => "RegisterFile",
@@ -385,61 +383,43 @@ pub fn roec_on(runner: Runner, cfg: ExperimentConfig, campaigns: u64) -> RoecRep
     let reunion = ReunionPair::new(CoreConfig::table1(), ReunionConfig::paper_baseline());
     let unsync = UnsyncPair::new(CoreConfig::table1(), UnsyncConfig::paper_baseline());
 
-    let results = per_benchmark(
-        runner,
-        // Reuse the parallel helper by chunking campaigns over dummy
-        // benchmark slots is awkward; run the two architectures in
-        // parallel instead.
-        &[Benchmark::Gzip, Benchmark::Bzip2],
-        |which| {
-            if which == Benchmark::Gzip {
-                // UnSync campaigns.
-                let mut s = RoecArchStats::default();
-                let mut by_target: Vec<(&'static str, u64, u64)> = Vec::new();
-                for f in &faults {
-                    let out = unsync.run_with_golden(&t, std::slice::from_ref(f), Some(&golden));
-                    s.injected += 1;
-                    s.detected += out.detections;
-                    s.unrecoverable += out.unrecoverable;
-                    s.silent_corruptions += u64::from(!out.memory_matches_golden);
-                    s.correct += u64::from(out.correct());
-                    let name = target_name(f.site.target);
-                    match by_target.iter_mut().find(|(n, _, _)| *n == name) {
-                        Some(e) => {
-                            e.1 += 1;
-                            e.2 += u64::from(out.correct());
-                        }
-                        None => by_target.push((name, 1, u64::from(out.correct()))),
-                    }
+    // The two architectures' campaigns run in parallel.
+    let results = runner.map(&[RoecArch::Unsync, RoecArch::Reunion], |&arch| {
+        let mut s = RoecArchStats::default();
+        let mut by_target: Vec<(&'static str, u64, u64)> = Vec::new();
+        for f in &faults {
+            let strike = std::slice::from_ref(f);
+            let out = match arch {
+                RoecArch::Unsync => unsync.run_with_golden(&t, strike, Some(&golden)),
+                RoecArch::Reunion => reunion.run_with_golden(&t, strike, Some(&golden)),
+            };
+            // Each architecture counts detections, in-place corrections
+            // and silent corruption by its own mechanisms.
+            let (detected, corrected_in_place, silent) = match arch {
+                RoecArch::Unsync => (out.detections, 0, !out.memory_matches_golden),
+                RoecArch::Reunion => (
+                    u64::from(out.events.count(TraceEventKind::FingerprintMismatch) > 0),
+                    out.events.count(TraceEventKind::CorrectedInPlace),
+                    out.silent_faults > 0 || !out.memory_matches_golden,
+                ),
+            };
+            s.injected += 1;
+            s.detected += detected;
+            s.corrected_in_place += corrected_in_place;
+            s.unrecoverable += out.unrecoverable;
+            s.silent_corruptions += u64::from(silent);
+            s.correct += u64::from(out.correct());
+            let name = target_name(f.site.target);
+            match by_target.iter_mut().find(|(n, _, _)| *n == name) {
+                Some(e) => {
+                    e.1 += 1;
+                    e.2 += u64::from(out.correct());
                 }
-                (s, by_target)
-            } else {
-                // Reunion campaigns.
-                let mut s = RoecArchStats::default();
-                let mut by_target: Vec<(&'static str, u64, u64)> = Vec::new();
-                for f in &faults {
-                    let out = reunion.run_with_golden(&t, std::slice::from_ref(f), Some(&golden));
-                    s.injected += 1;
-                    s.detected +=
-                        u64::from(out.events.count(TraceEventKind::FingerprintMismatch) > 0);
-                    s.corrected_in_place += out.events.count(TraceEventKind::CorrectedInPlace);
-                    s.unrecoverable += out.unrecoverable;
-                    s.silent_corruptions +=
-                        u64::from(out.silent_faults > 0 || !out.memory_matches_golden);
-                    s.correct += u64::from(out.correct());
-                    let name = target_name(f.site.target);
-                    match by_target.iter_mut().find(|(n, _, _)| *n == name) {
-                        Some(e) => {
-                            e.1 += 1;
-                            e.2 += u64::from(out.correct());
-                        }
-                        None => by_target.push((name, 1, u64::from(out.correct()))),
-                    }
-                }
-                (s, by_target)
+                None => by_target.push((name, 1, u64::from(out.correct()))),
             }
-        },
-    );
+        }
+        (s, by_target)
+    });
 
     RoecReport {
         unsync_roec: Coverage::unsync().roec_fraction(),
@@ -523,7 +503,7 @@ pub const ROEC_CAMPAIGNS: u64 = 60;
 /// Error-free runtime overhead of every redundancy discipline —
 /// lockstep, Reunion, checkpointing, UnSync — on identical workloads.
 pub fn comparators_on(runner: Runner, cfg: ExperimentConfig) -> Vec<ComparatorRow> {
-    per_benchmark(runner, &COMPARATOR_BENCHES, |bench| {
+    runner.map(&COMPARATOR_BENCHES, |&bench| {
         let t = trace(bench, cfg);
         let base = baseline_cycles(bench, cfg) as f64;
         let driver = RedundantDriver::new(CoreConfig::table1());
@@ -624,7 +604,7 @@ fn scheme_values_row(bench: &'static str, scheme: &'static str, r: &RunResult) -
 /// strike each (core 1 for the redundant schemes, core 0 for the single
 /// SECDED lane), exercising detection, correction, and comparison paths.
 pub fn scheme_values_on(runner: Runner, cfg: ExperimentConfig) -> Vec<SchemeValuesRow> {
-    let rows = per_benchmark(runner, &SCHEME_BENCHES, |bench| {
+    let rows = runner.map(&SCHEME_BENCHES, |&bench| {
         scheme_values_for(bench.name(), &trace(bench, cfg), cfg)
     });
     rows.into_iter().flatten().collect()

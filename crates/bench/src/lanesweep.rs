@@ -16,7 +16,7 @@
 //! MTTR — the "contention knee" is where throughput per lane starts
 //! dropping while stall share climbs. Results land in a
 //! `lanesweep.jsonl` run log (diffable by the dashboard) and the
-//! `BENCH_lanesweep.json` summary the CI smoke validates.
+//! `BENCH_lanesweep.json` summary.
 
 use unsync_core::{UnsyncConfig, UnsyncPolicy};
 use unsync_exec::{Lane, RedundantDriver};
@@ -57,7 +57,7 @@ impl LaneSweepConfig {
         }
     }
 
-    /// The CI smoke sweep: 2 and 8 lanes, short traces.
+    /// The smoke sweep: 2 and 8 lanes, short traces.
     pub fn smoke(seed: u64) -> Self {
         LaneSweepConfig {
             lane_counts: vec![2, 8],

@@ -39,8 +39,8 @@
 //! ([`crate::campaign::run_records`]). Every job is a pure function of
 //! its grid cell — strike placement comes from the job's private
 //! SplitMix64 stream — so records are bit-identical across worker
-//! counts and reruns; the CI smoke reruns the grid and diffs at zero
-//! tolerance.
+//! counts and reruns (`tests/uncore_faults.rs` pins the smoke grid at
+//! 1, 2 and 8 workers).
 
 use unsync_exec::{Lane, RedundantDriver, RunResult, TraceEventKind};
 use unsync_fault::roec::{
@@ -63,7 +63,7 @@ pub const SCHEMES: [&str; 3] = ["unsync_pair", "tmr_vote", "secded_only"];
 /// The campaign grid at base seed `seed`: gzip, every uncore structure
 /// × [`SCHEMES`] × 8 strikes at 400 instructions, shared-L2 contention
 /// on (bank arbiters only exist — and can only be struck live — when
-/// it is). `smoke` selects the CI grid: 2 strikes per cell at 150
+/// it is). `smoke` selects the smoke grid: 2 strikes per cell at 150
 /// instructions.
 pub fn grid(seed: u64, smoke: bool) -> CampaignGrid {
     let (inst_count, strikes_per_cell) = if smoke { (150, 2) } else { (400, 8) };

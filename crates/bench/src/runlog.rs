@@ -287,13 +287,17 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             _ => {
-                // Multi-byte UTF-8 sequences pass through unchanged.
+                // Copy the run up to the next quote or escape in one
+                // piece; both stop bytes are ASCII, so a run cut from
+                // valid UTF-8 is valid UTF-8. Validating only the run
+                // keeps a long document linear to parse.
                 let start = *pos;
-                let rest = std::str::from_utf8(&b[start..])
+                while b.get(*pos).is_some_and(|&c| c != b'"' && c != b'\\') {
+                    *pos += 1;
+                }
+                let run = std::str::from_utf8(&b[start..*pos])
                     .map_err(|_| format!("invalid UTF-8 at byte {start}"))?;
-                let ch = rest.chars().next().expect("non-empty");
-                s.push(ch);
-                *pos += ch.len_utf8();
+                s.push_str(run);
             }
         }
     }

@@ -314,15 +314,6 @@ impl InjectionPlan {
         InjectionPlan { seed, sites }
     }
 
-    /// Plans faults at the given explicit instruction indices.
-    pub fn at_indices(seed: u64, indices: &[u64]) -> Self {
-        let sites = indices
-            .iter()
-            .map(|&at| (at, FaultSite::plan(seed, at)))
-            .collect();
-        InjectionPlan { seed, sites }
-    }
-
     /// The planned (instruction index, site) pairs, in strike order.
     pub fn sites(&self) -> &[(u64, FaultSite)] {
         &self.sites
@@ -451,20 +442,6 @@ mod tests {
         fn prop_planned_sites_always_in_range(seed: u64, nonce: u64) {
             let s = FaultSite::plan(seed, nonce);
             prop_assert!(s.bit_offset < s.target.bits());
-        }
-
-        #[test]
-        fn prop_at_indices_preserves_order_and_count(
-            seed: u64,
-            mut idx in proptest::collection::vec(any::<u64>(), 0..50),
-        ) {
-            idx.sort_unstable();
-            idx.dedup();
-            let p = InjectionPlan::at_indices(seed, &idx);
-            prop_assert_eq!(p.sites().len(), idx.len());
-            for (i, &(at, _)) in p.sites().iter().enumerate() {
-                prop_assert_eq!(at, idx[i]);
-            }
         }
     }
 }

@@ -132,16 +132,6 @@ pub fn detected(events: &[RoecEvent]) -> bool {
     })
 }
 
-/// Completed recovery episodes in `events` (paired with
-/// `RecoveryStart` by the executor's span machinery; the count of ends
-/// is the count of completed procedures).
-pub fn recovery_episodes(events: &[RoecEvent]) -> u64 {
-    events
-        .iter()
-        .filter(|e| e.kind == RoecEventKind::RecoveryEnd)
-        .count() as u64
-}
-
 /// Labels one strike from its run's journal and the final-memory diff
 /// (see the [module docs](self) for the decision table).
 pub fn classify(events: &[RoecEvent], memory_matches_golden: bool) -> StrikeOutcome {
@@ -392,14 +382,13 @@ mod tests {
     }
 
     #[test]
-    fn recovery_episode_count_reads_the_journal() {
+    fn detection_reads_the_journal() {
         let events = [
             ev(RoecEventKind::Detection),
             ev(RoecEventKind::RecoveryStart),
             ev(RoecEventKind::RecoveryEnd),
             ev(RoecEventKind::Other),
         ];
-        assert_eq!(recovery_episodes(&events), 1);
         assert!(detected(&events));
         assert!(!detected(&[ev(RoecEventKind::BenignFault)]));
     }

@@ -55,16 +55,6 @@ impl EnergyReport {
             edp: energy_j * runtime_s,
         }
     }
-
-    /// Ratio of this report's energy to `other`'s.
-    pub fn energy_vs(&self, other: &EnergyReport) -> f64 {
-        self.energy_j / other.energy_j
-    }
-
-    /// Ratio of this report's EDP to `other`'s.
-    pub fn edp_vs(&self, other: &EnergyReport) -> f64 {
-        self.edp / other.edp
-    }
 }
 
 #[cfg(test)]
@@ -93,7 +83,7 @@ mod tests {
         assert!(unsync.energy_j > base.energy_j);
         assert!(unsync.energy_j < reunion.energy_j);
         // …and the runtime penalty compounds in EDP.
-        assert!(reunion.edp_vs(&unsync) > reunion.energy_vs(&unsync));
+        assert!(reunion.edp / unsync.edp > reunion.energy_j / unsync.energy_j);
     }
 
     #[test]

@@ -374,16 +374,6 @@ impl MemSystem {
         self.drain_buses[core / 2].is_free(cycle)
     }
 
-    /// A core's L1↔L2 fill-bus statistics.
-    pub fn fill_bus(&self, core: usize) -> &Bus {
-        &self.fill_buses[core]
-    }
-
-    /// A core-pair's drain-path statistics.
-    pub fn drain_bus(&self, core: usize) -> &Bus {
-        &self.drain_buses[core / 2]
-    }
-
     /// A core's L1 data-cache statistics.
     pub fn l1d_stats(&self, core: usize) -> &CacheStats {
         self.cores[core].l1d.stats()

@@ -71,13 +71,6 @@ pub fn scope(phase: &'static str) -> ScopeTimer {
     }
 }
 
-/// Records one pre-measured observation of `us` microseconds into
-/// `prof.<phase>` — for phases whose start/stop points don't nest as a
-/// scope (e.g. a queue wait measured inside a loop).
-pub fn observe_us(phase: &'static str, us: f64) {
-    handle(phase).observe(us);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,9 +81,8 @@ mod tests {
         {
             let _t = scope("test_only.prof_unit");
         }
-        observe_us("test_only.prof_unit", 12.5);
         let h = handle("test_only.prof_unit");
-        assert_eq!(h.count(), before + 2);
+        assert_eq!(h.count(), before + 1);
         assert!(
             unsync_sim::metrics::global()
                 .snapshot()

@@ -21,7 +21,7 @@
 //! One trace `ts` unit is one simulated cycle. Every number in the
 //! export is an integer from the cycle domain, so a same-seed rerun
 //! renders a **byte-identical** file (pinned by
-//! `tests/timeline_export.rs` and the CI trace-export smoke step).
+//! `tests/timeline_export.rs`).
 
 use unsync_exec::spans::Episode;
 use unsync_exec::{EventStream, RunResult, TraceEventKind};

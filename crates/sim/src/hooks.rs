@@ -107,8 +107,6 @@ impl CoreHooks for NullHooks {}
 /// Buffer replaces.
 #[derive(Debug, Clone)]
 pub struct BaselineHooks {
-    /// The core whose L1↔L2 bus the drains ride.
-    core: usize,
     capacity: usize,
     /// Completion cycles of in-flight drains, oldest first.
     drains: VecDeque<u64>,
@@ -126,19 +124,11 @@ impl BaselineHooks {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0);
         BaselineHooks {
-            core: 0,
             capacity,
             drains: VecDeque::with_capacity(capacity),
             full_stall_cycles: 0,
             full_events: 0,
         }
-    }
-
-    /// A baseline store path draining over `core`'s bus.
-    pub fn for_core(core: usize, capacity: usize) -> Self {
-        let mut h = Self::new(capacity);
-        h.core = core;
-        h
     }
 
     /// Buffer occupancy at `cycle`.
@@ -179,8 +169,8 @@ impl CoreHooks for BaselineHooks {
                 self.drains.pop_front();
             }
         }
-        // Schedule the drain; the core's L1↔L2 bus serializes transfers.
-        let done = mem.drain_write(self.core, line_addr, now);
+        // Schedule the drain; core 0's L1↔L2 bus serializes transfers.
+        let done = mem.drain_write(0, line_addr, now);
         self.drains.push_back(done);
         now
     }

@@ -3,14 +3,18 @@
 //! traces and memory images, byte-identical multi-lane system runs at
 //! 2 and 8 lanes, a `run_system` vs `run_system_reference` scheduler
 //! differential over kernel traces, and all four kernels executing
-//! through the unmodified `RedundantDriver` under UnsyncPair and TMR.
+//! through the unmodified `RedundantDriver` under UnsyncPair and TMR;
+//! the `kernel_stats` row's summary and a kernel lane sweep at the
+//! configs the CLI checks used.
 
+use unsync_bench::lanesweep::{run_sweep, summary_json, LaneSweepConfig};
+use unsync_bench::Json;
 use unsync_core::{UnsyncConfig, UnsyncPair, UnsyncPolicy};
 use unsync_exec::{RedundantDriver, TmrTriple};
 use unsync_isa::{golden_run, TraceProgram};
 use unsync_mem::{L2ContentionConfig, WritePolicy};
 use unsync_sim::CoreConfig;
-use unsync_workloads::{Kernel, WorkloadSource};
+use unsync_workloads::{Kernel, WorkloadSource, WorkloadSpec};
 
 const INSTS: u64 = 1_200;
 const SEED: u64 = 41;
@@ -124,4 +128,67 @@ fn every_kernel_runs_under_unsync_pair_and_tmr() {
         assert_eq!(tmr.committed, INSTS, "{}: TMR commits", kernel.name());
         assert!(tmr.correct(), "{}: TMR correct", kernel.name());
     }
+}
+
+/// `paper kernel_stats` at 2 000 instructions and seed 7 writes a
+/// `KERNEL_stats.json` listing the four kernels, each with a measured
+/// instruction mix in range.
+#[test]
+fn kernel_stats_row_writes_a_sane_summary() {
+    let row = unsync_bench::experiment::find("kernel_stats").expect("kernel_stats row");
+    let cfg = unsync_bench::ExperimentConfig {
+        inst_count: 2_000,
+        seed: 7,
+    };
+    let out = (row.run)(unsync_bench::Runner::new(2), cfg);
+    let (_, text) = out
+        .files
+        .iter()
+        .find(|(path, _)| path.ends_with("KERNEL_stats.json"))
+        .expect("the row writes KERNEL_stats.json");
+    let doc = Json::parse(text).expect("KERNEL_stats.json parses");
+    assert_eq!(doc.get("schema").and_then(Json::as_u64), Some(1));
+    let Some(Json::Arr(rows)) = doc.get("kernels") else {
+        panic!("no kernels array");
+    };
+    let names: Vec<&str> = rows
+        .iter()
+        .map(|r| r.get("name").and_then(Json::as_str).expect("name"))
+        .collect();
+    assert_eq!(
+        names,
+        [
+            "kernel:qsort",
+            "kernel:crc32",
+            "kernel:dijkstra",
+            "kernel:stringsearch"
+        ]
+    );
+    for r in rows {
+        let field = |key| r.get(key).and_then(Json::as_f64).expect(key);
+        assert_eq!(field("instructions"), 2_000.0, "{r:?}");
+        assert!(field("serializing_fraction") > 0.0, "{r:?}");
+        assert!(field("store_fraction") > 0.0, "{r:?}");
+        let mispredict = field("mispredict_rate");
+        assert!(0.0 < mispredict && mispredict < 0.5, "{r:?}");
+        assert!(field("baseline_cycles") >= field("instructions"), "{r:?}");
+    }
+}
+
+/// `UNSYNC_WORKLOAD=kernel:crc32 UNSYNC_LANES=2,8 UNSYNC_INSTS=200
+/// UNSYNC_SEED=19 lanesweep`: a kernel workload sweeps end to end and
+/// its summary names the kernel.
+#[test]
+fn crc32_lane_sweep_names_its_workload() {
+    let cfg = LaneSweepConfig {
+        lane_counts: vec![2, 8],
+        insts_per_lane: 200,
+        workload: WorkloadSpec::Kernel(Kernel::Crc32),
+        ..LaneSweepConfig::full(19)
+    };
+    let summary = summary_json(&cfg, &run_sweep(&cfg)).render();
+    assert!(
+        summary.contains("\"workload\":\"kernel:crc32\""),
+        "{summary}"
+    );
 }

@@ -1,17 +1,14 @@
-//! Determinism regression: the same `(seed, ExperimentConfig)` pushed
-//! through the experiment runner at 1, 2, and 8 workers must produce
-//! byte-identical JSONL for the Fig. 4 and Table I experiments. This is
-//! the contract that makes parallel experiment runs trustworthy — worker
-//! count may change wall-clock, never results.
+//! Determinism regression below the experiment table: same-seed reruns
+//! of single runs, many-lane systems and the lane sweep must be
+//! byte-identical. Every table row's worker-count independence is
+//! gated by `tests/golden_values.rs`.
 
-use unsync_bench::{experiments, render, ExperimentConfig, RunLog, Runner};
-
-const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
+use unsync_bench::{experiments, render, ExperimentConfig, Json, RunLog, Runner};
 
 /// The Fig. 4 run log's deterministic portion (header + records, no
-/// meta line) at a given worker count.
-fn fig4_jsonl(workers: usize, cfg: ExperimentConfig) -> Vec<String> {
-    let rows = experiments::fig4_on(Runner::new(workers), cfg);
+/// meta line).
+fn fig4_jsonl(cfg: ExperimentConfig) -> Vec<String> {
+    let rows = experiments::fig4_on(Runner::new(2), cfg);
     let mut log = RunLog::start("fig4", cfg);
     for row in &rows {
         log.record(render::jsonl::fig4(row));
@@ -19,94 +16,19 @@ fn fig4_jsonl(workers: usize, cfg: ExperimentConfig) -> Vec<String> {
     log.deterministic_lines().to_vec()
 }
 
-/// The Table I run log's deterministic portion.
-fn table1_jsonl() -> Vec<String> {
-    let mut log = RunLog::start_static("table1");
-    log.record(render::jsonl::table1());
-    log.deterministic_lines().to_vec()
-}
-
-/// The scheme-values run log (TMR voting, FlexStep granularity,
-/// SECDED-only) at a given worker count.
-fn schemes_jsonl(workers: usize, cfg: ExperimentConfig) -> Vec<String> {
-    let rows = experiments::scheme_values_on(Runner::new(workers), cfg);
-    let mut log = RunLog::start("schemes", cfg);
-    for row in &rows {
-        log.record(render::jsonl::scheme_values(row));
-    }
-    log.deterministic_lines().to_vec()
-}
-
-#[test]
-fn fig4_jsonl_is_byte_identical_across_worker_counts() {
-    let cfg = ExperimentConfig {
-        inst_count: 1_500,
-        seed: 7,
-    };
-    let reference = fig4_jsonl(WORKER_COUNTS[0], cfg);
-    assert!(
-        reference.len() > 2,
-        "expected a header plus one record per benchmark, got {} lines",
-        reference.len()
-    );
-    for &workers in &WORKER_COUNTS[1..] {
-        let got = fig4_jsonl(workers, cfg);
-        assert_eq!(
-            got, reference,
-            "fig4 JSONL diverged between 1 and {workers} workers"
-        );
-    }
-}
-
 #[test]
 fn fig4_jsonl_depends_on_seed_not_workers() {
-    // Sanity for the test above: the comparison is not vacuous — a
-    // different seed must actually change the recorded rows.
-    let a = fig4_jsonl(
-        2,
-        ExperimentConfig {
-            inst_count: 1_500,
-            seed: 7,
-        },
-    );
-    let b = fig4_jsonl(
-        2,
-        ExperimentConfig {
-            inst_count: 1_500,
-            seed: 8,
-        },
-    );
-    assert_ne!(a[1..], b[1..], "seed change must alter Fig. 4 measurements");
-}
-
-#[test]
-fn table1_jsonl_is_byte_identical_across_repeated_renders() {
-    let reference = table1_jsonl();
-    assert_eq!(reference.len(), 2, "header + one machine-parameter record");
-    for _ in 0..2 {
-        assert_eq!(table1_jsonl(), reference, "Table I record must be stable");
-    }
-}
-
-#[test]
-fn scheme_values_jsonl_is_byte_identical_across_worker_counts() {
-    let cfg = ExperimentConfig {
+    // The worker-count gate is not vacuous: a different seed must
+    // actually change the recorded rows.
+    let a = fig4_jsonl(ExperimentConfig {
         inst_count: 1_500,
         seed: 7,
-    };
-    let reference = schemes_jsonl(WORKER_COUNTS[0], cfg);
-    assert_eq!(
-        reference.len(),
-        1 + 3 * experiments::SCHEME_BENCHES.len(),
-        "header plus three scheme records per benchmark"
-    );
-    for &workers in &WORKER_COUNTS[1..] {
-        let got = schemes_jsonl(workers, cfg);
-        assert_eq!(
-            got, reference,
-            "scheme JSONL diverged between 1 and {workers} workers"
-        );
-    }
+    });
+    let b = fig4_jsonl(ExperimentConfig {
+        inst_count: 1_500,
+        seed: 8,
+    });
+    assert_ne!(a[1..], b[1..], "seed change must alter Fig. 4 measurements");
 }
 
 #[test]
@@ -226,10 +148,9 @@ fn run_system_is_byte_identical_on_rerun_at_64_lanes() {
 
 #[test]
 fn lanesweep_smoke_diffs_clean_across_same_seed_runs() {
-    // The lanesweep experiment (2 and 8 lanes, same seed twice) must
+    // The lanesweep smoke sweep (2 and 8 lanes, same seed twice) must
     // produce byte-identical run logs: written to two directories and
-    // compared through the dashboard's zero-tolerance diff — exactly
-    // the CI determinism gate.
+    // compared through the dashboard's zero-tolerance diff.
     use unsync_bench::dashboard::{diff_dirs, DiffOptions};
     use unsync_bench::lanesweep::{run_sweep, summary_json, sweep_log, LaneSweepConfig};
 
@@ -252,6 +173,28 @@ fn lanesweep_smoke_diffs_clean_across_same_seed_runs() {
     }
     emit(&dir_a);
     emit(&dir_b);
+    // The summary of `UNSYNC_LANES=2,8 UNSYNC_INSTS=200 UNSYNC_SEED=19
+    // lanesweep`: every lane commits its trace and recovers its fault.
+    let text = std::fs::read_to_string(dir_a.join("BENCH_lanesweep.json")).unwrap();
+    let doc = Json::parse(&text).expect("BENCH_lanesweep.json parses");
+    assert_eq!(doc.get("schema").and_then(Json::as_u64), Some(1));
+    let Some(Json::Arr(rows)) = doc.get("results") else {
+        panic!("no results array");
+    };
+    let lanes: Vec<u64> = rows
+        .iter()
+        .map(|r| r.get("lanes").and_then(Json::as_u64).expect("lanes"))
+        .collect();
+    assert_eq!(lanes, [2, 8]);
+    for r in rows {
+        let field = |key| r.get(key).and_then(Json::as_f64).expect(key);
+        assert_eq!(field("committed"), field("lanes") * 200.0, "{r:?}");
+        assert_eq!(field("recoveries"), field("lanes"), "{r:?}");
+        assert!(
+            field("throughput_ipc") > 0.0 && field("mttr_cycles") > 0.0,
+            "{r:?}"
+        );
+    }
     let report = diff_dirs(&dir_a, &dir_b, DiffOptions::default()).expect("diff runs");
     assert!(
         report.clean(),

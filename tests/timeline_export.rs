@@ -177,3 +177,67 @@ fn chrome_trace_carries_required_tracks_and_fields() {
         }
     }
 }
+
+/// `trace_export` and `dashboard timeline` at their defaults (8 lanes,
+/// 2 000 instructions per lane, seed 11): the export re-renders
+/// byte-identically, parses with every field Perfetto needs, records
+/// its build into a `prof.*` histogram, and the textual view draws
+/// every lane.
+#[test]
+fn default_scenario_exports_a_loadable_trace() {
+    use unsync::obs::prof;
+    let cfg = TimelineScenarioConfig::default_scenario();
+    let timeline = {
+        let _t = prof::scope("trace_export.build");
+        build_timeline(&cfg)
+    };
+    let json = timeline.chrome_trace();
+    let again = build_timeline(&cfg).chrome_trace();
+    assert_eq!(json, again, "same-seed re-export");
+    assert!(
+        unsync::sim::metrics::global()
+            .render()
+            .lines()
+            .any(|l| l.starts_with("prof.")),
+        "the metrics export must carry prof.* histograms"
+    );
+    assert!(timeline.render_summary(72).contains("lane   7"));
+
+    let doc = Json::parse(&json).expect("trace parses");
+    let Some(Json::Arr(events)) = doc.get("traceEvents") else {
+        panic!("no traceEvents");
+    };
+    assert!(!events.is_empty(), "empty traceEvents");
+    let mut phases = std::collections::BTreeMap::new();
+    for e in events {
+        assert!(e.get("pid").is_some(), "event lacks pid: {e:?}");
+        let ph = e.get("ph").and_then(Json::as_str).expect("event has ph");
+        match ph {
+            "M" => assert!(e.get("name").is_some(), "metadata lacks name: {e:?}"),
+            "B" | "E" | "i" | "C" => {
+                assert!(e.get("ts").and_then(Json::as_u64).is_some(), "{e:?}");
+                assert!(e.get("tid").is_some(), "event lacks tid: {e:?}");
+            }
+            other => panic!("unexpected phase {other:?}"),
+        }
+        *phases.entry(ph).or_insert(0u64) += 1;
+    }
+    let count = |ph| phases.get(ph).copied().unwrap_or(0);
+    assert!(count("B") == count("E") && count("B") > 0, "{phases:?}");
+    assert!(count("i") > 0 && count("C") > 0, "{phases:?}");
+    let other = doc.get("otherData").expect("otherData");
+    for key in [
+        "name",
+        "lanes",
+        "end_cycle",
+        "episodes",
+        "strikes",
+        "bank_conflicts",
+    ] {
+        assert!(other.get(key).is_some(), "otherData lacks {key}");
+    }
+    assert_eq!(other.get("ts_unit").and_then(Json::as_str), Some("cycle"));
+    assert_eq!(other.get("lanes").and_then(Json::as_u64), Some(8));
+    assert!(other.get("episodes").and_then(Json::as_u64) > Some(0));
+    assert!(other.get("strikes").and_then(Json::as_u64) > Some(0));
+}

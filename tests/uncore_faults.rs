@@ -12,11 +12,15 @@
 //! * the campaign is bit-identical across worker counts and reruns;
 //! * the records the `roec_uncore` row logs are the sequential
 //!   `run_collected` reference's record lines;
+//! * the smoke grid's `BENCH_roec.json` labels every strike of every
+//!   cell, with no SDC under UnSync;
 //! * mixed core + uncore schedules deliver in cycle order (the
 //!   uncore-before-core contract is a `debug_assert` in the driver, so
 //!   this binary exercising it under `cargo test` is the enforcement).
 
-use unsync_bench::campaign::{run_collected, run_records};
+use std::collections::BTreeSet;
+
+use unsync_bench::campaign::{run_collected, run_records, CampaignGrid};
 use unsync_bench::roec_uncore::{self, classify_strike_result};
 use unsync_bench::{ExperimentConfig, Json, RunLog, Runner};
 use unsync_core::{UnsyncConfig, UnsyncPolicy};
@@ -137,24 +141,88 @@ fn campaign_is_deterministic_across_worker_counts_and_reruns() {
 }
 
 /// The row's records, framed as its run log frames them, are the
-/// record lines of the sequential reference over the same grid — one
-/// strike path, whatever the caller.
+/// record lines of the sequential reference over the `campaign` bin's
+/// `campaign_uncore` grid, which the bin checks its own log against —
+/// one strike path, whatever the caller.
 #[test]
 fn row_records_are_the_sequential_reference_lines() {
-    let grid = roec_uncore::grid(42, true);
-    let mut log = RunLog::start(
-        "roec_uncore",
-        ExperimentConfig {
-            inst_count: grid.inst_count,
-            seed: 42,
-        },
-    );
-    for record in run_records(&grid, &Runner::new(2)) {
-        log.record(record);
+    for seed in [42, 11] {
+        let grid = roec_uncore::grid(seed, true);
+        let mut log = RunLog::start(
+            "roec_uncore",
+            ExperimentConfig {
+                inst_count: grid.inst_count,
+                seed,
+            },
+        );
+        for record in run_records(&grid, &Runner::new(2)) {
+            log.record(record);
+        }
+        let reference = run_collected(&CampaignGrid {
+            name: "campaign_uncore".into(),
+            ..grid
+        });
+        assert_eq!(reference.len(), log.deterministic_lines().len());
+        assert_eq!(
+            log.deterministic_lines()[1..],
+            reference[1..],
+            "seed {seed}"
+        );
     }
-    let reference = run_collected(&grid);
-    assert_eq!(reference.len(), grid.len() + 1);
-    assert_eq!(log.deterministic_lines()[1..], reference[1..]);
+}
+
+/// The `BENCH_roec.json` of `UNSYNC_ROEC_SMOKE=1 paper roec_uncore` at
+/// seed 11: two strikes in each of the 18 structure × scheme cells,
+/// each strike with one label, and no SDC under UnSync.
+#[test]
+fn smoke_summary_covers_every_cell_without_unsync_sdc() {
+    let grid = roec_uncore::grid(11, true);
+    let records = run_records(&grid, &Runner::new(2));
+    let doc = Json::parse(&roec_uncore::summary_json(&grid, &records).render())
+        .expect("BENCH_roec.json parses");
+    assert_eq!(doc.get("schema").and_then(Json::as_u64), Some(1));
+    assert_eq!(doc.get("strikes_per_cell").and_then(Json::as_u64), Some(2));
+    let Some(Json::Arr(rows)) = doc.get("table") else {
+        panic!("no table array");
+    };
+    let name = |r: &Json, key: &str| r.get(key).and_then(Json::as_str).expect(key).to_string();
+    let set = |key: &str| -> BTreeSet<String> { rows.iter().map(|r| name(r, key)).collect() };
+    let cells: BTreeSet<(String, String)> = rows
+        .iter()
+        .map(|r| (name(r, "structure"), name(r, "scheme")))
+        .collect();
+    let strings = |names: &[&str]| names.iter().map(|s| s.to_string()).collect();
+    assert_eq!(
+        set("structure"),
+        strings(&[
+            "l2_data",
+            "l2_tag",
+            "mshr_entry",
+            "bank_arbiter",
+            "cb_data",
+            "cb_tag"
+        ])
+    );
+    assert_eq!(
+        set("scheme"),
+        strings(&["unsync_pair", "tmr_vote", "secded_only"])
+    );
+    assert_eq!((cells.len(), rows.len()), (18, 18));
+    for r in rows {
+        let count = |key| r.get(key).and_then(Json::as_u64).expect(key);
+        let total = count("masked")
+            + count("detected_recovered")
+            + count("detected_unrecoverable")
+            + count("sdc");
+        assert!(total == count("strikes") && total == 2, "{r:?}");
+        if name(r, "scheme") == "unsync_pair" {
+            assert_eq!(
+                count("sdc"),
+                0,
+                "UnSync let an uncore strike through: {r:?}"
+            );
+        }
+    }
 }
 
 /// Mixed schedule: an uncore strike *and* a core fault on the same
