@@ -10,8 +10,8 @@
 //! the campaign table). Throughput is measured by the repository
 //! benchmark (`examples/benchmark`), not here.
 //!
-//! Environment knobs: `UNSYNC_SEED` (base seed, default 11),
-//! `UNSYNC_CAMPAIGN_SMOKE=1` (the CI grids),
+//! Both grids run at base seed [`roec_uncore::SEED`] (11). Environment
+//! knobs: `UNSYNC_CAMPAIGN_SMOKE=1` (the CI grids),
 //! `UNSYNC_CAMPAIGN_RESUME_ONLY=1` (resume the logs in place instead
 //! of starting fresh — the CI kill-then-resume check),
 //! `UNSYNC_WORKERS` (engine worker count), and `UNSYNC_RESULTS_DIR`.
@@ -81,7 +81,7 @@ fn run_grid(grid: &CampaignGrid, workers: usize, resume: bool) -> Result<(), Str
 }
 
 fn main() {
-    let seed = env::or_exit(env::var("UNSYNC_SEED")).unwrap_or(11);
+    let seed = roec_uncore::SEED;
     let workers = env::or_exit(Runner::from_env()).workers();
     let smoke = env::or_exit(env::flag("UNSYNC_CAMPAIGN_SMOKE"));
     let resume = env::or_exit(env::flag("UNSYNC_CAMPAIGN_RESUME_ONLY"));
@@ -97,5 +97,4 @@ fn main() {
             std::process::exit(1);
         }
     }
-    runlog::export_metrics();
 }

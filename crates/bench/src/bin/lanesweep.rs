@@ -6,37 +6,16 @@
 //! `lanesweep.jsonl` run log (dashboard-diffable) and the
 //! `BENCH_lanesweep.json` summary.
 //!
-//! Environment knobs: `UNSYNC_LANES` (comma-separated lane counts,
-//! default the full 2 → 1000 sweep), `UNSYNC_INSTS` (instructions per
-//! lane), `UNSYNC_SEED`, and `UNSYNC_WORKLOAD` (any synthetic
-//! benchmark name such as `gzip`, or a real-ISA kernel such as
-//! `kernel:crc32`; default `gzip`).
+//! The sweep is [`LaneSweepConfig::full`] at seed 11; the results
+//! directory (`UNSYNC_RESULTS_DIR`) is its one knob.
 
-use unsync_bench::env;
 use unsync_bench::lanesweep::{run_sweep, summary_json, sweep_log, LaneSweepConfig};
-use unsync_workloads::WorkloadSpec;
 
 /// Where the machine-readable summary lands (workspace root under CI).
 const OUT_PATH: &str = "BENCH_lanesweep.json";
 
-/// The sweep config from the environment over the full default sweep.
-fn config() -> Result<LaneSweepConfig, String> {
-    let mut cfg = LaneSweepConfig::full(env::var("UNSYNC_SEED")?.unwrap_or(11));
-    if let Some(insts) = env::var_at_least("UNSYNC_INSTS", 1)? {
-        cfg.insts_per_lane = insts as usize;
-    }
-    if let Some(counts) = env::var_list("UNSYNC_LANES", 1)? {
-        cfg.lane_counts = counts.into_iter().map(|n| n as usize).collect();
-    }
-    if let Ok(name) = std::env::var("UNSYNC_WORKLOAD") {
-        cfg.workload =
-            WorkloadSpec::parse(name.trim()).map_err(|e| format!("UNSYNC_WORKLOAD: {e}"))?;
-    }
-    Ok(cfg)
-}
-
 fn main() {
-    let cfg = env::or_exit(config());
+    let cfg = LaneSweepConfig::full(11);
     println!(
         "Lane sweep over contended shared L2 ({} × {} insts/lane, seed {}, {} banks × {}-cycle ports, {} MSHRs)",
         cfg.workload.name(),

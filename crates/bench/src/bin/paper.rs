@@ -15,9 +15,9 @@
 //! Environment: `UNSYNC_INSTS` (at least 1000, default 100000) and
 //! `UNSYNC_SEED` (default 1) set the experiment config,
 //! `UNSYNC_WORKERS` the worker pool, `UNSYNC_RESULTS_DIR` the results
-//! directory (default `results/`). The `roec_uncore` row also reads
-//! `UNSYNC_ROEC_SMOKE=1` (the smoke grid) and `UNSYNC_ROEC_OUT`
-//! (summary path, default `BENCH_roec.json`).
+//! directory (default `results/`). Every row is a function of the
+//! worker pool and that config alone; the rows with a fixed size of
+//! their own (`table1`–`table3`, `roec_uncore`) ignore the config.
 
 use std::process::exit;
 

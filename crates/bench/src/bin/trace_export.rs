@@ -8,44 +8,34 @@
 //! `ts` field is the simulated cycle, so the file is byte-identical
 //! across same-seed reruns.
 //!
-//! Environment: `UNSYNC_LANES` / `UNSYNC_INSTS` / `UNSYNC_SEED` shape
-//! the scenario (defaults 8 / 2000 / 11); `UNSYNC_TRACE_OUT` names the
-//! output file (default `TRACE_timeline.json`); `UNSYNC_METRICS_FILE`
-//! additionally dumps the metrics registry — including the host-domain
-//! `prof.*` histograms — after the export.
+//! It runs [`TimelineScenarioConfig::default_scenario`] (8 lanes, 2000
+//! instructions per lane, seed 11), writes the trace to
+//! `TRACE_timeline.json` in the current directory, and prints the same
+//! timeline as a textual swimlane per lane plus the episode table.
 
 use unsync_bench::timeline::TimelineScenarioConfig;
 use unsync_bench::Json;
-use unsync_bench::{env, runlog};
-use unsync_obs::prof;
+
+/// Where the trace lands.
+const OUT_PATH: &str = "TRACE_timeline.json";
 
 fn main() {
-    let cfg = env::or_exit(TimelineScenarioConfig::from_env());
-    let timeline = {
-        let _t = prof::scope("trace_export.build");
-        unsync_bench::build_timeline(&cfg)
-    };
-    let json = {
-        let _t = prof::scope("trace_export.render");
-        timeline.chrome_trace()
-    };
+    let timeline = unsync_bench::build_timeline(&TimelineScenarioConfig::default_scenario());
+    let json = timeline.chrome_trace();
     validate(&json);
 
-    let path =
-        std::env::var("UNSYNC_TRACE_OUT").unwrap_or_else(|_| "TRACE_timeline.json".to_string());
-    std::fs::write(&path, &json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    runlog::export_metrics();
+    std::fs::write(OUT_PATH, &json).unwrap_or_else(|e| panic!("writing {OUT_PATH}: {e}"));
 
     println!(
-        "trace_export: {} — {} lanes, {} episodes, {} strikes, {} bank conflicts, end cycle {}",
-        path,
+        "trace_export: {OUT_PATH} — {} lanes, {} episodes, {} strikes, {} bank conflicts, end cycle {}",
         timeline.lanes.len(),
         timeline.episode_count(),
         timeline.strikes.len(),
         timeline.bank_conflicts.len(),
         timeline.end_cycle()
     );
-    println!("  wrote {} bytes to {path}", json.len());
+    println!("  wrote {} bytes to {OUT_PATH}", json.len());
+    print!("{}", timeline.render_summary(72));
 }
 
 /// Re-parses the rendered trace with the in-repo JSON parser and

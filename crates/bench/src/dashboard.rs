@@ -15,11 +15,10 @@
 //!   megacycle, recovery-stall fraction, CB occupancy, MTTR
 //!   percentiles).
 //! * **Did anything change between two runs?** [`diff_dirs`] flattens
-//!   the deterministic lines (and, opted in, the meta metrics) of each
-//!   log into `path = value` leaves and reports per-leaf deltas beyond
-//!   a relative tolerance — `--diff --tolerance 0` of two same-seed
-//!   runs must come back clean, which is exactly a CI determinism /
-//!   perf-regression gate.
+//!   the deterministic lines of each log (everything but the meta
+//!   line) into `path = value` leaves and reports every leaf that
+//!   differs — `--diff` of two same-seed runs must come back clean,
+//!   which is exactly a determinism gate.
 //!
 //! Metrics snapshots are cumulative within one process, and several
 //! rows may append to one registry lifetime (`paper all`), so a metric
@@ -339,7 +338,7 @@ pub struct HealthCounters {
     /// (`exec.journal_dropped`) — non-zero means exported timelines
     /// are incomplete.
     pub journal_dropped: u64,
-    /// Contended acquisitions of the runner's sharded cache locks
+    /// Contended acquisitions of the runner's memo cache locks
     /// (`runner.cache_lock_waits`).
     pub cache_lock_waits: u64,
 }
@@ -624,26 +623,6 @@ pub fn roec_table(logs: &[LoadedLog]) -> unsync_fault::roec::VulnerabilityTable 
     )
 }
 
-/// Diff configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct DiffOptions {
-    /// Relative tolerance: numeric leaves differing by more than
-    /// `tolerance * max(|a|, |b|)` count as deltas (0.0 = exact).
-    pub tolerance: f64,
-    /// Also compare the nondeterministic meta metrics (wall-clock and
-    /// worker count stay excluded — they differ by construction).
-    pub include_meta: bool,
-}
-
-impl Default for DiffOptions {
-    fn default() -> Self {
-        DiffOptions {
-            tolerance: 0.0,
-            include_meta: false,
-        }
-    }
-}
-
 /// The outcome of diffing two results directories.
 #[derive(Debug, Clone, Default)]
 pub struct DiffReport {
@@ -658,7 +637,7 @@ pub struct DiffReport {
 }
 
 impl DiffReport {
-    /// Whether the two directories agree within tolerance.
+    /// Whether the two directories agree.
     pub fn clean(&self) -> bool {
         self.deltas.is_empty()
     }
@@ -704,31 +683,15 @@ fn flatten(value: &Json, path: &mut String, out: &mut Vec<(String, Leaf)>) {
     }
 }
 
-/// Flattens one log into comparable `path → leaf` pairs. Deterministic
-/// lines always compare; the meta line joins only with `include_meta`,
-/// minus the environment-shaped `workers` / `wall_clock_ms` fields, the
-/// host-domain `prof` block, and every `prof.*` metric — wall-clock
-/// profiles differ across reruns by construction and must never fail a
-/// determinism diff.
-fn comparable_leaves(log: &LoadedLog, include_meta: bool) -> Vec<(String, Leaf)> {
+/// Flattens one log's deterministic lines into comparable
+/// `path → leaf` pairs. The meta line never compares: its worker
+/// count, wall-clock time and host-domain profile differ across reruns
+/// by construction.
+fn comparable_leaves(log: &LoadedLog) -> Vec<(String, Leaf)> {
     let mut out = Vec::new();
     for (i, line) in log.lines.iter().enumerate() {
         let kind = line.get("kind").and_then(Json::as_str);
         if kind == Some("meta") {
-            if !include_meta {
-                continue;
-            }
-            let mut pruned = line.clone();
-            if let Json::Obj(fields) = &mut pruned {
-                fields.retain(|(k, _)| k != "workers" && k != "wall_clock_ms" && k != "prof");
-                if let Some((_, Json::Obj(metrics))) =
-                    fields.iter_mut().find(|(k, _)| k == "metrics")
-                {
-                    metrics.retain(|(k, _)| !k.starts_with("prof."));
-                }
-            }
-            let mut path = "meta".to_string();
-            flatten(&pruned, &mut path, &mut out);
             continue;
         }
         let mut path = match (kind, line.get("row").and_then(Json::as_u64)) {
@@ -741,20 +704,17 @@ fn comparable_leaves(log: &LoadedLog, include_meta: bool) -> Vec<(String, Leaf)>
     out
 }
 
-fn leaf_delta(a: &Leaf, b: &Leaf, tolerance: f64) -> Option<String> {
+fn leaf_delta(a: &Leaf, b: &Leaf) -> Option<String> {
     match (a, b) {
-        (Leaf::Num(x), Leaf::Num(y)) => {
-            let scale = x.abs().max(y.abs());
-            ((x - y).abs() > tolerance * scale && x != y).then(|| format!("{x} -> {y}"))
-        }
+        (Leaf::Num(x), Leaf::Num(y)) => (x != y).then(|| format!("{x} -> {y}")),
         _ => (a != b).then(|| format!("{a:?} -> {b:?}")),
     }
 }
 
 /// Diffs two results directories file by file. Files present in only
 /// one directory count as deltas; within a shared file, leaves are
-/// matched by path and compared under [`DiffOptions::tolerance`].
-pub fn diff_dirs(dir_a: &Path, dir_b: &Path, opts: DiffOptions) -> Result<DiffReport, String> {
+/// matched by path and must be equal.
+pub fn diff_dirs(dir_a: &Path, dir_b: &Path) -> Result<DiffReport, String> {
     let a = load_dir(dir_a)?;
     let b = load_dir(dir_b)?;
     let mut report = DiffReport::default();
@@ -778,12 +738,8 @@ pub fn diff_dirs(dir_a: &Path, dir_b: &Path, opts: DiffOptions) -> Result<DiffRe
     {
         match (a.get(file), b.get(file)) {
             (Some(la), Some(lb)) => {
-                let la: BTreeMap<String, Leaf> = comparable_leaves(la, opts.include_meta)
-                    .into_iter()
-                    .collect();
-                let lb: BTreeMap<String, Leaf> = comparable_leaves(lb, opts.include_meta)
-                    .into_iter()
-                    .collect();
+                let la: BTreeMap<String, Leaf> = comparable_leaves(la).into_iter().collect();
+                let lb: BTreeMap<String, Leaf> = comparable_leaves(lb).into_iter().collect();
                 for path in la
                     .keys()
                     .chain(lb.keys())
@@ -792,7 +748,7 @@ pub fn diff_dirs(dir_a: &Path, dir_b: &Path, opts: DiffOptions) -> Result<DiffRe
                     match (la.get(path), lb.get(path)) {
                         (Some(x), Some(y)) => {
                             report.compared += 1;
-                            if let Some(d) = leaf_delta(x, y, opts.tolerance) {
+                            if let Some(d) = leaf_delta(x, y) {
                                 report.deltas.push(format!("{file}: {path}: {d}"));
                             }
                         }
@@ -902,7 +858,7 @@ mod tests {
     }
 
     #[test]
-    fn diff_reports_deltas_and_respects_tolerance() {
+    fn diff_reports_deltas() {
         let dir_a = std::env::temp_dir().join("unsync_dash_diff_a");
         let dir_b = std::env::temp_dir().join("unsync_dash_diff_b");
         for d in [&dir_a, &dir_b] {
@@ -922,33 +878,18 @@ mod tests {
         .unwrap();
         fs::write(dir_b.join("extra.jsonl"), format!("{header}\n")).unwrap();
 
-        let strict = diff_dirs(&dir_a, &dir_b, DiffOptions::default()).unwrap();
+        let strict = diff_dirs(&dir_a, &dir_b).unwrap();
         assert!(!strict.clean());
         assert!(strict.deltas.iter().any(|d| d.contains("record[0].ipc")));
         assert!(strict.deltas.iter().any(|d| d.contains("only in B")));
 
-        let loose = diff_dirs(
-            &dir_a,
-            &dir_b,
-            DiffOptions {
-                tolerance: 0.10,
-                include_meta: false,
-            },
-        )
-        .unwrap();
-        // The 5% ipc delta is inside tolerance; the extra file is not.
-        assert!(
-            loose.deltas.iter().all(|d| d.contains("only in B")),
-            "{loose:?}"
-        );
-
-        let same = diff_dirs(&dir_a, &dir_a, DiffOptions::default()).unwrap();
+        let same = diff_dirs(&dir_a, &dir_a).unwrap();
         assert!(same.clean());
         assert!(same.compared > 0);
     }
 
     #[test]
-    fn meta_lines_join_the_diff_only_on_request() {
+    fn meta_lines_never_join_the_diff() {
         let dir_a = std::env::temp_dir().join("unsync_dash_meta_a");
         let dir_b = std::env::temp_dir().join("unsync_dash_meta_b");
         for d in [&dir_a, &dir_b] {
@@ -958,23 +899,8 @@ mod tests {
         let meta_b = META_A.replace("\"unsync_pair.cycles\":1000", "\"unsync_pair.cycles\":2000");
         fs::write(dir_a.join("x.jsonl"), format!("{META_A}\n")).unwrap();
         fs::write(dir_b.join("x.jsonl"), format!("{meta_b}\n")).unwrap();
-        let without = diff_dirs(&dir_a, &dir_b, DiffOptions::default()).unwrap();
+        let without = diff_dirs(&dir_a, &dir_b).unwrap();
         assert!(without.clean(), "{without:?}");
-        let with = diff_dirs(
-            &dir_a,
-            &dir_b,
-            DiffOptions {
-                tolerance: 0.0,
-                include_meta: true,
-            },
-        )
-        .unwrap();
-        assert!(with
-            .deltas
-            .iter()
-            .any(|d| d.contains("meta.metrics.unsync_pair.cycles")));
-        // workers / wall_clock_ms never compare, even with meta on.
-        assert!(with.deltas.iter().all(|d| !d.contains("wall_clock_ms")));
     }
 
     #[test]
@@ -1027,48 +953,6 @@ mod tests {
     }
 
     #[test]
-    fn prof_data_never_joins_a_meta_diff() {
-        let dir_a = std::env::temp_dir().join("unsync_dash_prof_a");
-        let dir_b = std::env::temp_dir().join("unsync_dash_prof_b");
-        for d in [&dir_a, &dir_b] {
-            let _ = fs::remove_dir_all(d);
-            fs::create_dir_all(d).unwrap();
-        }
-        // Identical deterministic metrics; wildly different host-domain
-        // prof blocks and prof.* histograms, as two reruns would show.
-        let meta = |us: u64| {
-            META_A.replace(
-                "\"wall_clock_ms\":5,",
-                &format!(
-                    concat!(
-                        "\"wall_clock_ms\":5,",
-                        "\"prof\":{{\"sched.run\":{{\"count\":1,\"sum_us\":{us}.0,\"mean_us\":{us}.0}}}},"
-                    ),
-                    us = us
-                ),
-            )
-            .replace(
-                "\"runner.baseline_sim_runs\":7",
-                &format!(
-                    "\"prof.sched.run\":{{\"count\":1,\"sum\":{us}.0,\"buckets\":[{{\"le\":null,\"count\":1}}]}}"
-                ),
-            )
-        };
-        fs::write(dir_a.join("x.jsonl"), format!("{}\n", meta(10))).unwrap();
-        fs::write(dir_b.join("x.jsonl"), format!("{}\n", meta(9000))).unwrap();
-        let report = diff_dirs(
-            &dir_a,
-            &dir_b,
-            DiffOptions {
-                tolerance: 0.0,
-                include_meta: true,
-            },
-        )
-        .unwrap();
-        assert!(report.clean(), "{report:?}");
-    }
-
-    #[test]
     fn diff_warns_on_truncated_journals() {
         let dir_a = std::env::temp_dir().join("unsync_dash_warn_a");
         let dir_b = std::env::temp_dir().join("unsync_dash_warn_b");
@@ -1082,8 +966,8 @@ mod tests {
         );
         fs::write(dir_a.join("x.jsonl"), format!("{dropped}\n")).unwrap();
         fs::write(dir_b.join("x.jsonl"), format!("{META_A}\n")).unwrap();
-        let report = diff_dirs(&dir_a, &dir_b, DiffOptions::default()).unwrap();
-        // Warnings flag side A without failing the (meta-free) diff.
+        let report = diff_dirs(&dir_a, &dir_b).unwrap();
+        // Warnings flag side A without failing the diff.
         assert!(report.clean(), "{report:?}");
         assert_eq!(report.warnings.len(), 1);
         assert!(report.warnings[0].starts_with("A:"));

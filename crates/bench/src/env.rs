@@ -1,14 +1,15 @@
 //! The one reader of the harness's numeric and boolean `UNSYNC_*`
 //! knobs.
 //!
-//! Every numeric knob is an unsigned integer (`UNSYNC_INSTS`,
-//! `UNSYNC_SEED`, `UNSYNC_WORKERS`, …) or a comma-separated list of
-//! them (`UNSYNC_LANES` in the lane sweep); every boolean knob
-//! (`UNSYNC_ROEC_SMOKE`, `UNSYNC_CAMPAIGN_SMOKE`, …) is `0` or `1`.
-//! [`parse_u64`], [`parse_list`] and [`parse_flag`] are pure functions
-//! of the variable's name and raw value, so they are tested without
-//! touching the process environment; [`var`], [`var_list`] and [`flag`]
-//! read the environment through them.
+//! The numeric knobs are `UNSYNC_INSTS` and `UNSYNC_SEED` (`paper`)
+//! and `UNSYNC_WORKERS` (`paper`, `campaign`), each an unsigned
+//! integer; the boolean knobs are `UNSYNC_CAMPAIGN_SMOKE` and
+//! `UNSYNC_CAMPAIGN_RESUME_ONLY` (`campaign`), each `0` or `1`.
+//! `UNSYNC_RESULTS_DIR` is a path, read by [`crate::runlog::results_dir`].
+//! [`parse_u64`] and [`parse_flag`] are pure functions of the
+//! variable's name and raw value, so they are tested without touching
+//! the process environment; [`var`] and [`flag`] read the environment
+//! through them.
 //!
 //! An unset or blank value is `Ok(None)` (a flag: off) and the caller's
 //! default applies. Anything else that does not parse, or falls below
@@ -26,27 +27,6 @@ pub fn parse_u64(name: &str, value: Option<&str>) -> Result<Option<u64>, String>
     v.parse()
         .map(Some)
         .map_err(|_| format!("{name}={v}: not an unsigned integer"))
-}
-
-/// The list form of [`parse_u64`]: comma-separated unsigned integers,
-/// every item required to parse and to be at least `min`.
-pub fn parse_list(name: &str, value: Option<&str>, min: u64) -> Result<Option<Vec<u64>>, String> {
-    let Some(v) = value.map(str::trim).filter(|v| !v.is_empty()) else {
-        return Ok(None);
-    };
-    v.split(',')
-        .map(|item| {
-            let item = item.trim();
-            match item.parse() {
-                Ok(n) if n >= min => Ok(n),
-                Ok(_) => Err(format!("{name}={v}: item `{item}` must be at least {min}")),
-                Err(_) => Err(format!(
-                    "{name}={v}: item `{item}` is not an unsigned integer"
-                )),
-            }
-        })
-        .collect::<Result<Vec<u64>, String>>()
-        .map(Some)
 }
 
 /// Parses one boolean knob: unset, blank or `0` is off and `1` is on;
@@ -79,12 +59,6 @@ pub fn var_at_least(name: &str, min: u64) -> Result<Option<u64>, String> {
 }
 
 /// Reads `name` from the process environment and parses it with
-/// [`parse_list`], every item at least `min`.
-pub fn var_list(name: &str, min: u64) -> Result<Option<Vec<u64>>, String> {
-    parse_list(name, raw(name)?.as_deref(), min)
-}
-
-/// Reads `name` from the process environment and parses it with
 /// [`parse_flag`].
 pub fn flag(name: &str) -> Result<bool, String> {
     parse_flag(name, raw(name)?.as_deref())
@@ -114,18 +88,12 @@ mod tests {
     fn unset_and_blank_values_keep_the_default() {
         assert_eq!(parse_u64("UNSYNC_INSTS", None), Ok(None));
         assert_eq!(parse_u64("UNSYNC_INSTS", Some("  ")), Ok(None));
-        assert_eq!(parse_list("UNSYNC_LANES", None, 1), Ok(None));
-        assert_eq!(parse_list("UNSYNC_LANES", Some(""), 1), Ok(None));
     }
 
     #[test]
     fn well_formed_values_parse() {
         assert_eq!(parse_u64("UNSYNC_SEED", Some(" 42\n")), Ok(Some(42)));
         assert_eq!(parse_u64("UNSYNC_INSTS", Some("100000")), Ok(Some(100_000)));
-        assert_eq!(
-            parse_list("UNSYNC_LANES", Some("2, 8,1000"), 1),
-            Ok(Some(vec![2, 8, 1000]))
-        );
     }
 
     #[test]
@@ -135,19 +103,19 @@ mod tests {
             assert!(err.starts_with("UNSYNC_WORKERS="), "{err}");
             assert!(err.contains(bad), "{err}");
         }
-        let err = parse_list("UNSYNC_LANES", Some("2,x,8"), 1).unwrap_err();
-        assert!(err.starts_with("UNSYNC_LANES=2,x,8"), "{err}");
-        assert!(err.contains("`x`"), "{err}");
-        assert!(parse_list("UNSYNC_LANES", Some("2,,8"), 1).is_err());
     }
 
     #[test]
     fn flags_are_zero_or_one_and_reject_anything_else() {
         for off in [None, Some(""), Some(" "), Some("0"), Some(" 0\n")] {
-            assert_eq!(parse_flag("UNSYNC_ROEC_SMOKE", off), Ok(false), "{off:?}");
+            assert_eq!(
+                parse_flag("UNSYNC_CAMPAIGN_SMOKE", off),
+                Ok(false),
+                "{off:?}"
+            );
         }
         for on in [Some("1"), Some(" 1\n")] {
-            assert_eq!(parse_flag("UNSYNC_ROEC_SMOKE", on), Ok(true), "{on:?}");
+            assert_eq!(parse_flag("UNSYNC_CAMPAIGN_SMOKE", on), Ok(true), "{on:?}");
         }
         for bad in ["true", "yes", "on", "2", "01", "-1"] {
             let err = parse_flag("UNSYNC_CAMPAIGN_RESUME_ONLY", Some(bad)).unwrap_err();
@@ -166,14 +134,5 @@ mod tests {
         let err = at_least("UNSYNC_INSTS", 1_000, Some(999)).unwrap_err();
         assert!(err.starts_with("UNSYNC_INSTS=999"), "{err}");
         assert!(at_least("UNSYNC_WORKERS", 1, Some(0)).is_err());
-        assert_eq!(
-            parse_list("UNSYNC_LANES", Some("0,2"), 0),
-            Ok(Some(vec![0, 2]))
-        );
-        for bad in ["0", "2,0", "2, 0 ,8"] {
-            let err = parse_list("UNSYNC_LANES", Some(bad), 1).unwrap_err();
-            assert!(err.starts_with(&format!("UNSYNC_LANES={bad}")), "{err}");
-            assert!(err.contains("`0` must be at least 1"), "{err}");
-        }
     }
 }

@@ -24,7 +24,7 @@ use unsync_workloads::{Benchmark, SyntheticSource, WorkloadSource};
 use crate::experiments::{self as exp, ExperimentConfig};
 use crate::runlog::{self, Json, RunLog};
 use crate::runner::Runner;
-use crate::{campaign, env, kernelstats, render, roec_uncore, stats};
+use crate::{campaign, kernelstats, render, roec_uncore, stats};
 
 /// Where a row sits in the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -596,24 +596,24 @@ fn kernel_stats(runner: Runner, cfg: ExperimentConfig) -> Output {
 /// engine's job path ([`campaign::run_records`]), so they equal the
 /// `campaign` bin's `campaign_uncore` records line for line.
 ///
-/// The campaign has its own trace length, and its own default seed
-/// (11), so it reads `UNSYNC_SEED` itself instead of taking `cfg`.
-/// `UNSYNC_ROEC_SMOKE=1` selects the smoke grid and
-/// `UNSYNC_ROEC_OUT` the summary path.
+/// The campaign has its own trace length and seed
+/// ([`roec_uncore::SEED`]), so it ignores `cfg` the way the analytic
+/// rows do.
 fn roec_uncore(runner: Runner, _: ExperimentConfig) -> Output {
-    let seed = env::or_exit(env::var("UNSYNC_SEED")).unwrap_or(11);
-    let grid = roec_uncore::grid(seed, env::or_exit(env::flag("UNSYNC_ROEC_SMOKE")));
+    const OUT_PATH: &str = "BENCH_roec.json";
+    let grid = roec_uncore::grid(roec_uncore::SEED, false);
     let plan = grid.strikes.as_ref().expect("the uncore grid strikes");
     let records = campaign::run_records(&grid, &runner);
     let mut o = Output::new(Some(ExperimentConfig {
         inst_count: grid.inst_count,
-        seed,
+        seed: roec_uncore::SEED,
     }));
     outln!(
         o,
-        "Uncore vulnerability campaign ({} × {} insts, seed {seed}, {} strikes/cell, horizon {})",
+        "Uncore vulnerability campaign ({} × {} insts, seed {}, {} strikes/cell, horizon {})",
         grid.workloads[0].name(),
         grid.inst_count,
+        roec_uncore::SEED,
         plan.strikes_per_cell,
         plan.horizon
     );
@@ -622,12 +622,10 @@ fn roec_uncore(runner: Runner, _: ExperimentConfig) -> Output {
         .push_str(&roec_uncore::render_vulnerability_table(&table));
     outln!(o);
     o.text.push_str(&roec_uncore::claim(&table));
-    let out_path =
-        std::env::var("UNSYNC_ROEC_OUT").unwrap_or_else(|_| "BENCH_roec.json".to_string());
     let mut text = roec_uncore::summary_json(&grid, &records).render();
     text.push('\n');
-    o.files.push((PathBuf::from(&out_path), text));
-    outln!(o, "wrote {out_path} ({} strikes)", records.len());
+    o.files.push((PathBuf::from(OUT_PATH), text));
+    outln!(o, "wrote {OUT_PATH} ({} strikes)", records.len());
     o.records = records;
     o
 }

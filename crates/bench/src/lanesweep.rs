@@ -40,7 +40,7 @@ pub struct LaneSweepConfig {
     /// The shared-L2 contention model applied to every system.
     pub contention: L2ContentionConfig,
     /// The workload every lane runs (synthetic benchmark or real-ISA
-    /// kernel; `UNSYNC_WORKLOAD` in the `lanesweep` binary).
+    /// kernel).
     pub workload: WorkloadSpec,
 }
 

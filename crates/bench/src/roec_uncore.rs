@@ -60,6 +60,10 @@ use crate::scheme;
 /// [`crate::scheme::TABLE`]).
 pub const SCHEMES: [&str; 3] = ["unsync_pair", "tmr_vote", "secded_only"];
 
+/// The campaign's base seed: the `roec_uncore` row and the `campaign`
+/// bin both run [`grid`] at it.
+pub const SEED: u64 = 11;
+
 /// The campaign grid at base seed `seed`: gzip, every uncore structure
 /// × [`SCHEMES`] × 8 strikes at 400 instructions, shared-L2 contention
 /// on (bank arbiters only exist — and can only be struck live — when

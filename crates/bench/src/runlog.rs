@@ -490,7 +490,6 @@ impl RunLog {
         let io = fs::create_dir_all(&dir)
             .and_then(|()| fs::File::create(&path))
             .and_then(|mut f| f.write_all(text.as_bytes()));
-        export_metrics();
         match io {
             Ok(()) => Some(path),
             Err(e) => {
@@ -498,24 +497,6 @@ impl RunLog {
                 None
             }
         }
-    }
-}
-
-/// Writes the global registry's Prometheus-style text rendering to the
-/// path in `UNSYNC_METRICS_FILE`, if set — metrics become scrapeable
-/// without parsing JSONL. Called from [`RunLog::write`], so every bench
-/// bin exports automatically; no-op (with a warning on I/O failure)
-/// otherwise, since metrics export must never fail an experiment.
-pub fn export_metrics() {
-    let Some(path) = std::env::var_os("UNSYNC_METRICS_FILE") else {
-        return;
-    };
-    let path = PathBuf::from(path);
-    if let Err(e) = fs::write(&path, metrics::global().render()) {
-        eprintln!(
-            "warning: could not write metrics file {}: {e}",
-            path.display()
-        );
     }
 }
 

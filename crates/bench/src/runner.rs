@@ -260,63 +260,45 @@ fn source_key(source: &dyn WorkloadSource) -> SourceKey {
     (source.name(), source.length(), source.seed())
 }
 
-/// Number of independent lock shards per memo cache. Keys hash to a
-/// shard via SplitMix64, so concurrent campaigns over *different*
-/// traces contend only when their keys collide modulo 16 — not on one
-/// global mutex.
-const CACHE_SHARDS: usize = 16;
-
-/// A process-wide memo cache split into [`CACHE_SHARDS`] independently
-/// locked segments. Each value slot is an `Arc<OnceLock<V>>` so cold
-/// racers block on the cell, not the shard lock, and the underlying
-/// simulation still runs exactly once.
-struct ShardedCache<V> {
-    shards: [Mutex<HashMap<SourceKey, Arc<OnceLock<V>>>>; CACHE_SHARDS],
+/// A process-wide memo cache: one locked map from key to memo cell.
+/// Each value slot is an `Arc<OnceLock<V>>` so cold racers block on
+/// the cell, not the map lock, and the underlying simulation still
+/// runs exactly once.
+struct MemoCache<V> {
+    cells: Mutex<HashMap<SourceKey, Arc<OnceLock<V>>>>,
 }
 
-impl<V> ShardedCache<V> {
-    fn new() -> ShardedCache<V> {
-        ShardedCache {
-            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
+impl<V> MemoCache<V> {
+    fn new() -> MemoCache<V> {
+        MemoCache {
+            cells: Mutex::new(HashMap::new()),
         }
     }
 
-    fn shard_index(key: &SourceKey) -> usize {
-        let (name, length, seed) = key;
-        let mut h = 0x9e37_79b9_7f4a_7c15;
-        for b in name.bytes() {
-            h = splitmix64(h ^ u64::from(b));
-        }
-        h = splitmix64(h ^ length);
-        h = splitmix64(h ^ seed);
-        (h % CACHE_SHARDS as u64) as usize
-    }
-
-    /// Fetch (or insert) the memo cell for `key`, contending only on
-    /// the key's shard. An uncontended `try_lock` is the fast path; a
-    /// busy shard counts one `runner.cache_lock_waits` — and records
-    /// the wall-clock wait into `prof.runner.cache_lock_wait` — before
-    /// falling back to a blocking acquire.
+    /// Fetch (or insert) the memo cell for `key`. An uncontended
+    /// `try_lock` is the fast path; a busy map counts one
+    /// `runner.cache_lock_waits` — and records the wall-clock wait into
+    /// `prof.runner.cache_lock_wait` — before falling back to a
+    /// blocking acquire.
     fn cell(&self, key: SourceKey) -> Arc<OnceLock<V>> {
-        let shard = &self.shards[Self::shard_index(&key)];
-        let mut guard = match shard.try_lock() {
+        let mut guard = match self.cells.try_lock() {
             Ok(guard) => guard,
             Err(std::sync::TryLockError::WouldBlock) => {
                 metrics::global().counter("runner.cache_lock_waits").inc();
                 let _t = unsync_obs::prof::scope("runner.cache_lock_wait");
-                shard.lock().expect("memo cache shard poisoned")
+                self.cells.lock().expect("memo cache poisoned")
             }
             Err(std::sync::TryLockError::Poisoned(e)) => {
-                panic!("memo cache shard poisoned: {e}")
+                panic!("memo cache poisoned: {e}")
             }
         };
         Arc::clone(guard.entry(key).or_default())
     }
 }
 
-fn baseline_cache() -> &'static ShardedCache<u64> {
-    static CACHE: OnceLock<ShardedCache<u64>> = OnceLock::new();
-    CACHE.get_or_init(ShardedCache::new)
+fn baseline_cache() -> &'static MemoCache<u64> {
+    static CACHE: OnceLock<MemoCache<u64>> = OnceLock::new();
+    CACHE.get_or_init(MemoCache::new)
 }
 
 /// Baseline (unprotected Table I CMP) cycle count for one workload
@@ -348,9 +330,9 @@ pub fn baseline_cycles(bench: Benchmark, cfg: ExperimentConfig) -> u64 {
     baseline_cycles_source(&SyntheticSource::new(bench, cfg.inst_count, cfg.seed))
 }
 
-fn golden_cache() -> &'static ShardedCache<Arc<ArchMemory>> {
-    static CACHE: OnceLock<ShardedCache<Arc<ArchMemory>>> = OnceLock::new();
-    CACHE.get_or_init(ShardedCache::new)
+fn golden_cache() -> &'static MemoCache<Arc<ArchMemory>> {
+    static CACHE: OnceLock<MemoCache<Arc<ArchMemory>>> = OnceLock::new();
+    CACHE.get_or_init(MemoCache::new)
 }
 
 /// The golden (fault-free functional) memory image of one workload
@@ -418,9 +400,9 @@ struct TraceRuns {
 }
 
 /// The strike-free run memo, keyed by trace digest and length.
-fn reference_cache() -> &'static ShardedCache<Mutex<TraceRuns>> {
-    static CACHE: OnceLock<ShardedCache<Mutex<TraceRuns>>> = OnceLock::new();
-    CACHE.get_or_init(ShardedCache::new)
+fn reference_cache() -> &'static MemoCache<Mutex<TraceRuns>> {
+    static CACHE: OnceLock<MemoCache<Mutex<TraceRuns>>> = OnceLock::new();
+    CACHE.get_or_init(MemoCache::new)
 }
 
 /// The strike-free run of `trace` under the [`Scheme`] row `scheme` on

@@ -2,11 +2,11 @@
 //! run under shared-L2 contention, rendered as an
 //! [`unsync_obs::Timeline`].
 //!
-//! Both `--bin trace_export` (Chrome Trace Event Format JSON for
-//! Perfetto / `chrome://tracing`) and `dashboard timeline` (textual
-//! swimlane + episode table) build their model here, so the two views
-//! always agree on what happened. The scenario is deterministic: every
-//! cycle stamp comes from the simulated clock, so the exported trace is
+//! `--bin trace_export` builds its model here and renders it both as
+//! Chrome Trace Event Format JSON (for Perfetto / `chrome://tracing`)
+//! and as a textual swimlane + episode table, so the two views always
+//! agree on what happened. The scenario is deterministic: every cycle
+//! stamp comes from the simulated clock, so the exported trace is
 //! byte-identical across same-seed reruns.
 //!
 //! Each lane is one UnSync pair running its own disjoint-address
@@ -49,24 +49,6 @@ impl TimelineScenarioConfig {
         }
     }
 
-    /// Reads `UNSYNC_LANES` (at least 1) / `UNSYNC_INSTS` (at least
-    /// 16) / `UNSYNC_SEED` over the defaults; unset values keep the
-    /// default, malformed ones are an error naming the variable.
-    pub fn from_env() -> Result<Self, String> {
-        use crate::env::{var, var_at_least};
-        let mut cfg = TimelineScenarioConfig::default_scenario();
-        if let Some(n) = var_at_least("UNSYNC_LANES", 1)? {
-            cfg.lanes = n as usize;
-        }
-        if let Some(n) = var_at_least("UNSYNC_INSTS", 16)? {
-            cfg.insts_per_lane = n as usize;
-        }
-        if let Some(n) = var("UNSYNC_SEED")? {
-            cfg.seed = n;
-        }
-        Ok(cfg)
-    }
-
     /// A stable name embedded in the trace's `otherData` block.
     pub fn name(&self) -> String {
         format!(
@@ -99,8 +81,8 @@ pub fn plan_strikes(cfg: &TimelineScenarioConfig) -> Vec<Vec<UncoreStrike>> {
         .collect()
 }
 
-/// Runs the scenario and builds the [`Timeline`] model both export
-/// surfaces render.
+/// Runs the scenario and builds the [`Timeline`] model `trace_export`
+/// renders.
 pub fn build_timeline(cfg: &TimelineScenarioConfig) -> Timeline {
     let uncore = plan_strikes(cfg);
     Timeline::from_results(&cfg.name(), &run_scenario(cfg, &uncore), &uncore)

@@ -408,10 +408,9 @@ impl RedundantDriver {
             .map(|(p, (policy, spec))| {
                 // A supplied golden is borrowed, never cloned — only
                 // lanes without one pay for a golden execution here.
-                let golden = policy.verify_golden().then(|| {
-                    spec.golden
-                        .map_or_else(|| Cow::Owned(golden_run(spec.trace).1), Cow::Borrowed)
-                });
+                let golden = spec
+                    .golden
+                    .map_or_else(|| Cow::Owned(golden_run(spec.trace).1), Cow::Borrowed);
                 let mut lane = LaneState::new(self.ccfg, n, p * n);
                 if let Some(cap) = self.journal {
                     lane.events = EventStream::with_journal(cap);
@@ -550,14 +549,13 @@ fn publish(names: &[&'static str], results: &[RunResult]) {
     counters.set_recovery_overlap(scheme, crate::spans::overlap_fraction(&all_episodes));
 }
 
-/// Folds a finished lane's event stream into its counters and, when
-/// the policy verifies against a golden image, checks `memory` against
-/// it (`requires_recoverable`: an unrecoverable event fails the check
-/// whatever the image holds).
+/// Folds a finished lane's event stream into its counters and checks
+/// `memory` against the golden image (`requires_recoverable`: an
+/// unrecoverable event fails the check whatever the image holds).
 fn settle(
     out: &mut OutcomeCore,
     events: &EventStream,
-    golden: Option<&ArchMemory>,
+    golden: &ArchMemory,
     requires_recoverable: bool,
     memory: &ArchMemory,
 ) {
@@ -566,11 +564,9 @@ fn settle(
     out.recovery_stall_cycles = events.sum(TraceEventKind::RecoveryEnd);
     out.unrecoverable = events.count(TraceEventKind::Unrecoverable);
     out.silent_faults = events.count(TraceEventKind::SilentFault);
-    if let Some(g) = golden {
-        let recoverable = !requires_recoverable || out.unrecoverable == 0;
-        out.memory_matches_golden =
-            recoverable && g.iter().all(|(addr, val)| memory.read(addr) == val);
-    }
+    let recoverable = !requires_recoverable || out.unrecoverable == 0;
+    out.memory_matches_golden =
+        recoverable && golden.iter().all(|(addr, val)| memory.read(addr) == val);
 }
 
 /// The cached `prof.sched.run` histogram handle (µs per scheduler
@@ -592,7 +588,7 @@ struct LaneRunner<'a, P: RedundancyPolicy> {
     policy: &'a mut P,
     insts: &'a [Inst],
     /// The golden image the final memory is verified against.
-    golden: Option<Cow<'a, ArchMemory>>,
+    golden: Cow<'a, ArchMemory>,
     lane: LaneState,
     /// The next instruction to execute.
     idx: usize,
@@ -670,7 +666,7 @@ impl<P: RedundancyPolicy> LaneRunner<'_, P> {
             settle(
                 &mut out,
                 &events,
-                golden.as_deref(),
+                &golden,
                 requires_recoverable,
                 reference.memory,
             );
@@ -694,7 +690,7 @@ impl<P: RedundancyPolicy> LaneRunner<'_, P> {
         settle(
             &mut lane.out,
             &lane.events,
-            golden.as_deref(),
+            &golden,
             requires_recoverable,
             &lane.committed_mem,
         );

@@ -112,12 +112,6 @@ pub trait RedundancyPolicy {
         WritePolicy::WriteThrough
     }
 
-    /// Whether the driver verifies the final memory image against the
-    /// golden run.
-    fn verify_golden(&self) -> bool {
-        true
-    }
-
     /// Whether an unrecoverable event forces `memory_matches_golden`
     /// to `false` even when the image happens to match (UnSync's
     /// write-back hazard is not functionally modelled; Reunion's

@@ -13,12 +13,6 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Bus {
     busy_until: u64,
-    /// Total beats of occupancy granted (for utilization accounting).
-    pub busy_beats: u64,
-    /// Number of requests that had to wait for an earlier owner.
-    pub contended_requests: u64,
-    /// Total cycles requests spent waiting for the bus.
-    pub wait_cycles: u64,
 }
 
 impl Default for Bus {
@@ -30,17 +24,7 @@ impl Default for Bus {
 impl Bus {
     /// An idle bus.
     pub fn new() -> Self {
-        Bus {
-            busy_until: 0,
-            busy_beats: 0,
-            contended_requests: 0,
-            wait_cycles: 0,
-        }
-    }
-
-    /// Cycle at which the bus next becomes free.
-    pub fn free_at(&self) -> u64 {
-        self.busy_until
+        Bus { busy_until: 0 }
     }
 
     /// True if the bus is free at `cycle`.
@@ -53,23 +37,9 @@ impl Bus {
     /// `start..done`.
     pub fn acquire(&mut self, cycle: u64, beats: u32) -> (u64, u64) {
         let start = cycle.max(self.busy_until);
-        if start > cycle {
-            self.contended_requests += 1;
-            self.wait_cycles += start - cycle;
-        }
         let done = start + beats as u64;
         self.busy_until = done;
-        self.busy_beats += beats as u64;
         (start, done)
-    }
-
-    /// Bus utilization over the first `horizon` cycles.
-    pub fn utilization(&self, horizon: u64) -> f64 {
-        if horizon == 0 {
-            0.0
-        } else {
-            self.busy_beats as f64 / horizon as f64
-        }
     }
 }
 
@@ -81,7 +51,6 @@ mod tests {
     fn uncontended_transfer_starts_immediately() {
         let mut b = Bus::new();
         assert_eq!(b.acquire(10, 8), (10, 18));
-        assert_eq!(b.contended_requests, 0);
     }
 
     #[test]
@@ -90,8 +59,6 @@ mod tests {
         b.acquire(0, 8);
         let (start, done) = b.acquire(3, 8);
         assert_eq!((start, done), (8, 16));
-        assert_eq!(b.contended_requests, 1);
-        assert_eq!(b.wait_cycles, 5);
     }
 
     #[test]
@@ -102,15 +69,6 @@ mod tests {
         let (start, _) = b.acquire(100, 4);
         assert_eq!(start, 100);
         assert!(!b.is_free(101));
-    }
-
-    #[test]
-    fn utilization_accounts_granted_beats() {
-        let mut b = Bus::new();
-        b.acquire(0, 10);
-        b.acquire(0, 10);
-        assert!((b.utilization(100) - 0.2).abs() < 1e-12);
-        assert_eq!(b.utilization(0), 0.0);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //!   strike schedules — into one [`timeline::Timeline`] model, rendered
 //!   either as Chrome Trace Event Format JSON (loadable in Perfetto /
 //!   `chrome://tracing`; see `--bin trace_export` in `unsync-bench`)
-//!   or as a textual swimlane + episode table (`dashboard timeline`).
+//!   or as a textual swimlane + episode table (which `trace_export`
+//!   also prints).
 //!   Everything here is deterministic: same seed, byte-identical
 //!   export.
 //! * [`prof`] — the **host wall-clock domain**. A scoped-timer API
@@ -21,7 +22,7 @@
 //!
 //! The two domains never mix: timeline exports carry cycles only, and
 //! `prof.*` values appear only in clearly-marked host sections (the
-//! metrics file, per-run meta blocks).
+//! per-run meta blocks).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

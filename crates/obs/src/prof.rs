@@ -15,8 +15,8 @@
 //!
 //! Everything recorded here is **wall-clock** and therefore
 //! non-deterministic; `prof.*` metrics surface only in host-domain
-//! sections (the `UNSYNC_METRICS_FILE` export, per-run meta `prof`
-//! blocks) and are excluded from run-to-run diffs.
+//! sections (per-run meta `prof` blocks) and are excluded from
+//! run-to-run diffs.
 
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};

@@ -7,7 +7,7 @@
 //! and rendered either as Chrome Trace Event Format JSON
 //! ([`Timeline::chrome_trace`], loadable in Perfetto /
 //! `chrome://tracing`) or as a textual swimlane + episode table
-//! ([`Timeline::render_summary`], the `dashboard timeline` view).
+//! ([`Timeline::render_summary`], which `trace_export` prints).
 //!
 //! Track layout of the Chrome export:
 //!
@@ -366,7 +366,7 @@ impl Timeline {
     }
 
     /// The full textual summary: header, swimlane, episode table, and
-    /// strike/conflict totals — the `dashboard timeline` view, rendered
+    /// strike/conflict totals — what `trace_export` prints, rendered
     /// from the same model as the Chrome export.
     pub fn render_summary(&self, width: usize) -> String {
         let mut out = format!(

@@ -280,33 +280,6 @@ impl Registry {
             }
         }
     }
-
-    /// A `name value` per-line text rendering of [`Registry::snapshot`].
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for (name, value) in self.snapshot() {
-            match value {
-                MetricValue::Counter(v) => out.push_str(&format!("{name} {v}\n")),
-                MetricValue::Gauge(v) => out.push_str(&format!("{name} {v}\n")),
-                MetricValue::Histogram {
-                    count,
-                    sum,
-                    buckets,
-                } => {
-                    out.push_str(&format!("{name} count={count} sum={sum}"));
-                    for (bound, c) in buckets {
-                        if bound.is_finite() {
-                            out.push_str(&format!(" le{bound}={c}"));
-                        } else {
-                            out.push_str(&format!(" inf={c}"));
-                        }
-                    }
-                    out.push('\n');
-                }
-            }
-        }
-        out
-    }
 }
 
 /// The process-global registry every instrumented layer shares.
@@ -318,8 +291,8 @@ pub fn global() -> &'static Registry {
 /// Bucket bounds (microseconds) shared by every `prof.*` host-domain
 /// phase histogram: 1 µs to 1 s in a coarse log ladder. One common
 /// ladder keeps phase histograms comparable across layers (scheduler
-/// loop, campaign dispatch, cache waits) in `UNSYNC_METRICS_FILE`
-/// exports and per-run meta `prof` blocks.
+/// loop, campaign dispatch, cache waits) in per-run meta `prof`
+/// blocks.
 pub const PROF_BOUNDS_US: [f64; 11] = [
     1.0,
     5.0,
@@ -430,15 +403,5 @@ mod tests {
         }
         // Re-resolving aliases the same slot (the cached-handle contract).
         assert_eq!(prof_histogram("test_only.metrics_unit").count(), 2);
-    }
-
-    #[test]
-    fn render_lists_every_metric() {
-        let r = Registry::new();
-        r.counter("runs").add(3);
-        r.gauge("workers").set(8.0);
-        let text = r.render();
-        assert!(text.contains("runs 3"));
-        assert!(text.contains("workers 8"));
     }
 }

@@ -17,8 +17,7 @@
 //!   *measured from* executed code rather than assumed.
 //!
 //! [`WorkloadSpec`] is the copyable name of either backend
-//! (`"gzip"`, `"kernel:qsort"`, …) and is what environment knobs such
-//! as `UNSYNC_WORKLOAD` parse into.
+//! (`"gzip"`, `"kernel:qsort"`, …), parsed by [`WorkloadSpec::parse`].
 
 use unsync_isa::TraceProgram;
 

@@ -18,11 +18,11 @@
 //! comparators and the scheme values, and a two-benchmark subset of
 //! Fig. 5.
 //!
-//! The snapshots assume no `UNSYNC_*` knob in the environment: the
-//! `roec_uncore` row reads `UNSYNC_SEED`, `UNSYNC_ROEC_SMOKE` and
-//! `UNSYNC_ROEC_OUT` itself. When a change *intentionally* moves the
-//! numbers (new timing model, retuned workload profiles, …), regenerate
-//! every snapshot with
+//! Every row is a function of its worker pool and config alone, so the
+//! gate holds whatever `UNSYNC_*` knobs the environment sets (CI runs
+//! it once more under `UNSYNC_SEED=3 UNSYNC_INSTS=2000`). When a change
+//! *intentionally* moves the numbers (new timing model, retuned
+//! workload profiles, …), regenerate every snapshot with
 //!
 //! ```text
 //! UNSYNC_BLESS=1 cargo test -q --test golden_values

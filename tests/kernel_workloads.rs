@@ -175,9 +175,9 @@ fn kernel_stats_row_writes_a_sane_summary() {
     }
 }
 
-/// `UNSYNC_WORKLOAD=kernel:crc32 UNSYNC_LANES=2,8 UNSYNC_INSTS=200
-/// UNSYNC_SEED=19 lanesweep`: a kernel workload sweeps end to end and
-/// its summary names the kernel.
+/// A `kernel:crc32` sweep of 2 and 8 lanes at 200 instructions per
+/// lane, seed 19: a kernel workload sweeps end to end and its summary
+/// names the kernel.
 #[test]
 fn crc32_lane_sweep_names_its_workload() {
     let cfg = LaneSweepConfig {

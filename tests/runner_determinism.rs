@@ -150,8 +150,8 @@ fn run_system_is_byte_identical_on_rerun_at_64_lanes() {
 fn lanesweep_smoke_diffs_clean_across_same_seed_runs() {
     // The lanesweep smoke sweep (2 and 8 lanes, same seed twice) must
     // produce byte-identical run logs: written to two directories and
-    // compared through the dashboard's zero-tolerance diff.
-    use unsync_bench::dashboard::{diff_dirs, DiffOptions};
+    // compared through the dashboard's exact diff.
+    use unsync_bench::dashboard::diff_dirs;
     use unsync_bench::lanesweep::{run_sweep, summary_json, sweep_log, LaneSweepConfig};
 
     let cfg = LaneSweepConfig::smoke(19);
@@ -173,8 +173,8 @@ fn lanesweep_smoke_diffs_clean_across_same_seed_runs() {
     }
     emit(&dir_a);
     emit(&dir_b);
-    // The summary of `UNSYNC_LANES=2,8 UNSYNC_INSTS=200 UNSYNC_SEED=19
-    // lanesweep`: every lane commits its trace and recovers its fault.
+    // The summary of the 2- and 8-lane sweep at 200 instructions per
+    // lane, seed 19: every lane commits its trace and recovers its fault.
     let text = std::fs::read_to_string(dir_a.join("BENCH_lanesweep.json")).unwrap();
     let doc = Json::parse(&text).expect("BENCH_lanesweep.json parses");
     assert_eq!(doc.get("schema").and_then(Json::as_u64), Some(1));
@@ -195,7 +195,7 @@ fn lanesweep_smoke_diffs_clean_across_same_seed_runs() {
             "{r:?}"
         );
     }
-    let report = diff_dirs(&dir_a, &dir_b, DiffOptions::default()).expect("diff runs");
+    let report = diff_dirs(&dir_a, &dir_b).expect("diff runs");
     assert!(
         report.clean(),
         "same-seed lanesweep runs must diff clean: {:?}",

@@ -178,10 +178,10 @@ fn chrome_trace_carries_required_tracks_and_fields() {
     }
 }
 
-/// `trace_export` and `dashboard timeline` at their defaults (8 lanes,
-/// 2 000 instructions per lane, seed 11): the export re-renders
-/// byte-identically, parses with every field Perfetto needs, records
-/// its build into a `prof.*` histogram, and the textual view draws
+/// `trace_export` at its scenario (8 lanes, 2 000 instructions per
+/// lane, seed 11): the export re-renders byte-identically, parses with
+/// every field Perfetto needs, a `prof` scope around the build lands in
+/// a `prof.trace_export.build` histogram, and the textual view draws
 /// every lane.
 #[test]
 fn default_scenario_exports_a_loadable_trace() {
@@ -196,10 +196,11 @@ fn default_scenario_exports_a_loadable_trace() {
     assert_eq!(json, again, "same-seed re-export");
     assert!(
         unsync::sim::metrics::global()
-            .render()
-            .lines()
-            .any(|l| l.starts_with("prof.")),
-        "the metrics export must carry prof.* histograms"
+            .snapshot()
+            .iter()
+            .any(|(name, value)| name == "prof.trace_export.build"
+                && matches!(value, unsync::sim::metrics::MetricValue::Histogram { .. })),
+        "the build must land in a prof.trace_export.build histogram"
     );
     assert!(timeline.render_summary(72).contains("lane   7"));
 

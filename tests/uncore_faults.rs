@@ -171,9 +171,9 @@ fn row_records_are_the_sequential_reference_lines() {
     }
 }
 
-/// The `BENCH_roec.json` of `UNSYNC_ROEC_SMOKE=1 paper roec_uncore` at
-/// seed 11: two strikes in each of the 18 structure × scheme cells,
-/// each strike with one label, and no SDC under UnSync.
+/// The `BENCH_roec.json` summary of the smoke grid (`grid(11, true)`):
+/// two strikes in each of the 18 structure × scheme cells, each strike
+/// with one label, and no SDC under UnSync.
 #[test]
 fn smoke_summary_covers_every_cell_without_unsync_sdc() {
     let grid = roec_uncore::grid(11, true);
