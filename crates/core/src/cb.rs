@@ -18,25 +18,6 @@ use serde::{Deserialize, Serialize};
 use unsync_fault::crc16_word;
 use unsync_mem::MemSystem;
 
-/// When a CB entry's single copy may leave for the L2.
-///
-/// The paper's protocol is [`DrainPolicy::BothComplete`]: eviction waits
-/// until both cores have produced the entry, so data leaving the pair is
-/// implicitly agreed on ("both the cores have completed a particular
-/// state in the execution", §III-A). The [`DrainPolicy::Eager`] ablation
-/// drains on the *first* copy — lower CB occupancy, but a corrupted
-/// store value can reach the protected L2 before its error is detected,
-/// reopening exactly the silent-corruption window UnSync exists to
-/// close.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum DrainPolicy {
-    /// Drain when both cores produced the entry (the paper's design).
-    #[default]
-    BothComplete,
-    /// Drain the first copy immediately (the rejected ablation).
-    Eager,
-}
-
 /// One CB entry on one side of the pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 struct CbEntry {
@@ -92,7 +73,6 @@ pub struct CbSideStats {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PairedCb {
     capacity: usize,
-    policy: DrainPolicy,
     /// First core id of the owning pair (drains ride this pair's path).
     core_base: usize,
     sides: [VecDeque<CbEntry>; 2],
@@ -106,25 +86,19 @@ pub struct PairedCb {
 }
 
 impl PairedCb {
-    /// A CB pair with `capacity` entries per side and the paper's
-    /// both-complete drain policy.
+    /// A CB pair with `capacity` entries per side, owned by the pair of
+    /// cores 0 and 1.
     pub fn new(capacity: usize) -> Self {
-        Self::with_policy(capacity, DrainPolicy::BothComplete)
-    }
-
-    /// A CB pair with an explicit drain policy (ablations).
-    pub fn with_policy(capacity: usize, policy: DrainPolicy) -> Self {
-        Self::for_cores(capacity, policy, 0)
+        Self::for_cores(capacity, 0)
     }
 
     /// A CB pair owned by the pair whose first core is `core_base`
     /// (multi-pair systems: pair `p` owns cores `2p`/`2p+1` and drain
     /// path `p`).
-    pub fn for_cores(capacity: usize, policy: DrainPolicy, core_base: usize) -> Self {
+    pub fn for_cores(capacity: usize, core_base: usize) -> Self {
         assert!(capacity > 0, "CB capacity must be positive");
         PairedCb {
             capacity,
-            policy,
             core_base,
             sides: [
                 VecDeque::with_capacity(capacity),
@@ -134,11 +108,6 @@ impl PairedCb {
             drained: 0,
             fingerprint_mismatches: 0,
         }
-    }
-
-    /// The drain policy in force.
-    pub fn policy(&self) -> DrainPolicy {
-        self.policy
     }
 
     /// Capacity per side.
@@ -206,46 +175,24 @@ impl PairedCb {
         }
         self.sides[core].push_back(CbEntry::sealed(seq, line, now));
 
+        // If the partner already holds this seq, the pair is complete:
+        // schedule the single-copy drain (over the pair's CB→L2 path in
+        // Fig. 1) — but only after both fingerprints check out. A struck
+        // entry never compares silently equal; it pends here until
+        // recovery overwrites it.
         let partner = core ^ 1;
-        let partner_idx = self.sides[partner].iter().position(|e| e.seq == seq);
-        match self.policy {
-            DrainPolicy::BothComplete => {
-                // If the partner already holds this seq, the pair is
-                // complete: schedule the single-copy drain (over the
-                // pair's CB→L2 path in Fig. 1) — but only after both
-                // fingerprints check out. A struck entry never compares
-                // silently equal; it pends here until recovery
-                // overwrites it.
-                if let Some(pidx) = partner_idx {
-                    let mine = *self.sides[core].back().expect("just pushed");
-                    let theirs = self.sides[partner][pidx];
-                    if !mine.fp_ok() || !theirs.fp_ok() || mine.fp != theirs.fp {
-                        self.fingerprint_mismatches += 1;
-                        return now;
-                    }
-                    let start = theirs.ready.max(now);
-                    let done = mem.drain_write(self.core_base, line, start);
-                    self.sides[partner][pidx].drain_done = done;
-                    self.sides[core].back_mut().expect("just pushed").drain_done = done;
-                    self.drained += 1;
-                }
+        if let Some(pidx) = self.sides[partner].iter().position(|e| e.seq == seq) {
+            let mine = *self.sides[core].back().expect("just pushed");
+            let theirs = self.sides[partner][pidx];
+            if !mine.fp_ok() || !theirs.fp_ok() || mine.fp != theirs.fp {
+                self.fingerprint_mismatches += 1;
+                return now;
             }
-            DrainPolicy::Eager => {
-                // First copy drains immediately; the second copy just
-                // matches the already-scheduled drain.
-                match partner_idx {
-                    None => {
-                        let done = mem.drain_write(self.core_base, line, now);
-                        self.sides[core].back_mut().expect("just pushed").drain_done = done;
-                        self.drained += 1;
-                    }
-                    Some(pidx) => {
-                        let done = self.sides[partner][pidx].drain_done;
-                        self.sides[core].back_mut().expect("just pushed").drain_done =
-                            done.max(now);
-                    }
-                }
-            }
+            let start = theirs.ready.max(now);
+            let done = mem.drain_write(self.core_base, line, start);
+            self.sides[partner][pidx].drain_done = done;
+            self.sides[core].back_mut().expect("just pushed").drain_done = done;
+            self.drained += 1;
         }
         now
     }

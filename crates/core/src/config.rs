@@ -2,58 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::cb::DrainPolicy;
-
-/// When a detection block observes a strike.
-///
-/// Parity is physically verified on the next *read* of the struck
-/// storage (§III-B1): a value that is overwritten before being read is
-/// never detected — and never matters. [`DetectionTiming::Immediate`]
-/// conservatively charges a recovery for every strike (the default used
-/// by the calibrated experiments); [`DetectionTiming::OnFirstUse`]
-/// models the read-triggered behaviour for register-file strikes,
-/// letting dead-value strikes pass benignly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum DetectionTiming {
-    /// Every strike triggers detection at the striking instruction.
-    #[default]
-    Immediate,
-    /// Register-file strikes trigger detection at the next read of the
-    /// struck register; strikes on values that die unread are benign.
-    OnFirstUse,
-}
-
-/// The error-detection code on the UnSync L1 data arrays.
-///
-/// The paper chooses 1-bit line parity for its negligible cost
-/// (§III-B1); its §VIII future work names "multi-bit correction for
-/// cache blocks" as a drop-in upgrade. Line parity misses adjacent
-/// double-bit upsets (an even number of flips), SECDED detects them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum L1Protection {
-    /// 1 parity bit per line (the paper's design, ≈0.2 % area).
-    #[default]
-    LineParity,
-    /// SECDED per word (the §VIII upgrade, ≈7.9 % cache area).
-    Secded,
-}
-
-/// How recovery re-establishes the erroneous core's L1 contents.
-///
-/// The paper's §III-A step 3 copies "the content of the L1 cache of the
-/// error-free core" — expensive but the bad core resumes warm. Because
-/// the L1 is write-through, an alternative is to just invalidate the bad
-/// L1 and let demand misses refill from the ECC-protected L2: far
-/// cheaper per event, paid back as cold misses afterwards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum RecoveryMode {
-    /// Copy the whole L1 from the error-free core (the paper's design).
-    #[default]
-    CopyL1,
-    /// Invalidate the erroneous L1 and refill on demand.
-    InvalidateOnly,
-}
-
 /// Parameters of the UnSync machinery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct UnsyncConfig {
@@ -67,16 +15,6 @@ pub struct UnsyncConfig {
     /// Cycles from the strike to the detection block firing (parity is
     /// verified on the next read; DMR compares on the next cycle).
     pub detection_latency: u32,
-    /// CB drain policy (the paper's design is both-complete; eager is an
-    /// ablation that reopens a silent-corruption window).
-    pub drain_policy: DrainPolicy,
-    /// L1 recovery strategy (the paper copies; invalidate-only is an
-    /// ablation trading per-event cost for post-recovery cold misses).
-    pub recovery_mode: RecoveryMode,
-    /// When detection blocks fire (see [`DetectionTiming`]).
-    pub detection_timing: DetectionTiming,
-    /// Error code on the L1 data arrays (see [`L1Protection`]).
-    pub l1_protection: L1Protection,
 }
 
 impl Default for UnsyncConfig {
@@ -93,10 +31,6 @@ impl UnsyncConfig {
             eih_latency: 4,
             flush_cycles: 8,
             detection_latency: 2,
-            drain_policy: DrainPolicy::BothComplete,
-            recovery_mode: RecoveryMode::CopyL1,
-            detection_timing: DetectionTiming::Immediate,
-            l1_protection: L1Protection::LineParity,
         }
     }
 

@@ -38,8 +38,8 @@ pub mod nway;
 pub mod pair;
 pub mod system;
 
-pub use cb::{DrainPolicy, GroupCb, PairedCb};
-pub use config::{DetectionTiming, L1Protection, RecoveryMode, UnsyncConfig};
+pub use cb::{GroupCb, PairedCb};
+pub use config::UnsyncConfig;
 pub use nway::{GroupPolicy, UnsyncGroup};
 pub use pair::{UnsyncPair, UnsyncPolicy};
 pub use system::{SystemOutcome, SystemPairStats, UnsyncSystem};

@@ -25,7 +25,7 @@ use unsync_exec::{
     TraceEventKind,
 };
 use unsync_fault::uncore::{UncoreProtection, UncoreStrike, UncoreTarget};
-use unsync_fault::{DetectionMechanism, FaultKind, FaultTarget, PairFault};
+use unsync_fault::{FaultKind, FaultTarget, PairFault};
 use unsync_isa::{Inst, TraceProgram};
 use unsync_mem::{MemSystem, WritePolicy};
 use unsync_sim::{CoreConfig, InstTiming, NullHooks};
@@ -34,9 +34,8 @@ use crate::cb::PairedCb;
 use crate::config::UnsyncConfig;
 
 /// The UnSync redundant core pair. Its run's events count benign
-/// dead-value strikes (`BenignFault`) and SECDED-L1 in-place corrections
-/// (`CorrectedInPlace`), and sum CB drains (`CbDrain`) and full-CB
-/// commit stalls (`CbFullStall`).
+/// strikes on empty CB slots (`BenignFault`), and sum CB drains
+/// (`CbDrain`) and full-CB commit stalls (`CbFullStall`).
 ///
 /// # Examples
 ///
@@ -147,7 +146,7 @@ impl UnsyncPolicy {
             ucfg,
             l1_policy,
             hooks: [NullHooks, NullHooks],
-            cb: PairedCb::for_cores(ucfg.cb_entries, ucfg.drain_policy, core_base),
+            cb: PairedCb::for_cores(ucfg.cb_entries, core_base),
             recovery_window: None,
             pending_cb_strike: None,
         }
@@ -215,18 +214,11 @@ impl UnsyncPolicy {
         let stall_start = now + self.ucfg.detection_latency as u64 + self.ucfg.eih_latency as u64;
         // 2: flush the erroneous pipeline.
         let flushed = stall_start + self.ucfg.flush_cycles as u64;
-        // 3: copy architectural state (and, in the paper's design, the
-        // L1 content) through the shared L2.
+        // 3: copy architectural state and the L1 content through the
+        // shared L2.
         let word_beats = mem.config().word_transfer_beats() as u64;
         let reg_copy = 2 * 64 * word_beats; // 64 registers out and back in
-        let l1_copy = match self.ucfg.recovery_mode {
-            crate::config::RecoveryMode::CopyL1 => {
-                mem.l1_copy_cost(mem.l1d(lane.core_base + good).valid_lines() as u64)
-            }
-            // Invalidate-only: no bulk transfer; the cost reappears as
-            // demand misses after resume.
-            crate::config::RecoveryMode::InvalidateOnly => 0,
-        };
+        let l1_copy = mem.l1_copy_cost(mem.l1d(lane.core_base + good).valid_lines() as u64);
         // 4 & 5: in-flight CB drains complete; the erroneous CB is
         // overwritten from the error-free one.
         self.cb.overwrite_from(good, flushed, mem);
@@ -243,16 +235,9 @@ impl UnsyncPolicy {
         lane.pending.sync_replica(good, bad);
         // Newly matched stores commit architecturally.
         lane.commit_matched_pending();
-        match self.ucfg.recovery_mode {
-            crate::config::RecoveryMode::CopyL1 => {
-                // The erroneous L1 was replaced wholesale by the copy.
-                let good_l1 = mem.l1d(lane.core_base + good).clone();
-                *mem.l1d_mut(lane.core_base + bad) = good_l1;
-            }
-            crate::config::RecoveryMode::InvalidateOnly => {
-                mem.l1d_mut(lane.core_base + bad).invalidate_all();
-            }
-        }
+        // The erroneous L1 was replaced wholesale by the copy.
+        let good_l1 = mem.l1d(lane.core_base + good).clone();
+        *mem.l1d_mut(lane.core_base + bad) = good_l1;
 
         // 6: both cores resume. A second fault handled in the same
         // `after_instruction` call reads the lane clock before the
@@ -291,41 +276,8 @@ impl RedundancyPolicy for UnsyncPolicy {
         &mut self.hooks[core]
     }
 
-    /// Under read-triggered detection, register-file strikes defer to
-    /// the struck register's next read (and become benign if the value
-    /// dies unread): rewrite their strike points up front.
-    fn prepare_faults(
-        &mut self,
-        insts: &[Inst],
-        mut faults: Vec<PairFault>,
-        events: &mut unsync_exec::EventStream,
-    ) -> Vec<PairFault> {
-        if self.ucfg.detection_timing != crate::config::DetectionTiming::OnFirstUse {
-            return faults;
-        }
-        faults.retain_mut(|f| {
-            if f.site.target != FaultTarget::RegisterFile {
-                return true;
-            }
-            let reg_idx = (f.site.bit_offset / 64) as usize % 64;
-            for inst in &insts[f.at as usize..] {
-                if inst.sources().any(|r| r.index() == reg_idx) {
-                    f.at = inst.seq;
-                    return true;
-                }
-                if inst.arch_dest().is_some_and(|d| d.index() == reg_idx) {
-                    break;
-                }
-            }
-            events.emit(TraceEventKind::BenignFault);
-            false
-        });
-        faults.sort_by_key(|f| f.at);
-        faults
-    }
-
-    /// Timing: the write-through copy enters this core's CB; the drain
-    /// discipline decides when a copy becomes architectural.
+    /// Timing: the write-through copy enters this core's CB; once both
+    /// cores have produced a store, one copy becomes architectural.
     fn store_executed(
         &mut self,
         mem: &mut MemSystem,
@@ -342,29 +294,10 @@ impl RedundancyPolicy for UnsyncPolicy {
         if done > timing.commit {
             lane.engines[core].backpressure_until(done);
         }
-        match self.ucfg.drain_policy {
-            crate::cb::DrainPolicy::BothComplete => {
-                // Both sides present ⇒ one copy is architecturally
-                // committed (drain scheduled inside `push`).
-                if let Some(p) = lane.pending.take_matched(seq) {
-                    lane.committed_mem.write(p.addr[0], p.value[0]);
-                }
-            }
-            crate::cb::DrainPolicy::Eager => {
-                // The FIRST copy already left for the L2. If the second
-                // copy disagrees, the disagreement is discovered too
-                // late: the wrong value may be architectural
-                // (silent-corruption window).
-                let p = *lane.pending.get(seq).expect("pushed");
-                if !(p.present[0] && p.present[1]) {
-                    lane.committed_mem.write(p.addr[core], p.value[core]);
-                } else {
-                    if p.value[0] != p.value[1] {
-                        lane.events.emit(TraceEventKind::SilentFault);
-                    }
-                    lane.pending.remove(seq);
-                }
-            }
+        // Both sides present ⇒ one copy is architecturally committed
+        // (drain scheduled inside `push`).
+        if let Some(p) = lane.pending.take_matched(seq) {
+            lane.committed_mem.write(p.addr[0], p.value[0]);
         }
     }
 
@@ -374,7 +307,7 @@ impl RedundancyPolicy for UnsyncPolicy {
         &mut self,
         mem: &mut MemSystem,
         lane: &mut LaneState,
-        inst: &Inst,
+        _inst: &Inst,
         seq: u64,
         faults: &[PairFault],
         _first_attempt: bool,
@@ -404,37 +337,14 @@ impl RedundancyPolicy for UnsyncPolicy {
                 }
             }
 
-            // Eager-drain hazard: if the struck instruction was a store
-            // whose (corrupted) value already left for the L2 on the
-            // first push, detection fires too late — the wrong value is
-            // architectural. The paper's both-complete rule closes
-            // exactly this window.
-            if self.ucfg.drain_policy == crate::cb::DrainPolicy::Eager
-                && inst.op.is_store()
-                && bad == 0
-                && matches!(f.site.target, FaultTarget::Lsq | FaultTarget::L1Data)
-            {
-                let addr = inst.mem.expect("store").addr & !7;
-                let corrupt = lane.committed_mem.read(addr) ^ (1 << (f.site.bit_offset % 64));
-                lane.committed_mem.write(addr, corrupt);
-                lane.events.emit(TraceEventKind::SilentFault);
-            }
-
-            // Which mechanism guards the struck structure, given the
-            // configured L1 code (§III-B1 placement).
-            let mechanism = match f.site.target {
-                FaultTarget::Pc | FaultTarget::PipelineRegs => DetectionMechanism::Dmr,
-                FaultTarget::L1Data | FaultTarget::L1Tag => match self.ucfg.l1_protection {
-                    crate::config::L1Protection::LineParity => DetectionMechanism::Parity,
-                    crate::config::L1Protection::Secded => DetectionMechanism::Secded,
-                },
-                _ => DetectionMechanism::Parity,
-            };
-
-            // Adjacent double-bit upsets flip an even number of bits:
-            // invisible to 1-bit parity (the §VIII multi-bit hole),
-            // detected by DMR (any difference) and SECDED.
-            if f.kind == FaultKind::AdjacentDouble && mechanism == DetectionMechanism::Parity {
+            // §III-B1 placement: DMR on every-cycle elements, parity on
+            // everything else, 1-bit line parity on the L1 arrays
+            // included. Adjacent double-bit upsets flip an even number
+            // of bits: invisible to parity (the §VIII multi-bit hole),
+            // detected by DMR (any difference).
+            let parity_guarded =
+                !matches!(f.site.target, FaultTarget::Pc | FaultTarget::PipelineRegs);
+            if f.kind == FaultKind::AdjacentDouble && parity_guarded {
                 // Undetected: the corruption becomes architectural.
                 match f.site.target {
                     FaultTarget::RegisterFile => {
@@ -452,14 +362,6 @@ impl RedundancyPolicy for UnsyncPolicy {
                     }
                 }
                 lane.events.emit(TraceEventKind::SilentFault);
-                continue;
-            }
-
-            // Single strikes on a SECDED L1 are corrected in place —
-            // no recovery, no stall beyond the codec.
-            if f.kind == FaultKind::Single && mechanism == DetectionMechanism::Secded {
-                lane.events.emit(TraceEventKind::Detection);
-                lane.events.emit(TraceEventKind::CorrectedInPlace);
                 continue;
             }
 
@@ -565,7 +467,7 @@ impl RedundancyPolicy for UnsyncPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use unsync_exec::TraceEventKind::{BenignFault, CbDrain, CbFullStall, CorrectedInPlace};
+    use unsync_exec::TraceEventKind::{CbDrain, CbFullStall};
     use unsync_fault::FaultSite;
     use unsync_workloads::{Benchmark, WorkloadGen};
 
@@ -700,8 +602,7 @@ mod tests {
     }
 
     #[test]
-    fn adjacent_double_upsets_defeat_line_parity_but_not_secded() {
-        use crate::config::L1Protection;
+    fn adjacent_double_upsets_defeat_line_parity() {
         let t = trace(4_000, 15);
         let mbu = PairFault {
             at: 1_500,
@@ -717,137 +618,6 @@ mod tests {
         assert_eq!(parity.silent_faults, 1, "{parity:?}");
         assert_eq!(parity.recoveries, 0);
         assert!(!parity.correct());
-        // The §VIII upgrade: SECDED detects the double and recovery runs.
-        let cfg = UnsyncConfig {
-            l1_protection: L1Protection::Secded,
-            ..UnsyncConfig::paper_baseline()
-        };
-        let secded = UnsyncPair::new(CoreConfig::table1(), cfg).run(&t, &[mbu]);
-        assert_eq!(secded.silent_faults, 0);
-        assert_eq!(secded.recoveries, 1);
-        assert!(secded.correct(), "{secded:?}");
-        // And single strikes on SECDED are corrected in place for free.
-        let single = PairFault {
-            kind: FaultKind::Single,
-            ..mbu
-        };
-        let in_place = UnsyncPair::new(CoreConfig::table1(), cfg).run(&t, &[single]);
-        assert_eq!(in_place.events.count(CorrectedInPlace), 1);
-        assert_eq!(in_place.recoveries, 0);
-        assert!(in_place.correct());
-    }
-
-    #[test]
-    fn eager_drain_reopens_the_silent_corruption_window() {
-        // Find a store instruction to strike with an LSQ fault.
-        let t = trace(4_000, 12);
-        let store_at = t
-            .insts()
-            .iter()
-            .find(|i| i.op.is_store() && i.seq > 500)
-            .map(|i| i.seq)
-            .expect("trace has stores");
-        let faults = [fault(store_at, 0, FaultTarget::Lsq, 23)];
-        // The paper's both-complete policy: detected, recovered, correct.
-        let safe = pair().run(&t, &faults);
-        assert!(safe.correct(), "{safe:?}");
-        // Eager drain: the corrupt value beats detection to the L2.
-        let mut cfg = UnsyncConfig::paper_baseline();
-        cfg.drain_policy = crate::cb::DrainPolicy::Eager;
-        let eager = UnsyncPair::new(CoreConfig::table1(), cfg).run(&t, &faults);
-        assert!(eager.silent_faults > 0, "{eager:?}");
-        assert!(!eager.correct());
-    }
-
-    #[test]
-    fn read_triggered_detection_skips_dead_values_and_catches_live_ones() {
-        use crate::config::DetectionTiming;
-        use unsync_isa::{Inst, OpClass, Reg};
-        // Craft: r1 written at 0, read at 20; r2 written at 1, overwritten
-        // at 10 without any read.
-        let mut insts: Vec<Inst> = Vec::new();
-        insts.push(
-            Inst::build(OpClass::IntAlu)
-                .seq(0)
-                .pc(0)
-                .dest(Reg::int(1))
-                .src0(Reg::int(20))
-                .finish(),
-        );
-        insts.push(
-            Inst::build(OpClass::IntAlu)
-                .seq(1)
-                .pc(4)
-                .dest(Reg::int(2))
-                .src0(Reg::int(20))
-                .finish(),
-        );
-        for i in 2..20u64 {
-            let d = if i == 10 { 2 } else { 10 + (i % 4) as u8 };
-            insts.push(
-                Inst::build(OpClass::IntAlu)
-                    .seq(i)
-                    .pc(i * 4)
-                    .dest(Reg::int(d))
-                    .src0(Reg::int(21))
-                    .finish(),
-            );
-        }
-        insts.push(
-            Inst::build(OpClass::IntAlu)
-                .seq(20)
-                .pc(80)
-                .dest(Reg::int(12))
-                .src0(Reg::int(1))
-                .finish(),
-        );
-        for i in 21..40u64 {
-            insts.push(
-                Inst::build(OpClass::IntAlu)
-                    .seq(i)
-                    .pc(i * 4)
-                    .dest(Reg::int(13))
-                    .src0(Reg::int(21))
-                    .finish(),
-            );
-        }
-        let t = TraceProgram::new(insts);
-        let cfg = UnsyncConfig {
-            detection_timing: DetectionTiming::OnFirstUse,
-            ..UnsyncConfig::paper_baseline()
-        };
-        // Strike r1 at instruction 2 (live: read at 20) and r2 at
-        // instruction 3 (dead: overwritten at 10 unread).
-        let faults = [
-            fault(2, 0, FaultTarget::RegisterFile, 64 + 5), // r1
-            fault(3, 1, FaultTarget::RegisterFile, 2 * 64 + 9), // r2
-        ];
-        let out = UnsyncPair::new(CoreConfig::table1(), cfg).run(&t, &faults);
-        assert_eq!(out.events.count(BenignFault), 1, "{out:?}");
-        assert_eq!(out.recoveries, 1, "only the live strike recovers");
-        assert!(out.correct(), "{out:?}");
-        // Immediate timing charges both.
-        let strict = pair().run(&t, &faults);
-        assert_eq!(strict.recoveries, 2);
-        assert!(strict.correct());
-    }
-
-    #[test]
-    fn invalidate_only_recovery_is_cheaper_per_event_but_still_correct() {
-        use crate::config::RecoveryMode;
-        let t = trace(8_000, 14);
-        let faults = [fault(4_000, 0, FaultTarget::RegisterFile, 9)];
-        let copy = pair().run(&t, &faults);
-        let mut cfg = UnsyncConfig::paper_baseline();
-        cfg.recovery_mode = RecoveryMode::InvalidateOnly;
-        let inval = UnsyncPair::new(CoreConfig::table1(), cfg).run(&t, &faults);
-        assert!(copy.correct() && inval.correct());
-        assert!(
-            inval.recovery_stall_cycles < copy.recovery_stall_cycles,
-            "invalidate {} vs copy {}",
-            inval.recovery_stall_cycles,
-            copy.recovery_stall_cycles
-        );
     }
 
     #[test]

@@ -314,9 +314,8 @@ impl RedundantDriver {
     /// system for system-level statistics (L2 miss rate, coherence
     /// invalidations).
     ///
-    /// Core faults go through each policy's
-    /// [`RedundancyPolicy::prepare_faults`] and reach the callbacks of
-    /// the segment they strike. Each uncore strike reaches
+    /// Core faults reach the policy's callbacks of the segment they
+    /// strike. Each uncore strike reaches
     /// [`RedundancyPolicy::uncore_strike`] at the first tick whose lane
     /// clock has reached its cycle, *before* that tick's instruction;
     /// strikes past the lane's final cycle are delivered at the final
@@ -421,11 +420,6 @@ impl RedundantDriver {
                 let reference = spec.reference.filter(|r| {
                     alone && spec.faults.is_empty() && !spec.uncore.is_empty() && r.is_complete()
                 });
-                let faults = policy.prepare_faults(insts, spec.faults, &mut lane.events);
-                debug_assert!(
-                    faults.windows(2).all(|w| w[0].at <= w[1].at),
-                    "prepare_faults must keep the schedule sorted"
-                );
                 LaneRunner {
                     policy,
                     insts,
@@ -436,7 +430,7 @@ impl RedundantDriver {
                     attempt: 0,
                     open: false,
                     snapshot: Vec::new(),
-                    faults,
+                    faults: spec.faults,
                     seg_faults: 0..0,
                     uncore: spec.uncore,
                     next_uncore: 0,
@@ -459,19 +453,19 @@ impl RedundantDriver {
         (results, mem)
     }
 
-    /// The historical `run_system` loop, kept as the differential-test
-    /// oracle: a linear `min_by_key` laggard scan (no event queue) over
-    /// the same lane components and finalization. `min_by_key` returns
-    /// the *first* minimum — the lowest lane index on clock ties, the
-    /// tie-break the event scheduler must preserve
-    /// (`tests/sched_equivalence.rs`).
+    /// The historical scheduling loop, kept as the differential-test
+    /// oracle of [`RedundantDriver::run`]: a linear `min_by_key`
+    /// laggard scan (no event queue) over the same lane components and
+    /// finalization. `min_by_key` returns the *first* minimum — the
+    /// lowest lane index on clock ties, the tie-break the event
+    /// scheduler must preserve (`tests/sched_equivalence.rs`).
     #[doc(hidden)]
     pub fn run_system_reference<P: RedundancyPolicy>(
         &self,
         policies: &mut [P],
-        traces: &[TraceProgram],
+        lanes: Vec<Lane<'_>>,
     ) -> (Vec<RunResult>, MemSystem) {
-        let (mut runners, mut mem) = self.start(policies, traces.iter().map(Lane::new).collect());
+        let (mut runners, mut mem) = self.start(policies, lanes);
         while let Some((now, p)) = runners
             .iter()
             .enumerate()
@@ -779,8 +773,7 @@ impl<P: RedundancyPolicy> LaneRunner<'_, P> {
                 } else {
                     None
                 };
-                let v = fwd.unwrap_or_else(|| lane.committed_mem.read(addr));
-                Some(policy.transform_load(lane, inst, core, seq, v, first_attempt))
+                Some(fwd.unwrap_or_else(|| lane.committed_mem.read(addr)))
             } else {
                 None
             };

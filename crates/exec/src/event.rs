@@ -81,8 +81,6 @@ pub enum TraceEventKind {
     BenignFault,
     /// A strike corrected in place (ECC) — no pair-level recovery.
     CorrectedInPlace,
-    /// A load observed an incoherent value under relaxed replication.
-    IncoherentLoad,
     /// An event the scheme could not recover from.
     Unrecoverable,
     /// Cycles lost re-synchronizing a lockstepped pair (value).
@@ -101,7 +99,7 @@ pub enum TraceEventKind {
 }
 
 /// Every kind, in `repr` order (indexes the accumulator arrays).
-const KINDS: [TraceEventKind; 17] = [
+const KINDS: [TraceEventKind; 16] = [
     TraceEventKind::Detection,
     TraceEventKind::RecoveryStart,
     TraceEventKind::RecoveryEnd,
@@ -113,7 +111,6 @@ const KINDS: [TraceEventKind; 17] = [
     TraceEventKind::SilentFault,
     TraceEventKind::BenignFault,
     TraceEventKind::CorrectedInPlace,
-    TraceEventKind::IncoherentLoad,
     TraceEventKind::Unrecoverable,
     TraceEventKind::CouplingStall,
     TraceEventKind::Corrected,
@@ -137,7 +134,6 @@ impl TraceEventKind {
             TraceEventKind::SilentFault => "silent_faults",
             TraceEventKind::BenignFault => "benign_faults",
             TraceEventKind::CorrectedInPlace => "corrected_in_place",
-            TraceEventKind::IncoherentLoad => "incoherent_loads",
             TraceEventKind::Unrecoverable => "unrecoverable",
             TraceEventKind::CouplingStall => "coupling_stall_cycles",
             TraceEventKind::Corrected => "corrections",

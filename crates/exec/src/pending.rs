@@ -184,16 +184,6 @@ impl PendingStores {
         self.position(seq).map(|i| &self.entries[i])
     }
 
-    /// Removes and returns the entry for `seq`, if still pending.
-    pub fn remove(&mut self, seq: u64) -> Option<PendingStore> {
-        let i = self.position(seq)?;
-        let p = self.entries.remove(i);
-        if p.matched() {
-            self.matched -= 1;
-        }
-        Some(p)
-    }
-
     /// Removes and returns the entry for `seq` if both copies are
     /// present (the both-complete drain rule).
     pub fn take_matched(&mut self, seq: u64) -> Option<PendingStore> {
@@ -303,7 +293,8 @@ mod tests {
         assert!(ps.take_matched(1).is_some());
         // Seq 1 is gone; the stack must fall through to seq 2.
         assert_eq!(ps.forward(0, 0x100), Some(22));
-        ps.remove(2);
+        ps.record(1, 2, 0x100, 22);
+        assert!(ps.take_matched(2).is_some());
         assert_eq!(ps.forward(0, 0x100), None);
     }
 

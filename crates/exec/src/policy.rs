@@ -22,7 +22,6 @@ use unsync_mem::{MemSystem, WritePolicy};
 use unsync_sim::{CoreHooks, InstTiming};
 
 use crate::driver::LaneState;
-use crate::event::EventStream;
 
 /// What the policy decided at a segment boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,7 +60,7 @@ pub enum StrikeVerdict {
 /// 2. [`begin_attempt`], then per instruction and per replica:
 ///    engine `feed` (with [`hooks_mut`]), [`pre_execute`],
 ///    [`effective_addr`], load (pending-store forwarding →
-///    committed memory) + [`transform_load`], compute,
+///    committed memory), compute,
 ///    [`transform_result`], store bookkeeping + [`store_executed`],
 ///    writeback, [`executed`];
 /// 3. [`after_instruction`] once per instruction (all replicas done);
@@ -84,7 +83,6 @@ pub enum StrikeVerdict {
 /// [`hooks_mut`]: RedundancyPolicy::hooks_mut
 /// [`pre_execute`]: RedundancyPolicy::pre_execute
 /// [`effective_addr`]: RedundancyPolicy::effective_addr
-/// [`transform_load`]: RedundancyPolicy::transform_load
 /// [`transform_result`]: RedundancyPolicy::transform_result
 /// [`store_executed`]: RedundancyPolicy::store_executed
 /// [`executed`]: RedundancyPolicy::executed
@@ -139,20 +137,6 @@ pub trait RedundancyPolicy {
     /// The hooks instance driving replica `core`'s engine.
     fn hooks_mut(&mut self, core: usize) -> &mut Self::Hooks;
 
-    /// Rewrites the fault schedule before execution (e.g. UnSync's
-    /// read-triggered detection moves register-file strikes to the
-    /// struck register's next read, dropping dead-value strikes).
-    /// Returns the list sorted by strike point.
-    fn prepare_faults(
-        &mut self,
-        insts: &[Inst],
-        faults: Vec<PairFault>,
-        events: &mut EventStream,
-    ) -> Vec<PairFault> {
-        let _ = (insts, events);
-        faults
-    }
-
     /// The exclusive end of the segment starting at `start` (default:
     /// one instruction; Reunion returns the fingerprint-interval or
     /// serializing cut).
@@ -197,21 +181,6 @@ pub trait RedundancyPolicy {
         addr
     }
 
-    /// Transforms a loaded value (input incoherence under relaxed
-    /// replication).
-    fn transform_load(
-        &mut self,
-        lane: &mut LaneState,
-        inst: &Inst,
-        core: usize,
-        seq: u64,
-        value: u64,
-        first_attempt: bool,
-    ) -> u64 {
-        let _ = (lane, inst, core, seq, first_attempt);
-        value
-    }
-
     /// Transforms a computed result (transient in-pipeline faults).
     fn transform_result(
         &mut self,
@@ -229,7 +198,7 @@ pub trait RedundancyPolicy {
 
     /// Called when replica `core` executed a store (after the driver's
     /// pending-store bookkeeping): push communication buffers, apply
-    /// back-pressure, commit agreed values per the drain discipline.
+    /// back-pressure, commit agreed values.
     fn store_executed(
         &mut self,
         mem: &mut MemSystem,

@@ -16,8 +16,7 @@
 //! schedule. A single struck replica is therefore outvoted by the two
 //! clean ones whatever the strike hit. Because the vote covers the full
 //! replicated state (not just live reads), even a strike on a dead value
-//! is scrubbed at the next boundary — unlike UnSync's read-triggered
-//! detection, which classifies those benign. The failure mode is the
+//! is scrubbed at the next boundary. The failure mode is the
 //! classic TMR one: two replicas struck in the same vote window leave no
 //! trustworthy majority (identical corruptions outvote the clean
 //! replica; distinct ones deadlock the vote 1-1-1), which the voter

@@ -36,4 +36,4 @@ pub use exec::{golden_run, ArchMemory, ArchState};
 pub use inst::{BranchInfo, Inst, InstBuilder, MemInfo};
 pub use op::OpClass;
 pub use reg::Reg;
-pub use stream::{Chain, InstStream, Interleave, Take, TraceProgram, TraceStats};
+pub use stream::{InstStream, TraceProgram, TraceStats};

@@ -219,146 +219,6 @@ impl TraceStats {
     }
 }
 
-/// Concatenates two streams (program A, then program B — e.g. a warmup
-/// prefix followed by the region of interest).
-#[derive(Debug, Clone)]
-pub struct Chain<A, B> {
-    first: A,
-    second: B,
-    in_second: bool,
-    /// Sequence numbers are re-densified across the seam.
-    next_seq: u64,
-}
-
-impl<A: InstStream, B: InstStream> Chain<A, B> {
-    /// Chains `first` then `second`.
-    pub fn new(first: A, second: B) -> Self {
-        Chain {
-            first,
-            second,
-            in_second: false,
-            next_seq: 0,
-        }
-    }
-}
-
-impl<A: InstStream, B: InstStream> InstStream for Chain<A, B> {
-    fn next_inst(&mut self) -> Option<Inst> {
-        let mut inst = if self.in_second {
-            self.second.next_inst()?
-        } else {
-            match self.first.next_inst() {
-                Some(i) => i,
-                None => {
-                    self.in_second = true;
-                    self.second.next_inst()?
-                }
-            }
-        };
-        inst.seq = self.next_seq;
-        self.next_seq += 1;
-        Some(inst)
-    }
-
-    fn reset(&mut self) {
-        self.first.reset();
-        self.second.reset();
-        self.in_second = false;
-        self.next_seq = 0;
-    }
-
-    fn len_hint(&self) -> Option<u64> {
-        Some(self.first.len_hint()? + self.second.len_hint()?)
-    }
-}
-
-/// Alternates between two streams instruction-by-instruction (a crude
-/// SMT-style mix; sequence numbers are re-densified). Ends when both
-/// streams end.
-#[derive(Debug, Clone)]
-pub struct Interleave<A, B> {
-    a: A,
-    b: B,
-    take_from_a: bool,
-    next_seq: u64,
-}
-
-impl<A: InstStream, B: InstStream> Interleave<A, B> {
-    /// Interleaves `a` and `b`, starting with `a`.
-    pub fn new(a: A, b: B) -> Self {
-        Interleave {
-            a,
-            b,
-            take_from_a: true,
-            next_seq: 0,
-        }
-    }
-}
-
-impl<A: InstStream, B: InstStream> InstStream for Interleave<A, B> {
-    fn next_inst(&mut self) -> Option<Inst> {
-        let mut inst = if self.take_from_a {
-            self.a.next_inst().or_else(|| self.b.next_inst())?
-        } else {
-            self.b.next_inst().or_else(|| self.a.next_inst())?
-        };
-        self.take_from_a = !self.take_from_a;
-        inst.seq = self.next_seq;
-        self.next_seq += 1;
-        Some(inst)
-    }
-
-    fn reset(&mut self) {
-        self.a.reset();
-        self.b.reset();
-        self.take_from_a = true;
-        self.next_seq = 0;
-    }
-
-    fn len_hint(&self) -> Option<u64> {
-        Some(self.a.len_hint()? + self.b.len_hint()?)
-    }
-}
-
-/// Truncates a stream to its first `limit` instructions.
-#[derive(Debug, Clone)]
-pub struct Take<S> {
-    inner: S,
-    limit: u64,
-    taken: u64,
-}
-
-impl<S: InstStream> Take<S> {
-    /// Takes at most `limit` instructions from `inner`.
-    pub fn new(inner: S, limit: u64) -> Self {
-        Take {
-            inner,
-            limit,
-            taken: 0,
-        }
-    }
-}
-
-impl<S: InstStream> InstStream for Take<S> {
-    fn next_inst(&mut self) -> Option<Inst> {
-        if self.taken >= self.limit {
-            return None;
-        }
-        let inst = self.inner.next_inst()?;
-        self.taken += 1;
-        Some(inst)
-    }
-
-    fn reset(&mut self) {
-        self.inner.reset();
-        self.taken = 0;
-    }
-
-    fn len_hint(&self) -> Option<u64> {
-        Some(self.inner.len_hint()?.min(self.limit))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -446,47 +306,6 @@ mod tests {
             .dest(Reg::int(1))
             .finish()];
         let _ = TraceProgram::new(insts);
-    }
-
-    #[test]
-    fn chain_concatenates_and_redensifies() {
-        let a = tiny_trace();
-        let b = tiny_trace();
-        let mut c = Chain::new(a, b);
-        assert_eq!(c.len_hint(), Some(10));
-        let collected = TraceProgram::from_stream(&mut c);
-        assert_eq!(collected.len(), 10);
-        // from_stream validates dense sequence numbers 0..10.
-        assert_eq!(collected.insts()[5].seq, 5);
-        c.reset();
-        assert_eq!(c.next_inst().unwrap().seq, 0);
-    }
-
-    #[test]
-    fn take_truncates_and_resets() {
-        let mut t = Take::new(tiny_trace(), 3);
-        assert_eq!(t.len_hint(), Some(3));
-        let collected = TraceProgram::from_stream(&mut t);
-        assert_eq!(collected.len(), 3);
-        t.reset();
-        let again = TraceProgram::from_stream(&mut t);
-        assert_eq!(collected.insts(), again.insts());
-        // Limit past the end is harmless.
-        let mut big = Take::new(tiny_trace(), 99);
-        assert_eq!(TraceProgram::from_stream(&mut big).len(), 5);
-    }
-
-    #[test]
-    fn interleave_alternates_and_drains_the_longer_tail() {
-        let a = tiny_trace(); // 5 insts
-        let b = TraceProgram::new(vec![Inst::build(OpClass::Nop).seq(0).finish()]);
-        let mut i = Interleave::new(a, b);
-        let t = TraceProgram::from_stream(&mut i);
-        assert_eq!(t.len(), 6);
-        // Second instruction came from stream b (the single Nop).
-        assert_eq!(t.insts()[1].op, OpClass::Nop);
-        i.reset();
-        assert_eq!(TraceProgram::from_stream(&mut i).insts(), t.insts());
     }
 
     #[test]

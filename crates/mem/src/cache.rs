@@ -204,16 +204,6 @@ impl Cache {
             .any(|w| w.valid && w.tag == tag)
     }
 
-    /// True if `addr`'s line is present *and dirty*.
-    pub fn probe_dirty(&self, addr: u64) -> bool {
-        let (set, tag) = self.set_tag(self.cfg.line_addr(addr));
-        let assoc = self.cfg.assoc as usize;
-        let base = set as usize * assoc;
-        self.ways[base..base + assoc]
-            .iter()
-            .any(|w| w.valid && w.tag == tag && w.dirty)
-    }
-
     /// Performs an access, allocating on miss (write-allocate for both
     /// policies, matching M5's default caches).
     pub fn access(&mut self, addr: u64, kind: AccessKind) -> CacheResponse {
@@ -337,8 +327,7 @@ impl Cache {
         Some(was_dirty)
     }
 
-    /// Invalidates the entire cache (recovery's bulk L1 copy is modelled
-    /// as invalidate + refill-on-demand from L2).
+    /// Invalidates the entire cache.
     pub fn invalidate_all(&mut self) {
         self.ways.fill(INVALID_WAY);
         self.valid = 0;

@@ -31,7 +31,8 @@ pub struct AccessOutcome {
     /// Whether the access stalled waiting for a free MSHR.
     pub mshr_stall: bool,
     /// For write-through stores: the line address the caller must
-    /// propagate downstream (via a [`crate::WriteBuffer`] or UnSync's CB).
+    /// propagate downstream (through the baseline core's write buffer or
+    /// UnSync's CB).
     pub write_through: Option<u64>,
 }
 

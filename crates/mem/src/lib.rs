@@ -18,10 +18,10 @@
 //!
 //! The write path is deliberately exposed piecemeal: a store updates the
 //! L1 ([`Cache::access`]) and the *caller* owns what happens to the
-//! write-through copy — the baseline core pushes it through a
-//! [`WriteBuffer`], UnSync routes it through its Communication Buffer
-//! (`unsync-core`), which is exactly the architectural difference the
-//! paper builds on.
+//! write-through copy — the baseline core pushes it through the FIFO
+//! write buffer of `unsync_sim::BaselineHooks`, UnSync routes it through
+//! its Communication Buffer (`unsync-core`), which is exactly the
+//! architectural difference the paper builds on.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,7 +33,6 @@ pub mod contention;
 pub mod hierarchy;
 pub mod mshr;
 pub mod tlb;
-pub mod wbuf;
 
 pub use bus::Bus;
 pub use cache::{AccessKind, Cache, CacheResponse, CacheStats, WritePolicy};
@@ -42,4 +41,3 @@ pub use contention::{BankStats, L2Contention, L2ContentionConfig, L2ContentionEv
 pub use hierarchy::{AccessOutcome, MemSystem};
 pub use mshr::MshrFile;
 pub use tlb::Tlb;
-pub use wbuf::WriteBuffer;

@@ -24,12 +24,6 @@ pub struct ReunionConfig {
     /// the trap/barrier may proceed — the §IV-5 synchronization the
     /// paper identifies as Reunion's key performance issue.
     pub serialize_sync_penalty: u32,
-    /// Probability per load that relaxed input replication observes an
-    /// *incoherent* value on the mute core (another processor updated
-    /// the line between the two cores' independent loads — §II). Reunion
-    /// treats the resulting mismatch exactly like a transient error:
-    /// roll back and re-issue. Zero for single-threaded workloads.
-    pub input_incoherence_rate: f64,
 }
 
 impl Default for ReunionConfig {
@@ -56,7 +50,6 @@ impl ReunionConfig {
             csb_entries: fingerprint_interval + 7,
             rollback_penalty: 12,
             serialize_sync_penalty: 40,
-            input_incoherence_rate: 0.0,
         }
     }
 
@@ -77,9 +70,6 @@ impl ReunionConfig {
                 "CSB ({} entries) must exceed the fingerprint interval ({})",
                 self.csb_entries, self.fingerprint_interval
             ));
-        }
-        if !(0.0..1.0).contains(&self.input_incoherence_rate) {
-            return Err("input incoherence rate must be in [0, 1)".into());
         }
         Ok(())
     }

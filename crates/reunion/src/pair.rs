@@ -41,8 +41,8 @@ use crate::hooks::ReunionHooks;
 const MAX_ROLLBACK_RETRIES: u32 = 3;
 
 /// The vocal/mute Reunion pair. Its run's events count fingerprint
-/// mismatches, rollbacks, L1 strikes absorbed by ECC
-/// (`CorrectedInPlace`) and incoherent loads (`IncoherentLoad`).
+/// mismatches, rollbacks and L1 strikes absorbed by ECC
+/// (`CorrectedInPlace`).
 ///
 /// # Examples
 ///
@@ -226,32 +226,6 @@ impl RedundancyPolicy for ReunionPolicy {
         addr
     }
 
-    /// Under relaxed input replication the two cores load
-    /// *independently*; with some probability the mute core observes a
-    /// value another processor updated in between — "input incoherence",
-    /// which Reunion treats as a transient error (§II). The re-issue
-    /// after rollback reads coherently (the corruption applies on the
-    /// first attempt only, like faults).
-    fn transform_load(
-        &mut self,
-        lane: &mut LaneState,
-        _inst: &Inst,
-        core: usize,
-        seq: u64,
-        value: u64,
-        first_attempt: bool,
-    ) -> u64 {
-        if core == 1 && first_attempt && self.rcfg.input_incoherence_rate > 0.0 {
-            let h = unsync_isa::exec::splitmix64(seq ^ 0xc0fe_babe);
-            let u = (h >> 11) as f64 * (1.0 / 9_007_199_254_740_992.0);
-            if u < self.rcfg.input_incoherence_rate {
-                lane.events.emit(TraceEventKind::IncoherentLoad);
-                return value ^ (1 << (h % 64));
-            }
-        }
-        value
-    }
-
     /// Transient in-pipeline faults corrupt this instruction's result —
     /// inside the fingerprint window, so the comparison catches them.
     fn transform_result(
@@ -355,9 +329,7 @@ impl RedundancyPolicy for ReunionPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use unsync_exec::TraceEventKind::{
-        CorrectedInPlace, FingerprintMismatch, IncoherentLoad, Rollback,
-    };
+    use unsync_exec::TraceEventKind::{CorrectedInPlace, FingerprintMismatch, Rollback};
     use unsync_fault::FaultTarget;
     use unsync_workloads::{Benchmark, WorkloadGen};
 
@@ -528,27 +500,6 @@ mod tests {
             !out.memory_matches_golden,
             "memory image silently corrupted"
         );
-    }
-
-    #[test]
-    fn input_incoherence_triggers_reissue_but_stays_correct() {
-        // §II: load-value mismatches from multiprocessor races are
-        // treated as transient errors — re-issue and re-check.
-        let t = trace(4_000, 9);
-        let mut cfg = ReunionConfig::paper_baseline();
-        cfg.input_incoherence_rate = 0.002;
-        let out = ReunionPair::new(CoreConfig::table1(), cfg).run(&t, &[]);
-        assert!(out.events.count(IncoherentLoad) > 0, "{out:?}");
-        assert!(out.events.count(FingerprintMismatch) > 0);
-        assert_eq!(
-            out.events.count(FingerprintMismatch),
-            out.events.count(Rollback)
-        );
-        assert!(out.correct(), "{out:?}");
-        // And the coherent-by-construction single-thread run pays for it.
-        let clean =
-            ReunionPair::new(CoreConfig::table1(), ReunionConfig::paper_baseline()).run(&t, &[]);
-        assert!(out.cycles > clean.cycles);
     }
 
     #[test]

@@ -46,13 +46,6 @@ pub struct CoreConfig {
     pub drift_period: u32,
     /// Maximum cycles one drift event stalls the core.
     pub drift_max: u32,
-    /// Model the instruction cache in the front end: fetches crossing
-    /// into a new line pay the L1I/L2 round trip. Off by default — the
-    /// calibrated experiments model the front end as
-    /// bandwidth-plus-redirects (trace-driven pc streams revisit code
-    /// lines unrealistically, so charging the I-cache would double-count
-    /// noise); turn on for front-end studies.
-    pub model_icache: bool,
 }
 
 impl Default for CoreConfig {
@@ -82,7 +75,6 @@ impl CoreConfig {
             clock_ghz: 2.0,
             drift_period: 2_000,
             drift_max: 150,
-            model_icache: false,
         }
     }
 

@@ -117,8 +117,6 @@ pub struct OooEngine {
     dispatch_floor: u64,
     /// Last commit cycle (commit is in order).
     last_commit: u64,
-    /// Last instruction-cache line fetched (icache modelling).
-    last_fetch_line: u64,
     /// Sequence-number residue (mod `drift_period`) of this core's drift
     /// events.
     drift_phase: u64,
@@ -156,7 +154,6 @@ impl OooEngine {
             fetch_floor: 0,
             dispatch_floor: 0,
             last_commit: 0,
-            last_fetch_line: u64::MAX,
             drift_phase,
             stats: CoreStats::default(),
         }
@@ -196,15 +193,6 @@ impl OooEngine {
         let mut fetch_lb = self.fetch_floor;
         if self.fetch_buf.len() >= cfg.fetch_buffer as usize {
             fetch_lb = fetch_lb.max(self.fetch_buf.pop_front().expect("non-empty"));
-        }
-        // Optional I-cache: crossing into a new code line pays its fill.
-        if cfg.model_icache {
-            let line = inst.pc / 64;
-            if line != self.last_fetch_line {
-                let out = mem.fetch(self.core_id, inst.pc, fetch_lb);
-                fetch_lb = fetch_lb.max(out.done);
-                self.last_fetch_line = line;
-            }
         }
         let fetch = self.fetch_tr.slot(fetch_lb, cfg.fetch_width);
 
@@ -715,37 +703,6 @@ mod tests {
         assert!(e.reg_ready(Reg::int(1)) >= 5_000);
         let t = e.feed(&alu(100, 2, 1, 1), &mut m, &mut h);
         assert!(t.commit >= 5_000);
-    }
-
-    #[test]
-    fn icache_modelling_slows_cold_code_but_not_hot_loops() {
-        let run = |model_icache: bool, footprint: u64| {
-            let mut cfg = CoreConfig::table1();
-            cfg.model_icache = model_icache;
-            cfg.drift_max = 0;
-            let mut m = mem();
-            let mut e = OooEngine::new(cfg, 0);
-            let mut h = NullHooks;
-            for i in 0..4000u64 {
-                let mut inst = alu(i, (i % 8) as u8, 9, 10);
-                inst.pc = (i % footprint) * 4; // code footprint in bytes/4
-                e.feed(&inst, &mut m, &mut h);
-            }
-            e.stats().last_commit_cycle
-        };
-        // A hot 1-line loop: only the initial fill is charged.
-        let hot_on = run(true, 16);
-        let hot_off = run(false, 16);
-        assert!(hot_on <= hot_off + 500, "{hot_on} vs {hot_off}");
-        // A huge cold footprint: every line fetch pays (fills overlap
-        // through the L2 MSHRs, so the slowdown is bounded by bus
-        // pipelining rather than the full DRAM latency per line).
-        let cold_on = run(true, 1 << 20);
-        let cold_off = run(false, 1 << 20);
-        assert!(
-            cold_on as f64 > cold_off as f64 * 1.3,
-            "{cold_on} vs {cold_off}"
-        );
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use unsync_bench::lanesweep::{run_sweep, summary_json, LaneSweepConfig};
 use unsync_bench::Json;
 use unsync_core::{UnsyncConfig, UnsyncPair, UnsyncPolicy};
-use unsync_exec::{RedundantDriver, TmrTriple};
+use unsync_exec::{Lane, RedundantDriver, TmrTriple};
 use unsync_isa::{golden_run, TraceProgram};
 use unsync_mem::{L2ContentionConfig, WritePolicy};
 use unsync_sim::CoreConfig;
@@ -95,7 +95,8 @@ fn scheduler_matches_reference_loop_on_kernel_traces() {
         for lanes in [2usize, 8] {
             let ts = lane_traces(kernel, lanes);
             let (new, new_mem) = driver.run_system(&mut policies(lanes), &ts);
-            let (old, old_mem) = driver.run_system_reference(&mut policies(lanes), &ts);
+            let (old, old_mem) = driver
+                .run_system_reference(&mut policies(lanes), ts.iter().map(Lane::new).collect());
             for (p, (n, o)) in new.iter().zip(old.iter()).enumerate() {
                 assert_eq!(n.out, o.out, "{} lane {p}: counters", kernel.name());
                 assert_eq!(n.events, o.events, "{} lane {p}: events", kernel.name());

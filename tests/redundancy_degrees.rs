@@ -83,7 +83,7 @@ fn energy_reflects_measured_runtimes() {
 }
 
 #[test]
-fn recovery_mode_ablation_is_correct_under_bursts() {
+fn copy_l1_recovery_is_correct_under_bursts() {
     let t = WorkloadGen::new(Benchmark::Qsort, 10_000, 36).collect_trace();
     let faults: Vec<PairFault> = (0..6)
         .map(|i| PairFault {
@@ -96,16 +96,8 @@ fn recovery_mode_ablation_is_correct_under_bursts() {
             kind: unsync_fault::FaultKind::Single,
         })
         .collect();
-    for mode in [
-        unsync::core::RecoveryMode::CopyL1,
-        unsync::core::RecoveryMode::InvalidateOnly,
-    ] {
-        let cfg = UnsyncConfig {
-            recovery_mode: mode,
-            ..UnsyncConfig::paper_baseline()
-        };
-        let out = UnsyncPair::new(CoreConfig::table1(), cfg).run(&t, &faults);
-        assert_eq!(out.recoveries, 6, "{mode:?}");
-        assert!(out.correct(), "{mode:?}: {out:?}");
-    }
+    let out =
+        UnsyncPair::new(CoreConfig::table1(), UnsyncConfig::paper_baseline()).run(&t, &faults);
+    assert_eq!(out.recoveries, 6);
+    assert!(out.correct(), "{out:?}");
 }

@@ -10,11 +10,11 @@
 
 use unsync_core::{UnsyncConfig, UnsyncPolicy};
 use unsync_exec::{
-    EventStream, FlexConfig, FlexGranularityPolicy, Lane, LaneState, RedundancyPolicy,
-    RedundantDriver, RunResult, SegmentVerdict, TraceEventKind,
+    FlexConfig, FlexGranularityPolicy, Lane, RedundancyPolicy, RedundantDriver, RunResult,
+    TraceEventKind,
 };
 use unsync_fault::{FaultKind, FaultSite, FaultTarget, PairFault};
-use unsync_isa::{Inst, TraceProgram};
+use unsync_isa::TraceProgram;
 use unsync_mem::{L2ContentionConfig, MemSystem, WritePolicy};
 use unsync_reunion::{ReunionConfig, ReunionPolicy};
 use unsync_sim::CoreConfig;
@@ -32,6 +32,11 @@ fn traces(lanes: usize, insts: u64, seed: u64) -> Vec<TraceProgram> {
     (0..lanes)
         .map(|p| WorkloadGen::new(mix[p % mix.len()], insts, seed + p as u64).collect_trace())
         .collect()
+}
+
+/// One fault-free lane per trace.
+fn lanes_of(ts: &[TraceProgram]) -> Vec<Lane<'_>> {
+    ts.iter().map(Lane::new).collect()
 }
 
 fn policies(lanes: usize) -> Vec<UnsyncPolicy> {
@@ -82,7 +87,7 @@ fn event_scheduler_matches_laggard_loop_at_2_8_and_16_lanes() {
     for lanes in [2usize, 8, 16] {
         let ts = traces(lanes, 800, 31);
         let new = driver.run_system(&mut policies(lanes), &ts);
-        let old = driver.run_system_reference(&mut policies(lanes), &ts);
+        let old = driver.run_system_reference(&mut policies(lanes), lanes_of(&ts));
         assert!(
             new.0.iter().all(|r| r.out.committed == 800),
             "{lanes} lanes: every lane must finish"
@@ -100,7 +105,7 @@ fn event_scheduler_matches_laggard_loop_under_l2_contention() {
     for lanes in [2usize, 8] {
         let ts = traces(lanes, 600, 47);
         let new = driver.run_system(&mut policies(lanes), &ts);
-        let old = driver.run_system_reference(&mut policies(lanes), &ts);
+        let old = driver.run_system_reference(&mut policies(lanes), lanes_of(&ts));
         assert_equal(&format!("{lanes} lanes, contended L2"), &new, &old);
     }
 }
@@ -116,68 +121,10 @@ fn event_scheduler_handles_unequal_trace_lengths() {
         WorkloadGen::new(Benchmark::Mcf, 700, 5).collect_trace(),
     ];
     let new = driver.run_system(&mut policies(3), &ts);
-    let old = driver.run_system_reference(&mut policies(3), &ts);
+    let old = driver.run_system_reference(&mut policies(3), lanes_of(&ts));
     assert_eq!(new.0[0].out.committed, 300);
     assert_eq!(new.0[1].out.committed, 1_200);
     assert_equal("unequal lanes", &new, &old);
-}
-
-/// A rollback policy with a planted fault schedule. The reference loop
-/// takes bare traces, so the faults enter through `prepare_faults`;
-/// every other callback the rollback schemes override is forwarded.
-struct Planted<P> {
-    inner: P,
-    faults: Vec<PairFault>,
-}
-
-/// Forwards each listed callback to `self.inner`.
-macro_rules! forward {
-    (&self $($name:ident($($arg:ident: $ty:ty),*) -> $ret:ty;)*) => {$(
-        fn $name(&self, $($arg: $ty),*) -> $ret {
-            self.inner.$name($($arg),*)
-        }
-    )*};
-    (&mut self $($name:ident($($arg:ident: $ty:ty),*) $(-> $ret:ty)?;)*) => {$(
-        fn $name(&mut self, $($arg: $ty),*) $(-> $ret)? {
-            self.inner.$name($($arg),*)
-        }
-    )*};
-}
-
-impl<P: RedundancyPolicy> RedundancyPolicy for Planted<P> {
-    type Hooks = P::Hooks;
-
-    fn prepare_faults(
-        &mut self,
-        insts: &[Inst],
-        _: Vec<PairFault>,
-        ev: &mut EventStream,
-    ) -> Vec<PairFault> {
-        self.inner.prepare_faults(insts, self.faults.clone(), ev)
-    }
-
-    forward! { &self
-        name() -> &'static str;
-        golden_requires_recoverable() -> bool;
-        rolls_back() -> bool;
-        segment_end(insts: &[Inst], start: usize) -> usize;
-    }
-
-    forward! { &mut self
-        hooks_mut(core: usize) -> &mut P::Hooks;
-        begin_attempt(lane: &mut LaneState, attempt: u32);
-        pre_execute(lane: &mut LaneState, inst: &Inst, core: usize, seq: u64,
-            faults: &[PairFault], first: bool);
-        effective_addr(lane: &mut LaneState, inst: &Inst, core: usize, seq: u64, addr: u64,
-            faults: &[PairFault], first: bool) -> u64;
-        transform_load(lane: &mut LaneState, inst: &Inst, core: usize, seq: u64, value: u64,
-            first: bool) -> u64;
-        transform_result(lane: &mut LaneState, inst: &Inst, core: usize, seq: u64, result: u64,
-            faults: &[PairFault], first: bool) -> u64;
-        executed(lane: &mut LaneState, inst: &Inst, core: usize, seq: u64, result: u64);
-        end_segment(mem: &mut MemSystem, lane: &mut LaneState, insts: &[Inst], start: usize,
-            end: usize, attempt: u32) -> SegmentVerdict;
-    }
 }
 
 /// One ROB transient on lane `p`, mid-trace: its corrupted result
@@ -195,40 +142,26 @@ fn rob_fault(p: usize, insts: u64) -> PairFault {
 }
 
 /// Four faulted lanes of a rollback scheme on the contended L2: the
-/// scheduler matches the reference scan, and the planted policies match
-/// the same faults given as lane schedules.
+/// scheduler matches the reference scan on the same lane schedules.
 fn check_rollback_lanes<P: RedundancyPolicy>(label: &str, policy: impl Fn() -> P) {
     const LANES: usize = 4;
     const INSTS: u64 = 600;
     let driver = RedundantDriver::new(CoreConfig::table1())
         .with_l2_contention(L2ContentionConfig::many_core());
     let ts = traces(LANES, INSTS, 53);
-    let planted = || -> Vec<Planted<P>> {
-        (0..LANES)
-            .map(|p| Planted {
-                inner: policy(),
-                faults: vec![rob_fault(p, INSTS)],
-            })
-            .collect()
-    };
-    let new = driver.run_system(&mut planted(), &ts);
-    let old = driver.run_system_reference(&mut planted(), &ts);
-    assert_equal(&format!("{label}: scheduler vs reference"), &new, &old);
-    let scheduled = driver.run(
-        &mut (0..LANES).map(|_| policy()).collect::<Vec<_>>(),
+    let policies = || (0..LANES).map(|_| policy()).collect::<Vec<_>>();
+    let faulted = || {
         ts.iter()
             .enumerate()
             .map(|(p, t)| Lane {
                 faults: vec![rob_fault(p, INSTS)],
                 ..Lane::new(t)
             })
-            .collect(),
-    );
-    assert_equal(
-        &format!("{label}: planted vs lane faults"),
-        &new,
-        &scheduled,
-    );
+            .collect()
+    };
+    let new = driver.run(&mut policies(), faulted());
+    let old = driver.run_system_reference(&mut policies(), faulted());
+    assert_equal(&format!("{label}: scheduler vs reference"), &new, &old);
     for (p, r) in new.0.iter().enumerate() {
         assert_eq!(r.out.committed, INSTS, "{label}: lane {p} committed");
         assert!(
