@@ -15,11 +15,9 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use unsync_core::{UnsyncConfig, UnsyncGroup, UnsyncPair, UnsyncSystem};
-use unsync_fault::{FaultKind, FaultSite, FaultTarget, PairFault};
 use unsync_mem::HierarchyConfig;
 use unsync_sim::CoreConfig;
-use unsync_workloads::{Benchmark, SyntheticSource, WorkloadSource};
+use unsync_workloads::Benchmark;
 
 use crate::experiments::{self as exp, ExperimentConfig};
 use crate::runlog::{self, Json, RunLog};
@@ -404,7 +402,6 @@ fn comparators(runner: Runner, cfg: ExperimentConfig) -> Output {
             row.secded_overhead * 100.0
         );
     }
-    dashboard_coverage_runs(cfg);
     o.lines(&[
         "",
         "Reading: runtime coupling orders by synchronization frequency, but runtime",
@@ -419,34 +416,6 @@ fn comparators(runner: Runner, cfg: ExperimentConfig) -> Output {
         "and SECDED-only shows what a lone ECC-protected core gets you for free.",
     ]);
     o
-}
-
-/// Small faulted runs of the three runners the error-free comparator
-/// table does not exercise — a struck pair, a 3-way group, and a
-/// two-pair system — so one `comparators` run leaves metrics
-/// (including recovery MTTR histograms) for every scheme in the
-/// dashboard. These contribute nothing to the records: the extra
-/// schemes surface only through the nondeterministic `meta` metrics
-/// snapshot.
-fn dashboard_coverage_runs(cfg: ExperimentConfig) {
-    let insts = cfg.inst_count.min(5_000);
-    let trace = SyntheticSource::new(Benchmark::Gzip, insts, cfg.seed).trace();
-    let strike = |at| PairFault {
-        at,
-        core: 0,
-        site: FaultSite {
-            target: FaultTarget::RegisterFile,
-            bit_offset: 5,
-        },
-        kind: FaultKind::Single,
-    };
-    let faults = [strike(insts / 3), strike(2 * insts / 3)];
-    let ccfg = CoreConfig::table1();
-    let ucfg = UnsyncConfig::paper_baseline();
-    let _ = UnsyncPair::new(ccfg, ucfg).run(&trace, &faults);
-    let _ = UnsyncGroup::new(ccfg, ucfg, 3).run(&trace, &faults);
-    let short = SyntheticSource::new(Benchmark::Qsort, insts, cfg.seed).trace();
-    let _ = UnsyncSystem::new(ccfg, ucfg).run(&[trace, short]);
 }
 
 /// The scheme-values study: TMR, FlexStep and SECDED-only under one

@@ -263,184 +263,6 @@ impl PairedCb {
     }
 }
 
-/// An `N`-sided Communication Buffer for [`crate::nway::UnsyncGroup`]:
-/// an entry drains once **every** replica has produced it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct GroupCb {
-    capacity: usize,
-    sides: Vec<VecDeque<CbEntry>>,
-    /// Entries drained to the L2 (one copy per complete group).
-    pub drained: u64,
-    /// Pushes that found a side full.
-    pub full_events: u64,
-    /// Group completions rejected because a replica's fingerprint no
-    /// longer matched its content.
-    pub fingerprint_mismatches: u64,
-}
-
-impl GroupCb {
-    /// A CB with `capacity` entries per side, `ways` sides.
-    pub fn new(capacity: usize, ways: usize) -> Self {
-        assert!(capacity > 0, "CB capacity must be positive");
-        assert!(ways >= 2, "a redundancy group has at least two sides");
-        GroupCb {
-            capacity,
-            sides: (0..ways)
-                .map(|_| VecDeque::with_capacity(capacity))
-                .collect(),
-            drained: 0,
-            full_events: 0,
-            fingerprint_mismatches: 0,
-        }
-    }
-
-    fn retire(&mut self, core: usize, cycle: u64) {
-        while self.sides[core]
-            .front()
-            .is_some_and(|e| e.drain_done <= cycle)
-        {
-            self.sides[core].pop_front();
-        }
-    }
-
-    /// Occupancy of `core`'s side at `cycle`.
-    pub fn occupancy(&mut self, core: usize, cycle: u64) -> usize {
-        self.retire(core, cycle);
-        self.sides[core].len()
-    }
-
-    /// Pushes store `seq` committed by replica `core` at `cycle`; returns
-    /// the (possibly stalled) completion cycle. When the push completes
-    /// the group, the drain is scheduled at the *slowest* replica's ready
-    /// time over replica 0's pair drain path.
-    pub fn push(
-        &mut self,
-        core: usize,
-        seq: u64,
-        line: u64,
-        cycle: u64,
-        mem: &mut MemSystem,
-    ) -> u64 {
-        self.retire(core, cycle);
-        let mut now = cycle;
-        if self.sides[core].len() >= self.capacity {
-            let head = self.sides[core].front().expect("full side is non-empty");
-            assert_ne!(
-                head.drain_done,
-                u64::MAX,
-                "group CB head unmatched while full"
-            );
-            self.full_events += 1;
-            now = head.drain_done;
-            self.retire(core, now);
-        }
-        self.sides[core].push_back(CbEntry::sealed(seq, line, now));
-
-        // Group complete?
-        let positions: Vec<Option<usize>> = self
-            .sides
-            .iter()
-            .map(|side| side.iter().position(|e| e.seq == seq))
-            .collect();
-        if positions.iter().all(|p| p.is_some()) {
-            // Every replica's fingerprint must verify and all must
-            // agree before the single copy leaves the group — a struck
-            // entry is never outvoted silently.
-            let entries: Vec<CbEntry> = positions
-                .iter()
-                .enumerate()
-                .map(|(c, p)| self.sides[c][p.unwrap()])
-                .collect();
-            let reference = entries[0].fp;
-            if entries.iter().any(|e| !e.fp_ok() || e.fp != reference) {
-                self.fingerprint_mismatches += 1;
-                return now;
-            }
-            let start = entries
-                .iter()
-                .map(|e| e.ready)
-                .max()
-                .expect("at least two sides");
-            // Drains as core 0, and `drain_write` exempts only the
-            // writer's pair (cores 0 and 1) from cross-pair invalidation:
-            // replicas 2 and up lose their copies to their own group's
-            // drains. A known fidelity gap, kept so outputs stay put.
-            let done = mem.drain_write(0, line, start);
-            for (c, p) in positions.iter().enumerate() {
-                self.sides[c][p.unwrap()].drain_done = done;
-            }
-            self.drained += 1;
-        }
-        now
-    }
-
-    /// Strike delivery: flips bit `bit % 64` of the line field of the
-    /// `slot`-th in-flight entry on replica `core`'s side at `cycle`
-    /// (masked when the slot is empty). Same residency rule as
-    /// [`PairedCb::corrupt_entry`]: an entry is strikeable until its
-    /// bus drain completes.
-    pub fn corrupt_entry(&mut self, core: usize, slot: usize, bit: u64, cycle: u64) -> bool {
-        self.retire(core, cycle);
-        match self.sides[core].get_mut(slot) {
-            Some(e) => {
-                e.line ^= 1u64 << (bit % 64);
-                true
-            }
-            _ => false,
-        }
-    }
-}
-
-#[cfg(test)]
-mod group_tests {
-    use super::*;
-    use unsync_mem::{HierarchyConfig, WritePolicy};
-
-    fn mem() -> MemSystem {
-        MemSystem::new(HierarchyConfig::table1(), 4, WritePolicy::WriteThrough)
-    }
-
-    #[test]
-    fn drains_only_when_all_sides_present() {
-        let mut cb = GroupCb::new(4, 3);
-        let mut m = mem();
-        cb.push(0, 0, 0x10, 100, &mut m);
-        cb.push(1, 0, 0x10, 120, &mut m);
-        assert_eq!(cb.drained, 0, "two of three sides is not enough");
-        cb.push(2, 0, 0x10, 150, &mut m);
-        assert_eq!(cb.drained, 1);
-    }
-
-    #[test]
-    fn slowest_replica_gates_the_group_drain() {
-        let mut cb = GroupCb::new(4, 3);
-        let mut m = mem();
-        cb.push(0, 0, 0x10, 10, &mut m);
-        cb.push(1, 0, 0x10, 500, &mut m);
-        cb.push(2, 0, 0x10, 90, &mut m);
-        // Drain starts at 500 (slowest), completes a beat later.
-        assert_eq!(cb.occupancy(0, 499), 1);
-        assert_eq!(cb.occupancy(0, 502), 0);
-    }
-
-    #[test]
-    fn full_side_stalls_until_its_head_drains() {
-        let mut cb = GroupCb::new(1, 2);
-        let mut m = mem();
-        cb.push(0, 0, 0x10, 10, &mut m);
-        cb.push(1, 0, 0x10, 400, &mut m); // matched; drains at ~401
-        let t = cb.push(0, 1, 0x20, 20, &mut m);
-        assert!(t >= 401, "side 0 was full until the group drain: {t}");
-        assert_eq!(cb.full_events, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least two")]
-    fn one_sided_group_rejected() {
-        let _ = GroupCb::new(4, 1);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

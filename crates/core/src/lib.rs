@@ -34,15 +34,11 @@
 
 pub mod cb;
 pub mod config;
-pub mod nway;
 pub mod pair;
-pub mod system;
 
-pub use cb::{GroupCb, PairedCb};
+pub use cb::PairedCb;
 pub use config::UnsyncConfig;
-pub use nway::{GroupPolicy, UnsyncGroup};
 pub use pair::{UnsyncPair, UnsyncPolicy};
-pub use system::{SystemOutcome, SystemPairStats, UnsyncSystem};
 
 /// Re-export of the fault-model coverage map for UnSync (§III-B1).
 pub use unsync_fault::Coverage;

@@ -116,8 +116,9 @@ impl UnsyncPair {
 
 /// The UnSync scheme as a [`RedundancyPolicy`]: hardware-only
 /// detection, CB store discipline, and §III-A always-forward recovery.
-/// [`crate::system::UnsyncSystem`] reuses it per lane (constructed with
-/// the lane's CB core base and the `"unsync_system"` metric prefix).
+/// A multi-pair system runs one per lane through
+/// [`RedundantDriver::run_system`], each constructed with its lane's CB
+/// core base.
 pub struct UnsyncPolicy {
     name: &'static str,
     ucfg: UnsyncConfig,
@@ -261,6 +262,19 @@ impl UnsyncPolicy {
     }
 }
 
+/// §III-B1 placement: DMR on every-cycle elements, parity on everything
+/// else, 1-bit line parity on the L1 arrays included. Adjacent double-bit
+/// upsets flip an even number of bits: invisible to parity (the §VIII
+/// multi-bit hole), detected by DMR (any difference).
+fn parity_invisible(f: &PairFault) -> bool {
+    f.kind == FaultKind::AdjacentDouble
+        && !matches!(f.site.target, FaultTarget::Pc | FaultTarget::PipelineRegs)
+}
+
+fn strikes_l1(f: &PairFault) -> bool {
+    matches!(f.site.target, FaultTarget::L1Data | FaultTarget::L1Tag)
+}
+
 impl RedundancyPolicy for UnsyncPolicy {
     type Hooks = NullHooks;
 
@@ -302,7 +316,8 @@ impl RedundancyPolicy for UnsyncPolicy {
     }
 
     /// Faults striking this instruction: detection by the per-element
-    /// hardware blocks, then always-forward recovery.
+    /// hardware blocks, then always-forward recovery from the other
+    /// core. Detected strikes on both cores at once are unrecoverable.
     fn after_instruction(
         &mut self,
         mem: &mut MemSystem,
@@ -312,6 +327,22 @@ impl RedundancyPolicy for UnsyncPolicy {
         faults: &[PairFault],
         _first_attempt: bool,
     ) {
+        // Detected strikes on both cores at one instruction leave no
+        // error-free core to recover from: neither copy is clean. L1
+        // array strikes do not count: under write-through the L2 holds
+        // a clean copy of every line, and under write-back the Fig. 2
+        // hazard below decides.
+        let mut struck = [false; 2];
+        for f in faults {
+            if !strikes_l1(f) && !parity_invisible(f) {
+                struck[f.core] = true;
+            }
+        }
+        if struck == [true; 2] {
+            lane.events.emit(TraceEventKind::Detection);
+            lane.events.emit(TraceEventKind::Unrecoverable);
+            return;
+        }
         for f in faults {
             debug_assert_eq!(f.at, seq, "per-instruction segments");
             let bad = f.core;
@@ -323,11 +354,9 @@ impl RedundancyPolicy for UnsyncPolicy {
             if self.l1_policy == WritePolicy::WriteBack {
                 if let Some((window_end, source)) = self.recovery_window {
                     let now = lane.now();
-                    let strikes_l1 =
-                        matches!(f.site.target, FaultTarget::L1Data | FaultTarget::L1Tag);
                     if now <= window_end
                         && bad == source
-                        && strikes_l1
+                        && strikes_l1(f)
                         && mem.l1d(lane.core_base + source).dirty_lines() > 0
                     {
                         lane.events.emit(TraceEventKind::Detection);
@@ -337,14 +366,7 @@ impl RedundancyPolicy for UnsyncPolicy {
                 }
             }
 
-            // §III-B1 placement: DMR on every-cycle elements, parity on
-            // everything else, 1-bit line parity on the L1 arrays
-            // included. Adjacent double-bit upsets flip an even number
-            // of bits: invisible to parity (the §VIII multi-bit hole),
-            // detected by DMR (any difference).
-            let parity_guarded =
-                !matches!(f.site.target, FaultTarget::Pc | FaultTarget::PipelineRegs);
-            if f.kind == FaultKind::AdjacentDouble && parity_guarded {
+            if parity_invisible(f) {
                 // Undetected: the corruption becomes architectural.
                 match f.site.target {
                     FaultTarget::RegisterFile => {
@@ -625,5 +647,99 @@ mod tests {
         let t = trace(1_500, 8);
         let faults = [fault(700, 0, FaultTarget::Rob, 5)];
         assert_eq!(pair().run(&t, &faults), pair().run(&t, &faults));
+    }
+
+    /// A CMP of one UnSync pair per trace over one shared memory system
+    /// (the paper's Fig. 1 topology): pair `p` on cores `2p` and `2p + 1`.
+    fn run_system(traces: &[TraceProgram]) -> (Vec<RunResult>, MemSystem) {
+        let mut policies: Vec<UnsyncPolicy> = (0..traces.len())
+            .map(|p| {
+                let ucfg = UnsyncConfig::paper_baseline();
+                UnsyncPolicy::new("unsync_pair", ucfg, WritePolicy::WriteThrough, 2 * p)
+            })
+            .collect();
+        RedundantDriver::new(CoreConfig::table1()).run_system(&mut policies, traces)
+    }
+
+    /// Cross-pair coherence invalidations absorbed by pair `p`'s cores.
+    fn invalidations(mem: &MemSystem, p: usize) -> u64 {
+        mem.invalidations(2 * p) + mem.invalidations(2 * p + 1)
+    }
+
+    #[test]
+    fn single_pair_system_matches_pair_scale() {
+        let t = WorkloadGen::new(Benchmark::Gzip, 10_000, 3).collect_trace();
+        let (out, _) = run_system(std::slice::from_ref(&t));
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].committed, 10_000);
+        assert!(out[0].ipc() > 0.01);
+    }
+
+    #[test]
+    fn two_pairs_run_independent_workloads() {
+        let ta = WorkloadGen::new(Benchmark::Sha, 10_000, 3).collect_trace();
+        let tb = WorkloadGen::new(Benchmark::Mcf, 10_000, 3).collect_trace();
+        let (out, _) = run_system(&[ta, tb]);
+        assert_eq!(out.len(), 2);
+        // sha (cache-resident) must sustain much higher IPC than mcf.
+        assert!(out[0].ipc() > 4.0 * out[1].ipc());
+    }
+
+    #[test]
+    fn l2_contention_slows_a_pair_down() {
+        // The same workload, alone vs. next to an L2-thrashing neighbour.
+        // Distinct address spaces: the neighbour is another process.
+        let t = WorkloadGen::new_at(Benchmark::Equake, 15_000, 5, 0x1000_0000).collect_trace();
+        let hog = WorkloadGen::new_at(Benchmark::Mcf, 15_000, 6, 0x9000_0000).collect_trace();
+        let alone = run_system(std::slice::from_ref(&t)).0[0].cycles;
+        let contended = run_system(&[t, hog]).0[0].cycles;
+        assert!(
+            contended >= alone,
+            "shared-L2 contention cannot speed the pair up: {contended} vs {alone}"
+        );
+    }
+
+    #[test]
+    fn overlapping_address_spaces_cause_coherence_traffic() {
+        // Two pairs sharing one data segment: each pair's drains
+        // invalidate the other's cached copies.
+        let ta = WorkloadGen::new(Benchmark::Qsort, 8_000, 5).collect_trace();
+        let tb = WorkloadGen::new(Benchmark::Qsort, 8_000, 6).collect_trace();
+        let (_, shared) = run_system(&[ta, tb]);
+        let counts: Vec<u64> = (0..2).map(|p| invalidations(&shared, p)).collect();
+        assert!(counts.iter().any(|&n| n > 0), "{counts:?}");
+        // Disjoint address spaces: none.
+        let tc = WorkloadGen::new_at(Benchmark::Qsort, 8_000, 5, 0x1000_0000).collect_trace();
+        let td = WorkloadGen::new_at(Benchmark::Qsort, 8_000, 6, 0x9000_0000).collect_trace();
+        let (_, disjoint) = run_system(&[tc, td]);
+        assert!((0..2).all(|p| invalidations(&disjoint, p) == 0));
+    }
+
+    #[test]
+    fn pairs_of_different_lengths_all_complete() {
+        let short = WorkloadGen::new_at(Benchmark::Sha, 2_000, 1, 0x1000_0000).collect_trace();
+        let long = WorkloadGen::new_at(Benchmark::Gzip, 9_000, 2, 0x9000_0000).collect_trace();
+        let (out, _) = run_system(&[short, long]);
+        assert_eq!(out[0].committed, 2_000);
+        assert_eq!(out[1].committed, 9_000);
+        assert!(out[1].cycles > out[0].cycles);
+    }
+
+    #[test]
+    fn deterministic_system_runs() {
+        let ta = WorkloadGen::new(Benchmark::Qsort, 5_000, 1).collect_trace();
+        let tb = WorkloadGen::new(Benchmark::Fft, 5_000, 2).collect_trace();
+        let traces = [ta, tb];
+        let run = || {
+            let (out, mem) = run_system(&traces);
+            (out, mem.l2_stats().miss_rate())
+        };
+        assert_eq!(run(), run());
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one")]
+    fn empty_system_rejected() {
+        let _ = run_system(&[]);
     }
 }

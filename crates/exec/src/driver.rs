@@ -755,8 +755,10 @@ impl<P: RedundancyPolicy> LaneRunner<'_, P> {
         let seq = *idx as u64;
         let faults = &faults[seg_faults.clone()];
         let first_attempt = *attempt == 0;
-        // Without pending tracking, a store commits once every replica
-        // produced the same copy (a lone replica's stores at once).
+        // Pending entries are pair-shaped: a pair forwards and records
+        // through them. Any other width commits a store once every
+        // replica produced the same copy (a lone replica's at once).
+        let paired = policy.replicas() == 2;
         let (mut store, mut unanimous) = (None, true);
         for core in 0..lane.engines.len() {
             let timing = lane.engines[core].feed(inst, mem, policy.hooks_mut(core));
@@ -768,7 +770,7 @@ impl<P: RedundancyPolicy> LaneRunner<'_, P> {
             // Load value: own pending stores first (store forwarding),
             // then committed memory.
             let loaded = if inst.op.is_load() {
-                let fwd = if policy.uses_pending() {
+                let fwd = if paired {
                     lane.pending.forward(core, addr & !7)
                 } else {
                     None
@@ -780,7 +782,7 @@ impl<P: RedundancyPolicy> LaneRunner<'_, P> {
             let mut result = lane.arch[core].compute(inst, loaded);
             result = policy.transform_result(lane, inst, core, seq, result, faults, first_attempt);
             if inst.op.is_store() {
-                if policy.uses_pending() {
+                if paired {
                     lane.pending.record(core, seq, addr & !7, result);
                 } else {
                     unanimous &= store.is_none_or(|s| s == (addr, result));

@@ -25,7 +25,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 /// One store executed but not yet architecturally committed, tracked
 /// per replica pair. `addr`/`value`/`present` are indexed by replica
-/// (replicas beyond the second manage agreement in their policy).
+/// (the driver tracks pending stores only for two-replica lanes).
 #[derive(Debug, Clone, Copy)]
 pub struct PendingStore {
     /// The store instruction's sequence number.
@@ -179,11 +179,6 @@ impl PendingStores {
         None
     }
 
-    /// The entry for store `seq`, if still pending.
-    pub fn get(&self, seq: u64) -> Option<&PendingStore> {
-        self.position(seq).map(|i| &self.entries[i])
-    }
-
     /// Removes and returns the entry for `seq` if both copies are
     /// present (the both-complete drain rule).
     pub fn take_matched(&mut self, seq: u64) -> Option<PendingStore> {
@@ -272,6 +267,10 @@ impl PendingStores {
 mod tests {
     use super::*;
 
+    fn entry(ps: &PendingStores, seq: u64) -> Option<&PendingStore> {
+        ps.iter().find(|p| p.seq == seq)
+    }
+
     #[test]
     fn forwarding_returns_youngest_writer_per_replica() {
         let mut ps = PendingStores::new();
@@ -310,7 +309,7 @@ mod tests {
         ps.commit_matched(|a, v| committed.push((a, v)));
         assert_eq!(committed, vec![(0x100, 1), (0x110, 3)]);
         assert_eq!(ps.len(), 1);
-        assert_eq!(ps.get(2).map(|p| p.value[0]), Some(2));
+        assert_eq!(entry(&ps, 2).map(|p| p.value[0]), Some(2));
         // Nothing matched: the fast path must not touch the survivor.
         ps.commit_matched(|_, _| panic!("nothing is matched"));
     }
@@ -324,11 +323,11 @@ mod tests {
         ps.record(1, 3, 0x110, 31);
         ps.sync_replica(0, 1);
         assert_eq!(
-            ps.get(1).map(|p| (p.present[1], p.value[1])),
+            entry(&ps, 1).map(|p| (p.present[1], p.value[1])),
             Some((true, 10))
         );
-        assert_eq!(ps.get(2).map(|p| p.present[1]), Some(false));
-        assert_eq!(ps.get(3).map(|p| p.value[1]), Some(30));
+        assert_eq!(entry(&ps, 2).map(|p| p.present[1]), Some(false));
+        assert_eq!(entry(&ps, 3).map(|p| p.value[1]), Some(30));
         assert_eq!(ps.forward(1, 0x108), None, "orphan left the index");
         assert_eq!(ps.forward(1, 0x100), Some(10), "adopted copy is findable");
         let mut committed = Vec::new();

@@ -118,16 +118,6 @@ pub trait RedundancyPolicy {
         true
     }
 
-    /// Whether the driver tracks per-store pending entries with
-    /// cross-replica forwarding. Pending entries are pair-shaped, so
-    /// the default is "exactly two replicas" (a 2-way group that
-    /// manages its own store agreement opts out). Without pending
-    /// tracking the driver commits each store once every replica has
-    /// produced the same copy — at once for a lone replica.
-    fn uses_pending(&self) -> bool {
-        self.replicas() == 2
-    }
-
     /// Whether mismatched segments are re-executed from a snapshot
     /// (Reunion). Enables snapshotting and per-attempt pending resets.
     fn rolls_back(&self) -> bool {

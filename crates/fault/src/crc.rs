@@ -4,8 +4,9 @@
 //! interval* (FI) worth of instructions into a 16-bit cyclic-redundancy
 //! checksum and compares it between the vocal and mute cores (§IV).
 //! The paper models the generator after Albertengo & Sisto's two-stage
-//! parallel CRC circuit — [`GATES_PARALLEL_CRC16`] gates sitting in the
-//! middle of the CHECK stage's critical path.
+//! parallel CRC circuit — 238 gates (`unsync_hwcost::components::CRC16_GATES`,
+//! the constant the area model reads) in the middle of the CHECK stage's
+//! critical path.
 //!
 //! The implementation here is a real CRC-16/CCITT (polynomial `0x1021`):
 //! a bitwise reference plus a table-driven fast path, cross-checked by
@@ -24,10 +25,6 @@ pub const CRC16_CCITT_POLY: u16 = 0x1021;
 
 /// Initial CRC register value at the start of each fingerprint interval.
 pub const CRC16_INIT: u16 = 0xffff;
-
-/// Gate count of the two-stage parallel CRC-16 generator the paper cites
-/// (Albertengo & Sisto, IEEE Micro 1990) — used by the hardware model.
-pub const GATES_PARALLEL_CRC16: u32 = 238;
 
 /// Bitwise reference CRC step: folds one byte into the register.
 #[inline]

@@ -74,21 +74,6 @@ impl FaultTarget {
             FaultTarget::L1Tag => 2 * 1024 * 25,
         }
     }
-
-    /// True for structures whose corruption is visible to Reunion's
-    /// fingerprint: state feeding instruction results *before* the commit
-    /// stage. Architectural state that is only read long after commit
-    /// (register file, TLB) escapes the fingerprint window.
-    pub fn in_reunion_roec(self) -> bool {
-        matches!(
-            self,
-            FaultTarget::Pc
-                | FaultTarget::PipelineRegs
-                | FaultTarget::Rob
-                | FaultTarget::IssueQueue
-                | FaultTarget::Lsq
-        )
-    }
 }
 
 /// The hardware mechanism that detects (or corrects) an error in a
@@ -286,45 +271,6 @@ impl PairFault {
     }
 }
 
-/// A reproducible set of fault sites for an injection campaign.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct InjectionPlan {
-    seed: u64,
-    sites: Vec<(u64, FaultSite)>,
-}
-
-impl InjectionPlan {
-    /// Plans `count` faults striking at evenly spread instruction indices
-    /// over `horizon` instructions (deterministic for a given seed).
-    pub fn spread(seed: u64, count: u64, horizon: u64) -> Self {
-        assert!(
-            count <= horizon,
-            "cannot inject {count} faults over {horizon} instructions"
-        );
-        let sites = (0..count)
-            .map(|i| {
-                let at = if count == 0 {
-                    0
-                } else {
-                    (i * horizon + horizon / 2) / count.max(1)
-                };
-                (at, FaultSite::plan(seed, at))
-            })
-            .collect();
-        InjectionPlan { seed, sites }
-    }
-
-    /// The planned (instruction index, site) pairs, in strike order.
-    pub fn sites(&self) -> &[(u64, FaultSite)] {
-        &self.sites
-    }
-
-    /// The seed the plan was built from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -382,20 +328,6 @@ mod tests {
     }
 
     #[test]
-    fn reunion_roec_targets_match_predicate() {
-        let c = Coverage::reunion();
-        for t in ALL_TARGETS {
-            if t.in_reunion_roec() {
-                assert_eq!(
-                    c.mechanism(t),
-                    Some(DetectionMechanism::Fingerprint),
-                    "{t:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn site_planning_is_deterministic_and_in_range() {
         for nonce in 0..2000u64 {
             let a = FaultSite::plan(42, nonce);
@@ -419,22 +351,6 @@ mod tests {
             (observed - expect).abs() < 0.02,
             "observed {observed:.3}, expected {expect:.3}"
         );
-    }
-
-    #[test]
-    fn spread_plan_is_sorted_and_sized() {
-        let p = InjectionPlan::spread(1, 10, 1000);
-        assert_eq!(p.sites().len(), 10);
-        for w in p.sites().windows(2) {
-            assert!(w[0].0 < w[1].0);
-        }
-        assert!(p.sites().iter().all(|&(at, _)| at < 1000));
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot inject")]
-    fn spread_rejects_more_faults_than_instructions() {
-        let _ = InjectionPlan::spread(1, 10, 5);
     }
 
     proptest! {

@@ -2,12 +2,12 @@
 //!
 //! Soft-error machinery for the UnSync reproduction:
 //!
-//! * **Detection primitives, implemented at the bit level** — the hardware
-//!   mechanisms §III-B1 of the paper places in each core:
-//!   - [`parity`]: 1-bit even parity (storage elements with ≥1 cycle
-//!     between write and read: register file, LSQ, TLB, L1 data).
-//!   - [`dmr`]: dual-modular redundancy compare (every-cycle elements: PC,
-//!     pipeline registers) and a TMR voter for the ablations.
+//! * **Detection mechanisms** — the hardware §III-B1 of the paper places
+//!   in each core. Parity (storage elements with ≥1 cycle between write
+//!   and read: register file, LSQ, TLB, L1 data) and DMR (every-cycle
+//!   elements: PC, pipeline registers) are modelled by their detection
+//!   rule, [`DetectionMechanism`] per [`FaultTarget`] in [`Coverage`].
+//!   Two codes are implemented at the bit level:
 //!   - [`secded`]: Hamming(72,64) single-error-correct /
 //!     double-error-detect code (the ECC the shared L2 — and Reunion's
 //!     L1 — carry).
@@ -30,20 +30,14 @@
 #![warn(missing_docs)]
 
 pub mod crc;
-pub mod dmr;
 pub mod inject;
-pub mod parity;
 pub mod roec;
 pub mod secded;
 pub mod ser;
 pub mod uncore;
 
 pub use crc::{crc16_word, Fingerprint, CRC16_CCITT_POLY};
-pub use dmr::DmrReg;
-pub use inject::{
-    Coverage, DetectionMechanism, FaultKind, FaultSite, FaultTarget, InjectionPlan, PairFault,
-};
-pub use parity::{parity_bit, ParityLine, ParityWord};
+pub use inject::{Coverage, DetectionMechanism, FaultKind, FaultSite, FaultTarget, PairFault};
 pub use roec::{
     classify, OutcomeCounts, RoecEvent, RoecEventKind, StrikeOutcome, VulnerabilityRow,
     VulnerabilityTable, ALL_OUTCOMES,

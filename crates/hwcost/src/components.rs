@@ -65,50 +65,6 @@ impl Component {
     }
 }
 
-/// A detection mechanism, costed per protected bit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub enum MechanismCost {
-    /// 1-bit parity per word/line + XOR tree.
-    Parity,
-    /// Duplicate latch + comparator (≈6 % power per the paper's cited
-    /// figures).
-    Dmr,
-    /// Triplicated latch + majority voter (≈200 % power — the option the
-    /// paper rejects).
-    Tmr,
-    /// 8 check bits / 64 data bits + codec trees (≈22 % array area per
-    /// §III-B1's cited figure).
-    Secded,
-}
-
-impl MechanismCost {
-    /// Extra area to protect `bits` of storage, µm² (storage cells
-    /// assumed latch-class at [`DMR_LATCH_UM2`] for duplication-style
-    /// mechanisms, array-class for code-style ones).
-    pub fn area_um2(self, bits: u64) -> f64 {
-        let b = bits as f64;
-        match self {
-            // ~1 check bit per 64 + a tree: <1 % of the array.
-            MechanismCost::Parity => b * 0.06,
-            MechanismCost::Dmr => b * (DMR_LATCH_UM2 + 0.5 * GATE_AREA_UM2),
-            MechanismCost::Tmr => b * (2.0 * DMR_LATCH_UM2 + 1.2 * GATE_AREA_UM2),
-            MechanismCost::Secded => b * 0.55, // 12.5 % bits + codec share
-        }
-    }
-
-    /// Extra power to protect `bits` toggling once per cycle, mW
-    /// (fractions per the paper's cited figures: parity ≈0.2 %, DMR ≈6 %,
-    /// TMR ≈200 %, SECDED ≈10 % of the array's access power).
-    pub fn power_fraction(self) -> f64 {
-        match self {
-            MechanismCost::Parity => 0.002,
-            MechanismCost::Dmr => 0.06,
-            MechanismCost::Tmr => 2.0,
-            MechanismCost::Secded => 0.10,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -24,8 +24,7 @@
 //!
 //! [`tables::table2`] and [`tables::table3`] regenerate the paper's
 //! Table II and Table III from this model; [`cacti`] sizes the caches
-//! under parity or SECDED, and [`energy::EnergyReport`] turns the power
-//! model and a simulated runtime into energy and EDP.
+//! under parity or SECDED.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,13 +32,11 @@
 pub mod cacti;
 pub mod components;
 pub mod cores;
-pub mod energy;
 pub mod projection;
 pub mod tables;
 
 pub use cacti::{CacheModel, CacheProtection};
-pub use components::{Component, MechanismCost};
+pub use components::Component;
 pub use cores::{cb_area_um2, CoreModel, CB_ENTRY_AREA_UM2, CB_ENTRY_POWER_MW};
-pub use energy::EnergyReport;
 pub use projection::{DieProjection, ManyCoreChip};
 pub use tables::{table2, table3, Table2, Table2Row, Table3};

@@ -4,8 +4,7 @@
 
 use proptest::prelude::*;
 use unsync_hwcost::{
-    cb_area_um2, CacheModel, CacheProtection, CoreModel, DieProjection, EnergyReport, ManyCoreChip,
-    MechanismCost,
+    cb_area_um2, CacheModel, CacheProtection, CoreModel, DieProjection, ManyCoreChip,
 };
 
 proptest! {
@@ -75,25 +74,6 @@ proptest! {
         prop_assert!((p2.difference_mm2() / (2.0 * n as f64) - per_core).abs() < 1e-9);
     }
 
-    #[test]
-    fn energy_monotone_in_runtime_and_power(cycles in 1_000u64..10_000_000) {
-        let unsync = CoreModel::unsync();
-        let reunion = CoreModel::reunion();
-        let a = EnergyReport::new(&unsync, 2, cycles, 1_000, 2e9);
-        let b = EnergyReport::new(&reunion, 2, cycles, 1_000, 2e9);
-        prop_assert!(b.energy_j > a.energy_j, "higher power ⇒ more energy");
-        let c = EnergyReport::new(&unsync, 2, cycles + 1_000, 1_000, 2e9);
-        prop_assert!(c.energy_j > a.energy_j, "longer runtime ⇒ more energy");
-    }
-
-    #[test]
-    fn mechanism_costs_order_sanely(bits in 64u64..100_000) {
-        // Parity < DMR < TMR in area; parity ≪ SECDED ≪ TMR in power.
-        prop_assert!(MechanismCost::Parity.area_um2(bits) < MechanismCost::Dmr.area_um2(bits));
-        prop_assert!(MechanismCost::Dmr.area_um2(bits) < MechanismCost::Tmr.area_um2(bits));
-        prop_assert!(MechanismCost::Parity.power_fraction() < MechanismCost::Secded.power_fraction());
-        prop_assert!(MechanismCost::Secded.power_fraction() < MechanismCost::Tmr.power_fraction());
-    }
 }
 
 #[test]

@@ -129,10 +129,9 @@ pub struct Cache {
     ways: Vec<Way>, // num_sets × assoc, row-major
     /// Ways currently valid, so `valid_lines` needs no scan.
     valid: usize,
-    /// Lowest and highest line address allocated since `new` or the last
-    /// `invalidate_all` (`lo > hi` while none was): every valid line lies
-    /// in `lo..=hi`, so `invalidate_line` rejects a line outside without
-    /// reading its set.
+    /// Lowest and highest line address allocated since `new` (`lo > hi`
+    /// while none was): every valid line lies in `lo..=hi`, so
+    /// `invalidate_line` rejects a line outside without reading its set.
     lo: u64,
     hi: u64,
     stats: CacheStats,
@@ -309,9 +308,9 @@ impl Cache {
     /// Invalidates line address `line` (byte address / line size) if
     /// present; returns whether it was dirty. (UnSync recovery invalidates
     /// suspect L1 lines and refetches from the ECC-protected L2 —
-    /// §III-C1.) A line outside the range allocated since the last
-    /// [`Cache::invalidate_all`] cannot be present, so it returns `None`
-    /// without reading its set.
+    /// §III-C1.) A line outside the range allocated since the cache was
+    /// built cannot be present, so it returns `None` without reading its
+    /// set.
     pub fn invalidate_line(&mut self, line: u64) -> Option<bool> {
         if line < self.lo || line > self.hi {
             return None;
@@ -325,14 +324,6 @@ impl Cache {
         *w = INVALID_WAY;
         self.valid -= 1;
         Some(was_dirty)
-    }
-
-    /// Invalidates the entire cache.
-    pub fn invalidate_all(&mut self) {
-        self.ways.fill(INVALID_WAY);
-        self.valid = 0;
-        self.lo = u64::MAX;
-        self.hi = 0;
     }
 
     /// Number of currently valid lines (a running count: O(1)).
@@ -418,17 +409,6 @@ mod tests {
         assert_eq!(c.invalidate_line(0x80 / 64), Some(true));
         assert_eq!(c.invalidate_line(0x80 / 64), None, "already gone");
         assert!(!c.probe(0x80));
-    }
-
-    #[test]
-    fn invalidate_all_empties_cache() {
-        let mut c = tiny(WritePolicy::WriteThrough);
-        for i in 0..8 {
-            c.access(i * 64, AccessKind::Read);
-        }
-        assert!(c.valid_lines() > 0);
-        c.invalidate_all();
-        assert_eq!(c.valid_lines(), 0);
     }
 
     #[test]
@@ -521,7 +501,6 @@ mod tests {
                     6..=8 => _ = c.access(addr, AccessKind::Write),
                     9..=11 => _ = c.install(addr),
                     12..=14 => _ = c.invalidate_line(cfg.line_addr(addr)),
-                    15 if step % 8 == 0 => c.invalidate_all(),
                     _ => c = c.clone(),
                 }
                 let valid: Vec<u64> = c
@@ -553,9 +532,6 @@ mod tests {
         assert_eq!(c.invalidate_line(0x1800 / 64), None);
         assert_eq!(c.invalidate_line(0x3000 / 64), None);
         assert_eq!(c.valid_lines(), 1);
-        // The range widens only by allocation and resets with the cache.
-        c.invalidate_all();
-        assert_eq!((c.lo, c.hi, c.valid_lines()), (u64::MAX, 0, 0));
     }
 
     #[test]

@@ -440,7 +440,7 @@ mod tests {
         let mut m = sys();
         let cold = m.load(0, 0x2000, 0);
         // Evict from core 0's L1 by invalidation; line stays in L2.
-        m.l1d_mut(0).invalidate_all();
+        m.l1d_mut(0).invalidate_line(0x2000 / 64);
         let warm = m.load(0, 0x2000, cold.done + 1);
         assert_eq!(warm.l2_hit, Some(true));
         assert!(warm.done - (cold.done + 1) < 100);

@@ -104,19 +104,4 @@ proptest! {
             cache.dirty_lines() as u64 + cache.stats().writebacks >= written.len() as u64
         );
     }
-
-    #[test]
-    fn invalidate_all_resets_to_cold(
-        addrs in proptest::collection::vec(0u64..(1 << 12), 1..100),
-    ) {
-        let mut cache = Cache::new(tiny_cfg(), WritePolicy::WriteThrough);
-        for &addr in &addrs {
-            cache.access(addr, AccessKind::Read);
-        }
-        cache.invalidate_all();
-        prop_assert_eq!(cache.valid_lines(), 0);
-        for &addr in &addrs {
-            prop_assert!(!cache.probe(addr));
-        }
-    }
 }

@@ -1,7 +1,7 @@
 //! Differential test: cross-pair coherence on the drain path invalidates
 //! exactly the lines a probe of every other pair's L1 finds, however the
 //! L1s were filled (demand misses, prefetch installs, bulk clone-copies)
-//! or emptied (`invalidate_all`, earlier drains).
+//! or emptied (earlier drains).
 
 use unsync_isa::exec::splitmix64;
 use unsync_mem::{HierarchyConfig, MemSystem, WritePolicy};
@@ -34,7 +34,6 @@ fn drains_invalidate_exactly_the_probed_copies_in_other_pairs() {
                 // line into the same L1.
                 0..=4 => _ = m.load(core, addr, cycle),
                 5..=7 => _ = m.store(core, addr, cycle),
-                8 => m.l1d_mut(core).invalidate_all(),
                 9 => {
                     let from = ((x >> 12) % CORES as u64) as usize;
                     let copy = m.l1d(from).clone();

@@ -7,7 +7,6 @@
 
 use proptest::prelude::*;
 use unsync::prelude::*;
-use unsync_core::GroupCb;
 
 /// Large enough that no interleaving below ever fills a side — the pair
 /// runner's "cores fed in step" contract is about stalls, not ordering,
@@ -187,34 +186,6 @@ proptest! {
         cb.overwrite_from(side ^ 1, 1_000_000, &mut m);
         prop_assert_eq!(cb.drained, n, "recovery drains the clean stream");
         prop_assert!(cb.is_empty(100_000_000));
-    }
-
-    /// TMR equivalent: a struck replica in a `GroupCb(cap, 3)` is never
-    /// outvoted *silently* — the group completion miscompares, counts a
-    /// fingerprint mismatch, and withholds the drain.
-    #[test]
-    fn struck_group_replica_is_detected(
-        n in 1u64..16,
-        victim in 0u64..16,
-        replica in 0usize..3,
-        bit in 0u64..64,
-    ) {
-        let victim = victim % n;
-        let mut cb = GroupCb::new(CAP, 3);
-        let mut m = mem();
-        // Replica `replica` commits first and takes the strike while
-        // its entries are still unmatched.
-        for seq in 0..n {
-            cb.push(replica, seq, 0x40 + seq, 10 + 3 * seq, &mut m);
-        }
-        prop_assert!(cb.corrupt_entry(replica, victim as usize, bit, 20));
-        for other in (0..3usize).filter(|&c| c != replica) {
-            for seq in 0..n {
-                cb.push(other, seq, 0x40 + seq, 15 + 7 * seq, &mut m);
-            }
-        }
-        prop_assert_eq!(cb.drained, n - 1, "victim group must not drain");
-        prop_assert!(cb.fingerprint_mismatches >= 1, "flip must miscompare");
     }
 
     /// Same recovery property under maximal drift: the good core ran

@@ -9,7 +9,7 @@
 //!   golden snapshot byte-identical.
 
 use proptest::prelude::*;
-use unsync_core::{UnsyncConfig, UnsyncPolicy, UnsyncSystem};
+use unsync_core::{UnsyncConfig, UnsyncPolicy};
 use unsync_exec::RedundantDriver;
 use unsync_mem::{HierarchyConfig, L2Contention, L2ContentionConfig, MemSystem, WritePolicy};
 use unsync_sim::CoreConfig;
@@ -176,13 +176,13 @@ fn contention_slows_the_system_down_and_emits_events() {
 
 #[test]
 fn unsync_system_goldens_are_untouched_by_the_model_existing() {
-    // The contention model is opt-in: a plain UnsyncSystem run (no
+    // The contention model is opt-in: a plain run_system run (no
     // contention configured) must behave exactly as before the model
     // existed. The committed goldens under tests/golden/ pin this at
     // the JSONL level; this pins the in-process outcome shape.
     let t = WorkloadGen::new(Benchmark::Gzip, 1_000, 3).collect_trace();
-    let sys = UnsyncSystem::new(CoreConfig::table1(), UnsyncConfig::paper_baseline());
-    let out = sys.run(std::slice::from_ref(&t));
-    assert_eq!(out.pairs[0].core.committed, 1_000);
-    assert!(out.pairs[0].core.correct());
+    let driver = RedundantDriver::new(CoreConfig::table1());
+    let (out, _) = driver.run_system(&mut policies(1), std::slice::from_ref(&t));
+    assert_eq!(out[0].committed, 1_000);
+    assert!(out[0].correct());
 }

@@ -1,13 +1,15 @@
-//! Cross-crate checks of the configurability extensions: N-way groups,
-//! multi-pair systems, and the energy model tied to measured runtimes.
+//! Cross-crate checks of UnSync redundancy at the pair and system level:
+//! a detected strike on both cores at once, a one-pair system against
+//! the pair, and recovery under fault bursts.
 
-use unsync::core::UnsyncSystem;
+use unsync::core::UnsyncPolicy;
+use unsync::exec::RedundantDriver;
 use unsync::prelude::*;
 
 #[test]
-fn redundancy_degree_trades_cycles_for_burst_tolerance() {
+fn pair_cannot_recover_a_strike_on_both_cores_at_one_instruction() {
     let t = WorkloadGen::new(Benchmark::Gzip, 8_000, 33).collect_trace();
-    // A burst striking two replicas at once.
+    // A burst striking both cores at one instruction.
     let burst = [
         PairFault {
             at: 3_000,
@@ -28,58 +30,40 @@ fn redundancy_degree_trades_cycles_for_burst_tolerance() {
             kind: unsync_fault::FaultKind::Single,
         },
     ];
-    let g2 = UnsyncGroup::new(CoreConfig::table1(), UnsyncConfig::paper_baseline(), 2);
-    let g3 = UnsyncGroup::new(CoreConfig::table1(), UnsyncConfig::paper_baseline(), 3);
-    let o2 = g2.run(&t, &burst);
-    let o3 = g3.run(&t, &burst);
+    let pair = UnsyncPair::new(CoreConfig::table1(), UnsyncConfig::paper_baseline());
+    let out = pair.run(&t, &burst);
+    assert_eq!((out.detections, out.unrecoverable), (1, 1), "{out:?}");
+    assert_eq!(out.recoveries, 0);
     assert!(
-        !o2.correct(),
+        !out.correct(),
         "2-way cannot source recovery for a double strike"
     );
-    assert!(o3.correct(), "3-way has a clean replica: {o3:?}");
-    // Error-free: wider groups are never faster.
-    let f2 = g2.run(&t, &[]);
-    let f3 = g3.run(&t, &[]);
-    assert!(f3.cycles >= f2.cycles);
-    assert!(f2.correct() && f3.correct());
+    // Either strike alone has a clean core to recover from.
+    for f in burst {
+        let single = pair.run(&t, &[f]);
+        assert_eq!(single.recoveries, 1);
+        assert!(single.correct(), "{single:?}");
+    }
 }
 
 #[test]
 fn system_and_pair_agree_for_one_pair() {
     let t = WorkloadGen::new(Benchmark::Fft, 8_000, 34).collect_trace();
-    let sys = UnsyncSystem::new(CoreConfig::table1(), UnsyncConfig::paper_baseline());
-    let sys_out = sys.run(std::slice::from_ref(&t));
+    let policy = UnsyncPolicy::new(
+        "unsync_pair",
+        UnsyncConfig::paper_baseline(),
+        WritePolicy::WriteThrough,
+        0,
+    );
+    let (sys_out, _) = RedundantDriver::new(CoreConfig::table1())
+        .run_system(&mut [policy], std::slice::from_ref(&t));
     let pair_out =
         UnsyncPair::new(CoreConfig::table1(), UnsyncConfig::paper_baseline()).run(&t, &[]);
-    assert_eq!(sys_out.pairs[0].cycles, pair_out.cycles);
+    assert_eq!(sys_out[0].cycles, pair_out.cycles);
     assert_eq!(
-        sys_out.pairs[0].cb_drained,
+        sys_out[0].events.sum(TraceEventKind::CbDrain),
         pair_out.events.sum(TraceEventKind::CbDrain)
     );
-}
-
-#[test]
-fn energy_reflects_measured_runtimes() {
-    let t = WorkloadGen::new(Benchmark::Galgel, 20_000, 35).collect_trace();
-    let mut s = WorkloadGen::new(Benchmark::Galgel, 20_000, 35);
-    let base_cycles = run_baseline(CoreConfig::table1(), &mut s)
-        .core
-        .last_commit_cycle;
-    let u_cycles = UnsyncPair::new(CoreConfig::table1(), UnsyncConfig::paper_baseline())
-        .run(&t, &[])
-        .cycles;
-    let r_cycles = ReunionPair::new(CoreConfig::table1(), ReunionConfig::paper_baseline())
-        .run(&t, &[])
-        .cycles;
-    let clock = 2e9;
-    let base = EnergyReport::new(&CoreModel::mips_baseline(), 1, base_cycles, 20_000, clock);
-    let unsync = EnergyReport::new(&CoreModel::unsync(), 2, u_cycles, 20_000, clock);
-    let reunion = EnergyReport::new(&CoreModel::reunion(), 2, r_cycles, 20_000, clock);
-    // Redundancy costs energy; UnSync's pair undercuts Reunion's on both
-    // energy and EDP (the paper's power claim compounded with runtime).
-    assert!(unsync.energy_j > base.energy_j);
-    assert!(unsync.energy_j < reunion.energy_j);
-    assert!(unsync.edp < reunion.edp);
 }
 
 #[test]

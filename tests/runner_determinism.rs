@@ -4,6 +4,16 @@
 //! gated by `tests/golden_values.rs`.
 
 use unsync_bench::{experiments, render, ExperimentConfig, Json, RunLog, Runner};
+use unsync_core::{UnsyncConfig, UnsyncPolicy};
+use unsync_mem::WritePolicy;
+
+/// One UnSync pair policy per lane, lane `p` on cores `2p` and `2p + 1`.
+fn unsync_policies(lanes: usize) -> Vec<UnsyncPolicy> {
+    let ucfg = UnsyncConfig::paper_baseline();
+    (0..lanes)
+        .map(|p| UnsyncPolicy::new("unsync_pair", ucfg, WritePolicy::WriteThrough, 2 * p))
+        .collect()
+}
 
 /// The Fig. 4 run log's deterministic portion (header + records, no
 /// meta line).
@@ -77,26 +87,26 @@ fn run_system_is_deterministic_at_2_8_and_16_lanes() {
     // scheduling difference shifts shared-L2 contention and shows up in
     // cycles/miss-rate — and repeated runs must be byte-identical.
     use unsync::prelude::*;
+    use unsync_exec::RedundantDriver;
+    let driver = RedundantDriver::new(CoreConfig::table1());
     for lanes in [2usize, 8, 16] {
         let traces: Vec<TraceProgram> = (0..lanes)
             .map(|p| WorkloadGen::new(Benchmark::Gzip, 1_000, 23 + p as u64).collect_trace())
             .collect();
-        let run =
-            || UnsyncSystem::new(CoreConfig::table1(), UnsyncConfig::paper_baseline()).run(&traces);
+        let run = || {
+            let (out, mem) = driver.run_system(&mut unsync_policies(lanes), &traces);
+            (out, mem.l2_stats().miss_rate())
+        };
         let reference = run();
-        assert_eq!(reference.pairs.len(), lanes);
-        for (p, stats) in reference.pairs.iter().enumerate() {
-            assert_eq!(stats.pair, p);
-            assert_eq!(stats.core.committed, 1_000, "lane {p} of {lanes}");
-            assert!(stats.core.correct(), "lane {p} of {lanes}: {stats:?}");
+        assert_eq!(reference.0.len(), lanes);
+        for (p, r) in reference.0.iter().enumerate() {
+            assert_eq!(r.committed, 1_000, "lane {p} of {lanes}");
+            assert!(r.correct(), "lane {p} of {lanes}: {r:?}");
         }
         // Distinct per-lane seeds must yield distinct lane outcomes —
         // otherwise the equality below could pass vacuously.
         assert!(
-            reference
-                .pairs
-                .windows(2)
-                .any(|w| w[0].core.cycles != w[1].core.cycles),
+            reference.0.windows(2).any(|w| w[0].cycles != w[1].cycles),
             "expected per-lane variation across seeds"
         );
         for _ in 0..2 {
@@ -112,7 +122,6 @@ fn run_system_is_byte_identical_on_rerun_at_64_lanes() {
     // event streams, final memory images — across a same-seed rerun.
     use unsync::prelude::*;
     use unsync_exec::RedundantDriver;
-    use unsync_mem::WritePolicy;
     let lanes = 64usize;
     let traces: Vec<TraceProgram> = (0..lanes)
         .map(|p| {
@@ -126,19 +135,7 @@ fn run_system_is_byte_identical_on_rerun_at_64_lanes() {
         })
         .collect();
     let driver = RedundantDriver::new(CoreConfig::table1());
-    let run = || {
-        let mut policies: Vec<unsync_core::UnsyncPolicy> = (0..lanes)
-            .map(|p| {
-                unsync_core::UnsyncPolicy::new(
-                    "det64",
-                    UnsyncConfig::paper_baseline(),
-                    WritePolicy::WriteThrough,
-                    2 * p,
-                )
-            })
-            .collect();
-        driver.run_system(&mut policies, &traces)
-    };
+    let run = || driver.run_system(&mut unsync_policies(lanes), &traces);
     let (reference, _) = run();
     assert_eq!(reference.len(), lanes);
     assert!(reference.iter().all(|r| r.out.committed == 300));
@@ -219,36 +216,6 @@ fn lockstep_pair_is_deterministic_across_repeated_runs() {
         assert!(reference.cycles > 0);
         for _ in 0..2 {
             assert_eq!(run(window), reference, "window {window} diverged");
-        }
-    }
-}
-
-#[test]
-fn nway_group_is_deterministic_across_repeated_runs() {
-    use unsync::prelude::*;
-    use unsync_fault::{FaultKind, FaultSite, FaultTarget, PairFault};
-    let t = WorkloadGen::new(Benchmark::Fft, 5_000, 13).collect_trace();
-    // One strike per replica index exercises every recovery source path.
-    for ways in [2usize, 3, 4] {
-        let faults: Vec<PairFault> = (0..ways)
-            .map(|core| PairFault {
-                at: 1_000 + 37 * core as u64,
-                core,
-                site: FaultSite {
-                    target: FaultTarget::RegisterFile,
-                    bit_offset: 67 + core as u64,
-                },
-                kind: FaultKind::Single,
-            })
-            .collect();
-        let run = || {
-            UnsyncGroup::new(CoreConfig::table1(), UnsyncConfig::paper_baseline(), ways)
-                .run(&t, &faults)
-        };
-        let reference = run();
-        assert_eq!(reference.recoveries, ways as u64, "{ways}-way");
-        for _ in 0..2 {
-            assert_eq!(run(), reference, "{ways}-way group diverged");
         }
     }
 }
