@@ -12,11 +12,11 @@
 //!   workload source × seed × optional [`StrikePlan`] — and
 //!   [`CampaignGrid::expand`] flattens it into [`CampaignJob`]s in a
 //!   fixed grid order. Each job derives its private SplitMix64 stream
-//!   from [`job_seed_named`], so results are a pure function of the
+//!   from `job_seed_named`, so results are a pure function of the
 //!   job alone: bit-identical across worker counts, reruns, and
 //!   resumes.
 //! * [`CampaignEngine::run_streaming`] runs the pending jobs on one
-//!   worker pool through [`Runner::map_chunks`] and appends each
+//!   worker pool through `Runner::map_chunks` and appends each
 //!   fixed-size chunk's records to the JSONL log in row order before
 //!   the workers start the next. Memory stays bounded by one chunk no
 //!   matter how large the grid.
@@ -235,7 +235,7 @@ impl CampaignJob {
     /// the struck structure's label, the scheme name and the strike
     /// index for strike jobs; compare jobs hash the scheme under a
     /// distinct prefix so the two kinds can never collide.
-    pub fn salt(&self) -> u64 {
+    pub(crate) fn salt(&self) -> u64 {
         match self.kind {
             JobKind::Strike { target, index } => strike_salt(target, self.scheme, index),
             JobKind::Compare => {
@@ -427,9 +427,9 @@ const CHUNK: usize = 256;
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignReport {
     /// The JSONL log path.
-    pub path: PathBuf,
+    pub(crate) path: PathBuf,
     /// Worker threads used.
-    pub workers: usize,
+    pub(crate) workers: usize,
     /// Jobs in the full grid.
     pub jobs_total: usize,
     /// Jobs executed this call.
@@ -456,7 +456,7 @@ impl CampaignReport {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CampaignEngine {
     /// Worker threads executing jobs.
-    pub workers: usize,
+    pub(crate) workers: usize,
 }
 
 impl CampaignEngine {

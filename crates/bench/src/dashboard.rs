@@ -40,14 +40,14 @@ use crate::runlog::Json;
 #[derive(Debug, Clone)]
 pub struct LoadedLog {
     /// File name within the results directory.
-    pub file: String,
+    pub(crate) file: String,
     /// Parsed lines, in file order.
-    pub lines: Vec<Json>,
+    pub(crate) lines: Vec<Json>,
 }
 
 impl LoadedLog {
     /// The `metrics` object of the trailing `meta` line, if present.
-    pub fn meta_metrics(&self) -> Option<&Json> {
+    pub(crate) fn meta_metrics(&self) -> Option<&Json> {
         self.lines
             .iter()
             .rev()
@@ -102,7 +102,7 @@ fn parse_log(text: &str) -> Result<Vec<Json>, String> {
 
 /// Per-scheme metrics (`suffix → value`), aggregated across every
 /// file's meta line by max (see the module docs for why max).
-pub type SchemeStats = BTreeMap<String, BTreeMap<String, Json>>;
+pub(crate) type SchemeStats = BTreeMap<String, BTreeMap<String, Json>>;
 
 /// Aggregates every `<scheme>.<suffix>` metric found in the logs' meta
 /// lines. A dotted prefix counts as a scheme when it publishes `.runs`,
@@ -155,7 +155,7 @@ fn merge_metric(have: &Json, new: &Json) -> Json {
 /// trailing `le: null` overflow bucket). Returns the upper bound of the
 /// bucket containing the target rank: `Some(inf)` when the rank lands
 /// in the overflow bucket, `None` for empty/absent histograms.
-pub fn histogram_percentile(hist: &Json, q: f64) -> Option<f64> {
+pub(crate) fn histogram_percentile(hist: &Json, q: f64) -> Option<f64> {
     let total = hist.get("count").and_then(Json::as_u64)?;
     if total == 0 {
         return None;
@@ -180,42 +180,42 @@ pub fn histogram_percentile(hist: &Json, q: f64) -> Option<f64> {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SchemeRow {
     /// Scheme metric prefix (`unsync_pair`, `tmr_vote`, …).
-    pub scheme: String,
+    pub(crate) scheme: String,
     /// Driver runs aggregated into this row.
-    pub runs: u64,
+    pub(crate) runs: u64,
     /// Committed instructions.
-    pub instructions: u64,
+    pub(crate) instructions: u64,
     /// Total cycles.
-    pub cycles: u64,
+    pub(crate) cycles: u64,
     /// Detections.
-    pub detections: u64,
+    pub(crate) detections: u64,
     /// Detections per megacycle.
-    pub detections_per_mcycle: Option<f64>,
+    pub(crate) detections_per_mcycle: Option<f64>,
     /// Completed recoveries.
-    pub recoveries: u64,
+    pub(crate) recoveries: u64,
     /// Fraction of cycles spent stalled in recovery.
-    pub recovery_stall_fraction: Option<f64>,
+    pub(crate) recovery_stall_fraction: Option<f64>,
     /// Fraction of cycles lost to a full communication buffer.
-    pub cb_full_fraction: Option<f64>,
+    pub(crate) cb_full_fraction: Option<f64>,
     /// Fraction of cycles requests spent waiting for contended L2 bank
     /// ports (zero unless the banked-L2 model was enabled).
-    pub l2_contention_fraction: Option<f64>,
+    pub(crate) l2_contention_fraction: Option<f64>,
     /// Mean store-buffer occupancy at comparison-window boundaries.
-    pub window_occupancy_mean: Option<f64>,
+    pub(crate) window_occupancy_mean: Option<f64>,
     /// MTTR percentiles (p50, p95, max bucket bound), when the scheme
     /// recorded any recovery episodes.
-    pub mttr: Option<(f64, f64, f64)>,
+    pub(crate) mttr: Option<(f64, f64, f64)>,
     /// The hottest L2 bank and its share of all bank conflicts, from
     /// the `l2_bank_conflicts` histogram (absent unless the banked-L2
     /// model recorded conflicts).
-    pub l2_hot_bank: Option<(u64, f64)>,
+    pub(crate) l2_hot_bank: Option<(u64, f64)>,
 }
 
 /// The most-conflicted bank index and its share of all recorded bank
 /// conflicts, from a serialized `l2_bank_conflicts` histogram (each
 /// finite bucket's bound is a bank index and its count that bank's
 /// conflict tally). `None` for empty or absent histograms.
-pub fn hot_bank(hist: &Json) -> Option<(u64, f64)> {
+pub(crate) fn hot_bank(hist: &Json) -> Option<(u64, f64)> {
     let total = hist.get("count").and_then(Json::as_u64)?;
     if total == 0 {
         return None;
@@ -243,15 +243,15 @@ pub fn hot_bank(hist: &Json) -> Option<(u64, f64)> {
 #[derive(Debug, Clone, PartialEq)]
 pub struct BankRow {
     /// Scheme metric prefix.
-    pub scheme: String,
+    pub(crate) scheme: String,
     /// Bank index.
-    pub bank: u64,
+    pub(crate) bank: u64,
     /// Conflicts recorded on this bank.
-    pub conflicts: u64,
+    pub(crate) conflicts: u64,
     /// Share of the scheme's conflicts landing on this bank.
-    pub conflict_share: f64,
+    pub(crate) conflict_share: f64,
     /// Bank-wait cycles attributed to this bank.
-    pub stall_cycles: u64,
+    pub(crate) stall_cycles: u64,
 }
 
 /// Per-bank tallies of a bank-indexed histogram (each finite bucket's
@@ -337,10 +337,10 @@ pub struct HealthCounters {
     /// Cycle-journal events dropped on the bounded journal
     /// (`exec.journal_dropped`) — non-zero means exported timelines
     /// are incomplete.
-    pub journal_dropped: u64,
+    pub(crate) journal_dropped: u64,
     /// Contended acquisitions of the runner's memo cache locks
     /// (`runner.cache_lock_waits`).
-    pub cache_lock_waits: u64,
+    pub(crate) cache_lock_waits: u64,
 }
 
 impl HealthCounters {
@@ -495,23 +495,23 @@ pub fn render_scheme_table(rows: &[SchemeRow]) -> String {
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignRow {
     /// Experiment (grid) name.
-    pub experiment: String,
+    pub(crate) experiment: String,
     /// Worker threads of the run.
-    pub workers: u64,
+    pub(crate) workers: u64,
     /// Jobs in the full grid.
-    pub jobs: u64,
+    pub(crate) jobs: u64,
     /// Jobs executed by this run (less than `jobs` after a resume).
-    pub jobs_run: u64,
+    pub(crate) jobs_run: u64,
     /// Jobs skipped because a resumed log already held them.
-    pub jobs_skipped: u64,
+    pub(crate) jobs_skipped: u64,
     /// Wall-clock milliseconds.
-    pub wall_ms: u64,
+    pub(crate) wall_ms: u64,
     /// Streaming throughput of the run.
-    pub jobs_per_sec: f64,
+    pub(crate) jobs_per_sec: f64,
     /// Golden-image memo hit rate, when the run recorded the counters.
-    pub golden_hit_pct: Option<f64>,
+    pub(crate) golden_hit_pct: Option<f64>,
     /// Baseline-cycles memo hit rate, when recorded.
-    pub baseline_hit_pct: Option<f64>,
+    pub(crate) baseline_hit_pct: Option<f64>,
 }
 
 /// Extracts one [`CampaignRow`] per campaign meta line found in `logs`
@@ -606,7 +606,7 @@ pub fn render_campaign_table(rows: &[CampaignRow]) -> String {
 
 /// Rebuilds the uncore vulnerability table from the record lines of
 /// every `roec_uncore` run log in `logs`, folded through
-/// [`crate::roec_uncore::vulnerability_table`]. Empty when no campaign
+/// `crate::roec_uncore::vulnerability_table`. Empty when no campaign
 /// log is present.
 pub fn roec_table(logs: &[LoadedLog]) -> unsync_fault::roec::VulnerabilityTable {
     let is_campaign = |log: &&LoadedLog| {

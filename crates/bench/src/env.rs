@@ -6,9 +6,9 @@
 //! integer; the boolean knobs are `UNSYNC_CAMPAIGN_SMOKE` and
 //! `UNSYNC_CAMPAIGN_RESUME_ONLY` (`campaign`), each `0` or `1`.
 //! `UNSYNC_RESULTS_DIR` is a path, read by [`crate::runlog::results_dir`].
-//! [`parse_u64`] and [`parse_flag`] are pure functions of the
+//! `parse_u64` and `parse_flag` are pure functions of the
 //! variable's name and raw value, so they are tested without touching
-//! the process environment; [`var`] and [`flag`] read the environment
+//! the process environment; `var` and [`flag`] read the environment
 //! through them.
 //!
 //! An unset or blank value is `Ok(None)` (a flag: off) and the caller's
@@ -20,7 +20,7 @@ use std::env::VarError;
 
 /// Parses one unsigned-integer knob. `value` is the raw environment
 /// value (`None` when unset); surrounding whitespace is ignored.
-pub fn parse_u64(name: &str, value: Option<&str>) -> Result<Option<u64>, String> {
+pub(crate) fn parse_u64(name: &str, value: Option<&str>) -> Result<Option<u64>, String> {
     let Some(v) = value.map(str::trim).filter(|v| !v.is_empty()) else {
         return Ok(None);
     };
@@ -31,7 +31,7 @@ pub fn parse_u64(name: &str, value: Option<&str>) -> Result<Option<u64>, String>
 
 /// Parses one boolean knob: unset, blank or `0` is off and `1` is on;
 /// surrounding whitespace is ignored.
-pub fn parse_flag(name: &str, value: Option<&str>) -> Result<bool, String> {
+pub(crate) fn parse_flag(name: &str, value: Option<&str>) -> Result<bool, String> {
     match value.map_or("", str::trim) {
         "" | "0" => Ok(false),
         "1" => Ok(true),
@@ -49,17 +49,17 @@ fn at_least(name: &str, min: u64, value: Option<u64>) -> Result<Option<u64>, Str
 
 /// Reads `name` from the process environment and parses it with
 /// [`parse_u64`].
-pub fn var(name: &str) -> Result<Option<u64>, String> {
+pub(crate) fn var(name: &str) -> Result<Option<u64>, String> {
     parse_u64(name, raw(name)?.as_deref())
 }
 
 /// [`var`], rejecting a value below `min` as an error naming `name`.
-pub fn var_at_least(name: &str, min: u64) -> Result<Option<u64>, String> {
+pub(crate) fn var_at_least(name: &str, min: u64) -> Result<Option<u64>, String> {
     at_least(name, min, var(name)?)
 }
 
 /// Reads `name` from the process environment and parses it with
-/// [`parse_flag`].
+/// `parse_flag`.
 pub fn flag(name: &str) -> Result<bool, String> {
     parse_flag(name, raw(name)?.as_deref())
 }

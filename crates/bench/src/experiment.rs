@@ -56,7 +56,7 @@ pub struct Experiment {
 }
 
 /// A row's experiment: the worker pool and config in, its output out.
-pub type Run = fn(Runner, ExperimentConfig) -> Output;
+pub(crate) type Run = fn(Runner, ExperimentConfig) -> Output;
 
 /// What one row produced.
 #[derive(Debug)]
@@ -65,9 +65,9 @@ pub struct Output {
     pub text: String,
     /// The config the run log's header records; `None` for the analytic
     /// rows, whose header carries `"config":null`.
-    pub config: Option<ExperimentConfig>,
+    pub(crate) config: Option<ExperimentConfig>,
     /// The run log's records, in order, before `kind`/`row` framing.
-    pub records: Vec<Json>,
+    pub(crate) records: Vec<Json>,
     /// Files the row writes besides its run log: path and contents.
     pub files: Vec<(PathBuf, String)>,
     started: Instant,
@@ -558,7 +558,7 @@ fn kernel_stats(runner: Runner, cfg: ExperimentConfig) -> Output {
     o
 }
 
-/// The uncore vulnerability campaign (ROEC 2.0, see [`roec_uncore`]):
+/// The uncore vulnerability campaign (ROEC 2.0, see [`mod@crate::roec_uncore`]):
 /// structure × scheme × strike, each strike classified against the
 /// golden memory image, summarized in `BENCH_roec.json`. The grid is
 /// [`roec_uncore::grid`] and its records come from the campaign

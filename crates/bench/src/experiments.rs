@@ -67,15 +67,15 @@ fn trace(bench: Benchmark, cfg: ExperimentConfig) -> TraceProgram {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Fig4Row {
     /// Benchmark name.
-    pub bench: &'static str,
+    pub(crate) bench: &'static str,
     /// Serializing-instruction fraction of the trace.
-    pub serializing_fraction: f64,
+    pub(crate) serializing_fraction: f64,
     /// Baseline IPC.
-    pub base_ipc: f64,
+    pub(crate) base_ipc: f64,
     /// Reunion runtime overhead vs. baseline (fraction).
-    pub reunion_overhead: f64,
+    pub(crate) reunion_overhead: f64,
     /// UnSync runtime overhead vs. baseline (fraction).
-    pub unsync_overhead: f64,
+    pub(crate) unsync_overhead: f64,
 }
 
 /// Fig. 4: per-benchmark runtime overhead of Reunion (FI = 10) and UnSync
@@ -111,22 +111,22 @@ pub fn fig4_on(runner: Runner, cfg: ExperimentConfig) -> Vec<Fig4Row> {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Fig5Cell {
     /// Benchmark name.
-    pub bench: &'static str,
+    pub(crate) bench: &'static str,
     /// Fingerprint interval.
-    pub fi: u32,
+    pub(crate) fi: u32,
     /// Comparison latency, cycles.
-    pub latency: u32,
+    pub(crate) latency: u32,
     /// Reunion runtime normalized to baseline (1.0 = no overhead).
-    pub reunion_norm: f64,
+    pub(crate) reunion_norm: f64,
     /// UnSync runtime normalized to baseline (flat — it has no FI).
-    pub unsync_norm: f64,
+    pub(crate) unsync_norm: f64,
     /// Reunion's average ROB occupancy at this point.
-    pub reunion_rob_occupancy: f64,
+    pub(crate) reunion_rob_occupancy: f64,
 }
 
 /// The paper's Fig. 5 sweep points: FI and comparison latency increased
 /// together from (1, 10) to (30, 40).
-pub const FIG5_POINTS: [(u32, u32); 5] = [(1, 10), (5, 15), (10, 20), (20, 30), (30, 40)];
+pub(crate) const FIG5_POINTS: [(u32, u32); 5] = [(1, 10), (5, 15), (10, 20), (20, 30), (30, 40)];
 
 /// Fig. 5: Reunion's sensitivity to fingerprint interval and comparison
 /// latency. The paper: ammp and galgel degrade steeply (ROB saturation),
@@ -167,19 +167,19 @@ pub fn fig5_on(runner: Runner, cfg: ExperimentConfig, benches: &[Benchmark]) -> 
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Fig6Row {
     /// Benchmark name.
-    pub bench: &'static str,
+    pub(crate) bench: &'static str,
     /// CB size label in bytes (8-byte entries).
-    pub cb_bytes: usize,
+    pub(crate) cb_bytes: usize,
     /// CB entries.
-    pub cb_entries: usize,
+    pub(crate) cb_entries: usize,
     /// UnSync runtime normalized to baseline.
-    pub unsync_norm: f64,
+    pub(crate) unsync_norm: f64,
     /// Commit cycles lost to a full CB (both cores).
-    pub cb_full_stall_cycles: u64,
+    pub(crate) cb_full_stall_cycles: u64,
 }
 
 /// The paper's Fig. 6 CB sizes (bytes).
-pub const FIG6_SIZES: [usize; 6] = [16, 64, 256, 1024, 2048, 4096];
+pub(crate) const FIG6_SIZES: [usize; 6] = [16, 64, 256, 1024, 2048, 4096];
 
 /// Fig. 6: UnSync runtime across CB sizes. The paper: small CBs stall the
 /// cores; 2 KB / 4 KB buffers eliminate the bottleneck entirely.
@@ -211,20 +211,20 @@ pub fn fig6_on(runner: Runner, cfg: ExperimentConfig, benches: &[Benchmark]) -> 
 #[derive(Debug, Clone, Serialize)]
 pub struct SerSweep {
     /// Swept error rates (errors/instruction).
-    pub rates: Vec<f64>,
+    pub(crate) rates: Vec<f64>,
     /// Projected pair IPC for Reunion at each rate.
-    pub reunion_ipc: Vec<f64>,
+    pub(crate) reunion_ipc: Vec<f64>,
     /// Projected pair IPC for UnSync at each rate.
-    pub unsync_ipc: Vec<f64>,
+    pub(crate) unsync_ipc: Vec<f64>,
     /// Error-free cycles (Reunion, UnSync) per `inst_count` instructions.
-    pub error_free_cycles: (f64, f64),
+    pub(crate) error_free_cycles: (f64, f64),
     /// Measured per-error recovery cost in cycles (Reunion rollback,
     /// UnSync always-forward state copy).
-    pub per_error_cycles: (f64, f64),
+    pub(crate) per_error_cycles: (f64, f64),
     /// The measured break-even SER: the rate at which UnSync's cheap
     /// error-free mode + expensive recovery equals Reunion's costly
     /// error-free mode + cheap rollback (paper: 1.29e-3).
-    pub break_even: Option<f64>,
+    pub(crate) break_even: Option<f64>,
 }
 
 /// §VI-C: extrapolates average IPC across SER rates 1e-17 … 1e-3, exactly
@@ -299,35 +299,35 @@ pub fn ser_sweep_on(runner: Runner, cfg: ExperimentConfig, benches: &[Benchmark]
 
 /// Aggregate fault-injection outcomes for one architecture.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
-pub struct RoecArchStats {
+pub(crate) struct RoecArchStats {
     /// Faults injected.
-    pub injected: u64,
+    pub(crate) injected: u64,
     /// Runs that ended bit-identical to the golden run.
-    pub correct: u64,
+    pub(crate) correct: u64,
     /// Faults detected (fingerprint mismatch / hardware detector).
-    pub detected: u64,
+    pub(crate) detected: u64,
     /// Faults corrected in place (ECC).
-    pub corrected_in_place: u64,
+    pub(crate) corrected_in_place: u64,
     /// Unrecoverable outcomes (divergent state rollback cannot fix).
-    pub unrecoverable: u64,
+    pub(crate) unrecoverable: u64,
     /// Faults that produced silently corrupt memory.
-    pub silent_corruptions: u64,
+    pub(crate) silent_corruptions: u64,
 }
 
 /// The §VI-D region-of-error-coverage comparison.
 #[derive(Debug, Clone, Serialize)]
 pub struct RoecReport {
     /// Static ROEC fraction (bits covered by a mechanism): UnSync.
-    pub unsync_roec: f64,
+    pub(crate) unsync_roec: f64,
     /// Static ROEC fraction: Reunion.
-    pub reunion_roec: f64,
+    pub(crate) reunion_roec: f64,
     /// Injection outcomes under UnSync.
-    pub unsync: RoecArchStats,
+    pub(crate) unsync: RoecArchStats,
     /// Injection outcomes under Reunion.
-    pub reunion: RoecArchStats,
+    pub(crate) reunion: RoecArchStats,
     /// Injection outcomes per fault target under Reunion
     /// (target, injected, correct).
-    pub reunion_by_target: Vec<(&'static str, u64, u64)>,
+    pub(crate) reunion_by_target: Vec<(&'static str, u64, u64)>,
 }
 
 /// The two architectures the §VI-D campaign strikes.
@@ -435,29 +435,29 @@ pub fn roec_on(runner: Runner, cfg: ExperimentConfig, campaigns: u64) -> RoecRep
 /// Error-free overhead of one benchmark under every redundancy
 /// discipline in the repository, relative to the unprotected baseline.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct ComparatorRow {
+pub(crate) struct ComparatorRow {
     /// Benchmark name.
-    pub bench: &'static str,
+    pub(crate) bench: &'static str,
     /// Tight-lockstep overhead vs. baseline (fraction).
-    pub lockstep_overhead: f64,
+    pub(crate) lockstep_overhead: f64,
     /// Reunion overhead vs. baseline (fraction).
-    pub reunion_overhead: f64,
+    pub(crate) reunion_overhead: f64,
     /// Coarse-checkpointing overhead vs. baseline (fraction).
-    pub checkpoint_overhead: f64,
+    pub(crate) checkpoint_overhead: f64,
     /// UnSync overhead vs. baseline (fraction).
-    pub unsync_overhead: f64,
+    pub(crate) unsync_overhead: f64,
     /// Majority-voting TMR overhead vs. baseline (fraction).
-    pub tmr_overhead: f64,
+    pub(crate) tmr_overhead: f64,
     /// FlexStep-style pair (128-instruction window) overhead vs.
     /// baseline (fraction).
-    pub flex_overhead: f64,
+    pub(crate) flex_overhead: f64,
     /// SECDED-only non-redundant core overhead vs. baseline (fraction).
-    pub secded_overhead: f64,
+    pub(crate) secded_overhead: f64,
 }
 
 /// The benchmark subset the comparator study reports (one cache-friendly
 /// and one memory-bound representative from each suite).
-pub const COMPARATOR_BENCHES: [Benchmark; 5] = [
+pub(crate) const COMPARATOR_BENCHES: [Benchmark; 5] = [
     Benchmark::Bzip2,
     Benchmark::Galgel,
     Benchmark::Sha,
@@ -467,7 +467,7 @@ pub const COMPARATOR_BENCHES: [Benchmark; 5] = [
 
 /// The Fig. 5 benchmarks: the paper's highlighted ammp and galgel, plus
 /// a cache-resident MiBench kernel and a memory-bound code.
-pub const FIG5_BENCHES: [Benchmark; 5] = [
+pub(crate) const FIG5_BENCHES: [Benchmark; 5] = [
     Benchmark::Ammp,
     Benchmark::Galgel,
     Benchmark::Sha,
@@ -477,7 +477,7 @@ pub const FIG5_BENCHES: [Benchmark; 5] = [
 
 /// The Fig. 6 benchmarks: the store-heavy workloads that pressure the
 /// CB hardest.
-pub const FIG6_BENCHES: [Benchmark; 5] = [
+pub(crate) const FIG6_BENCHES: [Benchmark; 5] = [
     Benchmark::Qsort,
     Benchmark::Rijndael,
     Benchmark::Bzip2,
@@ -486,7 +486,7 @@ pub const FIG6_BENCHES: [Benchmark; 5] = [
 ];
 
 /// The benchmarks the §VI-C SER sweep averages over.
-pub const SER_BENCHES: [Benchmark; 8] = [
+pub(crate) const SER_BENCHES: [Benchmark; 8] = [
     Benchmark::Bzip2,
     Benchmark::Gzip,
     Benchmark::Ammp,
@@ -498,11 +498,11 @@ pub const SER_BENCHES: [Benchmark; 8] = [
 ];
 
 /// Single faults the §VI-D ROEC study injects into each architecture.
-pub const ROEC_CAMPAIGNS: u64 = 60;
+pub(crate) const ROEC_CAMPAIGNS: u64 = 60;
 
 /// Error-free runtime overhead of every redundancy discipline —
 /// lockstep, Reunion, checkpointing, UnSync — on identical workloads.
-pub fn comparators_on(runner: Runner, cfg: ExperimentConfig) -> Vec<ComparatorRow> {
+pub(crate) fn comparators_on(runner: Runner, cfg: ExperimentConfig) -> Vec<ComparatorRow> {
     runner.map(&COMPARATOR_BENCHES, |&bench| {
         let t = trace(bench, cfg);
         let base = baseline_cycles(bench, cfg) as f64;
@@ -532,28 +532,29 @@ pub fn comparators_on(runner: Runner, cfg: ExperimentConfig) -> Vec<ComparatorRo
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SchemeValuesRow {
     /// Benchmark name.
-    pub bench: &'static str,
+    pub(crate) bench: &'static str,
     /// Scheme metric prefix (`tmr_vote`, `flex_step`, `secded_only`).
-    pub scheme: &'static str,
+    pub(crate) scheme: &'static str,
     /// Total cycles.
-    pub cycles: u64,
+    pub(crate) cycles: u64,
     /// Committed instructions.
-    pub committed: u64,
+    pub(crate) committed: u64,
     /// Errors detected.
-    pub detections: u64,
+    pub(crate) detections: u64,
     /// TMR majority-vote in-place repairs.
-    pub corrections: u64,
+    pub(crate) corrections: u64,
     /// FlexStep window-boundary comparisons.
-    pub compares: u64,
+    pub(crate) compares: u64,
     /// SECDED single-bit strikes corrected in place.
-    pub corrected_in_place: u64,
+    pub(crate) corrected_in_place: u64,
     /// Whether the run ended fully correct.
-    pub correct: bool,
+    pub(crate) correct: bool,
 }
 
 /// The benchmark subset the scheme-values study snapshots (kept small —
 /// every row simulates three schemes).
-pub const SCHEME_BENCHES: [Benchmark; 3] = [Benchmark::Bzip2, Benchmark::Sha, Benchmark::Qsort];
+pub(crate) const SCHEME_BENCHES: [Benchmark; 3] =
+    [Benchmark::Bzip2, Benchmark::Sha, Benchmark::Qsort];
 
 /// The three PR-3 schemes on one trace under the fixed mid-trace ROB
 /// strike — shared by the synthetic and kernel scheme-values studies.
@@ -612,7 +613,7 @@ pub fn scheme_values_on(runner: Runner, cfg: ExperimentConfig) -> Vec<SchemeValu
 
 /// The kernel workloads the scheme-values study also snapshots — the
 /// measured real-ISA counterpart of [`SCHEME_BENCHES`].
-pub const SCHEME_KERNELS: [Kernel; 4] = [
+pub(crate) const SCHEME_KERNELS: [Kernel; 4] = [
     Kernel::Qsort,
     Kernel::Crc32,
     Kernel::Dijkstra,
@@ -624,7 +625,10 @@ pub const SCHEME_KERNELS: [Kernel; 4] = [
 /// executions (`kernel:*` rows). These rows are appended *after* the
 /// synthetic rows in `tests/golden/schemes.jsonl`, never interleaved,
 /// so every pre-existing golden row stays byte-identical.
-pub fn kernel_scheme_values_on(runner: Runner, cfg: ExperimentConfig) -> Vec<SchemeValuesRow> {
+pub(crate) fn kernel_scheme_values_on(
+    runner: Runner,
+    cfg: ExperimentConfig,
+) -> Vec<SchemeValuesRow> {
     let rows = runner.map(&SCHEME_KERNELS, |&kernel| {
         let t = kernel.source(cfg.inst_count, cfg.seed).trace();
         scheme_values_for(kernel.spec_name(), &t, cfg)

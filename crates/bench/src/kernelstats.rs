@@ -20,43 +20,43 @@ use crate::ExperimentConfig;
 
 /// Measured statistics of one kernel at one `(length, seed)` point.
 #[derive(Debug, Clone, PartialEq)]
-pub struct KernelStatsRow {
+pub(crate) struct KernelStatsRow {
     /// Workload-spec name (`kernel:qsort`, …).
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Emitted trace length (equals the configured instruction count).
-    pub instructions: u64,
+    pub(crate) instructions: u64,
     /// Input seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Fraction of serializing instructions (traps + memory barriers) —
     /// the quantity the paper's Fig. 5 sensitivity turns on.
-    pub serializing_fraction: f64,
+    pub(crate) serializing_fraction: f64,
     /// Fraction of committed stores (write-through pressure).
-    pub store_fraction: f64,
+    pub(crate) store_fraction: f64,
     /// Fraction of loads.
-    pub load_fraction: f64,
+    pub(crate) load_fraction: f64,
     /// Fraction of branches.
-    pub branch_fraction: f64,
+    pub(crate) branch_fraction: f64,
     /// Fraction of plain integer-ALU operations.
-    pub int_alu_fraction: f64,
+    pub(crate) int_alu_fraction: f64,
     /// Mispredicted share of all branches.
-    pub mispredict_rate: f64,
+    pub(crate) mispredict_rate: f64,
     /// Distinct 64-byte lines the trace touches.
-    pub distinct_lines: u64,
+    pub(crate) distinct_lines: u64,
     /// Words the kernel's architectural memory holds after execution.
-    pub footprint_words: u64,
+    pub(crate) footprint_words: u64,
     /// Single-core baseline cycles over the trace (Table I core).
-    pub baseline_cycles: u64,
+    pub(crate) baseline_cycles: u64,
     /// Single-core baseline IPC.
-    pub baseline_ipc: f64,
+    pub(crate) baseline_ipc: f64,
 }
 
 /// Measures every kernel at `cfg`'s `(inst_count, seed)` point on
 /// `runner`'s pool, one kernel per job: builds the trace through the
 /// [`unsync_workloads::WorkloadSource`] seam, takes its
-/// [`unsync_isa::TraceStats`], and runs the Table I baseline core over
+/// `TraceStats`, and runs the Table I baseline core over
 /// it. Rows come back in [`Kernel::all`] order and are fully
 /// deterministic in `cfg`, whatever the worker count.
-pub fn kernel_stats(runner: Runner, cfg: ExperimentConfig) -> Vec<KernelStatsRow> {
+pub(crate) fn kernel_stats(runner: Runner, cfg: ExperimentConfig) -> Vec<KernelStatsRow> {
     runner.map(Kernel::all(), |&kernel| {
         let source = kernel.source(cfg.inst_count, cfg.seed);
         let (trace, memory) = source.build();
@@ -81,7 +81,7 @@ pub fn kernel_stats(runner: Runner, cfg: ExperimentConfig) -> Vec<KernelStatsRow
 }
 
 /// The JSON fields of one row (shared by the run log and the summary).
-pub fn row_json(r: &KernelStatsRow) -> Json {
+pub(crate) fn row_json(r: &KernelStatsRow) -> Json {
     Json::obj()
         .field("name", r.name)
         .field("instructions", r.instructions)
@@ -99,7 +99,7 @@ pub fn row_json(r: &KernelStatsRow) -> Json {
 }
 
 /// The `KERNEL_stats.json` document for `rows`.
-pub fn stats_json(cfg: ExperimentConfig, rows: &[KernelStatsRow]) -> Json {
+pub(crate) fn stats_json(cfg: ExperimentConfig, rows: &[KernelStatsRow]) -> Json {
     Json::obj()
         .field("schema", 1u64)
         .field("inst_count", cfg.inst_count)

@@ -25,25 +25,17 @@ pub mod dashboard;
 pub mod env;
 pub mod experiment;
 pub mod experiments;
-pub mod kernelstats;
-pub mod lanesweep;
+pub(crate) mod kernelstats;
 pub mod render;
 pub mod roec_uncore;
 pub mod runlog;
 pub mod runner;
 pub mod scheme;
-pub mod stats;
+pub(crate) mod stats;
 pub mod timeline;
 
-pub use campaign::{
-    normalized_lines, run_collected, CampaignEngine, CampaignGrid, CampaignJob, CampaignReport,
-    JobKind,
-};
-pub use experiments::{
-    ExperimentConfig, Fig4Row, Fig5Cell, Fig6Row, RoecReport, SchemeValuesRow, SerSweep,
-};
-pub use lanesweep::{run_sweep, sweep_point, LaneSweepConfig, LaneSweepRow};
+pub use campaign::{normalized_lines, CampaignEngine, CampaignGrid};
+pub use experiments::ExperimentConfig;
 pub use runlog::{Json, RunLog};
-pub use runner::{baseline_cycles, job_seed, job_seed_named, job_stream, Runner};
-pub use stats::Summary;
-pub use timeline::{build_timeline, plan_strikes, TimelineScenarioConfig};
+pub use runner::Runner;
+pub use timeline::build_timeline;

@@ -5,7 +5,7 @@ use crate::experiments::{
 };
 
 /// Renders Fig. 4 as a per-benchmark overhead table.
-pub fn fig4(rows: &[Fig4Row]) -> String {
+pub(crate) fn fig4(rows: &[Fig4Row]) -> String {
     let mut s = String::new();
     s.push_str("Fig. 4 — runtime overhead vs. baseline CMP (FI = 10)\n");
     s.push_str(&format!(
@@ -39,7 +39,7 @@ pub fn fig4(rows: &[Fig4Row]) -> String {
 }
 
 /// Renders the Fig. 5 sweep, grouped by (FI, latency) point.
-pub fn fig5(cells: &[Fig5Cell]) -> String {
+pub(crate) fn fig5(cells: &[Fig5Cell]) -> String {
     let mut s = String::new();
     s.push_str("Fig. 5 — Reunion runtime (normalized to baseline) vs. FI and comparison latency\n");
     s.push_str(&format!(
@@ -56,7 +56,7 @@ pub fn fig5(cells: &[Fig5Cell]) -> String {
 }
 
 /// Renders the Fig. 6 CB-size sweep.
-pub fn fig6(rows: &[Fig6Row]) -> String {
+pub(crate) fn fig6(rows: &[Fig6Row]) -> String {
     let mut s = String::new();
     s.push_str("Fig. 6 — UnSync runtime (normalized to baseline) vs. CB size\n");
     s.push_str(&format!(
@@ -73,7 +73,7 @@ pub fn fig6(rows: &[Fig6Row]) -> String {
 }
 
 /// Renders the §VI-C SER sweep.
-pub fn ser(sweep: &SerSweep) -> String {
+pub(crate) fn ser(sweep: &SerSweep) -> String {
     let mut s = String::new();
     s.push_str("§VI-C — projected pair IPC vs. soft-error rate\n");
     s.push_str(&format!(
@@ -104,7 +104,7 @@ pub fn ser(sweep: &SerSweep) -> String {
 }
 
 /// Renders the §VI-D ROEC comparison.
-pub fn roec(report: &RoecReport) -> String {
+pub(crate) fn roec(report: &RoecReport) -> String {
     let mut s = String::new();
     s.push_str("§VI-D — region of error coverage (ROEC)\n");
     s.push_str(&format!(
@@ -137,11 +137,11 @@ pub fn roec(report: &RoecReport) -> String {
 
 /// CSV serialization of the figure data (one artifact per call), for
 /// plotting outside the repository.
-pub mod csv {
+pub(crate) mod csv {
     use super::*;
 
     /// Fig. 4 rows as CSV.
-    pub fn fig4(rows: &[Fig4Row]) -> String {
+    pub(crate) fn fig4(rows: &[Fig4Row]) -> String {
         let mut s = String::from(
             "benchmark,serializing_fraction,base_ipc,reunion_overhead,unsync_overhead\n",
         );
@@ -155,7 +155,7 @@ pub mod csv {
     }
 
     /// Fig. 5 cells as CSV.
-    pub fn fig5(cells: &[Fig5Cell]) -> String {
+    pub(crate) fn fig5(cells: &[Fig5Cell]) -> String {
         let mut s =
             String::from("benchmark,fi,latency,reunion_norm,unsync_norm,reunion_rob_occupancy\n");
         for c in cells {
@@ -168,7 +168,7 @@ pub mod csv {
     }
 
     /// Fig. 6 rows as CSV.
-    pub fn fig6(rows: &[Fig6Row]) -> String {
+    pub(crate) fn fig6(rows: &[Fig6Row]) -> String {
         let mut s =
             String::from("benchmark,cb_bytes,cb_entries,unsync_norm,cb_full_stall_cycles\n");
         for r in rows {
@@ -181,7 +181,7 @@ pub mod csv {
     }
 
     /// SER sweep as CSV.
-    pub fn ser(sweep: &SerSweep) -> String {
+    pub(crate) fn ser(sweep: &SerSweep) -> String {
         let mut s = String::from("ser_per_inst,reunion_ipc,unsync_ipc\n");
         for (i, &rate) in sweep.rates.iter().enumerate() {
             s.push_str(&format!(
@@ -202,7 +202,7 @@ pub mod jsonl {
     use crate::runlog::Json;
 
     /// The Table I machine parameters as a single record.
-    pub fn table1() -> Json {
+    pub(crate) fn table1() -> Json {
         let core = unsync_sim::CoreConfig::table1();
         let mem = unsync_mem::HierarchyConfig::table1();
         Json::obj()
@@ -250,7 +250,7 @@ pub mod jsonl {
     /// field set is frozen: pre-existing golden rows must stay
     /// byte-identical, so new schemes get their own records via
     /// [`comparator_schemes`].
-    pub fn comparators(r: &ComparatorRow) -> Json {
+    pub(crate) fn comparators(r: &ComparatorRow) -> Json {
         Json::obj()
             .field("benchmark", r.bench)
             .field("lockstep_overhead", r.lockstep_overhead)
@@ -262,7 +262,7 @@ pub mod jsonl {
     /// The same comparator row's PR-3 scheme columns (TMR voting,
     /// FlexStep-style granularity, SECDED-only baseline) as a separate
     /// record, appended after the frozen originals.
-    pub fn comparator_schemes(r: &ComparatorRow) -> Json {
+    pub(crate) fn comparator_schemes(r: &ComparatorRow) -> Json {
         Json::obj()
             .field("benchmark", r.bench)
             .field("tmr_overhead", r.tmr_overhead)

@@ -91,7 +91,7 @@ pub fn grid(seed: u64, smoke: bool) -> CampaignGrid {
 /// with `strikes` injected. `golden` optionally supplies the memoized
 /// fault-free memory image so the driver skips its per-run golden
 /// re-execution. Supplying it also opts into the strike-free reference
-/// memo ([`crate::runner::reference_run`]): a run whose strikes all
+/// memo (`crate::runner::reference_run`): a run whose strikes all
 /// leave state untouched ends at its last strike and takes the rest of
 /// its result from the memoized strike-free run. Results are
 /// bit-identical either way (a trace's golden is unique, and an early
@@ -151,7 +151,9 @@ pub fn classify_strike_result(result: &RunResult, golden: &ArchMemory) -> (Strik
 /// Aggregates campaign strike records — their `structure`, `scheme`
 /// and `outcome` fields — into the per-structure table. Records
 /// missing a field, or whose outcome label does not parse, are skipped.
-pub fn vulnerability_table<'a>(records: impl IntoIterator<Item = &'a Json>) -> VulnerabilityTable {
+pub(crate) fn vulnerability_table<'a>(
+    records: impl IntoIterator<Item = &'a Json>,
+) -> VulnerabilityTable {
     let mut table = VulnerabilityTable::new();
     for r in records {
         let field = |k: &str| r.get(k).and_then(Json::as_str);
@@ -243,7 +245,7 @@ pub fn render_vulnerability_table(table: &VulnerabilityTable) -> String {
 /// `table`: the `unsync_pair` SDC count over its strikes, naming each
 /// cell with an SDC, then the paper's claim only when that count is 0;
 /// otherwise the claim is "not shown at this grid".
-pub fn claim(table: &VulnerabilityTable) -> String {
+pub(crate) fn claim(table: &VulnerabilityTable) -> String {
     let rows: Vec<VulnerabilityRow> = table
         .rows()
         .into_iter()

@@ -394,7 +394,7 @@ impl From<Vec<Json>> for Json {
 }
 
 /// A JSONL run log under construction: header, records, then a meta
-/// line stamped at [`RunLog::finish`].
+/// line stamped at `RunLog::finish`.
 #[derive(Debug)]
 pub struct RunLog {
     experiment: String,
@@ -415,7 +415,7 @@ impl RunLog {
 
     /// Starts a log for an analytic experiment with no simulation
     /// config (the hardware-model tables).
-    pub fn start_static(experiment: &str) -> RunLog {
+    pub(crate) fn start_static(experiment: &str) -> RunLog {
         Self::with_header(experiment, Json::Null)
     }
 
@@ -448,7 +448,7 @@ impl RunLog {
     }
 
     /// The deterministic portion of the log: every line except the
-    /// trailing `meta` line (which [`finish`](RunLog::finish) appends).
+    /// trailing `meta` line (which `finish` appends).
     pub fn deterministic_lines(&self) -> &[String] {
         &self.lines
     }
@@ -462,7 +462,7 @@ impl RunLog {
     /// `"schema":1` — it describes the deterministic record shape,
     /// which is unchanged, and schema-1 consumers (and the golden
     /// snapshots) compare those lines byte-for-byte.
-    pub fn finish(mut self, workers: usize) -> String {
+    pub(crate) fn finish(mut self, workers: usize) -> String {
         let ms = metrics_snapshot_json();
         let meta = Json::obj()
             .field("kind", "meta")
@@ -511,7 +511,7 @@ pub fn results_dir() -> PathBuf {
 /// it appears under the `metrics` key of a run log's `meta` line.
 /// [`RunLog::finish`] and the campaign engine's streamed meta line
 /// share this encoding, so the dashboard reads both identically.
-pub fn metrics_snapshot_json() -> Json {
+pub(crate) fn metrics_snapshot_json() -> Json {
     let snapshot = metrics::global().snapshot();
     let mut ms = Json::obj();
     for (name, value) in metric_fields(&snapshot) {
@@ -526,7 +526,7 @@ pub fn metrics_snapshot_json() -> Json {
 /// `{count, sum_us, mean_us}`. Wall-clock numbers — like `workers` and
 /// `wall_clock_ms`, this block lives on the meta line only and is
 /// excluded from run-to-run diffs.
-pub fn prof_block_json() -> Json {
+pub(crate) fn prof_block_json() -> Json {
     let mut block = Json::obj();
     for (name, value) in metrics::global().snapshot() {
         let Some(phase) = name.strip_prefix("prof.") else {
@@ -572,25 +572,6 @@ fn metric_fields(snapshot: &[(String, MetricValue)]) -> Vec<(String, Json)> {
         .collect()
 }
 
-/// Strips `meta` lines from JSONL text: the deterministic portion that
-/// determinism and golden tests compare.
-///
-/// Matches the line *framing* — a line that starts with
-/// `{"kind":"meta"` — not a substring search: the serializer always
-/// emits `kind` first on framed lines, and a record whose own fields
-/// merely contain that text (e.g. a string field holding JSON) must
-/// not be silently dropped from golden comparisons.
-pub fn deterministic_portion(jsonl: &str) -> String {
-    let mut out = String::new();
-    for line in jsonl.lines() {
-        if !line.starts_with("{\"kind\":\"meta\"") {
-            out.push_str(line);
-            out.push('\n');
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -628,46 +609,6 @@ mod tests {
         assert!(lines[1].contains(r#""row":0,"benchmark":"gzip""#));
         assert!(lines[2].contains(r#""row":1,"benchmark":"mcf""#));
         assert!(lines[3].contains(r#""kind":"meta""#) && lines[3].contains(r#""workers":3"#));
-    }
-
-    #[test]
-    fn deterministic_portion_drops_only_meta() {
-        let cfg = ExperimentConfig {
-            inst_count: 10,
-            seed: 7,
-        };
-        let mut log = RunLog::start("unit2", cfg);
-        log.record(Json::obj().field("v", 1u64));
-        let det: Vec<String> = log.deterministic_lines().to_vec();
-        let text = log.finish(1);
-        let kept = deterministic_portion(&text);
-        assert_eq!(kept.lines().count(), det.len());
-        for (a, b) in kept.lines().zip(det.iter()) {
-            assert_eq!(a, b);
-        }
-    }
-
-    /// Regression: a *record* whose fields happen to contain the text
-    /// `"kind":"meta"` (here, a field literally named `kind` with value
-    /// `meta`) must survive `deterministic_portion` — the old substring
-    /// match silently stripped it from golden comparisons.
-    #[test]
-    fn deterministic_portion_keeps_records_that_mention_meta() {
-        let cfg = ExperimentConfig {
-            inst_count: 10,
-            seed: 7,
-        };
-        let mut log = RunLog::start("unit3", cfg);
-        log.record(Json::obj().field("kind", "meta").field("v", 1u64));
-        log.record(Json::obj().field("note", r#"payload with "kind":"meta" inside"#));
-        let det = log.deterministic_lines().to_vec();
-        assert_eq!(det.len(), 3); // header + 2 records
-        let text = log.finish(1);
-        let kept = deterministic_portion(&text);
-        assert_eq!(kept.lines().count(), 3, "records were wrongly stripped");
-        for (a, b) in kept.lines().zip(det.iter()) {
-            assert_eq!(a, b);
-        }
     }
 
     /// The meta line is schema 2 (histogram/span metrics); the header —

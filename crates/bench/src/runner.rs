@@ -7,9 +7,10 @@
 //!
 //! * **Worker-count independence.** A job's output depends only on its
 //!   input — never on which worker ran it or in what order. Anything a
-//!   job randomizes comes from its own [`job_stream`], derived from
-//!   `(seed, benchmark, config)` via SplitMix64, so `UNSYNC_WORKERS=1`
-//!   and `UNSYNC_WORKERS=64` produce bit-identical results.
+//!   job randomizes comes from its own seed (`job_seed_named`), derived
+//!   from `(seed, workload, config)` via SplitMix64, so
+//!   `UNSYNC_WORKERS=1` and `UNSYNC_WORKERS=64` produce bit-identical
+//!   results.
 //! * **Order preservation.** [`Runner::map`] returns outputs in input
 //!   order regardless of completion order.
 //! * **Baseline memoization.** Figures 4–6 and the reliability studies
@@ -22,7 +23,7 @@
 //! * **Strike-free references.** A strike job whose strikes change no
 //!   state ends at its last strike and takes the rest of its run from
 //!   the strike-free run of the same scheme, trace and driver
-//!   ([`reference_run`], `unsync_exec::Lane::reference`), simulated once
+//!   (`reference_run`, `unsync_exec::Lane::reference`), simulated once
 //!   per process — `runner.reference_sim_runs` vs.
 //!   `runner.reference_cache_hits`.
 
@@ -35,7 +36,7 @@ use unsync_exec::{Lane, RedundantDriver, Reference, RunResult};
 use unsync_isa::exec::splitmix64;
 use unsync_isa::{golden_run, ArchMemory, TraceProgram};
 use unsync_sim::{metrics, run_baseline, CoreConfig};
-use unsync_workloads::{Benchmark, SplitMixStream, SyntheticSource, WorkloadSource};
+use unsync_workloads::{Benchmark, SyntheticSource, WorkloadSource};
 
 use crate::experiments::ExperimentConfig;
 use crate::scheme::Scheme;
@@ -103,7 +104,7 @@ impl Runner {
     /// # Panics
     /// Panics if `chunk` is zero. Propagates a panic from any job after
     /// all workers stop.
-    pub fn map_chunks<I, T, E, F, S>(
+    pub(crate) fn map_chunks<I, T, E, F, S>(
         &self,
         items: &[I],
         chunk: usize,
@@ -227,28 +228,15 @@ impl Drop for HaltOnPanic<'_> {
 }
 
 /// The seed of a job's private RNG stream: a SplitMix64 chain over the
-/// experiment seed, the benchmark name, the instruction count, and a
-/// caller-chosen salt. Stable across platforms and worker counts.
-pub fn job_seed(cfg: ExperimentConfig, bench: Benchmark, salt: u64) -> u64 {
-    job_seed_named(cfg, bench.name(), salt)
-}
-
-/// [`job_seed`] keyed on a stable workload *name* instead of a
-/// [`Benchmark`] value — byte-identical for synthetic benchmarks
-/// (`job_seed` delegates here) and what lets kernel-backed campaign
-/// jobs share the same stream mapping.
-pub fn job_seed_named(cfg: ExperimentConfig, workload: &str, salt: u64) -> u64 {
+/// experiment seed, the stable workload name, the instruction count,
+/// and a caller-chosen salt. Stable across platforms and worker counts.
+pub(crate) fn job_seed_named(cfg: ExperimentConfig, workload: &str, salt: u64) -> u64 {
     let mut h = splitmix64(cfg.seed ^ 0x7f4a_7c15_9e37_79b9);
     for b in workload.bytes() {
         h = splitmix64(h ^ u64::from(b));
     }
     h = splitmix64(h ^ cfg.inst_count);
     splitmix64(h ^ salt)
-}
-
-/// A job's private deterministic RNG stream (see [`job_seed`]).
-pub fn job_stream(cfg: ExperimentConfig, bench: Benchmark, salt: u64) -> SplitMixStream {
-    SplitMixStream::new(job_seed(cfg, bench, salt))
 }
 
 /// Cache key of a memoized per-trace product: the source's stable
@@ -365,7 +353,7 @@ pub fn golden_memory(bench: Benchmark, cfg: ExperimentConfig) -> Arc<ArchMemory>
 
 /// A memoized strike-free run ([`reference_run`]).
 #[derive(Debug)]
-pub struct StrikeFreeRun {
+pub(crate) struct StrikeFreeRun {
     /// The run, its journal complete. Its memory image is left empty
     /// when it equals the golden image, which then stands in for it.
     run: RunResult,
@@ -375,7 +363,7 @@ pub struct StrikeFreeRun {
 impl StrikeFreeRun {
     /// The run as a lane's [`Reference`]; `golden` must be the golden
     /// image of the trace it ran.
-    pub fn view<'a>(&'a self, golden: &'a ArchMemory) -> Reference<'a> {
+    pub(crate) fn view<'a>(&'a self, golden: &'a ArchMemory) -> Reference<'a> {
         Reference {
             memory: if self.memory_is_golden {
                 golden
@@ -416,7 +404,7 @@ fn reference_cache() -> &'static MemoCache<Mutex<TraceRuns>> {
 /// never return another trace's run. Fills count as
 /// `runner.reference_sim_runs`, served stored runs as
 /// `runner.reference_cache_hits`.
-pub fn reference_run(
+pub(crate) fn reference_run(
     driver: &RedundantDriver,
     scheme: &Scheme,
     trace: &TraceProgram,
@@ -598,25 +586,25 @@ mod tests {
             inst_count: 1_000,
             seed: 1,
         };
-        let a = job_seed(cfg, Benchmark::Gzip, 0);
-        assert_ne!(a, job_seed(cfg, Benchmark::Gzip, 1));
-        assert_ne!(a, job_seed(cfg, Benchmark::Bzip2, 0));
+        let a = job_seed_named(cfg, "gzip", 0);
+        assert_ne!(a, job_seed_named(cfg, "gzip", 1));
+        assert_ne!(a, job_seed_named(cfg, "bzip2", 0));
         assert_ne!(
             a,
-            job_seed(ExperimentConfig { seed: 2, ..cfg }, Benchmark::Gzip, 0)
+            job_seed_named(ExperimentConfig { seed: 2, ..cfg }, "gzip", 0)
         );
         assert_ne!(
             a,
-            job_seed(
+            job_seed_named(
                 ExperimentConfig {
                     inst_count: 2_000,
                     ..cfg
                 },
-                Benchmark::Gzip,
+                "gzip",
                 0
             )
         );
-        assert_eq!(a, job_seed(cfg, Benchmark::Gzip, 0), "stable");
+        assert_eq!(a, job_seed_named(cfg, "gzip", 0), "stable");
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub struct Scheme {
     /// Runs one lane under the scheme's policy; with `publish` false the
     /// run leaves the metrics registry as it was
     /// ([`RedundantDriver::run_unpublished`]).
-    pub run: fn(&RedundantDriver, Lane<'_>, bool) -> RunResult,
+    pub(crate) run: fn(&RedundantDriver, Lane<'_>, bool) -> RunResult,
 }
 
 /// Runs `lane` alone on `driver` under `policy`, publishing its metrics
@@ -91,7 +91,7 @@ pub const TABLE: [Scheme; 7] = [
 ];
 
 /// The table row named `name`.
-pub fn find(name: &str) -> Option<&'static Scheme> {
+pub(crate) fn find(name: &str) -> Option<&'static Scheme> {
     TABLE.iter().find(|s| s.name == name)
 }
 

@@ -10,15 +10,15 @@ use serde::Serialize;
 
 /// Mean / spread summary of one metric across seeds.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct Summary {
+pub(crate) struct Summary {
     /// Number of samples.
-    pub n: usize,
+    pub(crate) n: usize,
     /// Sample mean.
-    pub mean: f64,
+    pub(crate) mean: f64,
     /// Sample standard deviation (n−1).
-    pub stddev: f64,
+    pub(crate) stddev: f64,
     /// Half-width of the 95 % confidence interval.
-    pub ci95: f64,
+    pub(crate) ci95: f64,
 }
 
 impl Summary {
@@ -26,7 +26,7 @@ impl Summary {
     ///
     /// # Panics
     /// Panics on an empty slice.
-    pub fn of(samples: &[f64]) -> Self {
+    pub(crate) fn of(samples: &[f64]) -> Self {
         assert!(!samples.is_empty(), "no samples");
         let n = samples.len();
         let mean = samples.iter().sum::<f64>() / n as f64;
@@ -46,7 +46,7 @@ impl Summary {
     }
 
     /// `mean ± ci95` formatted for tables.
-    pub fn display(&self) -> String {
+    pub(crate) fn display(&self) -> String {
         format!("{:.3} ± {:.3}", self.mean, self.ci95)
     }
 }

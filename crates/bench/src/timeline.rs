@@ -50,7 +50,7 @@ impl TimelineScenarioConfig {
     }
 
     /// A stable name embedded in the trace's `otherData` block.
-    pub fn name(&self) -> String {
+    pub(crate) fn name(&self) -> String {
         format!(
             "timeline[lanes={},insts={},seed={}]",
             self.lanes, self.insts_per_lane, self.seed
@@ -62,7 +62,7 @@ impl TimelineScenarioConfig {
 /// [`RedundantDriver::run`] requires. Lane
 /// `p` takes strikes on rotating targets drawn from the all-uncore
 /// plan so the uncore track samples several structures.
-pub fn plan_strikes(cfg: &TimelineScenarioConfig) -> Vec<Vec<UncoreStrike>> {
+pub(crate) fn plan_strikes(cfg: &TimelineScenarioConfig) -> Vec<Vec<UncoreStrike>> {
     // Strikes land in the middle half of [0, horizon); traces retire at
     // least one instruction per cycle-ish, so the instruction count is
     // a safe horizon.
@@ -94,8 +94,8 @@ fn run_scenario(cfg: &TimelineScenarioConfig, uncore: &[Vec<UncoreStrike>]) -> V
     let driver = RedundantDriver::new(CoreConfig::table1())
         .with_l2_contention(L2ContentionConfig::many_core())
         .with_journal(DEFAULT_JOURNAL_CAP);
-    // Disjoint per-lane address spaces, as in the lane sweep: the trace
-    // should show uncore contention, not false sharing.
+    // Disjoint per-lane address spaces: the trace should show uncore
+    // contention, not false sharing.
     let traces: Vec<_> = (0..cfg.lanes)
         .map(|p| {
             let base = 0x1000_0000u64 + p as u64 * 0x0100_0000;

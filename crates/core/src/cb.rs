@@ -37,7 +37,7 @@ struct CbEntry {
 }
 
 /// The CRC-16 fingerprint a CB entry carries over its (seq, line) pair.
-pub fn cb_fingerprint(seq: u64, line: u64) -> u16 {
+pub(crate) fn cb_fingerprint(seq: u64, line: u64) -> u16 {
     crc16_word(crc16_word(0xFFFF, seq), line)
 }
 
@@ -60,13 +60,13 @@ impl CbEntry {
 
 /// Statistics of one CB side.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CbSideStats {
+pub(crate) struct CbSideStats {
     /// Stores pushed.
-    pub pushes: u64,
+    pub(crate) pushes: u64,
     /// Pushes that found the buffer full.
-    pub full_events: u64,
+    pub(crate) full_events: u64,
     /// Commit cycles lost waiting for a slot.
-    pub full_stall_cycles: u64,
+    pub(crate) full_stall_cycles: u64,
 }
 
 /// The paired Communication Buffers of one UnSync core pair.
@@ -77,7 +77,7 @@ pub struct PairedCb {
     core_base: usize,
     sides: [VecDeque<CbEntry>; 2],
     /// Per-side statistics.
-    pub stats: [CbSideStats; 2],
+    pub(crate) stats: [CbSideStats; 2],
     /// Entries drained to the L2 (one copy per matched pair).
     pub drained: u64,
     /// Pair completions rejected because a side's fingerprint no longer
@@ -95,7 +95,7 @@ impl PairedCb {
     /// A CB pair owned by the pair whose first core is `core_base`
     /// (multi-pair systems: pair `p` owns cores `2p`/`2p+1` and drain
     /// path `p`).
-    pub fn for_cores(capacity: usize, core_base: usize) -> Self {
+    pub(crate) fn for_cores(capacity: usize, core_base: usize) -> Self {
         assert!(capacity > 0, "CB capacity must be positive");
         PairedCb {
             capacity,
@@ -111,7 +111,7 @@ impl PairedCb {
     }
 
     /// Capacity per side.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
@@ -124,7 +124,7 @@ impl PairedCb {
 
     /// Occupancy of `core`'s side at `cycle` without retiring anything:
     /// the entries behind those a retire at `cycle` would drop.
-    pub fn resident(&self, core: usize, cycle: u64) -> usize {
+    pub(crate) fn resident(&self, core: usize, cycle: u64) -> usize {
         let side = &self.sides[core];
         side.len() - side.iter().take_while(|e| e.drain_done <= cycle).count()
     }

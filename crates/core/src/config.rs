@@ -9,12 +9,12 @@ pub struct UnsyncConfig {
     pub cb_entries: usize,
     /// Cycles from a detection block firing to the EIH's RECOVERY signal
     /// stalling both cores (the "non-zero cycles" of Fig. 2).
-    pub eih_latency: u32,
+    pub(crate) eih_latency: u32,
     /// Cycles to flush the erroneous core's pipeline (recovery step 2).
-    pub flush_cycles: u32,
+    pub(crate) flush_cycles: u32,
     /// Cycles from the strike to the detection block firing (parity is
     /// verified on the next read; DMR compares on the next cycle).
-    pub detection_latency: u32,
+    pub(crate) detection_latency: u32,
 }
 
 impl Default for UnsyncConfig {
@@ -50,7 +50,7 @@ impl UnsyncConfig {
     }
 
     /// Validates structural sanity.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.cb_entries == 0 {
             return Err("CB must have at least one entry".into());
         }

@@ -27,18 +27,16 @@
 //! * The L1 **must** be write-through: with a write-back L1 a second
 //!   strike on a dirty line of the error-free core during recovery leaves
 //!   no correct copy anywhere (Fig. 2) — reproduced as the
-//!   `unrecoverable` outcome of the write-back ablation.
+//!   `unrecoverable` outcome of an [`UnsyncPolicy`] built with a
+//!   write-back L1.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cb;
-pub mod config;
-pub mod pair;
+pub(crate) mod cb;
+pub(crate) mod config;
+pub(crate) mod pair;
 
 pub use cb::PairedCb;
 pub use config::UnsyncConfig;
 pub use pair::{UnsyncPair, UnsyncPolicy};
-
-/// Re-export of the fault-model coverage map for UnSync (§III-B1).
-pub use unsync_fault::Coverage;

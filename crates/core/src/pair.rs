@@ -65,30 +65,13 @@ use crate::config::UnsyncConfig;
 pub struct UnsyncPair {
     ccfg: CoreConfig,
     ucfg: UnsyncConfig,
-    l1_policy: WritePolicy,
 }
 
 impl UnsyncPair {
     /// A pair with the paper's write-through L1 (§III-C1).
     pub fn new(ccfg: CoreConfig, ucfg: UnsyncConfig) -> Self {
         ucfg.validate().expect("UnSync config must be valid");
-        UnsyncPair {
-            ccfg,
-            ucfg,
-            l1_policy: WritePolicy::WriteThrough,
-        }
-    }
-
-    /// The write-back ablation of Fig. 2 — demonstrates why the paper
-    /// *requires* write-through: a second strike on a dirty line of the
-    /// error-free core during recovery is unrecoverable.
-    pub fn with_write_back_l1(ccfg: CoreConfig, ucfg: UnsyncConfig) -> Self {
-        ucfg.validate().expect("UnSync config must be valid");
-        UnsyncPair {
-            ccfg,
-            ucfg,
-            l1_policy: WritePolicy::WriteBack,
-        }
+        UnsyncPair { ccfg, ucfg }
     }
 
     /// Runs `trace` to completion with the given faults (sorted by `at`).
@@ -107,7 +90,7 @@ impl UnsyncPair {
         golden: Option<&unsync_isa::ArchMemory>,
     ) -> RunResult {
         let driver = RedundantDriver::new(self.ccfg);
-        let policy = UnsyncPolicy::new("unsync_pair", self.ucfg, self.l1_policy, 0);
+        let policy = UnsyncPolicy::new("unsync_pair", self.ucfg, WritePolicy::WriteThrough, 0);
         let mut lane = Lane::new(trace);
         (lane.faults, lane.golden) = (faults.to_vec(), golden);
         driver.run(&mut [policy], vec![lane]).0.remove(0)
@@ -598,8 +581,20 @@ mod tests {
             fault(1_000, 0, FaultTarget::RegisterFile, 3),
             fault(1_000, 1, FaultTarget::L1Data, 999),
         ];
-        let wb = UnsyncPair::with_write_back_l1(CoreConfig::table1(), UnsyncConfig::default())
-            .run(&t, &faults);
+        let wb_policy = UnsyncPolicy::new(
+            "unsync_pair",
+            UnsyncConfig::default(),
+            WritePolicy::WriteBack,
+            0,
+        );
+        let lane = Lane {
+            faults: faults.to_vec(),
+            ..Lane::new(&t)
+        };
+        let wb = RedundantDriver::new(CoreConfig::table1())
+            .run(&mut [wb_policy], vec![lane])
+            .0
+            .remove(0);
         assert_eq!(wb.unrecoverable, 1, "{wb:?}");
         assert!(!wb.correct());
         // The same double strike under write-through is just two

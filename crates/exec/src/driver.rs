@@ -9,7 +9,7 @@
 //! The scheme-specific 10 % is delegated to a [`RedundancyPolicy`].
 //!
 //! One entry point, [`RedundantDriver::run`], executes one or more
-//! [`Lane`]s (a pair or N-way group each) over one shared memory
+//! [`Lane`]s (a pair or a TMR triple each) over one shared memory
 //! system; a single pair is the one-lane case. Every lane is one
 //! discrete-event component ([`crate::sched`]) whose tick executes one
 //! instruction across its replicas and opens and closes the policy's
@@ -45,8 +45,6 @@ use crate::pending::PendingStores;
 use crate::policy::{RedundancyPolicy, SegmentVerdict, StrikeVerdict};
 use crate::sched::{self, Component};
 
-pub use crate::pending::PendingStore;
-
 /// The per-lane mutable state the driver threads through a run: the
 /// engines, the functional layer, the event stream, and the outcome
 /// being accumulated. Policies receive `&mut LaneState` in every
@@ -61,7 +59,7 @@ pub struct LaneState {
     pub arch: Vec<ArchState>,
     /// The lane's committed (agreed) memory image.
     pub committed_mem: ArchMemory,
-    /// Stores executed but not yet committed (see [`PendingStore`]).
+    /// Stores executed but not yet committed (see `PendingStore`).
     pub pending: PendingStores,
     /// The lane's structured trace-event stream.
     pub events: EventStream,
@@ -71,7 +69,7 @@ pub struct LaneState {
     /// can place each conflict on its bank track, and the published
     /// per-bank histograms are tallied from it. Empty when the
     /// contention model is off.
-    pub l2_events: Vec<L2ContentionEvent>,
+    pub(crate) l2_events: Vec<L2ContentionEvent>,
     /// The outcome counters being accumulated.
     pub out: OutcomeCore,
     /// Cached wall clock — `max` over the engines, maintained by the
@@ -117,14 +115,14 @@ impl LaneState {
     /// Recomputes the cached wall clock from the engines and mirrors it
     /// into the event stream, so plain [`EventStream::emit`] calls
     /// stamp the current cycle.
-    pub fn sync_clock(&mut self) {
+    pub(crate) fn sync_clock(&mut self) {
         self.clock = self.engines.iter().map(|e| e.now()).max().unwrap_or(0);
         self.events.set_clock(self.clock);
     }
 
     /// Raises the cached wall clock to `cycle` (engine clocks only move
     /// forward, so a known lower bound never needs the full recompute).
-    /// Mirrored into the event stream like [`LaneState::sync_clock`].
+    /// Mirrored into the event stream like `LaneState::sync_clock`.
     pub fn bump_clock(&mut self, cycle: u64) {
         self.clock = self.clock.max(cycle);
         self.events.set_clock(self.clock);
@@ -260,9 +258,7 @@ impl<'a> Reference<'a> {
     }
 }
 
-/// The shared redundant-execution driver (see the [module docs]).
-///
-/// [module docs]: crate::driver
+/// The shared redundant-execution driver (see the `driver` module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RedundantDriver {
     ccfg: CoreConfig,

@@ -8,7 +8,7 @@
 //!
 //! Every event carries a `cycle` stamp: the emitting lane's wall clock
 //! at the moment of emission. The driver mirrors the lane clock into
-//! the stream (see [`crate::LaneState::sync_clock`]), so the plain
+//! the stream (see `crate::LaneState::sync_clock`), so the plain
 //! [`EventStream::emit`] / [`EventStream::emit_value`] calls stamp the
 //! current cycle for free; policies that know a more precise point (a
 //! recovery's stall start, a compare rendezvous) pass it explicitly via
@@ -17,7 +17,7 @@
 //! event sequence is always ordered in time.
 //!
 //! Two consumers ride on the stamps:
-//! * an incremental [`crate::spans::SpanTracker`] pairs recovery
+//! * an incremental `crate::spans::SpanTracker` pairs recovery
 //!   start/end (and rollback) events into recovery *episodes*, giving
 //!   MTTR and detection→recovery latency distributions without keeping
 //!   the full event sequence;
@@ -144,7 +144,7 @@ impl TraceEventKind {
 
     /// Whether the metric publishes the summed values (`CbDrain`,
     /// stall-cycle kinds) rather than the occurrence count.
-    pub fn publishes_sum(self) -> bool {
+    pub(crate) fn publishes_sum(self) -> bool {
         matches!(
             self,
             TraceEventKind::CbDrain
@@ -157,45 +157,42 @@ impl TraceEventKind {
 
 /// A scheme's counter handles, resolved against the global registry
 /// once and reused for every publish of that scheme. Registry handles
-/// are update-lock-free and survive [`Registry::reset`], so caching
-/// them removes the per-run `format!` + registry lock per kind that
-/// [`EventStream::publish`] (and the driver's run/instruction/cycle
-/// counters) used to pay.
-///
-/// [`Registry::reset`]: unsync_sim::metrics::Registry::reset
+/// are update-lock-free, so caching them removes the per-run
+/// `format!` + registry lock per kind that [`EventStream::publish`]
+/// (and the driver's run/instruction/cycle counters) used to pay.
 pub(crate) struct SchemeCounters {
     /// One counter per [`TraceEventKind`], in `repr` order.
-    pub kinds: [Counter; KINDS.len()],
+    pub(crate) kinds: [Counter; KINDS.len()],
     /// `<scheme>.recovery_stall_cycles`.
-    pub recovery_stall: Counter,
+    pub(crate) recovery_stall: Counter,
     /// `<scheme>.window_occupancy_sum` — the summed store-buffer
     /// occupancies observed at comparison-window boundaries
     /// (`WindowCompared` publishes its count under `window_compares`;
     /// the sum would otherwise be lost).
-    pub window_occupancy: Counter,
+    pub(crate) window_occupancy: Counter,
     /// `<scheme>.runs`.
-    pub runs: Counter,
+    pub(crate) runs: Counter,
     /// `<scheme>.instructions`.
-    pub instructions: Counter,
+    pub(crate) instructions: Counter,
     /// `<scheme>.cycles`.
-    pub cycles: Counter,
+    pub(crate) cycles: Counter,
     /// `<scheme>.recovery_mttr_cycles` — one observation per recovery
     /// episode (its stall).
-    pub mttr: Histogram,
+    pub(crate) mttr: Histogram,
     /// `<scheme>.detection_to_recovery_cycles` — one observation per
     /// episode with a preceding detection stamp.
-    pub detect_latency: Histogram,
+    pub(crate) detect_latency: Histogram,
     /// `<scheme>.l2_bank_conflicts` — one observation per recorded
     /// bank-conflict stall, valued at the conflicted bank's index, so
     /// the bucket profile is the per-bank occupancy-pressure histogram
     /// the dashboard renders.
-    pub l2_banks: Histogram,
+    pub(crate) l2_banks: Histogram,
     /// `<scheme>.l2_bank_stalls` — the stall-cycle companion of
     /// `l2_banks`: one pre-aggregated observation batch per bank,
     /// valued at the bank index and weighted by the cycles requests
     /// spent waiting on that bank, so each bucket's count is the bank's
     /// total stall cycles (the dashboard's per-bank occupancy column).
-    pub l2_bank_stalls: Histogram,
+    pub(crate) l2_bank_stalls: Histogram,
     /// `<scheme>.recovery_overlap_fraction`, registered by the first
     /// run of the scheme.
     recovery_overlap: OnceLock<Gauge>,
@@ -205,7 +202,7 @@ impl SchemeCounters {
     /// Sets `<scheme>.recovery_overlap_fraction` (see
     /// `crate::spans::overlap_fraction`); `scheme` names the metric on
     /// first use only.
-    pub fn set_recovery_overlap(&self, scheme: &str, fraction: f64) {
+    pub(crate) fn set_recovery_overlap(&self, scheme: &str, fraction: f64) {
         self.recovery_overlap
             .get_or_init(|| {
                 unsync_sim::metrics::global().gauge(&format!("{scheme}.recovery_overlap_fraction"))
@@ -328,7 +325,7 @@ impl PartialEq for EventStream {
 
 impl EventStream {
     /// An empty stream, without a journal.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EventStream {
             counts: [0; KINDS.len()],
             sums: [0; KINDS.len()],
@@ -385,12 +382,12 @@ impl EventStream {
     /// mirrors the lane clock here after every point that can advance
     /// an engine, so plain [`emit`](EventStream::emit) stamps the
     /// current cycle.
-    pub fn set_clock(&mut self, cycle: u64) {
+    pub(crate) fn set_clock(&mut self, cycle: u64) {
         self.clock = self.clock.max(cycle);
     }
 
     /// The stream clock (the stamp the next plain `emit` would carry).
-    pub fn clock(&self) -> u64 {
+    pub(crate) fn clock(&self) -> u64 {
         self.clock
     }
 
@@ -405,7 +402,7 @@ impl EventStream {
     }
 
     /// How many events were emitted, of every kind.
-    pub fn emitted(&self) -> u64 {
+    pub(crate) fn emitted(&self) -> u64 {
         self.counts.iter().sum()
     }
 

@@ -2,7 +2,7 @@
 //!
 //! The shared redundant-execution substrate every scheme in this
 //! workspace routes through. A redundancy scheme — UnSync, Reunion,
-//! lockstep, an N-way group, a multi-pair system — is ~90 % identical
+//! lockstep, TMR, a multi-pair system — is ~90 % identical
 //! machinery: interleave `N` [`unsync_sim::OooEngine`]s over one shared
 //! [`unsync_mem::MemSystem`], execute the program functionally on each
 //! replica ([`unsync_isa::ArchState`] + [`unsync_isa::ArchMemory`]),
@@ -31,32 +31,29 @@
 //! interleaving, forwarding, golden comparison, or outcome type: every
 //! run returns a [`RunResult`], whose event stream carries the scheme's
 //! own counters. See `ARCHITECTURE.md` ("Where to add things") for the
-//! recipe, the [`schemes`] module for three complete worked examples
+//! recipe, the `schemes` module for three complete worked examples
 //! (TMR voting, FlexStep-style granularity, SECDED-only baseline), and
 //! this crate's tests for the minimal floor.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod driver;
+pub(crate) mod driver;
 pub mod event;
-pub mod outcome;
-pub mod pending;
-pub mod policy;
+pub(crate) mod outcome;
+pub(crate) mod pending;
+pub(crate) mod policy;
 pub mod sched;
-pub mod schemes;
+pub(crate) mod schemes;
 pub mod spans;
 pub mod uncore;
 
 pub use driver::{Lane, LaneState, RedundantDriver, Reference, RunResult};
-pub use event::{EventStream, TraceEvent, TraceEventKind};
+pub use event::{EventStream, TraceEventKind};
 pub use outcome::OutcomeCore;
-pub use pending::{PendingStore, PendingStores};
 pub use policy::{RedundancyPolicy, SegmentVerdict, StrikeVerdict};
-pub use sched::{Component, EventQueue};
 pub use schemes::{
     FlexConfig, FlexGranularityPolicy, FlexPair, SecdedOnlyCore, SecdedOnlyPolicy, TmrTriple,
     TmrVotePolicy,
 };
-pub use spans::{episodes_from, overlap_fraction, Episode, SpanStats, SpanTracker};
-pub use uncore::{corrupt_memory, deliver as deliver_uncore_strike, strike_is_live};
+pub use spans::{episodes_from, overlap_fraction};

@@ -29,14 +29,14 @@ use std::hash::{BuildHasherDefault, Hasher};
 #[derive(Debug, Clone, Copy)]
 pub struct PendingStore {
     /// The store instruction's sequence number.
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// Word-aligned effective address per replica (they differ only
     /// under address-translation faults).
     pub addr: [u64; 2],
     /// Store value per replica.
     pub value: [u64; 2],
     /// Which replicas have produced their copy.
-    pub present: [bool; 2],
+    pub(crate) present: [bool; 2],
 }
 
 impl PendingStore {
@@ -50,7 +50,7 @@ impl PendingStore {
 /// default SipHash is overkill for attacker-free `u64` keys on the
 /// per-load path.
 #[derive(Debug, Clone, Default)]
-pub struct AddrHasher {
+pub(crate) struct AddrHasher {
     hash: u64,
 }
 
@@ -88,27 +88,17 @@ pub struct PendingStores {
 
 impl PendingStores {
     /// An empty set.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         PendingStores::default()
     }
 
     /// Number of pending entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// Whether no store is pending.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The entries in push (= seq) order.
-    pub fn iter(&self) -> impl Iterator<Item = &PendingStore> {
-        self.entries.iter()
-    }
-
     /// Drops every entry and both indexes (segment-retry reset).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.entries.clear();
         for w in &mut self.writers {
             w.clear();
@@ -117,7 +107,7 @@ impl PendingStores {
     }
 
     /// Removes and returns every entry in seq order (segment commit).
-    pub fn drain(&mut self) -> std::vec::Drain<'_, PendingStore> {
+    pub(crate) fn drain(&mut self) -> std::vec::Drain<'_, PendingStore> {
         for w in &mut self.writers {
             w.clear();
         }
@@ -132,7 +122,7 @@ impl PendingStores {
 
     /// Records replica `core`'s copy of store `seq` to word-aligned
     /// `addr`. First copy creates the entry; the second completes it.
-    pub fn record(&mut self, core: usize, seq: u64, addr: u64, value: u64) {
+    pub(crate) fn record(&mut self, core: usize, seq: u64, addr: u64, value: u64) {
         debug_assert_eq!(addr & 7, 0, "record takes word-aligned addresses");
         match self.position(seq) {
             Some(i) => {
@@ -166,7 +156,7 @@ impl PendingStores {
     /// Store-to-load forwarding: replica `core`'s youngest pending
     /// store to word-aligned `addr`, if any. Pops stale index entries
     /// (whose store has since been committed or dropped) as it goes.
-    pub fn forward(&mut self, core: usize, addr: u64) -> Option<u64> {
+    pub(crate) fn forward(&mut self, core: usize, addr: u64) -> Option<u64> {
         let stack = self.writers[core].get_mut(&addr)?;
         while let Some(&seq) = stack.last() {
             if let Ok(i) = self.entries.binary_search_by_key(&seq, |p| p.seq) {
@@ -194,7 +184,7 @@ impl PendingStores {
     /// matched entry and drops those entries. O(1) when nothing is
     /// matched; otherwise drains the matched prefix (the common case —
     /// oldest stores complete first) before falling back to a sweep.
-    pub fn commit_matched(&mut self, mut commit: impl FnMut(u64, u64)) {
+    pub(crate) fn commit_matched(&mut self, mut commit: impl FnMut(u64, u64)) {
         if self.matched == 0 {
             return;
         }
@@ -268,7 +258,7 @@ mod tests {
     use super::*;
 
     fn entry(ps: &PendingStores, seq: u64) -> Option<&PendingStore> {
-        ps.iter().find(|p| p.seq == seq)
+        ps.entries.iter().find(|p| p.seq == seq)
     }
 
     #[test]
@@ -341,7 +331,7 @@ mod tests {
         ps.record(0, 1, 0x100, 1);
         ps.record(1, 1, 0x100, 1);
         assert_eq!(ps.drain().count(), 1);
-        assert!(ps.is_empty());
+        assert!(ps.entries.is_empty());
         assert_eq!(ps.forward(0, 0x100), None);
         ps.record(0, 2, 0x100, 2);
         ps.clear();

@@ -1,7 +1,7 @@
 //! The plug-in point that makes a redundancy scheme.
 //!
 //! [`RedundancyPolicy`] captures everything that *differs* between
-//! UnSync, Reunion, lockstep, and N-way groups: which hooks drive the
+//! UnSync, Reunion, lockstep, FlexStep and TMR: which hooks drive the
 //! engines' timing, where compare points sit (per instruction, per
 //! fingerprint interval, per lockstep window), how faults perturb the
 //! functional stream, and what recovery does (always-forward copy,
@@ -210,8 +210,8 @@ pub trait RedundancyPolicy {
     }
 
     /// Called once per instruction after every replica executed it:
-    /// per-instruction detection/recovery (UnSync, groups), window
-    /// re-synchronization (lockstep), store agreement (groups).
+    /// per-instruction detection/recovery (UnSync), window
+    /// re-synchronization (lockstep), strike bookkeeping (TMR).
     fn after_instruction(
         &mut self,
         mem: &mut MemSystem,

@@ -81,7 +81,7 @@ impl EventQueue {
     }
 
     /// A queue with capacity for `n` components pre-allocated.
-    pub fn with_capacity(n: usize) -> Self {
+    pub(crate) fn with_capacity(n: usize) -> Self {
         EventQueue {
             heap: BinaryHeap::with_capacity(n),
         }
@@ -99,13 +99,8 @@ impl EventQueue {
     }
 
     /// The earliest pending wake-up without removing it.
-    pub fn peek(&self) -> Option<(u64, usize)> {
+    pub(crate) fn peek(&self) -> Option<(u64, usize)> {
         self.heap.peek().map(|&Reverse(entry)| entry)
-    }
-
-    /// Number of pending wake-ups.
-    pub fn len(&self) -> usize {
-        self.heap.len()
     }
 
     /// Whether no wake-ups are pending.
@@ -199,7 +194,7 @@ mod tests {
         q.schedule(3, 2);
         q.schedule(5, 0);
         q.schedule(3, 0);
-        assert_eq!(q.len(), 4);
+        assert_eq!(q.heap.len(), 4);
         assert_eq!(q.peek(), Some((3, 0)));
         assert_eq!(q.pop(), Some((3, 0)));
         assert_eq!(q.pop(), Some((3, 2)));

@@ -47,12 +47,12 @@ const MAX_ROLLBACK_RETRIES: u32 = 3;
 pub struct FlexConfig {
     /// Comparison interval in instructions (the FlexStep knob; 1 =
     /// per-instruction, lockstep-like; 1024 = checkpoint-like).
-    pub window: u32,
+    pub(crate) window: u32,
     /// Cycles both replicas synchronize at every window boundary to
     /// exchange and compare fingerprints.
-    pub compare_latency: u32,
+    pub(crate) compare_latency: u32,
     /// Squash/restore penalty charged per rollback, cycles.
-    pub rollback_penalty: u32,
+    pub(crate) rollback_penalty: u32,
 }
 
 impl FlexConfig {
@@ -82,8 +82,7 @@ impl FlexConfig {
 /// # Examples
 ///
 /// ```
-/// use unsync_exec::schemes::{FlexConfig, FlexPair};
-/// use unsync_exec::TraceEventKind;
+/// use unsync_exec::{FlexConfig, FlexPair, TraceEventKind};
 /// use unsync_sim::CoreConfig;
 /// use unsync_workloads::{Benchmark, SyntheticSource, WorkloadSource};
 ///
@@ -114,7 +113,7 @@ impl FlexPair {
 }
 
 /// The FlexStep-style scheme as a [`RedundancyPolicy`] (see the
-/// [module docs](self)).
+/// module docs).
 pub struct FlexGranularityPolicy {
     fcfg: FlexConfig,
     hooks: [NullHooks; 2],

@@ -19,9 +19,9 @@
 //!   This is the detection-coverage floor every redundant scheme is
 //!   implicitly compared against.
 
-pub mod flexstep;
-pub mod secded_only;
-pub mod tmr;
+pub(crate) mod flexstep;
+pub(crate) mod secded_only;
+pub(crate) mod tmr;
 
 pub use flexstep::{FlexConfig, FlexGranularityPolicy, FlexPair};
 pub use secded_only::{SecdedOnlyCore, SecdedOnlyPolicy};

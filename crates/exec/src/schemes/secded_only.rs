@@ -43,8 +43,7 @@ const DOUBLE_ERROR_STALL: u64 = 8;
 /// # Examples
 ///
 /// ```
-/// use unsync_exec::schemes::SecdedOnlyCore;
-/// use unsync_exec::TraceEventKind;
+/// use unsync_exec::{SecdedOnlyCore, TraceEventKind};
 /// use unsync_sim::CoreConfig;
 /// use unsync_workloads::{Benchmark, SyntheticSource, WorkloadSource};
 ///
@@ -75,7 +74,7 @@ impl SecdedOnlyCore {
 }
 
 /// The SECDED-only baseline as a [`RedundancyPolicy`] (see the
-/// [module docs](self)).
+/// module docs).
 pub struct SecdedOnlyPolicy {
     hooks: NullHooks,
 }

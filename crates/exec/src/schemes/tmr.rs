@@ -1,15 +1,14 @@
 //! Triple modular redundancy with majority voting — correct, don't
 //! recover.
 //!
-//! [`TmrVotePolicy`] is the 3-way counterpart of the N-way group scheme:
-//! three replicas execute every instruction in virtual lockstep, and a
-//! voter compares the replicated state at every segment boundary. Where
-//! the group scheme *recovers* (detection latency + interrupt + flush +
-//! a full state/L1 copy), the TMR voter *corrects*: the outvoted replica
-//! is overwritten with the majority state in place and execution simply
-//! continues — [`crate::SegmentVerdict::Commit`] with a
-//! [`TraceEventKind::Corrected`] event, never a rollback or a recovery
-//! stall.
+//! [`TmrVotePolicy`]: three replicas execute every instruction in
+//! virtual lockstep, and a voter compares the replicated state at every
+//! segment boundary. Where UnSync *recovers* (detection latency +
+//! interrupt + flush + a full state/L1 copy), the TMR voter *corrects*:
+//! the outvoted replica is overwritten with the majority state in place
+//! and execution simply continues — [`crate::SegmentVerdict::Commit`]
+//! with a [`TraceEventKind::Corrected`] event, never a rollback or a
+//! recovery stall.
 //!
 //! The voter observes the replicated *values* — each replica's result,
 //! store (address, value), and architectural state — not the fault
@@ -36,7 +35,7 @@ const WAYS: usize = 3;
 
 /// Cycles all three engines stall while the voter repairs an outvoted
 /// replica (write-port turnaround for the state copy; far cheaper than
-/// the group scheme's interrupt + flush + L1 copy recovery).
+/// UnSync's interrupt + flush + L1 copy recovery).
 const CORRECTION_STALL: u64 = 16;
 
 /// A voting TMR triple over one trace. Its run's events count in-place
@@ -46,8 +45,7 @@ const CORRECTION_STALL: u64 = 16;
 /// # Examples
 ///
 /// ```
-/// use unsync_exec::schemes::TmrTriple;
-/// use unsync_exec::TraceEventKind;
+/// use unsync_exec::{TmrTriple, TraceEventKind};
 /// use unsync_sim::CoreConfig;
 /// use unsync_workloads::{Benchmark, SyntheticSource, WorkloadSource};
 ///
@@ -79,7 +77,7 @@ impl TmrTriple {
 }
 
 /// The majority-voting TMR scheme as a [`RedundancyPolicy`] (see the
-/// [module docs](self)).
+/// module docs).
 pub struct TmrVotePolicy {
     hooks: [NullHooks; WAYS],
     /// Per-replica result of the instruction being voted on.

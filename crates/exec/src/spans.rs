@@ -18,7 +18,7 @@
 //!   explicit stall event) becomes a zero-stall episode so episode
 //!   counts and detection→recovery latencies still line up.
 //!
-//! [`SpanTracker`] does this incrementally inside
+//! `SpanTracker` does this incrementally inside
 //! [`crate::EventStream`] — O(1) state per open episode, no dependence
 //! on the bounded ring or the opt-in journal — and the pure
 //! [`episodes_from`] runs the same pairing over any stored event
@@ -29,7 +29,7 @@
 use crate::event::{TraceEvent, TraceEventKind};
 
 /// Hard cap on retained episodes — far above any real fault campaign
-/// (one episode per injected fault); overflow is counted, not grown.
+/// (one episode per injected fault); overflow is dropped, not grown.
 const EPISODE_CAP: usize = 65_536;
 
 /// One recovery episode: from the cycle recovery began to the cycle
@@ -58,7 +58,7 @@ impl Episode {
 
     /// Cycles from the triggering detection to recovery start (`None`
     /// when no detection stamp was attached).
-    pub fn detection_latency(&self) -> Option<u64> {
+    pub(crate) fn detection_latency(&self) -> Option<u64> {
         self.detect.map(|d| self.start.saturating_sub(d))
     }
 }
@@ -68,16 +68,15 @@ impl Episode {
 /// path; everything except detection/recovery/rollback kinds is
 /// ignored, so the hot path pays one match).
 #[derive(Debug, Clone, Default)]
-pub struct SpanTracker {
+pub(crate) struct SpanTracker {
     pending_detect: Option<u64>,
     open: Option<Episode>,
     episodes: Vec<Episode>,
-    dropped: u64,
 }
 
 impl SpanTracker {
     /// Folds one event into the span state machine.
-    pub fn observe(&mut self, ev: &TraceEvent) {
+    pub(crate) fn observe(&mut self, ev: &TraceEvent) {
         match ev.kind {
             TraceEventKind::Detection => {
                 // Keep the earliest unconsumed detection: the episode's
@@ -140,19 +139,12 @@ impl SpanTracker {
     fn push(&mut self, ep: Episode) {
         if self.episodes.len() < EPISODE_CAP {
             self.episodes.push(ep);
-        } else {
-            self.dropped += 1;
         }
     }
 
     /// The episodes closed so far, in order.
-    pub fn episodes(&self) -> &[Episode] {
+    pub(crate) fn episodes(&self) -> &[Episode] {
         &self.episodes
-    }
-
-    /// Episodes lost to the retention cap.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
     }
 }
 
@@ -172,7 +164,7 @@ pub struct SpanStats {
     /// Closed episodes.
     pub episodes: u64,
     /// Total rollback re-executions across episodes.
-    pub rollbacks: u64,
+    pub(crate) rollbacks: u64,
     /// Sum of per-episode stall costs.
     pub total_stall: u64,
     /// Mean stall per episode (MTTR); 0 with no episodes.
@@ -185,12 +177,12 @@ pub struct SpanStats {
     pub mttr_max: u64,
     /// Mean detection→recovery-start latency over episodes that carry a
     /// detection stamp; 0 when none do.
-    pub detect_latency_mean: f64,
+    pub(crate) detect_latency_mean: f64,
 }
 
 impl SpanStats {
     /// Computes the summary for `episodes`.
-    pub fn from_episodes(episodes: &[Episode]) -> SpanStats {
+    pub(crate) fn from_episodes(episodes: &[Episode]) -> SpanStats {
         let n = episodes.len() as u64;
         let total_stall: u64 = episodes.iter().map(|e| e.stall).sum();
         let rollbacks: u64 = episodes.iter().map(|e| e.rollbacks).sum();

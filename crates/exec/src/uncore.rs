@@ -52,7 +52,7 @@ const UNRECOVERABLE_STALL: u64 = 8;
 /// strike wraps its entry index into the occupied region, so it is live
 /// whenever the structure holds *any* live state at the strike cycle.
 /// Every probe only reads, so a strike on dead state changes nothing.
-pub fn strike_is_live(mem: &MemSystem, lane: &LaneState, strike: &UncoreStrike) -> bool {
+pub(crate) fn strike_is_live(mem: &MemSystem, lane: &LaneState, strike: &UncoreStrike) -> bool {
     let site = strike.site;
     let entry = site.entry_index() as usize;
     match site.target {
@@ -100,7 +100,7 @@ pub fn strike_is_live(mem: &MemSystem, lane: &LaneState, strike: &UncoreStrike) 
 /// lane's committed memory — the consumer-visible corruption of an
 /// undetected (or uncorrectable) uncore strike. Returns `false` when
 /// the image holds no written words yet (nothing to corrupt: masked).
-pub fn corrupt_memory(lane: &mut LaneState, strike: &UncoreStrike) -> bool {
+pub(crate) fn corrupt_memory(lane: &mut LaneState, strike: &UncoreStrike) -> bool {
     let count = lane.committed_mem.iter().count();
     if count == 0 {
         return false;

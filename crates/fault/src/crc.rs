@@ -21,24 +21,10 @@
 use serde::{Deserialize, Serialize};
 
 /// CRC-16/CCITT generator polynomial (x^16 + x^12 + x^5 + 1).
-pub const CRC16_CCITT_POLY: u16 = 0x1021;
+pub(crate) const CRC16_CCITT_POLY: u16 = 0x1021;
 
 /// Initial CRC register value at the start of each fingerprint interval.
-pub const CRC16_INIT: u16 = 0xffff;
-
-/// Bitwise reference CRC step: folds one byte into the register.
-#[inline]
-pub fn crc16_byte(mut crc: u16, byte: u8) -> u16 {
-    crc ^= (byte as u16) << 8;
-    for _ in 0..8 {
-        crc = if crc & 0x8000 != 0 {
-            (crc << 1) ^ CRC16_CCITT_POLY
-        } else {
-            crc << 1
-        };
-    }
-    crc
-}
+pub(crate) const CRC16_INIT: u16 = 0xffff;
 
 const fn build_table() -> [u16; 256] {
     let mut table = [0u16; 256];
@@ -60,17 +46,11 @@ const fn build_table() -> [u16; 256] {
     table
 }
 
-/// The lookup tables. `CRC16_SLICES[0]` drives the byte-at-a-time fast
-/// path (what a two-stage parallel hardware generator computes
+/// The lookup tables. `CRC16_SLICES[0]` is the byte-at-a-time table
+/// (what a two-stage parallel hardware generator computes
 /// combinationally); `CRC16_SLICES[k][x]` is byte `x` folded in and then
 /// `k` zero bytes after it, for the slicing-by-8 word fold.
 static CRC16_SLICES: [[u16; 256]; 8] = build_slices();
-
-/// Table-driven CRC step (must agree with [`crc16_byte`]).
-#[inline]
-pub fn crc16_byte_fast(crc: u16, byte: u8) -> u16 {
-    (crc << 8) ^ CRC16_SLICES[0][((crc >> 8) ^ byte as u16) as usize]
-}
 
 const fn build_slices() -> [[u16; 256]; 8] {
     let base = build_table();
@@ -89,7 +69,7 @@ const fn build_slices() -> [[u16; 256]; 8] {
 }
 
 /// Folds a 64-bit word (big-endian byte order) into the register; equal
-/// to eight [`crc16_byte`] steps over its bytes.
+/// to eight bitwise CRC steps over its bytes.
 #[inline]
 pub fn crc16_word(crc: u16, word: u64) -> u16 {
     let b = word.to_be_bytes();
@@ -126,7 +106,7 @@ pub fn crc16_word(crc: u16, word: u64) -> u16 {
 pub struct Fingerprint {
     crc: u16,
     /// Instructions folded in since the last [`Fingerprint::take`].
-    pub count: u32,
+    pub(crate) count: u32,
 }
 
 impl Default for Fingerprint {
@@ -173,21 +153,25 @@ mod tests {
     use proptest::prelude::*;
     use unsync_isa::exec::splitmix64;
 
+    /// Bitwise reference CRC step: folds one byte into the register.
+    fn crc16_byte(mut crc: u16, byte: u8) -> u16 {
+        crc ^= (byte as u16) << 8;
+        for _ in 0..8 {
+            crc = if crc & 0x8000 != 0 {
+                (crc << 1) ^ CRC16_CCITT_POLY
+            } else {
+                crc << 1
+            };
+        }
+        crc
+    }
+
     /// Known-answer test: CRC-16/CCITT-FALSE of "123456789" is 0x29B1.
     #[test]
     fn known_answer_vector() {
         let mut crc = CRC16_INIT;
         for &b in b"123456789" {
             crc = crc16_byte(crc, b);
-        }
-        assert_eq!(crc, 0x29b1);
-    }
-
-    #[test]
-    fn table_path_matches_reference_on_known_vector() {
-        let mut crc = CRC16_INIT;
-        for &b in b"123456789" {
-            crc = crc16_byte_fast(crc, b);
         }
         assert_eq!(crc, 0x29b1);
     }
@@ -248,11 +232,6 @@ mod tests {
     }
 
     proptest! {
-        #[test]
-        fn prop_table_matches_bitwise(crc: u16, byte: u8) {
-            prop_assert_eq!(crc16_byte(crc, byte), crc16_byte_fast(crc, byte));
-        }
-
         #[test]
         fn prop_single_bit_flip_detected(pcs in proptest::collection::vec(any::<u64>(), 1..20),
                                          results in proptest::collection::vec(any::<u64>(), 1..20),

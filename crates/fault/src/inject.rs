@@ -93,7 +93,6 @@ pub enum DetectionMechanism {
 /// Which mechanism (if any) covers each structure under one architecture.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Coverage {
-    name: &'static str,
     map: Vec<(FaultTarget, Option<DetectionMechanism>)>,
 }
 
@@ -106,7 +105,6 @@ impl Coverage {
         use DetectionMechanism::*;
         use FaultTarget::*;
         Coverage {
-            name: "UnSync",
             map: vec![
                 (RegisterFile, Some(Parity)),
                 (Pc, Some(Dmr)),
@@ -129,7 +127,6 @@ impl Coverage {
         use DetectionMechanism::*;
         use FaultTarget::*;
         Coverage {
-            name: "Reunion",
             map: vec![
                 (RegisterFile, None),
                 (Pc, Some(Fingerprint)),
@@ -144,21 +141,8 @@ impl Coverage {
         }
     }
 
-    /// An unprotected baseline core (no detection anywhere).
-    pub fn baseline() -> Self {
-        Coverage {
-            name: "Baseline",
-            map: ALL_TARGETS.iter().map(|&t| (t, None)).collect(),
-        }
-    }
-
-    /// Architecture name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
     /// The mechanism covering `target`, if any.
-    pub fn mechanism(&self, target: FaultTarget) -> Option<DetectionMechanism> {
+    pub(crate) fn mechanism(&self, target: FaultTarget) -> Option<DetectionMechanism> {
         self.map
             .iter()
             .find(|(t, _)| *t == target)
@@ -166,7 +150,7 @@ impl Coverage {
     }
 
     /// Whether a strike on `target` is detected (or corrected).
-    pub fn covers(&self, target: FaultTarget) -> bool {
+    pub(crate) fn covers(&self, target: FaultTarget) -> bool {
         self.mechanism(target).is_some()
     }
 
@@ -214,7 +198,7 @@ impl FaultSite {
     /// Deterministically maps an error arrival (identified by a nonce,
     /// e.g. the striking instruction index) to a fault site, with strike
     /// probability proportional to each structure's bit capacity.
-    pub fn plan(seed: u64, nonce: u64) -> FaultSite {
+    pub(crate) fn plan(seed: u64, nonce: u64) -> FaultSite {
         let total: u64 = ALL_TARGETS.iter().map(|t| t.bits()).sum();
         let h = splitmix64(seed ^ splitmix64(nonce.wrapping_add(0xf00d)));
         let mut point = h % total;
@@ -260,7 +244,7 @@ impl PairFault {
     /// Plans the fault set a given soft-error rate produces over a
     /// `horizon`-instruction run: arrival times from the geometric
     /// [`crate::ser::ErrorArrivals`] process, sites capacity-weighted via
-    /// [`FaultSite::plan`]. This is the end-to-end counterpart of the
+    /// `FaultSite::plan`. This is the end-to-end counterpart of the
     /// paper's §VI-C extrapolation — inject the *actual* expected error
     /// pattern instead of projecting per-event costs.
     pub fn plan_for_rate(rate: crate::ser::SerRate, seed: u64, horizon: u64) -> Vec<PairFault> {
@@ -298,15 +282,6 @@ mod tests {
     fn unsync_roec_strictly_larger_than_reunion() {
         // The §VI-D claim, quantitatively.
         assert!(Coverage::unsync().roec_fraction() > Coverage::reunion().roec_fraction());
-    }
-
-    #[test]
-    fn baseline_covers_nothing() {
-        let c = Coverage::baseline();
-        assert_eq!(c.roec_fraction(), 0.0);
-        for t in ALL_TARGETS {
-            assert_eq!(c.mechanism(t), None);
-        }
     }
 
     #[test]

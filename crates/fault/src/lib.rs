@@ -8,12 +8,12 @@
 //!   elements: PC, pipeline registers) are modelled by their detection
 //!   rule, [`DetectionMechanism`] per [`FaultTarget`] in [`Coverage`].
 //!   Two codes are implemented at the bit level:
-//!   - [`secded`]: Hamming(72,64) single-error-correct /
+//!   - `secded`: Hamming(72,64) single-error-correct /
 //!     double-error-detect code (the ECC the shared L2 — and Reunion's
 //!     L1 — carry).
-//!   - [`crc`]: the parallel CRC-16 *fingerprint* generator Reunion
+//!   - `crc`: the parallel CRC-16 *fingerprint* generator Reunion
 //!     compares between vocal and mute cores.
-//! * **Error arrival model** ([`ser`]): deterministic, seeded
+//! * **Error arrival model** (`ser`): deterministic, seeded
 //!   per-instruction soft-error arrivals at a configurable SER, with the
 //!   FIT-rate conversions used in §VI-C.
 //! * **Injection planning and coverage accounting** ([`inject`]): which
@@ -29,19 +29,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod crc;
+pub(crate) mod crc;
 pub mod inject;
 pub mod roec;
-pub mod secded;
-pub mod ser;
+pub(crate) mod secded;
+pub(crate) mod ser;
 pub mod uncore;
 
-pub use crc::{crc16_word, Fingerprint, CRC16_CCITT_POLY};
+pub use crc::{crc16_word, Fingerprint};
 pub use inject::{Coverage, DetectionMechanism, FaultKind, FaultSite, FaultTarget, PairFault};
-pub use roec::{
-    classify, OutcomeCounts, RoecEvent, RoecEventKind, StrikeOutcome, VulnerabilityRow,
-    VulnerabilityTable, ALL_OUTCOMES,
-};
 pub use secded::{SecdedCodeword, SecdedOutcome};
 pub use ser::{ErrorArrivals, SerRate};
-pub use uncore::{UncoreProtection, UncoreSite, UncoreStrike, UncoreTarget, ALL_UNCORE_TARGETS};

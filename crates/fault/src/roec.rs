@@ -65,11 +65,11 @@ pub enum RoecEventKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RoecEvent {
     /// What happened.
-    pub kind: RoecEventKind,
+    pub(crate) kind: RoecEventKind,
     /// Kind-specific payload (stall length for `RecoveryEnd`).
-    pub value: u64,
+    pub(crate) value: u64,
     /// The lane's wall clock at emission.
-    pub cycle: u64,
+    pub(crate) cycle: u64,
 }
 
 impl RoecEvent {
@@ -123,7 +123,7 @@ impl StrikeOutcome {
 }
 
 /// Whether any detection mechanism fired in `events`.
-pub fn detected(events: &[RoecEvent]) -> bool {
+pub(crate) fn detected(events: &[RoecEvent]) -> bool {
     events.iter().any(|e| {
         matches!(
             e.kind,
@@ -162,7 +162,7 @@ pub struct OutcomeCounts {
 
 impl OutcomeCounts {
     /// Adds one labelled strike.
-    pub fn record(&mut self, outcome: StrikeOutcome) {
+    pub(crate) fn record(&mut self, outcome: StrikeOutcome) {
         match outcome {
             StrikeOutcome::Masked => self.masked += 1,
             StrikeOutcome::DetectedRecovered => self.detected_recovered += 1,
@@ -177,7 +177,7 @@ impl OutcomeCounts {
     }
 
     /// Strikes that were architecturally live (not masked).
-    pub fn live(&self) -> u64 {
+    pub(crate) fn live(&self) -> u64 {
         self.total() - self.masked
     }
 
@@ -199,16 +199,6 @@ impl OutcomeCounts {
     /// Silent-corruption rate over all strikes.
     pub fn sdc_rate(&self) -> f64 {
         ratio(self.sdc, self.total())
-    }
-
-    /// The count for one outcome.
-    pub fn get(&self, outcome: StrikeOutcome) -> u64 {
-        match outcome {
-            StrikeOutcome::Masked => self.masked,
-            StrikeOutcome::DetectedRecovered => self.detected_recovered,
-            StrikeOutcome::DetectedUnrecoverable => self.detected_unrecoverable,
-            StrikeOutcome::Sdc => self.sdc,
-        }
     }
 }
 

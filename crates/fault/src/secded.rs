@@ -16,11 +16,11 @@
 use serde::{Deserialize, Serialize};
 
 /// Number of data bits per codeword.
-pub const DATA_BITS: u32 = 64;
+pub(crate) const DATA_BITS: u32 = 64;
 /// Number of check bits per codeword (7 Hamming + 1 overall parity).
-pub const CHECK_BITS: u32 = 8;
+pub(crate) const CHECK_BITS: u32 = 8;
 /// Total codeword width.
-pub const CODEWORD_BITS: u32 = DATA_BITS + CHECK_BITS;
+pub(crate) const CODEWORD_BITS: u32 = DATA_BITS + CHECK_BITS;
 
 /// Result of decoding a possibly-corrupt codeword.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -37,16 +37,6 @@ pub enum SecdedOutcome {
     },
     /// Two bit flips detected — uncorrectable, data not trustworthy.
     DoubleError,
-}
-
-impl SecdedOutcome {
-    /// The decoded data if the outcome is usable (clean or corrected).
-    pub fn data(self) -> Option<u64> {
-        match self {
-            SecdedOutcome::Clean(d) | SecdedOutcome::Corrected { data: d, .. } => Some(d),
-            SecdedOutcome::DoubleError => None,
-        }
-    }
 }
 
 /// A 72-bit SECDED codeword.
@@ -147,12 +137,6 @@ impl SecdedCodeword {
         self.bits ^= 1u128 << bit;
     }
 
-    /// Raw codeword bits (low 72 bits).
-    #[inline]
-    pub fn raw(self) -> u128 {
-        self.bits
-    }
-
     /// Gathers the 64 data bits back out of the codeword, ignoring check
     /// positions. Does *not* verify anything.
     fn extract(self) -> u64 {
@@ -224,16 +208,9 @@ mod tests {
     }
 
     #[test]
-    fn outcome_data_accessor() {
-        assert_eq!(SecdedOutcome::Clean(5).data(), Some(5));
-        assert_eq!(SecdedOutcome::Corrected { data: 6, bit: 3 }.data(), Some(6));
-        assert_eq!(SecdedOutcome::DoubleError.data(), None);
-    }
-
-    #[test]
     fn codeword_uses_exactly_72_bits() {
         let cw = SecdedCodeword::encode(u64::MAX);
-        assert_eq!(cw.raw() >> CODEWORD_BITS, 0);
+        assert_eq!(cw.bits >> CODEWORD_BITS, 0);
     }
 
     proptest! {
@@ -246,7 +223,8 @@ mod tests {
         fn prop_single_flip_corrected(data: u64, bit in 0u32..72) {
             let mut cw = SecdedCodeword::encode(data);
             cw.flip_bit(bit);
-            prop_assert_eq!(cw.decode().data(), Some(data));
+            let out = cw.decode();
+            prop_assert!(matches!(out, SecdedOutcome::Corrected { data: d, .. } if d == data));
         }
 
         #[test]

@@ -13,14 +13,14 @@ use serde::{Deserialize, Serialize};
 
 /// Fraction of a cache macro occupied by the data storage arrays (the
 /// part that grows with check bits).
-pub const STORAGE_FRACTION: f64 = 0.55;
+pub(crate) const STORAGE_FRACTION: f64 = 0.55;
 
 /// Baseline 32 KB L1 area, mm² (Table II, Basic MIPS).
-pub const BASE_L1_AREA_MM2: f64 = 0.1934;
+pub(crate) const BASE_L1_AREA_MM2: f64 = 0.1934;
 /// Baseline 32 KB L1 power, mW (Table II, Basic MIPS).
-pub const BASE_L1_POWER_MW: f64 = 38.35;
+pub(crate) const BASE_L1_POWER_MW: f64 = 38.35;
 /// Baseline L1 capacity the calibration point refers to, bits.
-pub const BASE_L1_BITS: f64 = 32.0 * 1024.0 * 8.0;
+pub(crate) const BASE_L1_BITS: f64 = 32.0 * 1024.0 * 8.0;
 
 /// Error-protection scheme on a cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -46,7 +46,7 @@ impl CacheProtection {
     }
 
     /// Extra storage bits per data bit.
-    pub fn storage_overhead(self) -> f64 {
+    pub(crate) fn storage_overhead(self) -> f64 {
         match self {
             CacheProtection::None => 0.0,
             CacheProtection::Parity { bits_per_parity } => 1.0 / bits_per_parity as f64,
@@ -87,9 +87,9 @@ impl CacheProtection {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CacheModel {
     /// Capacity in bytes.
-    pub size_bytes: u64,
+    pub(crate) size_bytes: u64,
     /// Protection scheme.
-    pub protection: CacheProtection,
+    pub(crate) protection: CacheProtection,
 }
 
 impl CacheModel {

@@ -4,28 +4,25 @@ use serde::Serialize;
 
 /// Area of one 2-input-gate equivalent at 65 nm, µm² (standard-cell
 /// NAND2-equivalent with routing share, nominal density 0.49 per §V).
-pub const GATE_AREA_UM2: f64 = 2.08;
-
-/// Dynamic power of one gate-equivalent toggling at 300 MHz, mW.
-pub const GATE_POWER_MW: f64 = 0.000_55;
+pub(crate) const GATE_AREA_UM2: f64 = 2.08;
 
 /// Register-file SRAM cell (2R1W), µm²/bit — §IV-3.
-pub const RF_CELL_UM2: f64 = 7.80;
+pub(crate) const RF_CELL_UM2: f64 = 7.80;
 
 /// CHECK-stage-buffer cell (3R1W — the extra read port), µm²/bit — §IV-3.
-pub const CSB_CELL_UM2: f64 = 10.40;
+pub(crate) const CSB_CELL_UM2: f64 = 10.40;
 
 /// Shadow latch for DMR duplication, µm²/bit.
-pub const DMR_LATCH_UM2: f64 = 4.20;
+pub(crate) const DMR_LATCH_UM2: f64 = 4.20;
 
 /// Gate count of the parallel CRC-16 generator (Albertengo & Sisto).
-pub const CRC16_GATES: u32 = 238;
+pub(crate) const CRC16_GATES: u32 = 238;
 
 /// One named hardware block with its synthesized area and power.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Component {
     /// Block name.
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Post-PNR area in µm².
     pub area_um2: f64,
     /// Average power at 300 MHz in mW.
@@ -34,7 +31,7 @@ pub struct Component {
 
 impl Component {
     /// A block built from an explicit area/power pair.
-    pub fn new(name: &'static str, area_um2: f64, power_mw: f64) -> Self {
+    pub(crate) fn new(name: &'static str, area_um2: f64, power_mw: f64) -> Self {
         assert!(area_um2 >= 0.0 && power_mw >= 0.0, "{name}: negative cost");
         Component {
             name,
@@ -43,20 +40,10 @@ impl Component {
         }
     }
 
-    /// A block of `gates` gate-equivalents with activity factor
-    /// `activity` (fraction of gates toggling per cycle).
-    pub fn from_gates(name: &'static str, gates: u32, activity: f64) -> Self {
-        Component {
-            name,
-            area_um2: gates as f64 * GATE_AREA_UM2,
-            power_mw: gates as f64 * GATE_POWER_MW * activity,
-        }
-    }
-
     /// An SRAM array of `bits` with the given cell size and a per-access
     /// energy proportional to the row width (modelled as a power figure
     /// for one access per cycle at 300 MHz).
-    pub fn sram_array(name: &'static str, bits: u64, cell_um2: f64, power_mw: f64) -> Self {
+    pub(crate) fn sram_array(name: &'static str, bits: u64, cell_um2: f64, power_mw: f64) -> Self {
         Component {
             name,
             area_um2: bits as f64 * cell_um2,
@@ -91,9 +78,9 @@ mod tests {
 
     #[test]
     fn crc_generator_is_tiny_in_area() {
-        let crc = Component::from_gates("crc16", CRC16_GATES, 0.5);
-        assert!(crc.area_um2 < 1_000.0);
-        assert!(crc.area_um2 > 100.0);
+        let area_um2 = CRC16_GATES as f64 * GATE_AREA_UM2;
+        assert!(area_um2 < 1_000.0);
+        assert!(area_um2 > 100.0);
     }
 
     #[test]

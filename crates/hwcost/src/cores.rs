@@ -18,10 +18,10 @@ use crate::components::{
 
 /// Communication-Buffer area per entry, µm² (Table II: 3 870 µm² at 10
 /// entries ⇒ 387 µm²/entry with register-class cells).
-pub const CB_ENTRY_AREA_UM2: f64 = 387.0;
+pub(crate) const CB_ENTRY_AREA_UM2: f64 = 387.0;
 /// Communication-Buffer power per entry, mW (Table II: 0.77258 mW at 10
 /// entries).
-pub const CB_ENTRY_POWER_MW: f64 = 0.077_258;
+pub(crate) const CB_ENTRY_POWER_MW: f64 = 0.077_258;
 
 /// CB fixed control overhead, µm² (head/tail pointers, match logic).
 const CB_CONTROL_UM2: f64 = 400.0;
@@ -60,9 +60,9 @@ pub struct CoreModel {
     /// Core-internal blocks.
     pub components: Vec<Component>,
     /// The L1 cache macro.
-    pub l1: CacheModel,
+    pub(crate) l1: CacheModel,
     /// The Communication Buffer, if the configuration has one.
-    pub cb: Option<Component>,
+    pub(crate) cb: Option<Component>,
 }
 
 /// The baseline MIPS stage decomposition (areas µm², power mW), summing
@@ -142,7 +142,7 @@ impl CoreModel {
 
     /// An UnSync core with an arbitrary CB size (the Fig. 6 sweep's
     /// hardware side).
-    pub fn unsync_with_cb(cb_entries: u32) -> Self {
+    pub(crate) fn unsync_with_cb(cb_entries: u32) -> Self {
         assert!(cb_entries >= 1);
         let mut components = mips_stages();
         // Every-cycle sequential elements duplicated for DMR: 5 stages ×
@@ -187,22 +187,22 @@ impl CoreModel {
     }
 
     /// CB area, µm² (0 when absent).
-    pub fn cb_area_um2(&self) -> f64 {
+    pub(crate) fn cb_area_um2(&self) -> f64 {
         self.cb.as_ref().map_or(0.0, |c| c.area_um2)
     }
 
     /// CB power, mW (0 when absent).
-    pub fn cb_power_mw(&self) -> f64 {
+    pub(crate) fn cb_power_mw(&self) -> f64 {
         self.cb.as_ref().map_or(0.0, |c| c.power_mw)
     }
 
     /// Total area (core + L1 + CB), µm².
-    pub fn total_area_um2(&self) -> f64 {
+    pub(crate) fn total_area_um2(&self) -> f64 {
         self.core_area_um2() + self.l1.area_mm2() * 1e6 + self.cb_area_um2()
     }
 
     /// Total power (core + L1 + CB), W.
-    pub fn total_power_w(&self) -> f64 {
+    pub(crate) fn total_power_w(&self) -> f64 {
         (self.core_power_mw() + self.l1.power_mw() + self.cb_power_mw()) / 1_000.0
     }
 
@@ -212,7 +212,7 @@ impl CoreModel {
     }
 
     /// Total-power overhead relative to `base` (fraction).
-    pub fn power_overhead_vs(&self, base: &CoreModel) -> f64 {
+    pub(crate) fn power_overhead_vs(&self, base: &CoreModel) -> f64 {
         self.total_power_w() / base.total_power_w() - 1.0
     }
 }

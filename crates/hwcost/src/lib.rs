@@ -23,20 +23,19 @@
 //! documented residuals — see DESIGN.md §2.
 //!
 //! [`tables::table2`] and [`tables::table3`] regenerate the paper's
-//! Table II and Table III from this model; [`cacti`] sizes the caches
+//! Table II and Table III from this model; `cacti` sizes the caches
 //! under parity or SECDED.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cacti;
-pub mod components;
-pub mod cores;
-pub mod projection;
-pub mod tables;
+pub(crate) mod cacti;
+pub(crate) mod components;
+pub(crate) mod cores;
+pub(crate) mod projection;
+pub(crate) mod tables;
 
 pub use cacti::{CacheModel, CacheProtection};
-pub use components::Component;
-pub use cores::{cb_area_um2, CoreModel, CB_ENTRY_AREA_UM2, CB_ENTRY_POWER_MW};
+pub use cores::{cb_area_um2, CoreModel};
 pub use projection::{DieProjection, ManyCoreChip};
-pub use tables::{table2, table3, Table2, Table2Row, Table3};
+pub use tables::{table2, table3};

@@ -23,7 +23,7 @@ pub struct ManyCoreChip {
 }
 
 /// The three chips of Table III.
-pub const TABLE3_CHIPS: [ManyCoreChip; 3] = [
+pub(crate) const TABLE3_CHIPS: [ManyCoreChip; 3] = [
     ManyCoreChip {
         name: "Intel Polaris",
         node_nm: 65,

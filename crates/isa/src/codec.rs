@@ -20,9 +20,9 @@ use crate::reg::Reg;
 use crate::stream::TraceProgram;
 
 /// Format magic bytes.
-pub const MAGIC: &[u8; 4] = b"UTRC";
+pub(crate) const MAGIC: &[u8; 4] = b"UTRC";
 /// Current format version.
-pub const VERSION: u16 = 1;
+pub(crate) const VERSION: u16 = 1;
 
 fn op_code(op: OpClass) -> u8 {
     ALL_OP_CLASSES

@@ -50,7 +50,7 @@ impl ArchState {
 
     /// Reads a register (the zero register always reads zero).
     #[inline]
-    pub fn read(&self, r: Reg) -> u64 {
+    pub(crate) fn read(&self, r: Reg) -> u64 {
         if r.is_zero() {
             0
         } else {
@@ -143,7 +143,7 @@ const PAGE_SHIFT: u64 = 12;
 /// buys nothing on the per-load/per-store path. It also folds a trace's
 /// instructions into [`crate::TraceProgram::digest`], one mix per field.
 #[derive(Debug, Clone, Default)]
-pub struct PageIdHasher {
+pub(crate) struct PageIdHasher {
     hash: u64,
 }
 

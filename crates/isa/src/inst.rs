@@ -11,7 +11,7 @@ pub struct MemInfo {
     /// Effective (byte) address of the access.
     pub addr: u64,
     /// Access size in bytes (1, 2, 4 or 8).
-    pub size: u8,
+    pub(crate) size: u8,
 }
 
 impl MemInfo {
@@ -53,9 +53,9 @@ pub struct Inst {
     /// Operation class.
     pub op: OpClass,
     /// Destination register, if the instruction writes one.
-    pub dest: Option<Reg>,
+    pub(crate) dest: Option<Reg>,
     /// Up to two source registers.
-    pub srcs: [Option<Reg>; 2],
+    pub(crate) srcs: [Option<Reg>; 2],
     /// Memory access, present iff `op.is_mem()`.
     pub mem: Option<MemInfo>,
     /// Branch behaviour, present iff `op.is_branch()`.
@@ -165,7 +165,7 @@ pub struct InstBuilder {
 
 impl InstBuilder {
     /// Starts a builder for an instruction of class `op`.
-    pub fn new(op: OpClass) -> Self {
+    pub(crate) fn new(op: OpClass) -> Self {
         InstBuilder {
             inst: Inst {
                 seq: 0,
@@ -236,7 +236,7 @@ impl InstBuilder {
 
     /// Finishes the instruction, returning the validation error instead
     /// of panicking (for untrusted inputs such as decoded trace files).
-    pub fn try_finish(self) -> Result<Inst, String> {
+    pub(crate) fn try_finish(self) -> Result<Inst, String> {
         self.inst.validate()?;
         Ok(self.inst)
     }

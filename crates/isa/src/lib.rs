@@ -24,16 +24,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod codec;
+pub(crate) mod codec;
 pub mod exec;
-pub mod inst;
-pub mod op;
-pub mod reg;
-pub mod stream;
+pub(crate) mod inst;
+pub(crate) mod op;
+pub(crate) mod reg;
+pub(crate) mod stream;
 
 pub use codec::{decode as decode_trace, encode as encode_trace};
 pub use exec::{golden_run, ArchMemory, ArchState};
 pub use inst::{BranchInfo, Inst, InstBuilder, MemInfo};
 pub use op::OpClass;
 pub use reg::Reg;
-pub use stream::{InstStream, TraceProgram, TraceStats};
+pub use stream::{InstStream, TraceProgram};

@@ -41,7 +41,7 @@ pub enum OpClass {
 }
 
 /// All operation classes, in a fixed order (useful for histograms).
-pub const ALL_OP_CLASSES: [OpClass; 12] = [
+pub(crate) const ALL_OP_CLASSES: [OpClass; 12] = [
     OpClass::IntAlu,
     OpClass::IntMul,
     OpClass::IntDiv,
@@ -156,9 +156,6 @@ pub enum FuKind {
     Mem,
 }
 
-/// All functional-unit kinds, in a fixed order.
-pub const ALL_FU_KINDS: [FuKind; 4] = [FuKind::IntAlu, FuKind::IntMulDiv, FuKind::Fp, FuKind::Mem];
-
 impl FuKind {
     /// A dense index for table lookups.
     #[inline]
@@ -212,12 +209,13 @@ mod tests {
 
     #[test]
     fn fu_kind_indices_are_dense_and_unique() {
-        let mut seen = [false; 4];
-        for fu in ALL_FU_KINDS {
-            assert!(!seen[fu.index()]);
-            seen[fu.index()] = true;
+        let mut seen: [Option<FuKind>; 4] = [None; 4];
+        for op in ALL_OP_CLASSES {
+            let fu = op.fu_kind();
+            assert!(seen[fu.index()].is_none_or(|k| k == fu), "{fu:?}");
+            seen[fu.index()] = Some(fu);
         }
-        assert!(seen.iter().all(|&s| s));
+        assert!(seen.iter().all(Option::is_some));
     }
 
     #[test]

@@ -9,11 +9,11 @@
 use serde::{Deserialize, Serialize};
 
 /// Number of integer architectural registers.
-pub const NUM_INT_REGS: u8 = 32;
+pub(crate) const NUM_INT_REGS: u8 = 32;
 /// Number of floating-point architectural registers.
-pub const NUM_FP_REGS: u8 = 32;
+pub(crate) const NUM_FP_REGS: u8 = 32;
 /// Total number of architectural registers (integer + floating point).
-pub const NUM_REGS: u8 = NUM_INT_REGS + NUM_FP_REGS;
+pub(crate) const NUM_REGS: u8 = NUM_INT_REGS + NUM_FP_REGS;
 
 /// An architectural register.
 ///
@@ -55,7 +55,7 @@ impl Reg {
     /// # Panics
     /// Panics if `idx >= 64`.
     #[inline]
-    pub fn from_index(idx: u8) -> Self {
+    pub(crate) fn from_index(idx: u8) -> Self {
         assert!(idx < NUM_REGS, "register index {idx} out of range");
         Reg(idx)
     }
@@ -68,19 +68,13 @@ impl Reg {
 
     /// True for integer registers (flat index `< 32`).
     #[inline]
-    pub fn is_int(self) -> bool {
+    pub(crate) fn is_int(self) -> bool {
         self.0 < NUM_INT_REGS
-    }
-
-    /// True for floating-point registers.
-    #[inline]
-    pub fn is_fp(self) -> bool {
-        !self.is_int()
     }
 
     /// True for the hard-wired integer zero register.
     #[inline]
-    pub fn is_zero(self) -> bool {
+    pub(crate) fn is_zero(self) -> bool {
         self == Self::ZERO
     }
 }
@@ -103,10 +97,8 @@ mod tests {
     fn int_and_fp_namespaces_are_disjoint() {
         for i in 0..NUM_INT_REGS {
             assert!(Reg::int(i).is_int());
-            assert!(!Reg::int(i).is_fp());
         }
         for i in 0..NUM_FP_REGS {
-            assert!(Reg::fp(i).is_fp());
             assert!(!Reg::fp(i).is_int());
         }
     }

@@ -138,19 +138,19 @@ impl InstStream for TraceProgram {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct TraceStats {
     /// Total instructions.
-    pub total: u64,
+    pub(crate) total: u64,
     /// Count per operation class, indexed by position in
     /// [`ALL_OP_CLASSES`].
-    pub per_class: [u64; 12],
+    pub(crate) per_class: [u64; 12],
     /// Mispredicted dynamic branches.
-    pub mispredicted_branches: u64,
+    pub(crate) mispredicted_branches: u64,
     /// Distinct 64-byte cache lines touched by loads/stores.
     pub distinct_lines: u64,
 }
 
 impl TraceStats {
     /// Computes statistics from a slice of instructions.
-    pub fn from_insts(insts: &[Inst]) -> Self {
+    pub(crate) fn from_insts(insts: &[Inst]) -> Self {
         let mut stats = TraceStats {
             total: insts.len() as u64,
             ..Default::default()

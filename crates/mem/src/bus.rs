@@ -23,7 +23,7 @@ impl Default for Bus {
 
 impl Bus {
     /// An idle bus.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Bus { busy_until: 0 }
     }
 
@@ -35,7 +35,7 @@ impl Bus {
     /// Requests `beats` cycles of bus ownership starting no earlier than
     /// `cycle`. Returns `(start, done)`: the transfer occupies
     /// `start..done`.
-    pub fn acquire(&mut self, cycle: u64, beats: u32) -> (u64, u64) {
+    pub(crate) fn acquire(&mut self, cycle: u64, beats: u32) -> (u64, u64) {
         let start = cycle.max(self.busy_until);
         let done = start + beats as u64;
         self.busy_until = done;

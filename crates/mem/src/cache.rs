@@ -35,7 +35,7 @@ pub struct CacheResponse {
     pub hit: bool,
     /// The hit consumed a prefetched line for the first time (tagged
     /// prefetching: the prefetcher should now fetch the next line).
-    pub prefetch_hit: bool,
+    pub(crate) prefetch_hit: bool,
     /// Line address evicted to make room (misses only).
     pub evicted: Option<u64>,
     /// Whether the evicted line was dirty (⇒ must be written back).
@@ -49,13 +49,13 @@ pub struct CacheResponse {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheStats {
     /// Read accesses.
-    pub reads: u64,
+    pub(crate) reads: u64,
     /// Write accesses.
     pub writes: u64,
     /// Read misses.
-    pub read_misses: u64,
+    pub(crate) read_misses: u64,
     /// Write misses.
-    pub write_misses: u64,
+    pub(crate) write_misses: u64,
     /// Dirty evictions (write-backs generated).
     pub writebacks: u64,
 }
@@ -67,7 +67,7 @@ impl CacheStats {
     }
 
     /// Total misses.
-    pub fn misses(&self) -> u64 {
+    pub(crate) fn misses(&self) -> u64 {
         self.read_misses + self.write_misses
     }
 
@@ -152,16 +152,6 @@ impl Cache {
             hi: 0,
             stats: CacheStats::default(),
         }
-    }
-
-    /// The cache's configuration.
-    pub fn config(&self) -> &CacheConfig {
-        &self.cfg
-    }
-
-    /// The cache's write policy.
-    pub fn policy(&self) -> WritePolicy {
-        self.policy
     }
 
     /// Accumulated statistics.
@@ -280,7 +270,7 @@ impl Cache {
     /// Installs `addr`'s line without counting an access (prefetch fill).
     /// Returns the evicted line address if a valid line was displaced.
     /// No-op if the line is already present.
-    pub fn install(&mut self, addr: u64) -> Option<u64> {
+    pub(crate) fn install(&mut self, addr: u64) -> Option<u64> {
         let line = self.cfg.line_addr(addr);
         let (set, tag) = self.set_tag(line);
         let assoc = self.cfg.assoc as usize;
@@ -311,7 +301,7 @@ impl Cache {
     /// §III-C1.) A line outside the range allocated since the cache was
     /// built cannot be present, so it returns `None` without reading its
     /// set.
-    pub fn invalidate_line(&mut self, line: u64) -> Option<bool> {
+    pub(crate) fn invalidate_line(&mut self, line: u64) -> Option<bool> {
         if line < self.lo || line > self.hi {
             return None;
         }

@@ -31,7 +31,7 @@ impl CacheConfig {
 
     /// Table I shared L2: 4 MB, 8-way, 64-byte lines, 20-cycle access,
     /// 20 MSHRs.
-    pub fn l2_table1() -> Self {
+    pub(crate) fn l2_table1() -> Self {
         CacheConfig {
             size_bytes: 4 * 1024 * 1024,
             assoc: 8,
@@ -65,7 +65,7 @@ impl CacheConfig {
     }
 
     /// Total number of lines.
-    pub fn num_lines(&self) -> u64 {
+    pub(crate) fn num_lines(&self) -> u64 {
         self.num_sets() * self.assoc as u64
     }
 
@@ -96,14 +96,14 @@ pub struct TlbConfig {
     /// Associativity.
     pub assoc: u32,
     /// Page size in bytes.
-    pub page_bytes: u64,
+    pub(crate) page_bytes: u64,
     /// Page-walk penalty on a miss, in cycles.
-    pub walk_latency: u32,
+    pub(crate) walk_latency: u32,
 }
 
 impl TlbConfig {
     /// Table I I-TLB: 48 entries, 2-way.
-    pub fn itlb_table1() -> Self {
+    pub(crate) fn itlb_table1() -> Self {
         TlbConfig {
             entries: 48,
             assoc: 2,
@@ -113,7 +113,7 @@ impl TlbConfig {
     }
 
     /// Table I D-TLB: 64 entries, 2-way.
-    pub fn dtlb_table1() -> Self {
+    pub(crate) fn dtlb_table1() -> Self {
         TlbConfig {
             entries: 64,
             assoc: 2,
@@ -129,7 +129,7 @@ pub struct HierarchyConfig {
     /// Per-core L1 data cache.
     pub l1d: CacheConfig,
     /// Per-core L1 instruction cache.
-    pub l1i: CacheConfig,
+    pub(crate) l1i: CacheConfig,
     /// Shared L2.
     pub l2: CacheConfig,
     /// Data TLB.
@@ -146,7 +146,7 @@ pub struct HierarchyConfig {
     /// variability — the reason the two cores of a redundant pair drift
     /// apart even on identical instruction streams, which is exactly the
     /// drift UnSync's Communication Buffer must absorb (Fig. 6).
-    pub fill_jitter: u32,
+    pub(crate) fill_jitter: u32,
 }
 
 impl HierarchyConfig {
@@ -165,7 +165,7 @@ impl HierarchyConfig {
     }
 
     /// Bus beats (cycles of bus occupancy) to move one L1 line.
-    pub fn line_transfer_beats(&self) -> u32 {
+    pub(crate) fn line_transfer_beats(&self) -> u32 {
         self.l1d.line_bytes.div_ceil(self.bus_bytes_per_cycle)
     }
 

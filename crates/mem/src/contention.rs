@@ -10,7 +10,7 @@
 //!
 //! [`L2Contention`] adds the missing serialization point. The L2 is
 //! split into [`L2ContentionConfig::banks`] banks by line address; each
-//! bank is a FIFO-owned resource ([`crate::Bus`]) that a request
+//! bank is a FIFO-owned resource ([`crate::bus::Bus`]) that a request
 //! occupies for [`L2ContentionConfig::bank_busy_beats`] cycles. Two
 //! requests hitting the same bank serialize; the later one *stalls*
 //! for the residual occupancy, and the stall is recorded as a
@@ -47,8 +47,8 @@ pub struct L2ContentionConfig {
 }
 
 impl L2ContentionConfig {
-    /// The many-core default used by the lane sweep: 8 banks, 4-cycle
-    /// bank occupancy, Table I's 20 MSHRs.
+    /// The many-core default: 8 banks, 4-cycle bank occupancy, Table
+    /// I's 20 MSHRs.
     pub fn many_core() -> Self {
         L2ContentionConfig {
             banks: 8,
@@ -84,39 +84,12 @@ pub struct L2ContentionEvent {
     pub stall: u64,
 }
 
-/// Per-bank accounting of the contended L2: how many requests a bank
-/// served, how many found it occupied, and the cycles they waited.
-/// Only meaningful while banking is active (`bank_busy_beats > 0`) —
-/// the inert configuration skips bank routing entirely, so these stay
-/// zero there.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BankStats {
-    /// Requests routed to this bank.
-    pub requests: u64,
-    /// Requests that found the bank port occupied.
-    pub conflicts: u64,
-    /// Total cycles requests waited for this bank's port.
-    pub stall_cycles: u64,
-}
-
-impl BankStats {
-    /// Fraction of this bank's requests that hit an occupied port.
-    pub fn conflict_rate(&self) -> f64 {
-        if self.requests == 0 {
-            0.0
-        } else {
-            self.conflicts as f64 / self.requests as f64
-        }
-    }
-}
-
 /// The contended-L2 state: per-bank occupancy, conflict statistics,
 /// and the pending event queue the driver drains into lane streams.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct L2Contention {
     cfg: L2ContentionConfig,
     banks: Vec<Bus>,
-    bank_stats: Vec<BankStats>,
     events: Vec<L2ContentionEvent>,
     /// Requests that found their bank occupied.
     pub conflicts: u64,
@@ -137,7 +110,6 @@ impl L2Contention {
         L2Contention {
             cfg,
             banks: (0..cfg.banks).map(|_| Bus::new()).collect(),
-            bank_stats: vec![BankStats::default(); cfg.banks as usize],
             events: Vec::new(),
             conflicts: 0,
             stall_cycles: 0,
@@ -166,12 +138,9 @@ impl L2Contention {
         let bank = (line % self.cfg.banks as u64) as usize;
         let (start, _) = self.banks[bank].acquire(cycle, self.cfg.bank_busy_beats);
         let stall = start - cycle;
-        self.bank_stats[bank].requests += 1;
         if stall > 0 {
             self.conflicts += 1;
             self.stall_cycles += stall;
-            self.bank_stats[bank].conflicts += 1;
-            self.bank_stats[bank].stall_cycles += stall;
             self.events.push(L2ContentionEvent {
                 core,
                 bank,
@@ -182,36 +151,16 @@ impl L2Contention {
         stall
     }
 
-    /// The bank a line address maps to.
-    pub fn bank_of(&self, line: u64) -> usize {
-        (line % self.cfg.banks as u64) as usize
-    }
-
     /// Per-bank occupancy statistics (index < `cfg.banks`).
     pub fn bank(&self, index: usize) -> &Bus {
         &self.banks[index]
     }
 
-    /// Per-bank request/conflict/stall tallies, one entry per bank.
-    /// All-zero under the inert configuration (see [`BankStats`]).
-    pub fn bank_stats(&self) -> &[BankStats] {
-        &self.bank_stats
-    }
-
     /// The pending conflict events, drained by the caller (the
     /// execution driver re-emits them into the requesting lane's
     /// trace-event stream after each scheduled step).
-    pub fn events_mut(&mut self) -> &mut Vec<L2ContentionEvent> {
+    pub(crate) fn events_mut(&mut self) -> &mut Vec<L2ContentionEvent> {
         &mut self.events
-    }
-
-    /// Fraction of requests that hit an occupied bank.
-    pub fn conflict_rate(&self) -> f64 {
-        if self.requests == 0 {
-            0.0
-        } else {
-            self.conflicts as f64 / self.requests as f64
-        }
     }
 }
 
@@ -233,34 +182,6 @@ mod tests {
         assert_eq!(c.conflicts, 1);
         assert_eq!(c.stall_cycles, 10);
         assert_eq!(c.requests, 3);
-        assert!((c.conflict_rate() - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn bank_stats_attribute_conflicts_per_bank() {
-        let mut c = L2Contention::new(L2ContentionConfig {
-            banks: 4,
-            bank_busy_beats: 10,
-            mshrs: 20,
-        });
-        c.access(0, 0, 100); // bank 0, free
-        c.access(1, 4, 100); // bank 0, 10-cycle conflict
-        c.access(2, 1, 100); // bank 1, free
-        let stats = c.bank_stats();
-        assert_eq!(stats.len(), 4);
-        assert_eq!(
-            stats[0],
-            BankStats {
-                requests: 2,
-                conflicts: 1,
-                stall_cycles: 10
-            }
-        );
-        assert_eq!(stats[1].requests, 1);
-        assert_eq!(stats[1].conflicts, 0);
-        assert_eq!(stats[2], BankStats::default());
-        assert!((stats[0].conflict_rate() - 0.5).abs() < 1e-12);
-        assert_eq!(stats[3].conflict_rate(), 0.0);
     }
 
     #[test]
@@ -293,14 +214,6 @@ mod tests {
         }
         assert_eq!(c.conflicts, 0);
         assert!(c.events_mut().is_empty());
-    }
-
-    #[test]
-    fn bank_mapping_is_line_modulo_banks() {
-        let c = L2Contention::new(L2ContentionConfig::many_core());
-        assert_eq!(c.bank_of(0), 0);
-        assert_eq!(c.bank_of(9), 1);
-        assert_eq!(c.bank_of(8), 0);
     }
 
     #[test]

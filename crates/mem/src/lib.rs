@@ -26,18 +26,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bus;
-pub mod cache;
-pub mod config;
-pub mod contention;
-pub mod hierarchy;
-pub mod mshr;
-pub mod tlb;
+pub(crate) mod bus;
+pub(crate) mod cache;
+pub(crate) mod config;
+pub(crate) mod contention;
+pub(crate) mod hierarchy;
+pub(crate) mod mshr;
+pub(crate) mod tlb;
 
-pub use bus::Bus;
-pub use cache::{AccessKind, Cache, CacheResponse, CacheStats, WritePolicy};
-pub use config::{CacheConfig, HierarchyConfig, TlbConfig};
-pub use contention::{BankStats, L2Contention, L2ContentionConfig, L2ContentionEvent};
-pub use hierarchy::{AccessOutcome, MemSystem};
-pub use mshr::MshrFile;
-pub use tlb::Tlb;
+pub use cache::{AccessKind, Cache, WritePolicy};
+pub use config::{CacheConfig, HierarchyConfig};
+pub use contention::{L2Contention, L2ContentionConfig, L2ContentionEvent};
+pub use hierarchy::MemSystem;

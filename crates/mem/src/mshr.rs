@@ -18,7 +18,7 @@ struct Entry {
 
 /// Outcome of asking the MSHR file to track a miss.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum MshrOutcome {
+pub(crate) enum MshrOutcome {
     /// A new MSHR was allocated; the miss completes at the given cycle.
     Allocated {
         /// Completion cycle of the newly tracked miss.
@@ -41,7 +41,7 @@ pub enum MshrOutcome {
 
 impl MshrOutcome {
     /// Completion cycle of the miss regardless of how it was tracked.
-    pub fn ready_cycle(self) -> u64 {
+    pub(crate) fn ready_cycle(self) -> u64 {
         match self {
             MshrOutcome::Allocated { ready_cycle }
             | MshrOutcome::Coalesced { ready_cycle }
@@ -50,30 +50,30 @@ impl MshrOutcome {
     }
 
     /// Whether the access had to stall for a free MSHR.
-    pub fn stalled(self) -> bool {
+    pub(crate) fn stalled(self) -> bool {
         matches!(self, MshrOutcome::Stalled { .. })
     }
 }
 
 /// A file of MSHRs.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct MshrFile {
+pub(crate) struct MshrFile {
     capacity: usize,
     entries: Vec<Entry>,
     /// Number of accesses that found the file full.
-    pub full_stalls: u64,
+    pub(crate) full_stalls: u64,
     /// Number of accesses that coalesced onto an existing entry.
-    pub coalesced: u64,
+    pub(crate) coalesced: u64,
 }
 
 impl MshrFile {
     /// The number of registers in the file.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
     /// A file with `capacity` registers.
-    pub fn new(capacity: u32) -> Self {
+    pub(crate) fn new(capacity: u32) -> Self {
         assert!(capacity > 0, "MSHR capacity must be positive");
         MshrFile {
             capacity: capacity as usize,
@@ -84,13 +84,13 @@ impl MshrFile {
     }
 
     /// Drops entries that completed at or before `cycle`.
-    pub fn retire(&mut self, cycle: u64) {
+    pub(crate) fn retire(&mut self, cycle: u64) {
         self.entries.retain(|e| e.ready_cycle > cycle);
     }
 
     /// Tracks a miss to `line_addr` observed at `cycle` whose fill takes
     /// `fill_latency` cycles once issued.
-    pub fn track(&mut self, line_addr: u64, cycle: u64, fill_latency: u64) -> MshrOutcome {
+    pub(crate) fn track(&mut self, line_addr: u64, cycle: u64, fill_latency: u64) -> MshrOutcome {
         self.retire(cycle);
         if let Some(e) = self.entries.iter().find(|e| e.line_addr == line_addr) {
             self.coalesced += 1;
@@ -130,7 +130,7 @@ impl MshrFile {
     /// completed entries stay until the next access retires them, so
     /// probing never changes what a later access at an earlier cycle
     /// sees.
-    pub fn outstanding(&self, cycle: u64) -> usize {
+    pub(crate) fn outstanding(&self, cycle: u64) -> usize {
         self.entries
             .iter()
             .filter(|e| e.ready_cycle > cycle)
@@ -141,7 +141,7 @@ impl MshrFile {
     /// the cycle it completes. Used for *hit-under-fill*: the tag array is
     /// updated at miss time, so a subsequent "hit" on the same line must
     /// still wait for the data to arrive.
-    pub fn pending_ready(&mut self, line_addr: u64, cycle: u64) -> Option<u64> {
+    pub(crate) fn pending_ready(&mut self, line_addr: u64, cycle: u64) -> Option<u64> {
         self.retire(cycle);
         self.entries
             .iter()

@@ -24,14 +24,14 @@ const INVALID: TlbWay = TlbWay {
 
 /// A set-associative TLB.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Tlb {
+pub(crate) struct Tlb {
     cfg: TlbConfig,
     sets: u64,
     ways: Vec<TlbWay>,
     /// Accesses.
-    pub accesses: u64,
+    pub(crate) accesses: u64,
     /// Misses.
-    pub misses: u64,
+    pub(crate) misses: u64,
 }
 
 impl Tlb {
@@ -39,7 +39,7 @@ impl Tlb {
     ///
     /// # Panics
     /// Panics if `entries` is not divisible by `assoc`.
-    pub fn new(cfg: TlbConfig) -> Self {
+    pub(crate) fn new(cfg: TlbConfig) -> Self {
         assert!(cfg.assoc > 0 && cfg.entries > 0);
         assert_eq!(cfg.entries % cfg.assoc, 0, "entries must divide into ways");
         let sets = (cfg.entries / cfg.assoc) as u64;
@@ -60,7 +60,7 @@ impl Tlb {
 
     /// Translates the page containing `addr`. Returns the added latency:
     /// 0 on hit, `walk_latency` on miss.
-    pub fn translate(&mut self, addr: u64) -> u32 {
+    pub(crate) fn translate(&mut self, addr: u64) -> u32 {
         self.accesses += 1;
         let vpn = addr / self.cfg.page_bytes;
         let set = self.set_index(vpn);
@@ -84,20 +84,6 @@ impl Tlb {
             lru: 0,
         };
         self.cfg.walk_latency
-    }
-
-    /// Miss rate (0 if never accessed).
-    pub fn miss_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.accesses as f64
-        }
-    }
-
-    /// Invalidates all entries.
-    pub fn flush(&mut self) {
-        self.ways.fill(INVALID);
     }
 }
 
@@ -137,21 +123,5 @@ mod tests {
         let mut t = Tlb::new(TlbConfig::itlb_table1());
         assert_eq!(t.translate(0), 30);
         assert_eq!(t.translate(0), 0);
-    }
-
-    #[test]
-    fn flush_forgets_everything() {
-        let mut t = dtlb();
-        t.translate(0);
-        t.flush();
-        assert_eq!(t.translate(0), 30);
-    }
-
-    #[test]
-    fn miss_rate_reporting() {
-        let mut t = dtlb();
-        t.translate(0);
-        t.translate(0);
-        assert!((t.miss_rate() - 0.5).abs() < 1e-12);
     }
 }

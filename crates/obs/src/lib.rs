@@ -2,7 +2,7 @@
 //!
 //! Observability pipelines over the simulator's two time domains:
 //!
-//! * [`timeline`] — the **simulated-cycle domain**. Converts the
+//! * `timeline` — the **simulated-cycle domain**. Converts the
 //!   cycle-stamped sources every run already produces — the
 //!   opt-in event journal (`RedundantDriver::with_journal`), recovery episodes
 //!   ([`unsync_exec::spans`]), shared-L2 bank-conflict events, uncore
@@ -28,7 +28,6 @@
 #![warn(missing_docs)]
 
 pub mod prof;
-pub mod timeline;
+pub(crate) mod timeline;
 
-pub use prof::{scope, ScopeTimer};
-pub use timeline::{BankConflictMark, LaneTimeline, StrikeMark, Timeline, TimelineInstant};
+pub use timeline::Timeline;

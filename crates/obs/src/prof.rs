@@ -29,7 +29,7 @@ use unsync_sim::metrics::{prof_histogram, Histogram};
 /// First use of a phase name pays the registry resolution; subsequent
 /// calls clone the cached handle (an `Arc` bump). Observations through
 /// the handle are lock-free.
-pub fn handle(phase: &'static str) -> Histogram {
+pub(crate) fn handle(phase: &'static str) -> Histogram {
     static CACHE: OnceLock<Mutex<HashMap<&'static str, Histogram>>> = OnceLock::new();
     let mut cache = CACHE
         .get_or_init(|| Mutex::new(HashMap::new()))
@@ -47,12 +47,6 @@ pub fn handle(phase: &'static str) -> Histogram {
 pub struct ScopeTimer {
     hist: Histogram,
     started: Instant,
-}
-
-impl ScopeTimer {
-    /// Stops the timer early and records the elapsed time (equivalent
-    /// to dropping it, but explicit at the call site).
-    pub fn stop(self) {}
 }
 
 impl Drop for ScopeTimer {
@@ -90,12 +84,5 @@ mod tests {
                 .any(|(name, _)| name == "prof.test_only.prof_unit"),
             "handle must register under prof."
         );
-    }
-
-    #[test]
-    fn stop_is_drop() {
-        let before = handle("test_only.prof_stop").count();
-        scope("test_only.prof_stop").stop();
-        assert_eq!(handle("test_only.prof_stop").count(), before + 1);
     }
 }

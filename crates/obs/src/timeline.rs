@@ -30,66 +30,66 @@ use unsync_mem::L2ContentionEvent;
 
 /// One instantaneous journal event on a lane track.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimelineInstant {
+pub(crate) struct TimelineInstant {
     /// What happened.
-    pub kind: TraceEventKind,
+    pub(crate) kind: TraceEventKind,
     /// Cycle stamp.
-    pub cycle: u64,
+    pub(crate) cycle: u64,
     /// The event's value payload (stall length, occupancy, …).
-    pub value: u64,
+    pub(crate) value: u64,
 }
 
 /// One uncore strike on the uncore track.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StrikeMark {
     /// The struck lane.
-    pub lane: usize,
+    pub(crate) lane: usize,
     /// Strike cycle.
-    pub cycle: u64,
+    pub(crate) cycle: u64,
     /// Label of the struck structure (`UncoreTarget::label`).
-    pub target: &'static str,
+    pub(crate) target: &'static str,
     /// Struck bit offset within the structure.
-    pub bit_offset: u64,
+    pub(crate) bit_offset: u64,
     /// Whether the strike was importance-sampled onto live state.
-    pub directed: bool,
+    pub(crate) directed: bool,
 }
 
 /// One bank-conflict stall on the L2-banks counter track.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BankConflictMark {
     /// The requesting lane.
-    pub lane: usize,
+    pub(crate) lane: usize,
     /// The contended bank.
-    pub bank: usize,
+    pub(crate) bank: usize,
     /// Cycle the request arrived at the occupied bank.
-    pub cycle: u64,
+    pub(crate) cycle: u64,
     /// Cycles the request waited for the port.
-    pub stall: u64,
+    pub(crate) stall: u64,
 }
 
 /// One lane's cycle-domain history.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LaneTimeline {
     /// Lane index (track id).
-    pub lane: usize,
+    pub(crate) lane: usize,
     /// The lane's final cycle (track extent).
-    pub cycles: u64,
+    pub(crate) cycles: u64,
     /// Recovery episodes, time-ordered and non-overlapping per lane.
     pub episodes: Vec<Episode>,
     /// Instantaneous events (journal order). Recovery start/end pairs
     /// live in [`LaneTimeline::episodes`], checkpoint-buffer drains in
     /// [`LaneTimeline::cb_drains`], bank conflicts on the counter
     /// track — none of those are duplicated here.
-    pub instants: Vec<TimelineInstant>,
+    pub(crate) instants: Vec<TimelineInstant>,
     /// Checkpoint-buffer drain events, rendered on the shared CB track.
-    pub cb_drains: Vec<TimelineInstant>,
+    pub(crate) cb_drains: Vec<TimelineInstant>,
 }
 
 /// The assembled cycle-domain timeline of one (multi-lane) run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Timeline {
     /// Display name (run or experiment name).
-    pub name: String,
+    pub(crate) name: String,
     /// One entry per lane, in lane order.
     pub lanes: Vec<LaneTimeline>,
     /// Uncore strikes across all lanes.
@@ -127,7 +127,7 @@ impl Timeline {
     /// span tracker, instants from the journal (falling back to the
     /// recent-events ring when no journal was kept — a truncated but
     /// still valid track).
-    pub fn add_lane(&mut self, lane: usize, events: &EventStream, cycles: u64) {
+    pub(crate) fn add_lane(&mut self, lane: usize, events: &EventStream, cycles: u64) {
         let mut instants = Vec::new();
         let mut cb_drains = Vec::new();
         let source: Vec<(TraceEventKind, u64, u64)> = match events.journal() {
@@ -166,7 +166,7 @@ impl Timeline {
     }
 
     /// Adds bank-conflict events attributed to `lane`.
-    pub fn add_l2_events(&mut self, lane: usize, events: &[L2ContentionEvent]) {
+    pub(crate) fn add_l2_events(&mut self, lane: usize, events: &[L2ContentionEvent]) {
         for e in events {
             self.bank_conflicts.push(BankConflictMark {
                 lane,
@@ -178,7 +178,7 @@ impl Timeline {
     }
 
     /// Adds uncore strikes (each mark keeps its schedule's lane).
-    pub fn add_strikes(&mut self, strikes: &[UncoreStrike]) {
+    pub(crate) fn add_strikes(&mut self, strikes: &[UncoreStrike]) {
         for s in strikes {
             self.strikes.push(StrikeMark {
                 lane: s.lane,
@@ -307,7 +307,7 @@ impl Timeline {
     /// episodes, `D` detections, `S` uncore strikes, `!` bank
     /// conflicts, `.` idle; later marks in that priority order win a
     /// contended column.
-    pub fn render_swimlane(&self, width: usize) -> String {
+    pub(crate) fn render_swimlane(&self, width: usize) -> String {
         let width = width.max(8);
         let end = self.end_cycle().max(1);
         let col =
@@ -341,7 +341,7 @@ impl Timeline {
 
     /// Renders the per-episode table (one row per recovery episode,
     /// lane-major).
-    pub fn render_episode_table(&self) -> String {
+    pub(crate) fn render_episode_table(&self) -> String {
         let mut out =
             String::from("lane    detect     start       end  duration     stall  rollbacks\n");
         for l in &self.lanes {

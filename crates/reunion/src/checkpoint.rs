@@ -30,12 +30,12 @@ use unsync_sim::CoreHooks;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CheckpointConfig {
     /// Instructions per checkpoint interval (coarse: thousands).
-    pub interval: u32,
+    pub(crate) interval: u32,
     /// Cycles the pipeline stalls while state is snapshotted at each
     /// boundary (registers + store-log sealing).
-    pub snapshot_cost: u32,
+    pub(crate) snapshot_cost: u32,
     /// Fingerprint exchange/compare latency at the boundary, cycles.
-    pub comparison_latency: u32,
+    pub(crate) comparison_latency: u32,
 }
 
 impl Default for CheckpointConfig {
@@ -52,7 +52,7 @@ impl Default for CheckpointConfig {
 
 impl CheckpointConfig {
     /// Validates structural sanity.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.interval == 0 {
             return Err("checkpoint interval must be ≥ 1".into());
         }
@@ -71,11 +71,11 @@ pub struct CheckpointHooks {
     /// Timing-model fingerprint over the commit stream.
     fingerprint: Fingerprint,
     /// Checkpoints taken.
-    pub checkpoints: u64,
+    pub(crate) checkpoints: u64,
     /// Cycles spent stalled taking snapshots.
-    pub snapshot_stall_cycles: u64,
+    pub(crate) snapshot_stall_cycles: u64,
     /// The core whose drain path releases verified stores.
-    pub core: usize,
+    pub(crate) core: usize,
 }
 
 impl CheckpointHooks {
@@ -91,11 +91,6 @@ impl CheckpointHooks {
             snapshot_stall_cycles: 0,
             core: 0,
         }
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &CheckpointConfig {
-        &self.cfg
     }
 }
 

@@ -11,19 +11,19 @@ pub struct ReunionConfig {
     /// Comparison latency: cycles to generate, transfer and compare a
     /// fingerprint between cores (§IV-3 assumes a minimum of 6 cycles on
     /// nominal buses; Fig. 5 sweeps 10–40).
-    pub comparison_latency: u32,
+    pub(crate) comparison_latency: u32,
     /// CHECK-stage buffer entries (paper: 17 at FI = 10 — the interval
     /// in flight plus the interval under comparison's margin).
     pub csb_entries: u32,
     /// Cycles to squash and refill the pipeline on a fingerprint
     /// mismatch, on top of re-executing the interval.
-    pub rollback_penalty: u32,
+    pub(crate) rollback_penalty: u32,
     /// Extra cycles a serializing instruction costs beyond its own
     /// fingerprint verification: the vocal and mute cores must fully
     /// rendezvous (drain both pipelines, exchange confirmation) before
     /// the trap/barrier may proceed — the §IV-5 synchronization the
     /// paper identifies as Reunion's key performance issue.
-    pub serialize_sync_penalty: u32,
+    pub(crate) serialize_sync_penalty: u32,
 }
 
 impl Default for ReunionConfig {
@@ -61,7 +61,7 @@ impl ReunionConfig {
 
     /// Validates internal consistency (the CSB must be able to hold an
     /// entire open interval, or commit deadlocks in hardware).
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.fingerprint_interval == 0 {
             return Err("fingerprint interval must be ≥ 1".into());
         }

@@ -85,22 +85,22 @@ pub struct ReunionHooks {
     /// Timing-model fingerprint over the commit stream (pc, seq).
     fingerprint: Fingerprint,
     /// Cycle of the most recent verification.
-    pub last_verify: u64,
+    pub(crate) last_verify: u64,
     /// Sequence numbers of the most recently closed interval (for
     /// cross-core verify patching by the pair runner).
     last_closed: Vec<u64>,
     /// Closed intervals.
-    pub intervals_closed: u64,
+    pub(crate) intervals_closed: u64,
     /// Commit cycles lost to a full CSB.
-    pub csb_full_stall_cycles: u64,
+    pub(crate) csb_full_stall_cycles: u64,
     /// Commits that found the CSB full.
-    pub csb_full_events: u64,
+    pub(crate) csb_full_events: u64,
     /// Whether this core releases verified stores to the memory system.
     /// In a vocal/mute pair only the vocal core does (RMT-style
     /// single-instance release); standalone cores leave it `true`.
-    pub release_stores: bool,
+    pub(crate) release_stores: bool,
     /// The core whose bus carries the released stores.
-    pub core: usize,
+    pub(crate) core: usize,
 }
 
 impl ReunionHooks {
@@ -124,17 +124,12 @@ impl ReunionHooks {
         }
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &ReunionConfig {
-        &self.cfg
-    }
-
     /// In a vocal/mute pair the fingerprint comparison completes only
     /// after *both* cores have produced it: the pair runner calls this
     /// after each interval boundary with `max(close_A, close_B) +
     /// latency` to extend the most recently closed interval's
     /// verification time. Returns the patched verify cycle.
-    pub fn patch_last_verify(&mut self, verify: u64) -> u64 {
+    pub(crate) fn patch_last_verify(&mut self, verify: u64) -> u64 {
         let verify = verify.max(self.last_verify);
         for seq in &self.last_closed {
             self.verify_of.set(*seq, verify);
@@ -155,12 +150,6 @@ impl ReunionHooks {
         }
         self.last_verify = verify;
         verify
-    }
-
-    /// Current CSB occupancy (entries awaiting verification at `cycle`).
-    pub fn csb_occupancy(&mut self, cycle: u64) -> usize {
-        self.retire_csb(cycle);
-        self.csb.len()
     }
 
     fn retire_csb(&mut self, cycle: u64) {
@@ -481,8 +470,10 @@ mod tests {
         assert_eq!(h.patch_last_verify(common), common);
         assert_eq!(h.resolve_rob_release(0), common);
         // CSB entries now retire at the common time, not the local one.
-        assert_eq!(h.csb_occupancy(own_verify + 1), 4);
-        assert_eq!(h.csb_occupancy(common), 0);
+        h.retire_csb(own_verify + 1);
+        assert_eq!(h.csb.len(), 4);
+        h.retire_csb(common);
+        assert!(h.csb.is_empty());
         // Patching backwards is a no-op (max semantics).
         assert_eq!(h.patch_last_verify(common - 50), common);
     }

@@ -33,15 +33,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod checkpoint;
-pub mod config;
-pub mod hooks;
-pub mod lockstep;
-pub mod pair;
+pub(crate) mod checkpoint;
+pub(crate) mod config;
+pub(crate) mod hooks;
+pub(crate) mod lockstep;
+pub(crate) mod pair;
 
 pub use checkpoint::{CheckpointConfig, CheckpointHooks, CheckpointPolicy};
 pub use config::ReunionConfig;
 pub use hooks::ReunionHooks;
 pub use lockstep::{LockstepPair, LockstepPolicy};
 pub use pair::{ReunionPair, ReunionPolicy};
-pub use unsync_fault::PairFault;

@@ -12,11 +12,11 @@ pub struct CoreConfig {
     /// Instructions committed per cycle.
     pub commit_width: u32,
     /// Front-end depth in cycles from fetch to dispatch.
-    pub frontend_depth: u32,
+    pub(crate) frontend_depth: u32,
     /// Fetch/decode buffer entries (front-end back-pressure: fetch of
     /// instruction `i` waits until instruction `i − fetch_buffer` has
     /// dispatched).
-    pub fetch_buffer: u32,
+    pub(crate) fetch_buffer: u32,
     /// Issue-queue entries (Table I: 64).
     pub iq_size: u32,
     /// Re-order buffer entries.
@@ -24,15 +24,15 @@ pub struct CoreConfig {
     /// Load/store-queue entries.
     pub lsq_size: u32,
     /// Simple integer ALUs.
-    pub int_alus: u32,
+    pub(crate) int_alus: u32,
     /// Integer multiply/divide units.
-    pub int_muldivs: u32,
+    pub(crate) int_muldivs: u32,
     /// Floating-point units.
-    pub fp_units: u32,
+    pub(crate) fp_units: u32,
     /// Cache ports (loads/stores issued per cycle).
-    pub mem_ports: u32,
+    pub(crate) mem_ports: u32,
     /// Cycles lost redirecting the front end on a misprediction.
-    pub mispredict_penalty: u32,
+    pub(crate) mispredict_penalty: u32,
     /// Core clock in GHz (Table I: 2 GHz) — used for FIT/energy
     /// conversions, not for timing (which is in cycles).
     pub clock_ghz: f64,
@@ -43,7 +43,7 @@ pub struct CoreConfig {
     /// speeds between the two cores", §III-B2) — the drift the CB
     /// absorbs (Fig. 6) and Reunion's per-interval comparison keeps
     /// re-paying. 0 disables.
-    pub drift_period: u32,
+    pub(crate) drift_period: u32,
     /// Maximum cycles one drift event stalls the core.
     pub drift_max: u32,
 }
@@ -79,7 +79,7 @@ impl CoreConfig {
     }
 
     /// Validates structural sanity.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         for (label, v) in [
             ("fetch_width", self.fetch_width),
             ("dispatch_width", self.dispatch_width),

@@ -4,7 +4,7 @@ use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
 use unsync_isa::exec::splitmix64;
-use unsync_isa::{Inst, OpClass, Reg};
+use unsync_isa::{Inst, OpClass};
 use unsync_mem::MemSystem;
 
 use crate::config::CoreConfig;
@@ -157,16 +157,6 @@ impl OooEngine {
             drift_phase,
             stats: CoreStats::default(),
         }
-    }
-
-    /// The core's configuration.
-    pub fn config(&self) -> &CoreConfig {
-        &self.cfg
-    }
-
-    /// This core's port index in the shared memory system.
-    pub fn core_id(&self) -> usize {
-        self.core_id
     }
 
     /// Current time: the last commit cycle.
@@ -442,18 +432,13 @@ impl OooEngine {
         }
         self.stall_until(cycle);
     }
-
-    /// The register-availability floor (testing/diagnostics).
-    pub fn reg_ready(&self, r: Reg) -> u64 {
-        self.reg_avail[r.index()]
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::hooks::NullHooks;
-    use unsync_isa::{BranchInfo, MemInfo};
+    use unsync_isa::{BranchInfo, MemInfo, Reg};
     use unsync_mem::{HierarchyConfig, WritePolicy};
 
     fn mem() -> MemSystem {
@@ -636,7 +621,7 @@ mod tests {
             .mem(MemInfo::dword(0x20_0000))
             .finish();
         let t_ld = e.feed(&ld, &mut m, &mut h);
-        let rob = e.config().rob_size as u64;
+        let rob = e.cfg.rob_size as u64;
         let mut last = InstTiming {
             fetch: 0,
             dispatch: 0,
@@ -700,7 +685,7 @@ mod tests {
             e.feed(&alu(i, 1, 1, 1), &mut m, &mut h);
         }
         e.flush_pipeline(5_000);
-        assert!(e.reg_ready(Reg::int(1)) >= 5_000);
+        assert!(e.reg_avail[Reg::int(1).index()] >= 5_000);
         let t = e.feed(&alu(100, 2, 1, 1), &mut m, &mut h);
         assert!(t.commit >= 5_000);
     }

@@ -111,9 +111,9 @@ pub struct BaselineHooks {
     /// Completion cycles of in-flight drains, oldest first.
     drains: VecDeque<u64>,
     /// Commit cycles lost to a full buffer.
-    pub full_stall_cycles: u64,
+    pub(crate) full_stall_cycles: u64,
     /// Stores that found the buffer full.
-    pub full_events: u64,
+    pub(crate) full_events: u64,
 }
 
 impl BaselineHooks {
@@ -121,7 +121,7 @@ impl BaselineHooks {
     /// paper's UnSync configuration uses 10 CB entries; the baseline
     /// buffer matches so comparisons isolate the CB *protocol*, not its
     /// size).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0);
         BaselineHooks {
             capacity,
@@ -129,14 +129,6 @@ impl BaselineHooks {
             full_stall_cycles: 0,
             full_events: 0,
         }
-    }
-
-    /// Buffer occupancy at `cycle`.
-    pub fn occupancy(&mut self, cycle: u64) -> usize {
-        while self.drains.front().is_some_and(|&d| d <= cycle) {
-            self.drains.pop_front();
-        }
-        self.drains.len()
     }
 }
 
@@ -201,7 +193,7 @@ mod tests {
         let inst = store(0, 0x100);
         assert_eq!(h.store_committed(&inst, 4, 10, &mut m), 10);
         assert_eq!(h.full_events, 0);
-        assert_eq!(h.occupancy(10), 1);
+        assert_eq!(h.drains.len(), 1);
     }
 
     #[test]

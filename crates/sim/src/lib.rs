@@ -33,15 +33,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod config;
-pub mod engine;
-pub mod hooks;
+pub(crate) mod config;
+pub(crate) mod engine;
+pub(crate) mod hooks;
 pub mod metrics;
-pub mod runner;
-pub mod stats;
+pub(crate) mod runner;
+pub(crate) mod stats;
 
 pub use config::CoreConfig;
 pub use engine::{InstTiming, OooEngine};
 pub use hooks::{BaselineHooks, CoreHooks, NullHooks, RobRelease};
-pub use runner::{run_baseline, run_stream, SimResult};
+pub use runner::{run_baseline, run_stream};
 pub use stats::CoreStats;

@@ -51,11 +51,6 @@ impl Gauge {
     pub fn set(&self, v: f64) {
         self.0.store(v.to_bits(), Ordering::Relaxed);
     }
-
-    /// Current value.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
-    }
 }
 
 #[derive(Debug)]
@@ -129,11 +124,6 @@ impl Histogram {
     pub fn count(&self) -> u64 {
         self.0.count.load(Ordering::Relaxed)
     }
-
-    /// Sum of observations.
-    pub fn sum(&self) -> f64 {
-        f64::from_bits(self.0.sum_bits.load(Ordering::Relaxed))
-    }
 }
 
 #[derive(Debug)]
@@ -172,7 +162,7 @@ pub struct Registry {
 impl Registry {
     /// An empty registry (tests use private registries; production code
     /// shares [`global`]).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Registry::default()
     }
 
@@ -261,25 +251,6 @@ impl Registry {
             })
             .collect()
     }
-
-    /// Zeroes every metric (handles stay valid). Intended for tests and
-    /// for binaries that want per-phase deltas.
-    pub fn reset(&self) {
-        let slots = self.slots.lock().expect("metrics registry poisoned");
-        for slot in slots.values() {
-            match slot {
-                Slot::Counter(c) => c.store(0, Ordering::Relaxed),
-                Slot::Gauge(g) => g.store(0f64.to_bits(), Ordering::Relaxed),
-                Slot::Histogram(h) => {
-                    for b in &h.buckets {
-                        b.store(0, Ordering::Relaxed);
-                    }
-                    h.count.store(0, Ordering::Relaxed);
-                    h.sum_bits.store(0f64.to_bits(), Ordering::Relaxed);
-                }
-            }
-        }
-    }
 }
 
 /// The process-global registry every instrumented layer shares.
@@ -293,7 +264,7 @@ pub fn global() -> &'static Registry {
 /// ladder keeps phase histograms comparable across layers (scheduler
 /// loop, campaign dispatch, cache waits) in per-run meta `prof`
 /// blocks.
-pub const PROF_BOUNDS_US: [f64; 11] = [
+pub(crate) const PROF_BOUNDS_US: [f64; 11] = [
     1.0,
     5.0,
     10.0,
@@ -309,7 +280,7 @@ pub const PROF_BOUNDS_US: [f64; 11] = [
 
 /// Resolves (creating on first use) the host-domain phase histogram
 /// `prof.<phase>` in the [`global`] registry, with the shared
-/// [`PROF_BOUNDS_US`] microsecond ladder.
+/// `PROF_BOUNDS_US` microsecond ladder.
 ///
 /// `prof.*` metrics record **wall-clock** phase durations, never
 /// simulated cycles: they exist so a `BENCH_*.json` regression is
@@ -328,15 +299,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_accumulate_and_reset() {
+    fn counters_accumulate() {
         let r = Registry::new();
         let c = r.counter("a.b");
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
         assert_eq!(r.snapshot(), vec![("a.b".into(), MetricValue::Counter(5))]);
-        r.reset();
-        assert_eq!(c.get(), 0);
     }
 
     #[test]
@@ -353,7 +322,7 @@ mod tests {
         let g = r.gauge("w");
         g.set(2.5);
         g.set(8.0);
-        assert_eq!(g.get(), 8.0);
+        assert_eq!(r.snapshot(), vec![("w".into(), MetricValue::Gauge(8.0))]);
     }
 
     #[test]
@@ -364,9 +333,9 @@ mod tests {
             h.observe(v);
         }
         assert_eq!(h.count(), 4);
-        assert!((h.sum() - 12.7).abs() < 1e-12);
         match &r.snapshot()[0].1 {
-            MetricValue::Histogram { buckets, .. } => {
+            MetricValue::Histogram { sum, buckets, .. } => {
+                assert!((sum - 12.7).abs() < 1e-12);
                 assert_eq!(buckets[0], (1.0, 1));
                 assert_eq!(buckets[1], (2.0, 2));
                 assert_eq!(buckets[2].1, 1);

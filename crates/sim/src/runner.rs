@@ -15,9 +15,9 @@ pub struct SimResult {
     /// Core-side statistics.
     pub core: CoreStats,
     /// L1 data-cache miss rate.
-    pub l1d_miss_rate: f64,
+    pub(crate) l1d_miss_rate: f64,
     /// Shared-L2 miss rate.
-    pub l2_miss_rate: f64,
+    pub(crate) l2_miss_rate: f64,
 }
 
 impl SimResult {

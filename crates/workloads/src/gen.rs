@@ -63,7 +63,7 @@ impl WorkloadGen {
 
     /// A generator from an explicit profile (for sweeping single
     /// profile parameters).
-    pub fn from_profile(profile: BenchmarkProfile, length: u64, seed: u64) -> Self {
+    pub(crate) fn from_profile(profile: BenchmarkProfile, length: u64, seed: u64) -> Self {
         profile.validate().expect("profile must be valid");
         let mut g = WorkloadGen {
             profile,
@@ -78,11 +78,6 @@ impl WorkloadGen {
         };
         g.reset();
         g
-    }
-
-    /// The profile being generated.
-    pub fn profile(&self) -> &BenchmarkProfile {
-        &self.profile
     }
 
     /// Materializes the whole trace.

@@ -89,7 +89,7 @@ impl Kernel {
     }
 
     /// Looks a kernel up by bare name.
-    pub fn from_name(name: &str) -> Option<Kernel> {
+    pub(crate) fn from_name(name: &str) -> Option<Kernel> {
         Kernel::all().iter().copied().find(|k| k.name() == name)
     }
 
@@ -103,16 +103,16 @@ impl Kernel {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelSource {
     /// Which kernel to run.
-    pub kernel: Kernel,
+    pub(crate) kernel: Kernel,
     /// Exact trace length in instructions.
-    pub length: u64,
+    pub(crate) length: u64,
     /// Seed deriving the kernel's input data.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl KernelSource {
     /// A source running `kernel` for exactly `length` instructions.
-    pub fn new(kernel: Kernel, length: u64, seed: u64) -> Self {
+    pub(crate) fn new(kernel: Kernel, length: u64, seed: u64) -> Self {
         assert!(length > 0, "kernel traces must have at least 1 instruction");
         KernelSource {
             kernel,
@@ -124,7 +124,7 @@ impl KernelSource {
     /// Builds the trace *and* the final memory image the kernel's
     /// execution leaves behind (identical to
     /// [`unsync_isa::golden_run`] over the returned trace).
-    pub fn build_at(&self, data_base: u64) -> (TraceProgram, ArchMemory) {
+    pub(crate) fn build_at(&self, data_base: u64) -> (TraceProgram, ArchMemory) {
         let base = data_base & !63;
         let code_base = 0x0040_0000 + (self.kernel as u64) * 0x0002_0000;
         let mut e = Emitter::new(self.length as usize, code_base);

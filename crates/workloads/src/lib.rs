@@ -30,14 +30,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod gen;
-pub mod kernels;
-pub mod profile;
-pub mod rng;
+pub(crate) mod gen;
+pub(crate) mod kernels;
+pub(crate) mod profile;
+pub(crate) mod rng;
 pub mod source;
 
 pub use gen::WorkloadGen;
-pub use kernels::{Kernel, KernelSource};
-pub use profile::{Benchmark, BenchmarkProfile, Suite};
-pub use rng::SplitMixStream;
+pub use kernels::Kernel;
+pub use profile::{Benchmark, BenchmarkProfile};
 pub use source::{AnySource, SyntheticSource, WorkloadSource, WorkloadSpec};

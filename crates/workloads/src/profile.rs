@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 
 /// Which suite a benchmark belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Suite {
+pub(crate) enum Suite {
     /// SPEC CPU2000.
     Spec2000,
     /// MiBench embedded suite.
@@ -23,13 +23,13 @@ pub enum Suite {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct BenchmarkProfile {
     /// Program name (paper spelling).
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Source suite.
-    pub suite: Suite,
+    pub(crate) suite: Suite,
     /// Fraction of integer multiplies.
-    pub frac_int_mul: f64,
+    pub(crate) frac_int_mul: f64,
     /// Fraction of integer divides.
-    pub frac_int_div: f64,
+    pub(crate) frac_int_div: f64,
     /// Fraction of FP add/sub.
     pub frac_fp_alu: f64,
     /// Fraction of FP multiplies.
@@ -48,32 +48,32 @@ pub struct BenchmarkProfile {
     /// Probability that an operand comes from a recently produced result
     /// (dependency-chain density; high values serialize execution and
     /// keep the ROB full).
-    pub dep_locality: f64,
+    pub(crate) dep_locality: f64,
     /// How far back (in instructions) chained operands reach.
-    pub chain_window: u32,
+    pub(crate) chain_window: u32,
     /// Data working set in 64-byte lines.
     pub ws_lines: u64,
     /// Probability a memory access continues the current sequential
     /// stream (vs. jumping to a random line of the working set).
-    pub spatial_locality: f64,
+    pub(crate) spatial_locality: f64,
     /// Branch misprediction rate.
     pub mispredict_rate: f64,
     /// Probability a load/store *address* depends on a recently produced
     /// value (pointer chasing). High values destroy memory-level
     /// parallelism — mcf's defining trait.
-    pub pointer_chase: f64,
+    pub(crate) pointer_chase: f64,
     /// Probability a non-sequential access lands in the cache-resident
     /// *hot region* (the first 128 lines of the working set) instead of a
     /// uniformly random line. Models temporal locality: real programs
     /// re-touch a small hot set far more often than an LRU-hostile
     /// uniform sweep would.
-    pub hot_fraction: f64,
+    pub(crate) hot_fraction: f64,
 }
 
 impl BenchmarkProfile {
     /// Fraction of plain integer-ALU instructions (the remainder of the
     /// mix).
-    pub fn frac_int_alu(&self) -> f64 {
+    pub(crate) fn frac_int_alu(&self) -> f64 {
         1.0 - (self.frac_int_mul
             + self.frac_int_div
             + self.frac_fp_alu
@@ -86,7 +86,7 @@ impl BenchmarkProfile {
     }
 
     /// Validates that the mix is a proper distribution.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         let rem = self.frac_int_alu();
         if rem < 0.0 {
             return Err(format!(

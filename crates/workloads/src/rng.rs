@@ -12,13 +12,13 @@ use unsync_isa::exec::splitmix64;
 
 /// A deterministic stream of pseudo-random values.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SplitMixStream {
+pub(crate) struct SplitMixStream {
     state: u64,
 }
 
 impl SplitMixStream {
     /// Creates a stream from a seed.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         // Pre-whiten so that small seeds (0, 1, 2 …) give unrelated streams.
         SplitMixStream {
             state: splitmix64(seed ^ 0x6a09_e667_f3bc_c908),
@@ -27,14 +27,14 @@ impl SplitMixStream {
 
     /// Next 64 uniformly distributed bits.
     #[inline]
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
         splitmix64(self.state)
     }
 
     /// Uniform `f64` in `[0, 1)`.
     #[inline]
-    pub fn next_f64(&mut self) -> f64 {
+    pub(crate) fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / 9_007_199_254_740_992.0)
     }
 
@@ -43,7 +43,7 @@ impl SplitMixStream {
     /// # Panics
     /// Panics if `bound == 0`.
     #[inline]
-    pub fn below(&mut self, bound: u64) -> u64 {
+    pub(crate) fn below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "bound must be positive");
         // Multiply-shift rejection-free mapping (tiny bias is irrelevant
         // for workload synthesis).
@@ -52,19 +52,8 @@ impl SplitMixStream {
 
     /// Bernoulli trial with probability `p`.
     #[inline]
-    pub fn chance(&mut self, p: f64) -> bool {
+    pub(crate) fn chance(&mut self, p: f64) -> bool {
         self.next_f64() < p
-    }
-
-    /// Geometric-ish small integer: number of failures before a success
-    /// with probability `p`, capped at `cap`.
-    pub fn geometric_capped(&mut self, p: f64, cap: u32) -> u32 {
-        debug_assert!((0.0..=1.0).contains(&p));
-        let mut n = 0;
-        while n < cap && !self.chance(p) {
-            n += 1;
-        }
-        n
     }
 }
 
@@ -109,16 +98,6 @@ mod tests {
         let mut s = SplitMixStream::new(11);
         let hits = (0..100_000).filter(|_| s.chance(0.3)).count() as f64 / 100_000.0;
         assert!((hits - 0.3).abs() < 0.01, "observed {hits}");
-    }
-
-    #[test]
-    fn geometric_capped_respects_cap() {
-        let mut s = SplitMixStream::new(13);
-        for _ in 0..1000 {
-            assert!(s.geometric_capped(0.1, 5) <= 5);
-        }
-        // p=1 always succeeds immediately.
-        assert_eq!(s.geometric_capped(1.0, 5), 0);
     }
 
     #[test]

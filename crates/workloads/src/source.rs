@@ -1,8 +1,8 @@
 //! The workload-production seam: [`WorkloadSource`].
 //!
 //! Every consumer of traces — the bench runner, the experiment suite,
-//! the lane sweep, the repo benchmark, the sim and exec test beds —
-//! obtains its [`TraceProgram`] through this trait instead of
+//! the repo benchmark, the sim and exec test beds — obtains its
+//! [`TraceProgram`] through this trait instead of
 //! constructing [`WorkloadGen`] directly. That gives the repo exactly
 //! one seam where a new trace backend plugs in; today there are two:
 //!
@@ -10,7 +10,7 @@
 //!   ([`WorkloadGen`]), profiles *calibrated to* the paper's named
 //!   statistics. This remains the default everywhere, so every
 //!   pre-existing golden stays byte-identical.
-//! * [`crate::kernels::KernelSource`] — real MiBench-style kernels
+//! * `crate::kernels::KernelSource` — real MiBench-style kernels
 //!   (qsort, crc32, dijkstra, stringsearch) built directly in the
 //!   `unsync-isa` instruction set and executed through
 //!   [`unsync_isa::ArchState`] semantics, so their statistics are
@@ -65,11 +65,11 @@ pub trait WorkloadSource {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SyntheticSource {
     /// The modelled benchmark.
-    pub bench: Benchmark,
+    pub(crate) bench: Benchmark,
     /// Trace length in instructions.
-    pub length: u64,
+    pub(crate) length: u64,
     /// Generator seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl SyntheticSource {
@@ -113,7 +113,7 @@ impl WorkloadSource for SyntheticSource {
 pub enum WorkloadSpec {
     /// A seeded statistical generator ([`SyntheticSource`]).
     Synthetic(Benchmark),
-    /// A real-ISA kernel ([`KernelSource`]).
+    /// A real-ISA kernel (`KernelSource`).
     Kernel(Kernel),
 }
 
@@ -160,11 +160,11 @@ impl WorkloadSpec {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AnySource {
     /// Which backend produces the trace.
-    pub spec: WorkloadSpec,
+    pub(crate) spec: WorkloadSpec,
     /// Trace length in instructions.
-    pub length: u64,
+    pub(crate) length: u64,
     /// Source seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl WorkloadSource for AnySource {

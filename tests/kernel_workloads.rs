@@ -4,17 +4,15 @@
 //! 2 and 8 lanes, a `run_system` vs `run_system_reference` scheduler
 //! differential over kernel traces, and all four kernels executing
 //! through the unmodified `RedundantDriver` under UnsyncPair and TMR;
-//! the `kernel_stats` row's summary and a kernel lane sweep at the
-//! configs the CLI checks used.
+//! and the `kernel_stats` row's summary.
 
-use unsync_bench::lanesweep::{run_sweep, summary_json, LaneSweepConfig};
 use unsync_bench::Json;
 use unsync_core::{UnsyncConfig, UnsyncPair, UnsyncPolicy};
 use unsync_exec::{Lane, RedundantDriver, TmrTriple};
 use unsync_isa::{golden_run, TraceProgram};
 use unsync_mem::{L2ContentionConfig, WritePolicy};
 use unsync_sim::CoreConfig;
-use unsync_workloads::{Kernel, WorkloadSource, WorkloadSpec};
+use unsync_workloads::{Kernel, WorkloadSource};
 
 const INSTS: u64 = 1_200;
 const SEED: u64 = 41;
@@ -174,22 +172,4 @@ fn kernel_stats_row_writes_a_sane_summary() {
         assert!(0.0 < mispredict && mispredict < 0.5, "{r:?}");
         assert!(field("baseline_cycles") >= field("instructions"), "{r:?}");
     }
-}
-
-/// A `kernel:crc32` sweep of 2 and 8 lanes at 200 instructions per
-/// lane, seed 19: a kernel workload sweeps end to end and its summary
-/// names the kernel.
-#[test]
-fn crc32_lane_sweep_names_its_workload() {
-    let cfg = LaneSweepConfig {
-        lane_counts: vec![2, 8],
-        insts_per_lane: 200,
-        workload: WorkloadSpec::Kernel(Kernel::Crc32),
-        ..LaneSweepConfig::full(19)
-    };
-    let summary = summary_json(&cfg, &run_sweep(&cfg)).render();
-    assert!(
-        summary.contains("\"workload\":\"kernel:crc32\""),
-        "{summary}"
-    );
 }

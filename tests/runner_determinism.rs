@@ -1,9 +1,9 @@
 //! Determinism regression below the experiment table: same-seed reruns
-//! of single runs, many-lane systems and the lane sweep must be
-//! byte-identical. Every table row's worker-count independence is
-//! gated by `tests/golden_values.rs`.
+//! of single runs and many-lane systems must be byte-identical. Every
+//! table row's worker-count independence is gated by
+//! `tests/golden_values.rs`.
 
-use unsync_bench::{experiments, render, ExperimentConfig, Json, RunLog, Runner};
+use unsync_bench::{experiments, render, ExperimentConfig, RunLog, Runner};
 use unsync_core::{UnsyncConfig, UnsyncPolicy};
 use unsync_mem::WritePolicy;
 
@@ -141,64 +141,6 @@ fn run_system_is_byte_identical_on_rerun_at_64_lanes() {
     assert!(reference.iter().all(|r| r.out.committed == 300));
     let (again, _) = run();
     assert_eq!(again, reference, "64-lane system diverged on rerun");
-}
-
-#[test]
-fn lanesweep_smoke_diffs_clean_across_same_seed_runs() {
-    // The lanesweep smoke sweep (2 and 8 lanes, same seed twice) must
-    // produce byte-identical run logs: written to two directories and
-    // compared through the dashboard's exact diff.
-    use unsync_bench::dashboard::diff_dirs;
-    use unsync_bench::lanesweep::{run_sweep, summary_json, sweep_log, LaneSweepConfig};
-
-    let cfg = LaneSweepConfig::smoke(19);
-    let emit = |dir: &std::path::Path| {
-        std::fs::create_dir_all(dir).unwrap();
-        let rows = run_sweep(&cfg);
-        assert_eq!(rows.len(), 2, "smoke sweeps 2 and 8 lanes");
-        assert!(rows.iter().all(|r| r.recoveries == r.lanes as u64));
-        let log_text = sweep_log(&cfg, &rows).finish(1);
-        std::fs::write(dir.join("lanesweep.jsonl"), log_text).unwrap();
-        let mut summary = summary_json(&cfg, &rows).render();
-        summary.push('\n');
-        std::fs::write(dir.join("BENCH_lanesweep.json"), summary).unwrap();
-    };
-    let dir_a = std::env::temp_dir().join("unsync_lanesweep_smoke_a");
-    let dir_b = std::env::temp_dir().join("unsync_lanesweep_smoke_b");
-    for d in [&dir_a, &dir_b] {
-        let _ = std::fs::remove_dir_all(d);
-    }
-    emit(&dir_a);
-    emit(&dir_b);
-    // The summary of the 2- and 8-lane sweep at 200 instructions per
-    // lane, seed 19: every lane commits its trace and recovers its fault.
-    let text = std::fs::read_to_string(dir_a.join("BENCH_lanesweep.json")).unwrap();
-    let doc = Json::parse(&text).expect("BENCH_lanesweep.json parses");
-    assert_eq!(doc.get("schema").and_then(Json::as_u64), Some(1));
-    let Some(Json::Arr(rows)) = doc.get("results") else {
-        panic!("no results array");
-    };
-    let lanes: Vec<u64> = rows
-        .iter()
-        .map(|r| r.get("lanes").and_then(Json::as_u64).expect("lanes"))
-        .collect();
-    assert_eq!(lanes, [2, 8]);
-    for r in rows {
-        let field = |key| r.get(key).and_then(Json::as_f64).expect(key);
-        assert_eq!(field("committed"), field("lanes") * 200.0, "{r:?}");
-        assert_eq!(field("recoveries"), field("lanes"), "{r:?}");
-        assert!(
-            field("throughput_ipc") > 0.0 && field("mttr_cycles") > 0.0,
-            "{r:?}"
-        );
-    }
-    let report = diff_dirs(&dir_a, &dir_b).expect("diff runs");
-    assert!(
-        report.clean(),
-        "same-seed lanesweep runs must diff clean: {:?}",
-        report.deltas
-    );
-    assert!(report.compared > 0, "the diff must compare real leaves");
 }
 
 #[test]

@@ -5,8 +5,9 @@
 //! outcome counters, trace-event streams, and final committed memory
 //! images, plus identical shared-L2 statistics. This is the contract
 //! that let the scheduler land without re-blessing a single golden
-//! snapshot. Rollback schemes are held to it too: their retried
-//! segments re-execute across scheduler ticks.
+//! snapshot. Faulted lanes are held to it too: rollback schemes'
+//! retried segments re-execute across scheduler ticks, and UnSync's
+//! recoveries stall a lane while the others run on.
 
 use unsync_core::{UnsyncConfig, UnsyncPolicy};
 use unsync_exec::{
@@ -39,17 +40,18 @@ fn lanes_of(ts: &[TraceProgram]) -> Vec<Lane<'_>> {
     ts.iter().map(Lane::new).collect()
 }
 
+/// Lane `p`'s UnSync policy, its CB on cores `2p` and `2p + 1`.
+fn unsync_policy(p: usize) -> UnsyncPolicy {
+    UnsyncPolicy::new(
+        "sched_equiv",
+        UnsyncConfig::paper_baseline(),
+        WritePolicy::WriteThrough,
+        2 * p,
+    )
+}
+
 fn policies(lanes: usize) -> Vec<UnsyncPolicy> {
-    (0..lanes)
-        .map(|p| {
-            UnsyncPolicy::new(
-                "sched_equiv",
-                UnsyncConfig::paper_baseline(),
-                WritePolicy::WriteThrough,
-                2 * p,
-            )
-        })
-        .collect()
+    (0..lanes).map(unsync_policy).collect()
 }
 
 /// Asserts full equality of two system runs: per-lane results (counters,
@@ -127,8 +129,9 @@ fn event_scheduler_handles_unequal_trace_lengths() {
     assert_equal("unequal lanes", &new, &old);
 }
 
-/// One ROB transient on lane `p`, mid-trace: its corrupted result
-/// diverges the fingerprints, so the segment holding it retries.
+/// One ROB transient on lane `p`, mid-trace. Under a rollback scheme
+/// its corrupted result diverges the fingerprints, so the segment
+/// holding it retries; UnSync detects it in hardware and recovers.
 fn rob_fault(p: usize, insts: u64) -> PairFault {
     PairFault {
         at: insts / 2 + 17 * p as u64,
@@ -141,15 +144,22 @@ fn rob_fault(p: usize, insts: u64) -> PairFault {
     }
 }
 
-/// Four faulted lanes of a rollback scheme on the contended L2: the
-/// scheduler matches the reference scan on the same lane schedules.
-fn check_rollback_lanes<P: RedundancyPolicy>(label: &str, policy: impl Fn() -> P) {
+/// Four faulted lanes on the contended L2, one fault each: the
+/// scheduler matches the reference scan on the same lane schedules, and
+/// every lane recovers its fault (`recovered`), commits its whole trace
+/// and ends with memory equal to golden. `policy` builds lane `p`'s
+/// policy.
+fn check_faulted_lanes<P: RedundancyPolicy>(
+    label: &str,
+    policy: impl Fn(usize) -> P,
+    recovered: impl Fn(&RunResult) -> bool,
+) {
     const LANES: usize = 4;
     const INSTS: u64 = 600;
     let driver = RedundantDriver::new(CoreConfig::table1())
         .with_l2_contention(L2ContentionConfig::many_core());
     let ts = traces(LANES, INSTS, 53);
-    let policies = || (0..LANES).map(|_| policy()).collect::<Vec<_>>();
+    let policies = || (0..LANES).map(&policy).collect::<Vec<_>>();
     let faulted = || {
         ts.iter()
             .enumerate()
@@ -164,10 +174,7 @@ fn check_rollback_lanes<P: RedundancyPolicy>(label: &str, policy: impl Fn() -> P
     assert_equal(&format!("{label}: scheduler vs reference"), &new, &old);
     for (p, r) in new.0.iter().enumerate() {
         assert_eq!(r.out.committed, INSTS, "{label}: lane {p} committed");
-        assert!(
-            r.events.count(TraceEventKind::Rollback) >= 1,
-            "{label}: lane {p} must roll back"
-        );
+        assert!(recovered(r), "{label}: lane {p} must recover");
         assert!(
             r.out.memory_matches_golden,
             "{label}: lane {p} memory vs golden"
@@ -196,10 +203,18 @@ fn run_system_with_empty_faults_is_run_system() {
 
 #[test]
 fn rollback_schemes_match_the_reference_under_contention() {
-    check_rollback_lanes("reunion", || {
-        ReunionPolicy::new(ReunionConfig::paper_baseline())
-    });
-    check_rollback_lanes("flex", || {
-        FlexGranularityPolicy::new(FlexConfig::paper_baseline())
-    });
+    let rolled_back = |r: &RunResult| r.events.count(TraceEventKind::Rollback) >= 1;
+    check_faulted_lanes(
+        "reunion",
+        |_| ReunionPolicy::new(ReunionConfig::paper_baseline()),
+        rolled_back,
+    );
+    check_faulted_lanes(
+        "flex",
+        |_| FlexGranularityPolicy::new(FlexConfig::paper_baseline()),
+        rolled_back,
+    );
+    // UnSync recovers always-forward: one recovery episode per lane
+    // instead of a rollback.
+    check_faulted_lanes("unsync", unsync_policy, |r| r.out.recoveries == 1);
 }
