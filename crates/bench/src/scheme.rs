@@ -55,7 +55,7 @@ fn one<P: RedundancyPolicy>(
 pub const TABLE: [Scheme; 7] = [
     Scheme {
         name: "lockstep",
-        run: |d, l, p| one(d, LockstepPolicy::new(1), l, p),
+        run: |d, l, p| one(d, LockstepPolicy::new(), l, p),
     },
     Scheme {
         name: "reunion",

@@ -58,17 +58,6 @@ impl CbEntry {
     }
 }
 
-/// Statistics of one CB side.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub(crate) struct CbSideStats {
-    /// Stores pushed.
-    pub(crate) pushes: u64,
-    /// Pushes that found the buffer full.
-    pub(crate) full_events: u64,
-    /// Commit cycles lost waiting for a slot.
-    pub(crate) full_stall_cycles: u64,
-}
-
 /// The paired Communication Buffers of one UnSync core pair.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PairedCb {
@@ -76,8 +65,8 @@ pub struct PairedCb {
     /// First core id of the owning pair (drains ride this pair's path).
     core_base: usize,
     sides: [VecDeque<CbEntry>; 2],
-    /// Per-side statistics.
-    pub(crate) stats: [CbSideStats; 2],
+    /// Commit cycles each side lost waiting for a slot.
+    pub(crate) full_stall_cycles: [u64; 2],
     /// Entries drained to the L2 (one copy per matched pair).
     pub drained: u64,
     /// Pair completions rejected because a side's fingerprint no longer
@@ -104,7 +93,7 @@ impl PairedCb {
                 VecDeque::with_capacity(capacity),
                 VecDeque::with_capacity(capacity),
             ],
-            stats: [CbSideStats::default(); 2],
+            full_stall_cycles: [0; 2],
             drained: 0,
             fingerprint_mismatches: 0,
         }
@@ -154,7 +143,6 @@ impl PairedCb {
         cycle: u64,
         mem: &mut MemSystem,
     ) -> u64 {
-        self.stats[core].pushes += 1;
         self.retire(core, cycle);
         let mut now = cycle;
         if self.sides[core].len() >= self.capacity {
@@ -168,8 +156,7 @@ impl PairedCb {
                 u64::MAX,
                 "CB head unmatched while full — cores must be fed in step"
             );
-            self.stats[core].full_events += 1;
-            self.stats[core].full_stall_cycles += head.drain_done.saturating_sub(now);
+            self.full_stall_cycles[core] += head.drain_done.saturating_sub(now);
             now = head.drain_done;
             self.retire(core, now);
         }
@@ -301,8 +288,7 @@ mod tests {
         let t = cb.push(0, 2, 0x30, 30, &mut m);
         // Core 0 stalled until its head (seq 0, drained at ≥ 500) left.
         assert!(t >= 500, "push completed at {t}");
-        assert_eq!(cb.stats[0].full_events, 1);
-        assert!(cb.stats[0].full_stall_cycles >= 470);
+        assert_eq!(cb.full_stall_cycles, [t - 30, 0]);
     }
 
     #[test]
@@ -317,8 +303,7 @@ mod tests {
             assert_eq!(c1, 10 * seq + 12);
         }
         assert_eq!(cb.drained, 8);
-        assert_eq!(cb.stats[0].full_events, 0);
-        assert_eq!(cb.stats[1].full_events, 0);
+        assert_eq!(cb.full_stall_cycles, [0, 0]);
     }
 
     #[test]

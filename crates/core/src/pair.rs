@@ -407,7 +407,7 @@ impl RedundancyPolicy for UnsyncPolicy {
             .emit_value(TraceEventKind::CbDrain, self.cb.drained);
         lane.events.emit_value(
             TraceEventKind::CbFullStall,
-            self.cb.stats[0].full_stall_cycles + self.cb.stats[1].full_stall_cycles,
+            self.cb.full_stall_cycles.iter().sum(),
         );
     }
 

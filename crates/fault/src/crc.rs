@@ -105,8 +105,6 @@ pub fn crc16_word(crc: u16, word: u64) -> u16 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Fingerprint {
     crc: u16,
-    /// Instructions folded in since the last [`Fingerprint::take`].
-    pub(crate) count: u32,
 }
 
 impl Default for Fingerprint {
@@ -118,10 +116,7 @@ impl Default for Fingerprint {
 impl Fingerprint {
     /// A fresh fingerprint at the interval-start value.
     pub fn new() -> Self {
-        Fingerprint {
-            crc: CRC16_INIT,
-            count: 0,
-        }
+        Fingerprint { crc: CRC16_INIT }
     }
 
     /// Folds one committed instruction into the fingerprint.
@@ -129,7 +124,6 @@ impl Fingerprint {
     pub fn update(&mut self, pc: u64, result: u64) {
         self.crc = crc16_word(self.crc, pc);
         self.crc = crc16_word(self.crc, result);
-        self.count += 1;
     }
 
     /// Current checksum value without ending the interval.
@@ -205,7 +199,6 @@ mod tests {
             b.update(i * 4, i.wrapping_mul(0x9e37));
         }
         assert_eq!(a.peek(), b.peek());
-        assert_eq!(a.count, 100);
     }
 
     #[test]
@@ -225,7 +218,6 @@ mod tests {
         let mut f = Fingerprint::new();
         f.update(0, 1);
         let first = f.take();
-        assert_eq!(f.count, 0);
         assert_eq!(f.peek(), CRC16_INIT);
         f.update(0, 1);
         assert_eq!(f.take(), first, "identical intervals hash identically");

@@ -24,14 +24,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub(crate) mod codec;
 pub mod exec;
 pub(crate) mod inst;
 pub(crate) mod op;
 pub(crate) mod reg;
 pub(crate) mod stream;
 
-pub use codec::{decode as decode_trace, encode as encode_trace};
 pub use exec::{golden_run, ArchMemory, ArchState};
 pub use inst::{BranchInfo, Inst, InstBuilder, MemInfo};
 pub use op::OpClass;

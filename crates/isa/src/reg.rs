@@ -50,16 +50,6 @@ impl Reg {
         Reg(NUM_INT_REGS + idx)
     }
 
-    /// Creates a register from a flat index in `0..64`.
-    ///
-    /// # Panics
-    /// Panics if `idx >= 64`.
-    #[inline]
-    pub(crate) fn from_index(idx: u8) -> Self {
-        assert!(idx < NUM_REGS, "register index {idx} out of range");
-        Reg(idx)
-    }
-
     /// Flat index of this register in `0..64`.
     #[inline]
     pub fn index(self) -> usize {
@@ -104,9 +94,10 @@ mod tests {
     }
 
     #[test]
-    fn flat_index_round_trips() {
-        for i in 0..NUM_REGS {
-            assert_eq!(Reg::from_index(i).index(), i as usize);
+    fn flat_indices_cover_0_to_64() {
+        for i in 0..NUM_INT_REGS {
+            assert_eq!(Reg::int(i).index(), i as usize);
+            assert_eq!(Reg::fp(i).index(), (NUM_INT_REGS + i) as usize);
         }
     }
 
@@ -134,11 +125,5 @@ mod tests {
     #[should_panic]
     fn fp_index_out_of_range_panics() {
         let _ = Reg::fp(32);
-    }
-
-    #[test]
-    #[should_panic]
-    fn flat_index_out_of_range_panics() {
-        let _ = Reg::from_index(64);
     }
 }

@@ -28,10 +28,6 @@ pub(crate) struct Tlb {
     cfg: TlbConfig,
     sets: u64,
     ways: Vec<TlbWay>,
-    /// Accesses.
-    pub(crate) accesses: u64,
-    /// Misses.
-    pub(crate) misses: u64,
 }
 
 impl Tlb {
@@ -47,8 +43,6 @@ impl Tlb {
             cfg,
             sets,
             ways: vec![INVALID; cfg.entries as usize],
-            accesses: 0,
-            misses: 0,
         }
     }
 
@@ -61,7 +55,6 @@ impl Tlb {
     /// Translates the page containing `addr`. Returns the added latency:
     /// 0 on hit, `walk_latency` on miss.
     pub(crate) fn translate(&mut self, addr: u64) -> u32 {
-        self.accesses += 1;
         let vpn = addr / self.cfg.page_bytes;
         let set = self.set_index(vpn);
         let assoc = self.cfg.assoc as usize;
@@ -76,7 +69,6 @@ impl Tlb {
             w.lru = 0;
             return 0;
         }
-        self.misses += 1;
         let victim = ways.iter_mut().max_by_key(|w| w.lru).expect("assoc >= 1");
         *victim = TlbWay {
             vpn,
@@ -101,7 +93,7 @@ mod tests {
         assert_eq!(t.translate(0x10_0000), 30);
         assert_eq!(t.translate(0x10_0008), 0, "same page");
         assert_eq!(t.translate(0x10_0000 + 8192), 30, "next page");
-        assert_eq!(t.misses, 2);
+        assert_eq!(t.translate(0x10_0010), 0, "first page still mapped");
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use std::collections::VecDeque;
 
-use unsync_fault::Fingerprint;
 use unsync_isa::Inst;
 use unsync_mem::MemSystem;
 use unsync_sim::{CoreHooks, RobRelease};
@@ -70,6 +69,10 @@ impl VerifyTable {
 /// the round trip to the partner core (`commit cycle of the interval's
 /// last instruction + comparison latency`). Serializing instructions cut
 /// the interval immediately and stall dispatch until verification.
+///
+/// The hooks model only the timing of that round trip. The CRC-16
+/// fingerprints themselves are folded and compared by
+/// [`ReunionPolicy`](crate::ReunionPolicy), which drives these hooks.
 #[derive(Debug, Clone)]
 pub struct ReunionHooks {
     cfg: ReunionConfig,
@@ -82,19 +85,11 @@ pub struct ReunionHooks {
     verify_of: VerifyTable,
     /// CHECK-stage buffer occupancy, commit order.
     csb: VecDeque<CsbEntry>,
-    /// Timing-model fingerprint over the commit stream (pc, seq).
-    fingerprint: Fingerprint,
     /// Cycle of the most recent verification.
     pub(crate) last_verify: u64,
     /// Sequence numbers of the most recently closed interval (for
     /// cross-core verify patching by the pair runner).
     last_closed: Vec<u64>,
-    /// Closed intervals.
-    pub(crate) intervals_closed: u64,
-    /// Commit cycles lost to a full CSB.
-    pub(crate) csb_full_stall_cycles: u64,
-    /// Commits that found the CSB full.
-    pub(crate) csb_full_events: u64,
     /// Whether this core releases verified stores to the memory system.
     /// In a vocal/mute pair only the vocal core does (RMT-style
     /// single-instance release); standalone cores leave it `true`.
@@ -113,12 +108,8 @@ impl ReunionHooks {
             interval_stores: Vec::new(),
             verify_of: VerifyTable::default(),
             csb: VecDeque::with_capacity(cfg.csb_entries as usize + 1),
-            fingerprint: Fingerprint::new(),
             last_verify: 0,
             last_closed: Vec::new(),
-            intervals_closed: 0,
-            csb_full_stall_cycles: 0,
-            csb_full_events: 0,
             release_stores: true,
             core: 0,
         }
@@ -162,9 +153,9 @@ impl ReunionHooks {
         }
     }
 
-    /// Closes the open interval at `cycle`: the fingerprint is cut, sent
-    /// and (after the comparison latency) verified; CSB entries and ROB
-    /// releases resolve; buffered stores drain to the L2.
+    /// Closes the open interval at `cycle`: it verifies after the
+    /// comparison latency; CSB entries and ROB releases resolve; buffered
+    /// stores drain to the L2.
     fn close_interval(&mut self, cycle: u64, mem: &mut MemSystem) {
         let verify = cycle + self.cfg.comparison_latency as u64;
         self.last_closed.clear();
@@ -186,9 +177,7 @@ impl ReunionHooks {
                 mem.drain_write(self.core, line, verify);
             }
         }
-        self.fingerprint.take();
         self.last_verify = verify;
-        self.intervals_closed += 1;
     }
 }
 
@@ -204,8 +193,6 @@ impl CoreHooks for ReunionHooks {
             "CSB head belongs to the open interval: csb_entries must exceed the FI \
              (enforced by ReunionConfig::validate)",
         );
-        self.csb_full_events += 1;
-        self.csb_full_stall_cycles += v - ready;
         self.retire_csb(v);
         v
     }
@@ -248,7 +235,6 @@ impl CoreHooks for ReunionHooks {
     }
 
     fn on_commit(&mut self, inst: &Inst, cycle: u64, mem: &mut MemSystem) {
-        self.fingerprint.update(inst.pc, inst.seq);
         self.csb.push_back(CsbEntry { verify: None });
         self.interval_members.push(inst.seq);
         if self.interval_members.len() >= self.cfg.fingerprint_interval as usize
@@ -285,10 +271,12 @@ mod tests {
         let mut h = ReunionHooks::new(ReunionConfig::for_fi(10, 6));
         let mut m = mem();
         let mut e = OooEngine::new(CoreConfig::table1(), 0);
+        let mut closes = 0;
         for i in 0..100 {
             e.feed(&alu(i), &mut m, &mut h);
+            closes += u32::from(h.interval_members.is_empty());
         }
-        assert_eq!(h.intervals_closed, 10);
+        assert_eq!(closes, 10);
     }
 
     #[test]
@@ -301,7 +289,11 @@ mod tests {
         }
         let trap = Inst::build(OpClass::Trap).seq(3).pc(12).finish();
         let t = e.feed(&trap, &mut m, &mut h);
-        assert_eq!(h.intervals_closed, 1, "trap cut a 4-instruction interval");
+        assert!(
+            h.interval_members.is_empty(),
+            "the trap closed the interval"
+        );
+        assert_eq!(h.last_closed, [0, 1, 2, 3], "a 4-instruction interval");
         // Dispatch after the trap resumes only at verification.
         let next = e.feed(&alu(4), &mut m, &mut h);
         assert!(
@@ -380,10 +372,9 @@ mod tests {
         }
 
         fn on_commit(&mut self, inst: &Inst, cycle: u64, m: &mut MemSystem) {
-            let closed = self.inner.intervals_closed;
             self.inner.on_commit(inst, cycle, m);
             self.open.push(inst.seq);
-            if self.inner.intervals_closed > closed {
+            if self.inner.interval_members.is_empty() {
                 for seq in self.open.drain(..) {
                     self.model.insert(seq, self.inner.last_verify);
                 }
@@ -480,17 +471,21 @@ mod tests {
 
     #[test]
     fn csb_back_pressure_stalls_commit() {
-        // Tiny CSB + long latency: the buffer must fill and stall.
-        let mut cfg = ReunionConfig::for_fi(4, 200);
-        cfg.csb_entries = 6;
-        let mut h = ReunionHooks::new(cfg);
-        let mut m = mem();
-        let mut e = OooEngine::new(CoreConfig::table1(), 0);
-        for i in 0..64 {
-            e.feed(&alu(i), &mut m, &mut h);
-        }
-        assert!(h.csb_full_events > 0, "CSB never filled");
-        assert!(h.csb_full_stall_cycles > 0);
+        // Tiny CSB + long latency: the buffer must fill and stall, where a
+        // CSB deeper than the run never does.
+        let run = |csb_entries| {
+            let mut cfg = ReunionConfig::for_fi(4, 200);
+            cfg.csb_entries = csb_entries;
+            let mut h = ReunionHooks::new(cfg);
+            let mut m = mem();
+            let mut e = OooEngine::new(CoreConfig::table1(), 0);
+            for i in 0..64 {
+                e.feed(&alu(i), &mut m, &mut h);
+            }
+            e.now()
+        };
+        let (tiny, deep) = (run(6), run(64));
+        assert!(tiny > deep + 200, "CSB of 6: {tiny} cycles, of 64: {deep}");
     }
 
     #[test]

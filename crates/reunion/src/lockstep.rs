@@ -12,9 +12,10 @@
 //! burden against UnSync's fully decoupled pair.
 //!
 //! Execution routes through the shared [`unsync_exec::RedundantDriver`];
-//! [`LockstepPolicy`] contributes only the window re-synchronization
-//! arithmetic and substitutes the locked retirement clock for the
-//! decoupled one in [`unsync_exec::RedundancyPolicy::finish`].
+//! [`LockstepPolicy`] contributes only the per-retirement
+//! re-synchronization arithmetic and substitutes the locked retirement
+//! clock for the decoupled one in
+//! [`unsync_exec::RedundancyPolicy::finish`].
 
 use unsync_exec::{Lane, LaneState, RedundancyPolicy, RedundantDriver, RunResult, TraceEventKind};
 use unsync_isa::{Inst, TraceProgram};
@@ -25,22 +26,19 @@ use unsync_sim::{CoreConfig, NullHooks};
 /// *locked* clock; `CouplingStall` events sum the re-sync cost.
 pub struct LockstepPair {
     ccfg: CoreConfig,
-    /// Re-synchronization granularity in instructions (1 = classic
-    /// per-retirement compare; a few = checker-window lockstep).
-    pub window: u64,
 }
 
 impl LockstepPair {
     /// A per-retirement lockstep pair.
     pub fn new(ccfg: CoreConfig) -> Self {
-        LockstepPair { ccfg, window: 1 }
+        LockstepPair { ccfg }
     }
 
     /// Runs `trace` (error-free; lockstep's error handling is an
     /// immediate replay and is not the interesting axis here).
     pub fn run(&self, trace: &TraceProgram) -> RunResult {
         let driver = RedundantDriver::new(self.ccfg);
-        let policy = LockstepPolicy::new(self.window);
+        let policy = LockstepPolicy::new();
         driver
             .run(&mut [policy], vec![Lane::new(trace)])
             .0
@@ -48,28 +46,29 @@ impl LockstepPair {
     }
 }
 
-/// Lockstep as a [`RedundancyPolicy`]: every `window` retirements the
-/// pair re-synchronizes, so the locked clock advances by the *slower*
-/// core's per-window commit delta — the pair pays every hiccup of
-/// either core, while a decoupled pair pays only `max(total_A,
-/// total_B)`.
+/// Lockstep as a [`RedundancyPolicy`]: at every retirement the pair
+/// re-synchronizes, so the locked clock advances by the *slower* core's
+/// commit delta — the pair pays every hiccup of either core, while a
+/// decoupled pair pays only `max(total_A, total_B)`.
+#[derive(Default)]
 pub struct LockstepPolicy {
-    window: u64,
     hooks: [NullHooks; 2],
     locked_clock: u64,
     prev: [u64; 2],
 }
 
 impl LockstepPolicy {
-    /// A policy re-synchronizing every `window` retirements.
-    pub fn new(window: u64) -> Self {
-        assert!(window >= 1);
-        LockstepPolicy {
-            window,
-            hooks: [NullHooks, NullHooks],
-            locked_clock: 0,
-            prev: [0; 2],
-        }
+    /// A policy re-synchronizing at every retirement.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Advances the locked clock by the slower core's commit delta
+    /// since the previous re-synchronization.
+    fn resync(&mut self, lane: &LaneState) {
+        let now = [lane.engines[0].now(), lane.engines[1].now()];
+        self.locked_clock += (now[0] - self.prev[0]).max(now[1] - self.prev[1]);
+        self.prev = now;
     }
 }
 
@@ -89,24 +88,19 @@ impl RedundancyPolicy for LockstepPolicy {
         _mem: &mut MemSystem,
         lane: &mut LaneState,
         _inst: &Inst,
-        seq: u64,
+        _seq: u64,
         _faults: &[unsync_fault::PairFault],
         _first_attempt: bool,
     ) {
         lane.commit_matched_pending();
-        if (seq + 1).is_multiple_of(self.window) {
-            let d0 = lane.engines[0].now() - self.prev[0];
-            let d1 = lane.engines[1].now() - self.prev[1];
-            self.locked_clock += d0.max(d1);
-            self.prev = [lane.engines[0].now(), lane.engines[1].now()];
-        }
+        self.resync(lane);
     }
 
-    /// Closes the final partial window and substitutes the locked
-    /// retirement clock for the decoupled one.
+    /// Re-synchronizes once more, for any cycles either core advanced
+    /// after its last retirement, and substitutes the locked retirement
+    /// clock for the decoupled one.
     fn finish(&mut self, _mem: &mut MemSystem, lane: &mut LaneState) {
-        self.locked_clock +=
-            (lane.engines[0].now() - self.prev[0]).max(lane.engines[1].now() - self.prev[1]);
+        self.resync(lane);
         let decoupled = lane.now();
         // Stamped at the locked clock: the stall exists only in locked
         // time, after the decoupled run already finished.
@@ -161,15 +155,5 @@ mod tests {
             engines[0].now().max(engines[1].now())
         };
         assert!(locked.cycles >= free, "{} vs {free}", locked.cycles);
-    }
-
-    #[test]
-    fn wider_windows_couple_less() {
-        let t = WorkloadGen::new(Benchmark::Bzip2, 10_000, 2).collect_trace();
-        let tight = LockstepPair::new(CoreConfig::table1()).run(&t);
-        let mut loose_pair = LockstepPair::new(CoreConfig::table1());
-        loose_pair.window = 64;
-        let loose = loose_pair.run(&t);
-        assert!(loose.events.sum(CouplingStall) <= tight.events.sum(CouplingStall));
     }
 }

@@ -187,11 +187,7 @@ impl OooEngine {
         let fetch = self.fetch_tr.slot(fetch_lb, cfg.fetch_width);
 
         // ── Dispatch: front-end depth + structural windows ─────────────
-        let mut dispatch_lb = fetch + cfg.frontend_depth as u64;
-        if self.dispatch_floor > dispatch_lb {
-            self.stats.serialize_stall_cycles += self.dispatch_floor - dispatch_lb;
-            dispatch_lb = self.dispatch_floor;
-        }
+        let mut dispatch_lb = (fetch + cfg.frontend_depth as u64).max(self.dispatch_floor);
         dispatch_lb = hooks.dispatch_gate(inst, dispatch_lb);
         // ROB window: entry `i` needs entry `i − rob_size` released.
         if self.rob.len() >= cfg.rob_size as usize {
@@ -200,26 +196,15 @@ impl OooEngine {
                 RobRelease::Pending(seq) => hooks.resolve_rob_release(seq),
             };
             self.rob_released = self.rob_released.saturating_sub(1);
-            if release > dispatch_lb {
-                self.stats.rob_full_cycles += release - dispatch_lb;
-                dispatch_lb = release;
-            }
+            dispatch_lb = dispatch_lb.max(release);
         }
         // Issue-queue window: freed at issue.
         if self.iq.len() >= cfg.iq_size as usize {
-            let freed = self.iq.pop_front().expect("non-empty");
-            if freed > dispatch_lb {
-                self.stats.iq_full_cycles += freed - dispatch_lb;
-                dispatch_lb = freed;
-            }
+            dispatch_lb = dispatch_lb.max(self.iq.pop_front().expect("non-empty"));
         }
         // LSQ window: memory ops only, freed at commit.
         if inst.op.is_mem() && self.lsq.len() >= cfg.lsq_size as usize {
-            let freed = self.lsq.pop_front().expect("non-empty");
-            if freed > dispatch_lb {
-                self.stats.lsq_full_cycles += freed - dispatch_lb;
-                dispatch_lb = freed;
-            }
+            dispatch_lb = dispatch_lb.max(self.lsq.pop_front().expect("non-empty"));
         }
         let dispatch = self.dispatch_tr.slot(dispatch_lb, cfg.dispatch_width);
         self.fetch_buf.push_back(dispatch);
@@ -284,7 +269,6 @@ impl OooEngine {
         // sees identical control flow): redirect the front end after
         // resolution.
         if inst.is_mispredicted_branch() {
-            self.stats.mispredicts += 1;
             self.fetch_floor = self
                 .fetch_floor
                 .max(complete + cfg.mispredict_penalty as u64);
@@ -303,12 +287,10 @@ impl OooEngine {
             if let Some(line) = out.write_through {
                 let after = hooks.store_committed(inst, line, commit, mem);
                 if after > commit {
-                    self.stats.store_path_stall_cycles += after - commit;
                     commit = after;
                     self.commit_tr.reset_to(commit);
                 }
             }
-            self.stats.stores += 1;
         }
 
         // ── Bookkeeping ────────────────────────────────────────────────
@@ -337,11 +319,6 @@ impl OooEngine {
         if inst.op.is_mem() {
             self.lsq.push_back(commit);
         }
-        match inst.op {
-            OpClass::Load => self.stats.loads += 1,
-            OpClass::Branch => self.stats.branches += 1,
-            _ => {}
-        }
         // Asynchronous core-local stall events (refresh/interrupt class):
         // each core's events land at a different phase, so paired cores
         // drift apart.
@@ -353,7 +330,6 @@ impl OooEngine {
                 (self.core_id as u64 + 1) ^ inst.seq.wrapping_mul(0x9e37_79b9_7f4a_7c15),
             ) % cfg.drift_max as u64;
             commit += stall;
-            self.stats.drift_stall_cycles += stall;
             self.commit_tr.reset_to(commit);
             self.fetch_floor = self.fetch_floor.max(commit);
         }
@@ -365,7 +341,6 @@ impl OooEngine {
         // report the verification time as the release point.
         hooks.on_commit(inst, commit, mem);
         if inst.op.is_serializing() {
-            self.stats.serializing += 1;
             self.dispatch_floor = self
                 .dispatch_floor
                 .max(hooks.serialize_release(inst, commit));
@@ -389,11 +364,8 @@ impl OooEngine {
 
     /// Store-path back-pressure from outside the engine (the UnSync
     /// Communication Buffer is owned by the pair runner): nothing commits
-    /// before `cycle`, attributed to store-path stalls.
+    /// before `cycle`.
     pub fn backpressure_until(&mut self, cycle: u64) {
-        if cycle > self.last_commit {
-            self.stats.store_path_stall_cycles += cycle - self.last_commit;
-        }
         self.last_commit = self.last_commit.max(cycle);
         self.commit_tr.reset_to(cycle);
         self.stats.last_commit_cycle = self.stats.last_commit_cycle.max(cycle);
@@ -477,32 +449,24 @@ mod tests {
 
     #[test]
     fn drift_events_stall_deterministically_and_differ_per_core() {
-        let run = |core_id: usize| {
-            let mut m = MemSystem::new(
-                unsync_mem::HierarchyConfig::table1(),
-                2,
-                WritePolicy::WriteThrough,
-            );
-            let mut e = OooEngine::new(CoreConfig::table1(), core_id);
+        let run = |core_id: usize, drift_max: u32| {
+            let mut cfg = CoreConfig::table1();
+            cfg.drift_max = drift_max;
+            let mut m = MemSystem::new(HierarchyConfig::table1(), 2, WritePolicy::WriteThrough);
+            let mut e = OooEngine::new(cfg, core_id);
             let mut h = NullHooks;
             for i in 0..5000u64 {
                 e.feed(&alu(i, (i % 8) as u8, 9, 10), &mut m, &mut h);
             }
-            *e.stats()
+            e.now()
         };
-        let a = run(0);
-        let b = run(1);
-        assert!(a.drift_stall_cycles > 0);
-        assert!(b.drift_stall_cycles > 0);
-        assert_ne!(
-            a.drift_stall_cycles, b.drift_stall_cycles,
-            "cores must drift differently"
-        );
-        assert_eq!(
-            run(0).drift_stall_cycles,
-            a.drift_stall_cycles,
-            "deterministic"
-        );
+        let drift_max = CoreConfig::table1().drift_max;
+        let (a, b) = (run(0, drift_max), run(1, drift_max));
+        let steady = run(0, 0);
+        assert_eq!(run(1, 0), steady, "without drift the cores agree");
+        assert!(a > steady && b > steady, "{a}, {b} vs {steady}");
+        assert_ne!(a, b, "cores must drift differently");
+        assert_eq!(run(0, drift_max), a, "deterministic");
     }
 
     #[test]
@@ -603,7 +567,6 @@ mod tests {
             t_next.dispatch,
             t_trap.commit
         );
-        assert_eq!(e.stats().serializing, 1);
     }
 
     #[test]
@@ -640,7 +603,79 @@ mod tests {
             last.dispatch,
             t_ld.commit
         );
-        assert!(e.stats().rob_full_cycles > 0);
+    }
+
+    #[test]
+    fn full_issue_queue_holds_back_dispatch() {
+        // A cold load's 70 dependents wait in the issue queue until it
+        // completes; an independent instruction behind them dispatches
+        // only once a 64-entry queue frees a slot.
+        let run = |iq_size: u32| {
+            let mut cfg = CoreConfig::table1();
+            cfg.iq_size = iq_size;
+            let mut e = OooEngine::new(cfg, 0);
+            let mut m = mem();
+            let mut h = NullHooks;
+            let ld = Inst::build(OpClass::Load)
+                .seq(0)
+                .dest(Reg::int(1))
+                .src0(Reg::int(2))
+                .mem(MemInfo::dword(0x20_0000))
+                .finish();
+            let t_ld = e.feed(&ld, &mut m, &mut h);
+            for i in 1..=70u64 {
+                e.feed(&alu(i, (2 + i % 6) as u8, 1, 1), &mut m, &mut h);
+            }
+            let last = e.feed(&alu(71, 9, 10, 11), &mut m, &mut h);
+            (last.dispatch, t_ld.complete)
+        };
+        let (full, load_done) = run(CoreConfig::table1().iq_size);
+        assert!(
+            full >= load_done,
+            "dispatched at {full}, load done {load_done}"
+        );
+        let (roomy, _) = run(CoreConfig::table1().rob_size);
+        assert!(
+            roomy < load_done,
+            "dispatched at {roomy}, load done {load_done}"
+        );
+    }
+
+    #[test]
+    fn full_lsq_holds_back_memory_dispatch() {
+        // LSQ entries free at commit: behind a cold load, the memory
+        // instruction one LSQ-depth younger waits for the load to commit.
+        let run = |lsq_size: u32| {
+            let mut cfg = CoreConfig::table1();
+            cfg.lsq_size = lsq_size;
+            let mut e = OooEngine::new(cfg, 0);
+            let mut m = mem();
+            let mut h = NullHooks;
+            let load = |seq: u64| {
+                Inst::build(OpClass::Load)
+                    .seq(seq)
+                    .dest(Reg::int((3 + seq % 5) as u8))
+                    .src0(Reg::int(2))
+                    .mem(MemInfo::dword(0x20_0000 + seq * 8))
+                    .finish()
+            };
+            let t_ld = e.feed(&load(0), &mut m, &mut h);
+            let mut last = t_ld;
+            for i in 1..=64u64 {
+                last = e.feed(&load(i), &mut m, &mut h);
+            }
+            (last.dispatch, t_ld.commit)
+        };
+        let (full, load_commit) = run(CoreConfig::table1().lsq_size);
+        assert!(
+            full >= load_commit,
+            "dispatched at {full}, load committed {load_commit}"
+        );
+        let (roomy, _) = run(2 * CoreConfig::table1().lsq_size);
+        assert!(
+            roomy < load_commit,
+            "dispatched at {roomy}, load committed {load_commit}"
+        );
     }
 
     #[test]
@@ -716,14 +751,13 @@ mod tests {
     }
 
     #[test]
-    fn backpressure_floors_commits_and_counts_store_path_stalls() {
+    fn backpressure_floors_commits_but_not_fetch() {
         let mut e = engine();
         let mut m = mem();
         let mut h = NullHooks;
         e.feed(&alu(0, 1, 2, 3), &mut m, &mut h);
-        let before = e.stats().store_path_stall_cycles;
         e.backpressure_until(50_000);
-        assert!(e.stats().store_path_stall_cycles > before);
+        assert_eq!(e.stats().last_commit_cycle, 50_000);
         let t = e.feed(&alu(1, 1, 2, 3), &mut m, &mut h);
         assert!(t.commit >= 50_000);
         // Unlike stall_until, fetch/dispatch are NOT floored: the front
@@ -732,26 +766,27 @@ mod tests {
     }
 
     #[test]
-    fn serialize_stall_cycles_attribute_to_the_trap() {
-        let mut cfg = CoreConfig::table1();
-        cfg.drift_max = 0;
-        let mut e = OooEngine::new(cfg, 0);
-        let mut m = mem();
-        let mut h = NullHooks;
-        for i in 0..100u64 {
-            e.feed(&alu(i, (i % 8) as u8, 9, 10), &mut m, &mut h);
-        }
-        assert_eq!(e.stats().serialize_stall_cycles, 0, "no traps yet");
-        e.feed(
-            &Inst::build(OpClass::Trap).seq(100).finish(),
-            &mut m,
-            &mut h,
-        );
-        for i in 101..140u64 {
-            e.feed(&alu(i, (i % 8) as u8, 9, 10), &mut m, &mut h);
-        }
-        assert!(e.stats().serialize_stall_cycles > 0);
-        assert_eq!(e.stats().serializing, 1);
+    fn a_trap_drain_delays_the_run() {
+        // The same 140 instructions with a trap or a nop at 100: only the
+        // trap drains the pipeline.
+        let run = |op: OpClass| {
+            let mut cfg = CoreConfig::table1();
+            cfg.drift_max = 0;
+            let mut e = OooEngine::new(cfg, 0);
+            let mut m = mem();
+            let mut h = NullHooks;
+            for i in 0..140u64 {
+                let inst = if i == 100 {
+                    Inst::build(op).seq(i).finish()
+                } else {
+                    alu(i, (i % 8) as u8, 9, 10)
+                };
+                e.feed(&inst, &mut m, &mut h);
+            }
+            e.now()
+        };
+        let (trap, nop) = (run(OpClass::Trap), run(OpClass::Nop));
+        assert!(trap > nop, "trap run {trap}, nop run {nop}");
     }
 
     #[test]

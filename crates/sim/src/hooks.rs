@@ -110,10 +110,6 @@ pub struct BaselineHooks {
     capacity: usize,
     /// Completion cycles of in-flight drains, oldest first.
     drains: VecDeque<u64>,
-    /// Commit cycles lost to a full buffer.
-    pub(crate) full_stall_cycles: u64,
-    /// Stores that found the buffer full.
-    pub(crate) full_events: u64,
 }
 
 impl BaselineHooks {
@@ -126,8 +122,6 @@ impl BaselineHooks {
         BaselineHooks {
             capacity,
             drains: VecDeque::with_capacity(capacity),
-            full_stall_cycles: 0,
-            full_events: 0,
         }
     }
 }
@@ -153,10 +147,7 @@ impl CoreHooks for BaselineHooks {
         }
         // Full: the store (and hence commit) waits for the head drain.
         if self.drains.len() >= self.capacity {
-            let head = self.drains.pop_front().expect("capacity > 0");
-            self.full_events += 1;
-            self.full_stall_cycles += head - now;
-            now = head;
+            now = self.drains.pop_front().expect("capacity > 0");
             while self.drains.front().is_some_and(|&d| d <= now) {
                 self.drains.pop_front();
             }
@@ -192,7 +183,6 @@ mod tests {
         let mut m = mem();
         let inst = store(0, 0x100);
         assert_eq!(h.store_committed(&inst, 4, 10, &mut m), 10);
-        assert_eq!(h.full_events, 0);
         assert_eq!(h.drains.len(), 1);
     }
 
@@ -207,8 +197,6 @@ mod tests {
         assert_eq!((c0, c1), (0, 0));
         let c2 = h.store_committed(&store(2, 0x080), 2, 0, &mut m);
         assert_eq!(c2, 1, "waits for the first drain to free a slot");
-        assert_eq!(h.full_events, 1);
-        assert_eq!(h.full_stall_cycles, 1);
     }
 
     #[test]
@@ -219,7 +207,6 @@ mod tests {
         // Much later, the buffer is empty again: no stall.
         let c = h.store_committed(&store(1, 0x040), 1, 100, &mut m);
         assert_eq!(c, 100);
-        assert_eq!(h.full_events, 0);
     }
 
     #[test]

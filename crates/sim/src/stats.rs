@@ -9,31 +9,8 @@ pub struct CoreStats {
     pub committed: u64,
     /// Cycle of the last commit (the run's cycle count).
     pub last_commit_cycle: u64,
-    /// Committed loads.
-    pub(crate) loads: u64,
-    /// Committed stores.
-    pub(crate) stores: u64,
-    /// Committed branches.
-    pub(crate) branches: u64,
-    /// Mispredicted branches (front-end redirects paid).
-    pub(crate) mispredicts: u64,
-    /// Committed serializing instructions.
-    pub(crate) serializing: u64,
-    /// Dispatch cycles lost to a full ROB.
-    pub(crate) rob_full_cycles: u64,
-    /// Dispatch cycles lost to a full issue queue.
-    pub(crate) iq_full_cycles: u64,
-    /// Dispatch cycles lost to a full LSQ.
-    pub(crate) lsq_full_cycles: u64,
-    /// Commit cycles lost waiting on the post-L1 write path (write
-    /// buffer / Communication Buffer full).
-    pub(crate) store_path_stall_cycles: u64,
-    /// Dispatch cycles lost draining for serializing instructions.
-    pub(crate) serialize_stall_cycles: u64,
     /// Cycles lost to externally injected stalls (error recovery).
     pub(crate) recovery_stall_cycles: u64,
-    /// Cycles lost to asynchronous core-local drift events.
-    pub(crate) drift_stall_cycles: u64,
     /// Number of recovery events absorbed.
     pub recoveries: u64,
     /// Sum of ROB occupancy sampled at each dispatch (for averages).

@@ -119,13 +119,3 @@ fn streams_and_collected_traces_agree() {
     }
     assert_eq!(idx, collected.len());
 }
-
-#[test]
-fn serialized_traces_round_trip_through_the_codec() {
-    for &bench in &[Benchmark::Bzip2, Benchmark::Galgel, Benchmark::Rijndael] {
-        let t = WorkloadGen::new(bench, 8_000, 55).collect_trace();
-        let bytes = unsync_isa::encode_trace(&t);
-        let back = unsync_isa::decode_trace(&bytes).unwrap();
-        assert_eq!(t.insts(), back.insts(), "{}", bench.name());
-    }
-}

@@ -148,16 +148,10 @@ fn lockstep_pair_is_deterministic_across_repeated_runs() {
     use unsync::prelude::*;
     use unsync::reunion::LockstepPair;
     let t = WorkloadGen::new(Benchmark::Qsort, 5_000, 11).collect_trace();
-    let run = |window: u64| {
-        let mut pair = LockstepPair::new(CoreConfig::table1());
-        pair.window = window;
-        pair.run(&t)
-    };
-    for window in [1, 8, 64] {
-        let reference = run(window);
-        assert!(reference.cycles > 0);
-        for _ in 0..2 {
-            assert_eq!(run(window), reference, "window {window} diverged");
-        }
+    let run = || LockstepPair::new(CoreConfig::table1()).run(&t);
+    let reference = run();
+    assert!(reference.cycles > 0);
+    for _ in 0..2 {
+        assert_eq!(run(), reference, "lockstep run diverged");
     }
 }
